@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos trace-check slo-check bench-check scenario-check fleet-check fleet-trace-check bounds-check check bench tables interp-bench latency-bench fleet-bench clean
+.PHONY: all build vet lint test race chaos trace-check slo-check scenario-check fleet-check fleet-trace-check bounds-check check bench tables latency-bench clean
 
 all: build
 
@@ -43,14 +43,6 @@ trace-check:
 slo-check:
 	$(GO) test -race -v -run 'TestSLOCheck' ./cmd/tytan-analyze/
 
-# bench-check validates the execution engines end to end: the Table 1
-# use case must produce bit-identical digests on the reference
-# interpreter, the fast path and the superblock compiler, and the
-# committed BENCH_interp.json must attest cycle_exact with the
-# superblock kernel speedup above its floor. Skipped with -short.
-bench-check:
-	$(GO) test -race -v -run 'TestBenchCheck' ./cmd/tytan-bench/
-
 # scenario-check runs the secure-update robustness matrix: every named
 # scenario (update under load, update under fault injection, downgrade
 # attack, corrupt image, power failure at every swap phase, quarantined
@@ -87,9 +79,11 @@ bounds-check:
 
 # check is the gate CI and pre-commit should run: build, vet, lint, the
 # full test suite under the race detector, the chaos scenario, and the
-# observability, SLO, engine benchmark, update-scenario, fleet,
-# fleet-telemetry and resource-bound gates.
-check: build vet lint race chaos trace-check slo-check bench-check scenario-check fleet-check fleet-trace-check bounds-check
+# observability, SLO, update-scenario, fleet, fleet-telemetry and
+# resource-bound gates. Engine equivalence runs inside race (the
+# internal/machine lockstep suites and the benchlab use-case, kernel and
+# chaos equivalence tests); host-clock timing lives in bench/.
+check: build vet lint race chaos trace-check slo-check scenario-check fleet-check fleet-trace-check bounds-check
 
 bench:
 	$(GO) test -bench=. -benchtime=10x -run=^$$ .
@@ -98,23 +92,11 @@ bench:
 tables:
 	$(GO) run ./cmd/tytan-bench
 
-# interp-bench measures the interpreter fast path (host ns/run and
-# host-MIPS, fast vs reference) and writes BENCH_interp.json.
-interp-bench:
-	$(GO) run ./cmd/tytan-bench -interp-json BENCH_interp.json
-
 # latency-bench runs the instrumented latency scenario and writes
 # BENCH_latency.json (all values in simulated cycles — deterministic).
 latency-bench:
 	$(GO) run ./cmd/tytan-bench -latency-json BENCH_latency.json
 
-# fleet-bench runs the fleet attestation service under load (1000
-# devices) and writes BENCH_fleet.json: attestations/sec and verifier
-# session latency percentiles (host clock), plus the deterministic
-# session/cache/quarantine accounting.
-fleet-bench:
-	$(GO) run ./cmd/tytan-bench -fleet-json BENCH_fleet.json
-
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_interp.json BENCH_latency.json BENCH_fleet.json
+	rm -f BENCH_latency.json

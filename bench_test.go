@@ -43,8 +43,9 @@ func BenchmarkTable1UseCase(b *testing.B) {
 	b.ReportMetric(float64(last.LoadWorkCycles), "load-cycles")
 	b.ReportMetric(last.LoadMillis(), "load-ms")
 	// Host simulation throughput: guest instructions retired per host
-	// second, in millions. Not a paper quantity — it tracks the
-	// interpreter fast path (see DESIGN.md, "Simulator fast path").
+	// second, in millions, on the default (production) engine. Not a
+	// paper quantity and a single-run figure; the repeatable engine
+	// timing is `bash bench/run.sh --workload usecase|kernel`.
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(insns)/s/1e6, "host-mips")
 	}

@@ -7,57 +7,35 @@
 //	tytan-bench              # all paper tables
 //	tytan-bench -ablations   # the ablation studies as well
 //	tytan-bench -only 4      # just Table 4
-//	tytan-bench -interp-json BENCH_interp.json
-//	                         # interpreter fast-path benchmark → JSON
 //	tytan-bench -latency-json BENCH_latency.json
 //	                         # IRQ/IPC/attestation latency percentiles → JSON
-//	tytan-bench -fleet-json BENCH_fleet.json
-//	                         # fleet attestation throughput → JSON
+//
+// Every figure it prints is in simulated cycles. Host-clock timing of
+// the engine, the use case and the fleet lives in the benchmark runner
+// under bench/ (bash bench/run.sh --workload usecase|kernel|fleet).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/benchlab"
-	"repro/internal/fleet"
-	"repro/internal/machine"
 )
 
 func main() {
 	ablations := flag.Bool("ablations", false, "also run the ablation studies")
 	only := flag.Int("only", 0, "run only the given table number (1-8)")
 	md := flag.Bool("md", false, "emit GitHub-flavoured markdown instead of aligned text")
-	interpJSON := flag.String("interp-json", "", "benchmark the interpreter fast path and write the result JSON to this file")
 	latencyJSON := flag.String("latency-json", "", "run the instrumented latency scenario and write the per-class percentile JSON to this file")
-	fleetJSON := flag.String("fleet-json", "", "run the fleet attestation benchmark and write the throughput JSON to this file")
 	flag.Parse()
 	render := benchlab.Table.String
 	if *md {
 		render = benchlab.Table.Markdown
 	}
 
-	if *interpJSON != "" {
-		if err := runInterpBench(*interpJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tytan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *latencyJSON != "" {
 		if err := runLatencyBench(*latencyJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tytan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleetJSON != "" {
-		if err := runFleetBench(*fleetJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "tytan-bench:", err)
 			os.Exit(1)
 		}
@@ -92,62 +70,6 @@ func main() {
 	}
 }
 
-// interpBenchReport is the schema of the -interp-json output: host
-// throughput of the simulator's three execution engines (reference
-// interpreter, fast-path interpreter, superblock compiler), plus the
-// guest-side quantities, which must be identical in every mode (all
-// engines are cycle-exact by contract).
-//
-// Two workloads feed it. The Table 1 use case (secure boot, three task
-// loads, interrupts, IPC) anchors correctness: cycle_exact is the
-// three-way equality of its full result. But it retires only a few
-// thousand guest instructions amid platform work, so engine throughput
-// (host MIPS and the sb_/kernel_ fields) is measured on the
-// compute-bound throughput kernel (benchlab.NewKernelRun), which runs
-// hundreds of thousands of enforced instructions per pass.
-type interpBenchReport struct {
-	// Guest-side quantities of the use case (mode-independent).
-	GuestInstructions uint64  `json:"guest_instructions"`
-	GuestCycles       uint64  `json:"guest_cycles"`
-	LoadCycles        uint64  `json:"load_cycles"`
-	LoadMillis        float64 `json:"load_ms"`
-
-	// Host-side timing of the use case per engine.
-	Iterations   int     `json:"iterations"`
-	FastNsPerRun float64 `json:"fast_ns_per_run"`
-	RefNsPerRun  float64 `json:"ref_ns_per_run"`
-	SBNsPerRun   float64 `json:"sb_ns_per_run"`
-	FastHostMIPS float64 `json:"fast_host_mips"`
-	RefHostMIPS  float64 `json:"ref_host_mips"`
-	Speedup      float64 `json:"speedup"`
-
-	// Throughput kernel: guest quantities (engine-independent) and
-	// per-engine host timing (best warm pass; min-of-N filters host
-	// scheduler noise). sb_speedup is the headline number: the
-	// superblock engine's host-MIPS gain over the reference
-	// interpreter on enforced compute-bound code.
-	KernelInstructions uint64  `json:"kernel_instructions"`
-	KernelCycles       uint64  `json:"kernel_cycles"`
-	KernelRefNsPerRun  float64 `json:"kernel_ref_ns_per_run"`
-	KernelFastNsPerRun float64 `json:"kernel_fast_ns_per_run"`
-	KernelSBNsPerRun   float64 `json:"kernel_sb_ns_per_run"`
-	RefKernelMIPS      float64 `json:"kernel_ref_host_mips"`
-	FastKernelMIPS     float64 `json:"kernel_fast_host_mips"`
-	SBHostMIPS         float64 `json:"sb_host_mips"`
-	SBSpeedup          float64 `json:"sb_speedup"`
-
-	// CompileNs estimates one-time superblock compilation cost: the
-	// cold (first) kernel pass minus the best warm pass, clamped at
-	// zero.
-	CompileNs  float64 `json:"compile_ns"`
-	SBCompiles uint64  `json:"sb_compiles"`
-
-	CycleExact     bool   `json:"cycle_exact"`
-	GoMaxProcsNote string `json:"note"`
-}
-
-// runInterpBench times the Table 1 use case with the fast path enabled
-// and disabled and writes the comparison to path as JSON.
 // runLatencyBench writes BENCH_latency.json: per-class latency
 // percentiles from the instrumented scenario. Everything in it is
 // simulated cycles, so the file is byte-identical across runs.
@@ -170,185 +92,6 @@ func runLatencyBench(path string) error {
 	fmt.Printf("latency benchmark → %s (irq max %d, attest p99 %d, deadline misses %d)\n",
 		path, rep.IRQ.Max, rep.Attest.P99, rep.DeadlineMisses)
 	return nil
-}
-
-// runFleetBench writes BENCH_fleet.json: the fleet attestation service
-// under load — 1000 devices, several rounds, a few unpublished builds
-// burning through quarantine. The simulation numbers (sessions,
-// verdicts, cache, rtt cycles) are deterministic; the wall_seconds /
-// attests_per_sec / verify_*_ns fields are host measurements.
-func runFleetBench(path string) error {
-	b, _, err := fleet.Bench(fleet.Config{
-		Devices: 1000, Rounds: 5, Seed: 1, Faulty: 10,
-	})
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fleet benchmark → %s (%d sessions, %.0f attests/sec, verifier p99 %dus, %d quarantined)\n",
-		path, b.Sessions, b.AttestsPerSec, b.VerifyP99NS/1000, b.Quarantined)
-	return nil
-}
-
-// engineMode is one engine configuration under measurement.
-type engineMode struct {
-	name     string
-	fast, sb bool
-}
-
-var engineModes = []engineMode{
-	{"ref", false, false},
-	{"fast", true, false},
-	{"sb", true, true},
-}
-
-// timeUseCase runs the Table 1 use case iters times under one engine
-// and returns the (engine-independent) result and the mean wall time.
-func timeUseCase(mode engineMode, iters int) (benchlab.UseCaseResult, float64, error) {
-	prevFP, prevSB := machine.FastPathDefault, machine.SuperblocksDefault
-	machine.FastPathDefault, machine.SuperblocksDefault = mode.fast, mode.sb
-	defer func() {
-		machine.FastPathDefault, machine.SuperblocksDefault = prevFP, prevSB
-	}()
-	var last benchlab.UseCaseResult
-	// Warm-up run: populates the RAM pool and OS page cache.
-	if _, err := benchlab.RunUseCase(false); err != nil {
-		return last, 0, err
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		r, err := benchlab.RunUseCase(false)
-		if err != nil {
-			return last, 0, err
-		}
-		last = r
-	}
-	return last, float64(time.Since(start).Nanoseconds()) / float64(iters), nil
-}
-
-// timeKernel measures the throughput kernel under one engine: cold
-// first-pass time (compilation included), best warm pass, and the
-// architectural digest every engine must agree on. The warm figure is
-// the minimum over the passes, not the mean: host scheduler
-// interference only ever adds time, so the fastest pass is the least
-// noisy estimate of the engine's real throughput.
-func timeKernel(mode engineMode, iters int) (benchlab.KernelResult, coldWarm, uint64, error) {
-	k, err := benchlab.NewKernelRun(mode.fast, mode.sb)
-	if err != nil {
-		return benchlab.KernelResult{}, coldWarm{}, 0, err
-	}
-	start := time.Now()
-	res, err := k.Run()
-	if err != nil {
-		return res, coldWarm{}, 0, err
-	}
-	cold := float64(time.Since(start).Nanoseconds())
-	var warm float64
-	for i := 0; i < iters; i++ {
-		passStart := time.Now()
-		r, err := k.Run()
-		ns := float64(time.Since(passStart).Nanoseconds())
-		if err != nil {
-			return res, coldWarm{}, 0, err
-		}
-		if r != res {
-			return res, coldWarm{}, 0, fmt.Errorf("kernel pass diverged under %s: %+v vs %+v", mode.name, r, res)
-		}
-		if warm == 0 || ns < warm {
-			warm = ns
-		}
-	}
-	return res, coldWarm{cold: cold, warm: warm}, k.Stats().SBCompiles, nil
-}
-
-// coldWarm holds the cold first-pass time and the best warm-pass time.
-type coldWarm struct{ cold, warm float64 }
-
-func runInterpBench(path string) error {
-	const ucIters, kIters = 50, 20
-
-	ucRes := make([]benchlab.UseCaseResult, len(engineModes))
-	ucNs := make([]float64, len(engineModes))
-	kRes := make([]benchlab.KernelResult, len(engineModes))
-	kNs := make([]coldWarm, len(engineModes))
-	var sbCompiles uint64
-	for i, mode := range engineModes {
-		var err error
-		if ucRes[i], ucNs[i], err = timeUseCase(mode, ucIters); err != nil {
-			return err
-		}
-		var compiles uint64
-		if kRes[i], kNs[i], compiles, err = timeKernel(mode, kIters); err != nil {
-			return err
-		}
-		if mode.sb {
-			sbCompiles = compiles
-		}
-	}
-
-	cycleExact := ucRes[1] == ucRes[0] && ucRes[2] == ucRes[0] &&
-		kRes[1] == kRes[0] && kRes[2] == kRes[0]
-	if !cycleExact {
-		return fmt.Errorf("engines diverged:\nuse case: ref=%+v fast=%+v sb=%+v\nkernel:   ref=%+v fast=%+v sb=%+v",
-			ucRes[0], ucRes[1], ucRes[2], kRes[0], kRes[1], kRes[2])
-	}
-
-	kInsns := float64(kRes[0].Instructions)
-	rep := interpBenchReport{
-		GuestInstructions: ucRes[0].Instructions,
-		GuestCycles:       ucRes[0].TotalCycles,
-		LoadCycles:        ucRes[0].LoadWorkCycles,
-		LoadMillis:        ucRes[0].LoadMillis(),
-		Iterations:        ucIters,
-		RefNsPerRun:       ucNs[0],
-		FastNsPerRun:      ucNs[1],
-		SBNsPerRun:        ucNs[2],
-		RefHostMIPS:       float64(ucRes[0].Instructions) / ucNs[0] * 1e3,
-		FastHostMIPS:      float64(ucRes[1].Instructions) / ucNs[1] * 1e3,
-		Speedup:           ucNs[0] / ucNs[1],
-
-		KernelInstructions: kRes[0].Instructions,
-		KernelCycles:       kRes[0].Cycles,
-		KernelRefNsPerRun:  kNs[0].warm,
-		KernelFastNsPerRun: kNs[1].warm,
-		KernelSBNsPerRun:   kNs[2].warm,
-		RefKernelMIPS:      kInsns / kNs[0].warm * 1e3,
-		FastKernelMIPS:     kInsns / kNs[1].warm * 1e3,
-		SBHostMIPS:         kInsns / kNs[2].warm * 1e3,
-		SBSpeedup:          kNs[0].warm / kNs[2].warm,
-
-		CompileNs:  maxf(0, kNs[2].cold-kNs[2].warm),
-		SBCompiles: sbCompiles,
-
-		CycleExact: true,
-		GoMaxProcsNote: "single-threaded simulation; host timing is wall clock. " +
-			"cycle_exact is three-way (reference/fastpath/superblock) equality on both workloads; " +
-			"sb_host_mips and sb_speedup are measured on the compute-bound throughput kernel " +
-			"(the use case is load-dominated and retires too few instructions to time engines)",
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("interp bench: kernel %.1f host-MIPS sb vs %.1f ref (%.2fx), use case %.0f/%.0f/%.0f ns (ref/fast/sb) → %s\n",
-		rep.SBHostMIPS, rep.RefKernelMIPS, rep.SBSpeedup, ucNs[0], ucNs[1], ucNs[2], path)
-	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func runOne(n int) error {

@@ -15,13 +15,13 @@
 //	tytan-fleet -devices 200 -faulty 5   # five devices on unpublished builds
 //	tytan-fleet -trace fleet.json        # correlated multi-lane Chrome timeline
 //	tytan-fleet -metrics - -flight -     # Prometheus exposition + incident report
-//	tytan-fleet -bench -json BENCH_fleet.json
-//	                                     # throughput benchmark (host clock)
+//
+// Host-clock throughput and the telemetry overhead are measured by the
+// benchmark runner under bench/ (its fleet and fleet-telemetry
+// workloads), never by this command.
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,8 +36,6 @@ const flightWindow = 64
 
 type config struct {
 	fleet.Config
-	bench       bool
-	jsonPath    string
 	outPath     string
 	tracePath   string
 	metricsPath string
@@ -55,8 +53,6 @@ func main() {
 	flag.IntVar(&cfg.MaxFailures, "max-failures", 0, "appraisal failures before quarantine (0 = default)")
 	flag.IntVar(&cfg.Listeners, "listeners", 0, "plane acceptor-pool size (0 = default)")
 	flag.BoolVar(&cfg.Observe, "observe", true, "measure attestation round trips in device cycles")
-	flag.BoolVar(&cfg.bench, "bench", false, "benchmark mode: add host-clock throughput figures")
-	flag.StringVar(&cfg.jsonPath, "json", "", "benchmark mode: write the JSON report to this file (implies -bench)")
 	flag.StringVar(&cfg.outPath, "o", "-", `write the text report to this file ("-" = stdout)`)
 	flag.StringVar(&cfg.tracePath, "trace", "", `write the correlated fleet timeline as multi-lane Chrome trace JSON to this file ("-" = stdout)`)
 	flag.StringVar(&cfg.metricsPath, "metrics", "", `write the fleet Prometheus exposition to this file ("-" = stdout)`)
@@ -93,52 +89,18 @@ func runFleet(cfg config, stdout io.Writer) error {
 	if cfg.flightPath != "" {
 		cfg.Telemetry.FlightSize = flightWindow
 	}
-	bench := cfg.bench || cfg.jsonPath != ""
-	if bench && (cfg.tracePath != "" || cfg.metricsPath != "" || cfg.flightPath != "") {
-		return errors.New("-trace/-metrics/-flight do not combine with -bench (the benchmark measures telemetry overhead itself)")
-	}
-
-	if !bench {
-		res, err := fleet.Run(cfg.Config)
-		if err != nil {
-			return err
-		}
-		err = writeTo(cfg.outPath, stdout, func(w io.Writer) error {
-			res.Report.WriteText(w)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("-o: %w", err)
-		}
-		return writeTelemetry(cfg, res, stdout)
-	}
-
-	b, res, err := fleet.Bench(cfg.Config)
+	res, err := fleet.Run(cfg.Config)
 	if err != nil {
 		return err
 	}
 	err = writeTo(cfg.outPath, stdout, func(w io.Writer) error {
 		res.Report.WriteText(w)
-		fmt.Fprintf(w, "  throughput: %.0f attests/sec over %.2fs wall; verifier session p50=%dus p99=%dus\n",
-			b.AttestsPerSec, b.WallSeconds, b.VerifyP50NS/1000, b.VerifyP99NS/1000)
-		fmt.Fprintf(w, "  telemetry: %.2fs wall with the full stack on (%+.1f%% host-side; cycle-identical=%v)\n",
-			b.TelemetryWallSeconds, b.TelemetryOverheadPct, b.CycleIdentical)
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("-o: %w", err)
 	}
-	if cfg.jsonPath != "" {
-		blob, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  wrote %s\n", cfg.jsonPath)
-	}
-	return nil
+	return writeTelemetry(cfg, res, stdout)
 }
 
 // writeTelemetry renders the requested telemetry products.

@@ -139,10 +139,4 @@ func TestFleetCLITelemetryFlags(t *testing.T) {
 			t.Errorf("%s missing %q:\n%.400s", path, want, blob)
 		}
 	}
-
-	// Telemetry flags refuse to combine with -bench.
-	cfg.bench = true
-	if err := runFleet(cfg, &stdout); err == nil {
-		t.Error("telemetry flags combined with -bench, want error")
-	}
 }

@@ -45,7 +45,6 @@ type config struct {
 	normal   bool
 	baseline bool
 	verify   bool
-	engine   string
 	prio     int
 	verbose  bool
 	faults   string
@@ -81,7 +80,6 @@ func main() {
 	flag.BoolVar(&cfg.normal, "normal", false, "load images as normal (OS-accessible) tasks")
 	flag.BoolVar(&cfg.baseline, "baseline", false, "boot the unmodified-FreeRTOS baseline")
 	flag.BoolVar(&cfg.verify, "verify", false, "arm the strict pre-load gate: statically verify every image (see tytan-lint) and refuse broken ones before measurement; incompatible with -baseline")
-	flag.StringVar(&cfg.engine, "engine", "superblock", `execution engine: "superblock" (threaded-code compiler, fastest), "fastpath" (cached interpreter) or "reference" (full-check interpreter); all are cycle-exact and bit-identical`)
 	flag.IntVar(&cfg.prio, "prio", 3, "task priority (0-7)")
 	flag.BoolVar(&cfg.verbose, "v", false, "print typed platform events as they happen")
 	flag.StringVar(&cfg.faults, "faults", "", `seeded fault injection: "seed=N[,classes=bitflips+irqstorms][,period=N]" — corrupts task RAM and raises IRQ storms while the trusted supervisor restarts and quarantines faulting tasks`)
@@ -99,19 +97,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tytan-sim:", err)
 		os.Exit(1)
 	}
-}
-
-// parseEngine maps the -engine flag to a core.Engine.
-func parseEngine(s string) (core.Engine, error) {
-	switch s {
-	case "", "default", "superblock":
-		return core.EngineSuperblock, nil
-	case "fastpath":
-		return core.EngineFastPath, nil
-	case "reference":
-		return core.EngineReference, nil
-	}
-	return 0, fmt.Errorf("unknown -engine %q (want superblock, fastpath or reference)", s)
 }
 
 // parseFaultSpec parses the -faults flag value (shared format with the
@@ -140,11 +125,7 @@ func run(cfg config) error {
 	if cfg.verify && cfg.baseline {
 		return fmt.Errorf("-verify needs the trusted platform (drop -baseline)")
 	}
-	engine, err := parseEngine(cfg.engine)
-	if err != nil {
-		return err
-	}
-	p, err := core.NewPlatform(core.Options{Baseline: cfg.baseline, StrictVerify: cfg.verify, Engine: engine})
+	p, err := core.NewPlatform(core.Options{Baseline: cfg.baseline, StrictVerify: cfg.verify})
 	if err != nil {
 		return err
 	}

@@ -8,15 +8,14 @@ import (
 	"repro/internal/machine"
 )
 
-// The throughput kernel: a compute-bound workload for measuring raw
-// host simulation speed (host MIPS) per execution engine. The Table 1
-// use case is the *correctness* anchor — secure boot, loads, IPC — but
-// it retires only a few thousand guest instructions amid
-// platform-level work, so its wall clock says little about the
-// interpreter. This kernel is the opposite: a tight loop of ALU ops,
-// pointer loads/stores, byte traffic, calls and branches, executed
-// under an enabled EA-MPU with realistic rules, so every fetch and
-// access pays the enforcement the paper's tasks pay.
+// The compute kernel: a compute-bound workload on which the production
+// engine must match the reference oracle digest for digest. The Table 1
+// use case is the platform-level anchor — secure boot, loads, IPC — but
+// it retires only a few thousand guest instructions amid platform-level
+// work. This kernel is the opposite: a tight loop of ALU ops, pointer
+// loads/stores, byte traffic, calls and branches, executed under an
+// enabled EA-MPU with realistic rules, so every fetch and access pays
+// the enforcement the paper's tasks pay.
 
 // kernelIters is the number of loop iterations per kernel pass.
 const kernelIters = 20_000
@@ -77,11 +76,12 @@ func kernelProgram() *isa.Program {
 	return &p
 }
 
-// NewKernelRun stages the kernel on a fresh machine with the given
-// engine configuration and the EA-MPU enforcing a realistic rule set.
-func NewKernelRun(fastPath, superblocks bool) (*KernelRun, error) {
+// NewKernelRun stages the kernel on a fresh machine running the
+// production engine (fastPath) or the reference oracle, with the EA-MPU
+// enforcing a realistic rule set.
+func NewKernelRun(fastPath bool) (*KernelRun, error) {
 	m := machine.New(1 << 20)
-	m.FastPath, m.Superblocks = fastPath, superblocks
+	m.FastPath = fastPath
 	p := kernelProgram()
 	if err := m.LoadBytes(kernelBase, p.Bytes()); err != nil {
 		return nil, err

@@ -1,74 +1,114 @@
 package benchlab
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
 // withEngine runs f with the package-default execution engine forced to
-// the given fast-path/superblock configuration, restoring it after.
-func withEngine(fast, sb bool, f func()) {
-	prevFast, prevSB := machine.FastPathDefault, machine.SuperblocksDefault
-	machine.FastPathDefault, machine.SuperblocksDefault = fast, sb
-	defer func() {
-		machine.FastPathDefault, machine.SuperblocksDefault = prevFast, prevSB
-	}()
+// production (fast=true) or the reference oracle, restoring it after.
+func withEngine(fast bool, f func()) {
+	prev := machine.FastPathDefault
+	machine.FastPathDefault = fast
+	defer func() { machine.FastPathDefault = prev }()
 	f()
 }
 
-// TestUseCaseSuperblockEquivalence is the system-level differential
-// check for the superblock engine: the full Table 1 use case — secure
-// boot, three task loads, interrupts, IPC, MPU reconfiguration — must
-// produce bit-identical results with superblock compilation on and
-// with the plain reference interpreter. Companion to
-// TestUseCaseFastPathEquivalence and the per-step lockstep tests in
-// internal/machine.
-func TestUseCaseSuperblockEquivalence(t *testing.T) {
-	for _, atomic := range []bool{false, true} {
-		var sb, ref UseCaseResult
-		var err error
-		withEngine(true, true, func() { sb, err = RunUseCase(atomic) })
-		if err != nil {
-			t.Fatalf("superblock atomic=%v: %v", atomic, err)
-		}
-		withEngine(false, false, func() { ref, err = RunUseCase(atomic) })
-		if err != nil {
-			t.Fatalf("reference atomic=%v: %v", atomic, err)
-		}
-		if sb != ref {
-			t.Errorf("atomic=%v: superblock engine diverged from reference:\nsb:  %+v\nref: %+v", atomic, sb, ref)
-		}
+// checkUseCaseEquivalence is the system-level differential check for
+// the production engine: the full Table 1 use case — secure boot,
+// three task loads, interrupts, IPC, MPU reconfiguration — must produce
+// bit-identical results on the production engine (decode caches plus
+// superblock compilation) and on the reference interpreter. Companion
+// to the lockstep tests in internal/machine.
+func checkUseCaseEquivalence(t *testing.T, atomic bool) {
+	t.Helper()
+	var prod, ref UseCaseResult
+	var err error
+	withEngine(true, func() { prod, err = RunUseCase(atomic) })
+	if err != nil {
+		t.Fatalf("production atomic=%v: %v", atomic, err)
+	}
+	withEngine(false, func() { ref, err = RunUseCase(atomic) })
+	if err != nil {
+		t.Fatalf("reference atomic=%v: %v", atomic, err)
+	}
+	if prod != ref {
+		t.Errorf("atomic=%v: production engine diverged from reference:\nprod: %+v\nref:  %+v", atomic, prod, ref)
+	}
+	if prod.Instructions == 0 || prod.TotalCycles == 0 {
+		t.Errorf("atomic=%v: instruction/cycle accounting missing: %+v", atomic, prod)
 	}
 }
 
-// TestKernelEngineEquivalence runs the throughput kernel on all three
-// engines and demands identical architectural digests — the same check
-// tytan-bench performs before reporting cycle_exact.
+// TestUseCaseFastPathEquivalence checks the use case with interruptible
+// loading.
+func TestUseCaseFastPathEquivalence(t *testing.T) { checkUseCaseEquivalence(t, false) }
+
+// TestUseCaseAtomicFastPathEquivalence repeats the check for the atomic
+// (non-interruptible) loading ablation, whose control flow differs.
+func TestUseCaseAtomicFastPathEquivalence(t *testing.T) { checkUseCaseEquivalence(t, true) }
+
+// TestUseCaseSuperblockEquivalence guards the two checks above against
+// comparing the interpreter with itself: the use-case tasks, run on each
+// engine for the same window, must retire the same instructions in the
+// same cycles, with superblocks compiled on the production engine only.
+func TestUseCaseSuperblockEquivalence(t *testing.T) {
+	var stats [2]machine.Stats
+	var cycles [2]uint64
+	for i, fast := range []bool{false, true} {
+		withEngine(fast, func() {
+			p := mustPlatform(core.Options{})
+			defer p.Close()
+			for _, tag := range []int{tagT0, tagT1} {
+				im := UseCaseTaskImage(tag, useCasePeriod)
+				im.Name = fmt.Sprintf("t%d", tag-1)
+				if _, _, err := p.LoadTaskSync(im, core.Secure, 5); err != nil {
+					t.Fatalf("fast=%v: load: %v", fast, err)
+				}
+			}
+			if err := p.Run(64 * core.DefaultTickPeriod); err != nil {
+				t.Fatalf("fast=%v: run: %v", fast, err)
+			}
+			stats[i], cycles[i] = p.M.Stats(), p.Cycles()
+		})
+		if compiled := stats[i].SBCompiles > 0; compiled != fast {
+			t.Errorf("fast=%v: compiled blocks = %v", fast, compiled)
+		}
+	}
+	if stats[0].InsnRetired != stats[1].InsnRetired || cycles[0] != cycles[1] {
+		t.Errorf("engines diverged: ref %d insns in %d cycles, prod %d insns in %d cycles",
+			stats[0].InsnRetired, cycles[0], stats[1].InsnRetired, cycles[1])
+	}
+}
+
+// TestKernelEngineEquivalence runs the compute kernel on the reference
+// oracle and the production engine and demands identical architectural
+// digests, with blocks compiled on the production side only.
 func TestKernelEngineEquivalence(t *testing.T) {
-	var digests []KernelResult
-	for _, mode := range []struct {
-		name     string
-		fast, sb bool
-	}{{"reference", false, false}, {"fastpath", true, false}, {"superblock", true, true}} {
-		k, err := NewKernelRun(mode.fast, mode.sb)
+	var digests [2]KernelResult
+	for i, fast := range []bool{false, true} {
+		k, err := NewKernelRun(fast)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := k.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+		if digests[i], err = k.Run(); err != nil {
+			t.Fatalf("fast=%v: %v", fast, err)
 		}
-		digests = append(digests, r)
+		if compiled := k.Stats().SBCompiles > 0; compiled != fast {
+			t.Errorf("fast=%v: compiled blocks = %v", fast, compiled)
+		}
 	}
-	if digests[1] != digests[0] || digests[2] != digests[0] {
-		t.Errorf("engines diverged:\nref:  %+v\nfast: %+v\nsb:   %+v", digests[0], digests[1], digests[2])
+	if digests[1] != digests[0] {
+		t.Errorf("engines diverged:\nref:  %+v\nprod: %+v", digests[0], digests[1])
 	}
 }
 
-// TestChaosSuperblockEquivalence replays the chaos seed matrix with
-// superblock compilation on and compares the full deterministic
+// TestChaosSuperblockEquivalence replays the chaos seed matrix on the
+// production engine and compares the full deterministic
 // transcript against the reference interpreter. Fault injection, task
 // restarts, attestation retries and link disturbances are all keyed to
 // simulated cycles, so any cycle drift in the compiled engine shows up
@@ -79,11 +119,11 @@ func TestChaosSuperblockEquivalence(t *testing.T) {
 		t.Run(fmt0x(seed), func(t *testing.T) {
 			var sb, ref *ChaosResult
 			var err error
-			withEngine(true, true, func() { sb, err = RunChaos(ChaosConfig{Seed: seed}) })
+			withEngine(true, func() { sb, err = RunChaos(ChaosConfig{Seed: seed}) })
 			if err != nil {
 				t.Fatalf("superblock: %v", err)
 			}
-			withEngine(false, false, func() { ref, err = RunChaos(ChaosConfig{Seed: seed}) })
+			withEngine(false, func() { ref, err = RunChaos(ChaosConfig{Seed: seed}) })
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}

@@ -91,39 +91,6 @@ type Options struct {
 	// the bounds admission check. Images without an entry carry no
 	// cycle constraint.
 	CycleBudgets map[string]uint64
-	// Engine selects the simulator execution engine. Purely a host-side
-	// speed/debuggability trade: every engine is cycle-exact and
-	// produces bit-identical guest behavior.
-	Engine Engine
-}
-
-// Engine selects how the simulator executes guest instructions.
-type Engine int
-
-const (
-	// EngineDefault keeps the machine package defaults (currently the
-	// superblock engine).
-	EngineDefault Engine = iota
-	// EngineReference interprets every instruction through the full
-	// EA-MPU scan: slowest, the oracle the others are tested against.
-	EngineReference
-	// EngineFastPath interprets with the decode/decision caches but
-	// compiles nothing.
-	EngineFastPath
-	// EngineSuperblock compiles basic blocks to threaded code.
-	EngineSuperblock
-)
-
-// apply configures a machine for the selected engine.
-func (e Engine) apply(m *machine.Machine) {
-	switch e {
-	case EngineReference:
-		m.FastPath, m.Superblocks = false, false
-	case EngineFastPath:
-		m.FastPath, m.Superblocks = true, false
-	case EngineSuperblock:
-		m.FastPath, m.Superblocks = true, true
-	}
 }
 
 // StaticTask describes one boot-time task of the static configuration.
@@ -201,7 +168,6 @@ func NewPlatform(opt Options) (*Platform, error) {
 	}
 
 	m := machine.New(opt.RAMSize)
-	opt.Engine.apply(m)
 	p := &Platform{
 		M:           m,
 		UART:        machine.NewUART(),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/rtos"
 	"repro/internal/trace"
 	"repro/internal/trusted"
@@ -230,16 +231,19 @@ loop:
 // icache lines over the reverted extent. The sequence — compile hot
 // code in a region, free it, stage an update into the hole, abort the
 // swap, load different code at the same addresses — must behave
-// bit-identically on the reference interpreter, the fast path and the
-// superblock compiler.
+// bit-identically on the reference interpreter and the production
+// engine (decode caches plus superblock compiler).
 func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
 	type outcome struct {
 		out    string
 		cycles uint64
 	}
 	var results []outcome
-	for _, eng := range []Engine{EngineReference, EngineFastPath, EngineSuperblock} {
-		p, err := NewPlatform(Options{Engine: eng})
+	prev := machine.FastPathDefault
+	defer func() { machine.FastPathDefault = prev }()
+	for _, fast := range []bool{false, true} {
+		machine.FastPathDefault = fast
+		p, err := NewPlatform(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +260,7 @@ func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
 		if err := p.Run(600_000); err != nil {
 			t.Fatal(err)
 		}
-		if eng == EngineSuperblock && p.M.Stats().SBCompiles == 0 {
+		if fast && p.M.Stats().SBCompiles == 0 {
 			t.Fatal("filler never compiled; test premise broken")
 		}
 		invalBefore := p.M.Stats().SBInvalidations + p.M.Stats().GenBumps
@@ -294,7 +298,7 @@ func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
 		if err := p.Run(400_000); err != nil {
 			t.Fatal(err)
 		}
-		if eng == EngineSuperblock {
+		if fast {
 			if after := p.M.Stats().SBInvalidations + p.M.Stats().GenBumps; after == invalBefore {
 				t.Error("abort/reload left compiled code uninvalidated")
 			}
@@ -302,10 +306,10 @@ func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
 		// The old app survived the abort and the late task runs.
 		out := p.Output()
 		if !strings.Contains(out, "g") {
-			t.Errorf("engine %v: late task never ran: %q", eng, out)
+			t.Errorf("fast=%v: late task never ran: %q", fast, out)
 		}
 		if !strings.Contains(out[len(out)/2:], "1") {
-			t.Errorf("engine %v: app not running after rollback: %q", eng, out)
+			t.Errorf("fast=%v: app not running after rollback: %q", fast, out)
 		}
 		results = append(results, outcome{out: out, cycles: p.Cycles()})
 		p.Close()

@@ -218,7 +218,7 @@ func (m *Machine) Run(budget uint64) RunResult {
 		if m.cycles-start >= budget {
 			return RunResult{Reason: StopBudget, Steps: steps}
 		}
-		if m.Superblocks {
+		if m.FastPath {
 			if n, ok := m.stepBlock(start, budget); ok {
 				steps += n
 				continue

@@ -35,11 +35,11 @@ import (
 // host effort, and every cache miss or denied access falls back to the
 // reference implementation, so cycle counts, fault PCs and trace output
 // are bit-for-bit identical with FastPath on and off. The differential
-// tests in fastpath_test.go and fastpath_boot_test.go enforce this.
+// tests in fastpath_test.go and superblock_test.go enforce this.
 
-// FastPathDefault is the FastPath setting New gives fresh machines. The
-// differential tests flip it to run whole firmware stacks on the
-// reference path.
+// FastPathDefault is the FastPath setting New gives fresh machines: the
+// one engine switch (see Machine.FastPath). The differential tests
+// flip it to run whole firmware stacks on the reference oracle.
 var FastPathDefault = true
 
 const (

@@ -125,21 +125,16 @@ type RunResult struct {
 type Machine struct {
 	MPU *eampu.MPU
 
-	// FastPath enables the interpreter fast path (decoded-instruction
-	// cache + EA-MPU decision cache, see fastpath.go). Either setting
+	// FastPath selects the production engine: the interpreter's decode
+	// and EA-MPU decision caches (fastpath.go) plus, inside Run, the
+	// superblock compiler (superblock.go). When false the machine is the
+	// reference oracle: every instruction goes through the full decode
+	// and EA-MPU rule scan and nothing is compiled. Either setting
 	// produces bit-for-bit identical architectural behaviour — cycles,
-	// faults, traces; the knob only selects how much host work each
-	// instruction costs. New initializes it from FastPathDefault.
+	// faults, traces, stop reasons; the knob only selects how much host
+	// work each instruction costs. New initializes it from
+	// FastPathDefault.
 	FastPath bool
-
-	// Superblocks enables the superblock compiler (superblock.go): Run
-	// fuses basic blocks into closure chains on first execution and
-	// dispatches them instead of stepping instruction by instruction.
-	// Like FastPath, the knob is architecturally invisible — cycles,
-	// faults, traces and stop reasons are bit-identical either way —
-	// and it only takes effect inside Run; Step always interprets. New
-	// initializes it from SuperblocksDefault.
-	Superblocks bool
 
 	ram     []byte
 	cycles  uint64
@@ -175,10 +170,10 @@ type Machine struct {
 	// sbLo/sbHi bounding the covered address range so ordinary data
 	// writes cost one range check. sbOff is per-op scratch: the RAM
 	// offset a pre-check validated for the op body that follows it.
-	sbcache      []sbEntry
-	sbPages      []uint32
-	sbLo, sbHi   uint32
-	sbOff        uint32
+	sbcache    []sbEntry
+	sbPages    []uint32
+	sbLo, sbHi uint32
+	sbOff      uint32
 	// ramHi is the dirty-RAM watermark (highest written offset + 1) and
 	// dirty the 4 KiB dirty-page bitmap; Release re-zeroes only dirtied
 	// pages to recycle the buffer.
@@ -263,16 +258,15 @@ func NewWithOptions(opt Options) *Machine {
 		bits = icacheMaxBits
 	}
 	return &Machine{
-		MPU:         &eampu.MPU{},
-		FastPath:    FastPathDefault,
-		Superblocks: SuperblocksDefault,
-		ram:         getRAM(opt.RAMSize),
-		devices:     make(map[uint32]Device),
-		enabledIRQ:  ^uint32(0),
-		gen:         1, // zero-valued cache entries must never match
-		codeLo:      eampu.MaxAddr,
-		sbLo:        eampu.MaxAddr,
-		icMask:      1<<uint(bits) - 1,
+		MPU:        &eampu.MPU{},
+		FastPath:   FastPathDefault,
+		ram:        getRAM(opt.RAMSize),
+		devices:    make(map[uint32]Device),
+		enabledIRQ: ^uint32(0),
+		gen:        1, // zero-valued cache entries must never match
+		codeLo:     eampu.MaxAddr,
+		sbLo:       eampu.MaxAddr,
+		icMask:     1<<uint(bits) - 1,
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // that can refuse, sending execution back to the interpreter.
 //
 // Cycle-exactness is the contract, inherited from fastpath.go and
-// enforced the same way (three-way lockstep in superblock_test.go,
-// trace-check, chaos): compilation may only short-circuit host work.
-// The rules that keep it:
+// enforced the same way (reference/production lockstep in
+// superblock_test.go, trace-check, chaos): compilation may only
+// short-circuit host work. The rules that keep it:
 //
 //   - A compiled op never faults. Ops whose access can fault at runtime
 //     carry a side-effect-free pre-check; if it cannot prove the access
@@ -46,14 +46,10 @@ import (
 //     splits the block after the store, so self-modifying code sees its
 //     own writes on the very next instruction.
 //
-// Step never uses superblocks; only Run dispatches them, so
-// single-stepping debuggers and the lockstep rigs that drive Step get
-// pure interpretation.
-
-// SuperblocksDefault is the Superblocks setting New gives fresh
-// machines. The differential tests flip it to compare whole firmware
-// stacks across engines.
-var SuperblocksDefault = true
+// Step never uses superblocks; only Run dispatches them, and only when
+// Machine.FastPath selects the production engine, so single-stepping
+// debuggers, the lockstep rigs that drive Step and the reference oracle
+// get pure interpretation.
 
 const (
 	// sbBits sizes the direct-mapped compiled-block table.
@@ -126,10 +122,15 @@ type sbEntry struct {
 // switch-heavy, short-quantum workloads *slower* than the plain fast
 // path (each block recompiles once per quantum and runs once). Sixteen
 // dispatches-per-generation is enough warm-up that only genuinely hot
-// loops pay the compiler, which keeps the switch-heavy Table 1 use
-// case at fast-path speed while leaving compute-bound kernels (which
-// re-reach the threshold within microseconds of each flush) at full
-// superblock throughput.
+// loops pay the compiler, leaving compute-bound kernels (which re-reach
+// the threshold within microseconds of each flush) at full superblock
+// throughput. The gate narrows but does not close the gap on the
+// switch-heavy Table 1 use case: measured on a 2-vCPU host, caches
+// without superblocks ran it in ~700 µs with 129 allocations against
+// ~920 µs with ~1,140 allocations here, while the compute kernel ran
+// ~2.8x faster here (4.4 ms against 12.3 ms). Keying compiled blocks on
+// the EA-MPU configuration, so per-task blocks survive the round-robin,
+// is the open fix tracked in ROADMAP.md.
 const sbCompileThreshold = 16
 
 // stepBlock tries to execute one compiled block at EIP. ok=false means

@@ -9,110 +9,97 @@ import (
 	"repro/internal/isa"
 )
 
-// Three-way differential tests for the superblock engine: a reference
-// machine (pure interpretation), a fast-path machine, and a superblock
-// machine execute the same firmware through Run slices, and after every
-// slice the complete architectural state — cycles, registers, EIP,
+// Differential tests for the production engine: a reference machine
+// (FastPath=false: pure interpretation, nothing compiled) and a
+// production machine (FastPath=true: decode/decision caches plus
+// superblocks) execute the same firmware through Run slices, and after
+// every slice the complete architectural state — cycles, registers, EIP,
 // EFLAGS, stop reasons, fault text, violation counts, retire counts,
 // per-instruction traces — must be bit-for-bit identical. The rig
 // drives Run (not Step) because superblocks only engage inside Run.
 
-// triRig holds the three machines fed identical inputs.
-type triRig struct {
-	ref, fast, sb *Machine
-	rtr, ftr, str stepTrace
+// pairRig holds the two machines fed identical inputs.
+type pairRig struct {
+	ref, prod *Machine
+	rtr, ptr  stepTrace
 }
 
-func newTriRig(ramSize uint32) *triRig {
-	r := &triRig{ref: New(ramSize), fast: New(ramSize), sb: New(ramSize)}
-	r.ref.FastPath, r.ref.Superblocks = false, false
-	r.fast.FastPath, r.fast.Superblocks = true, false
-	r.sb.FastPath, r.sb.Superblocks = true, true
+func newPairRig(ramSize uint32) *pairRig {
+	r := &pairRig{ref: New(ramSize), prod: New(ramSize)}
+	r.ref.FastPath = false
+	r.prod.FastPath = true
 	return r
 }
 
-func (r *triRig) trace() {
+func (r *pairRig) trace() {
 	r.ref.OnStep = r.rtr.hook()
-	r.fast.OnStep = r.ftr.hook()
-	r.sb.OnStep = r.str.hook()
+	r.prod.OnStep = r.ptr.hook()
 }
 
-func (r *triRig) each(f func(m *Machine)) {
+func (r *pairRig) each(f func(m *Machine)) {
 	f(r.ref)
-	f(r.fast)
-	f(r.sb)
+	f(r.prod)
 }
 
-// compare checks full architectural equality across the three machines.
-func (r *triRig) compare(t *testing.T, tag string, rr, rf, rs RunResult) {
+// compare checks full architectural equality across the two machines.
+func (r *pairRig) compare(t *testing.T, tag string, rr, rp RunResult) {
 	t.Helper()
-	pairs := []struct {
-		name string
-		m    *Machine
-		res  RunResult
-		tr   *stepTrace
-	}{
-		{"fast", r.fast, rf, &r.ftr},
-		{"sb", r.sb, rs, &r.str},
+	m, ref := r.prod, r.ref
+	if rp.Reason != rr.Reason {
+		t.Fatalf("%s: reason prod=%v ref=%v", tag, rp.Reason, rr.Reason)
 	}
-	for _, p := range pairs {
-		if p.res.Reason != rr.Reason {
-			t.Fatalf("%s: reason %s=%v ref=%v", tag, p.name, p.res.Reason, rr.Reason)
+	if rp.Steps != rr.Steps {
+		t.Fatalf("%s: steps prod=%d ref=%d", tag, rp.Steps, rr.Steps)
+	}
+	if rp.SVC != rr.SVC {
+		t.Fatalf("%s: svc prod=%d ref=%d", tag, rp.SVC, rr.SVC)
+	}
+	switch {
+	case (rp.Fault == nil) != (rr.Fault == nil):
+		t.Fatalf("%s: fault prod=%v ref=%v", tag, rp.Fault, rr.Fault)
+	case rp.Fault != nil && rp.Fault.Error() != rr.Fault.Error():
+		t.Fatalf("%s: fault text prod=%q ref=%q", tag, rp.Fault, rr.Fault)
+	}
+	if a, b := m.Cycles(), ref.Cycles(); a != b {
+		t.Fatalf("%s: cycles prod=%d ref=%d", tag, a, b)
+	}
+	if a, b := m.EIP(), ref.EIP(); a != b {
+		t.Fatalf("%s: eip prod=%#x ref=%#x", tag, a, b)
+	}
+	if a, b := m.EFLAGS(), ref.EFLAGS(); a != b {
+		t.Fatalf("%s: eflags prod=%#x ref=%#x", tag, a, b)
+	}
+	if a, b := m.InsnRetired(), ref.InsnRetired(); a != b {
+		t.Fatalf("%s: retired prod=%d ref=%d", tag, a, b)
+	}
+	if a, b := m.MPU.Violations(), ref.MPU.Violations(); a != b {
+		t.Fatalf("%s: violations prod=%d ref=%d", tag, a, b)
+	}
+	for i := 0; i < int(isa.NumRegs); i++ {
+		if a, b := m.Reg(isa.Reg(i)), ref.Reg(isa.Reg(i)); a != b {
+			t.Fatalf("%s: r%d prod=%#x ref=%#x", tag, i, a, b)
 		}
-		if p.res.Steps != rr.Steps {
-			t.Fatalf("%s: steps %s=%d ref=%d", tag, p.name, p.res.Steps, rr.Steps)
-		}
-		if p.res.SVC != rr.SVC {
-			t.Fatalf("%s: svc %s=%d ref=%d", tag, p.name, p.res.SVC, rr.SVC)
-		}
-		switch {
-		case (p.res.Fault == nil) != (rr.Fault == nil):
-			t.Fatalf("%s: fault %s=%v ref=%v", tag, p.name, p.res.Fault, rr.Fault)
-		case p.res.Fault != nil && p.res.Fault.Error() != rr.Fault.Error():
-			t.Fatalf("%s: fault text %s=%q ref=%q", tag, p.name, p.res.Fault, rr.Fault)
-		}
-		if a, b := p.m.Cycles(), r.ref.Cycles(); a != b {
-			t.Fatalf("%s: cycles %s=%d ref=%d", tag, p.name, a, b)
-		}
-		if a, b := p.m.EIP(), r.ref.EIP(); a != b {
-			t.Fatalf("%s: eip %s=%#x ref=%#x", tag, p.name, a, b)
-		}
-		if a, b := p.m.EFLAGS(), r.ref.EFLAGS(); a != b {
-			t.Fatalf("%s: eflags %s=%#x ref=%#x", tag, p.name, a, b)
-		}
-		if a, b := p.m.InsnRetired(), r.ref.InsnRetired(); a != b {
-			t.Fatalf("%s: retired %s=%d ref=%d", tag, p.name, a, b)
-		}
-		if a, b := p.m.MPU.Violations(), r.ref.MPU.Violations(); a != b {
-			t.Fatalf("%s: violations %s=%d ref=%d", tag, p.name, a, b)
-		}
-		for i := 0; i < int(isa.NumRegs); i++ {
-			if a, b := p.m.Reg(isa.Reg(i)), r.ref.Reg(isa.Reg(i)); a != b {
-				t.Fatalf("%s: r%d %s=%#x ref=%#x", tag, i, p.name, a, b)
-			}
-		}
-		if len(p.tr.pcs) != len(r.rtr.pcs) {
-			t.Fatalf("%s: trace length %s=%d ref=%d", tag, p.name, len(p.tr.pcs), len(r.rtr.pcs))
-		}
-		for i := range p.tr.pcs {
-			if p.tr.pcs[i] != r.rtr.pcs[i] || p.tr.ops[i] != r.rtr.ops[i] {
-				t.Fatalf("%s: trace[%d] %s=(%#x,%v) ref=(%#x,%v)",
-					tag, i, p.name, p.tr.pcs[i], p.tr.ops[i], r.rtr.pcs[i], r.rtr.ops[i])
-			}
+	}
+	if len(r.ptr.pcs) != len(r.rtr.pcs) {
+		t.Fatalf("%s: trace length prod=%d ref=%d", tag, len(r.ptr.pcs), len(r.rtr.pcs))
+	}
+	for i := range r.ptr.pcs {
+		if r.ptr.pcs[i] != r.rtr.pcs[i] || r.ptr.ops[i] != r.rtr.ops[i] {
+			t.Fatalf("%s: trace[%d] prod=(%#x,%v) ref=(%#x,%v)",
+				tag, i, r.ptr.pcs[i], r.ptr.ops[i], r.rtr.pcs[i], r.rtr.ops[i])
 		}
 	}
 }
 
-// runSlices drives all three machines through Run slices of the given
+// runSlices drives both machines through Run slices of the given
 // budgets (cycled) until a non-budget, non-IRQ stop or maxSlices.
-func (r *triRig) runSlices(t *testing.T, budgets []uint64, maxSlices int) {
+func (r *pairRig) runSlices(t *testing.T, budgets []uint64, maxSlices int) {
 	t.Helper()
 	for i := 0; i < maxSlices; i++ {
 		budget := budgets[i%len(budgets)]
 		rr := r.ref.Run(budget)
-		rf := r.fast.Run(budget)
-		rs := r.sb.Run(budget)
-		r.compare(t, fmt.Sprintf("slice %d (budget %d)", i, budget), rr, rf, rs)
+		rp := r.prod.Run(budget)
+		r.compare(t, fmt.Sprintf("slice %d (budget %d)", i, budget), rr, rp)
 		if rr.Reason != StopBudget && rr.Reason != StopIRQ {
 			return
 		}
@@ -129,8 +116,8 @@ func kernelProgram() isa.Program {
 	p.Emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R0, Imm: 3})
 	p.Emit(isa.Instruction{Op: isa.OpRET})
 	// entry at word 4
-	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 100})     // counter
-	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R2, Imm: 0})       // sum
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 100})        // counter
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R2, Imm: 0})          // sum
 	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R3, Imm32: 0x9000}) // buffer
 	// loop at word 8:
 	p.Emit(isa.Instruction{Op: isa.OpMOV, Rd: isa.R0, Rs: isa.R1})
@@ -151,14 +138,14 @@ func kernelProgram() isa.Program {
 
 // TestSuperblockDifferentialKernel runs the compute kernel through Run
 // slices with deliberately awkward budgets (including budgets smaller
-// than one block) and requires three-way equality after every slice.
+// than one block) and requires equality after every slice.
 func TestSuperblockDifferentialKernel(t *testing.T) {
 	for _, budgets := range [][]uint64{
-		{1 << 20},                  // one big slice
-		{1, 2, 3, 5, 7, 11, 13},    // tiny slices: constant fallback
-		{17, 100, 1, 1000, 2, 50},  // mixed
+		{1 << 20},                 // one big slice
+		{1, 2, 3, 5, 7, 11, 13},   // tiny slices: constant fallback
+		{17, 100, 1, 1000, 2, 50}, // mixed
 	} {
-		r := newTriRig(64 << 10)
+		r := newPairRig(64 << 10)
 		r.trace()
 		p := kernelProgram()
 		r.each(func(m *Machine) {
@@ -167,10 +154,10 @@ func TestSuperblockDifferentialKernel(t *testing.T) {
 			m.SetReg(isa.SP, 0x8000)
 		})
 		r.runSlices(t, budgets, 100000)
-		if r.sb.Reg(isa.R2) == 0 {
+		if r.prod.Reg(isa.R2) == 0 {
 			t.Fatal("kernel did not run")
 		}
-		if st := r.sb.Stats(); st.SBHits == 0 && budgets[0] > 100 {
+		if st := r.prod.Stats(); st.SBHits == 0 && budgets[0] > 100 {
 			t.Fatalf("superblock engine never engaged: %+v", st)
 		}
 	}
@@ -179,7 +166,7 @@ func TestSuperblockDifferentialKernel(t *testing.T) {
 // TestSuperblockDifferentialSelfModifyInBlock patches an instruction
 // *later in the same basic block* as the store, with the store already
 // compiled: the block must split at the store and the very next
-// instruction must execute the new bytes, on all three engines
+// instruction must execute the new bytes, on both engines
 // identically. The store's target register is set outside the block so
 // warm-up passes (which aim it at scratch data) get the block hot and
 // compiled from pristine bytes before the final pass aims it at the
@@ -193,7 +180,7 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111})          // word 2: overwritten
 	p.Emit(isa.Instruction{Op: isa.OpHLT})
 
-	r := newTriRig(64 << 10)
+	r := newPairRig(64 << 10)
 	r.trace()
 	r.each(func(m *Machine) {
 		m.LoadBytes(base, p.Bytes())
@@ -208,11 +195,11 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 			m.SetReg(isa.R1, 0)
 		})
 		r.runSlices(t, []uint64{1 << 20}, 10)
-		if got := r.sb.Reg(isa.R1); got != 111 {
+		if got := r.prod.Reg(isa.R1); got != 111 {
 			t.Fatalf("warm pass %d: r1 = %d, want 111", pass, got)
 		}
 	}
-	if st := r.sb.Stats(); st.SBHits == 0 {
+	if st := r.prod.Stats(); st.SBHits == 0 {
 		t.Fatalf("block never compiled during warm-up: %+v", st)
 	}
 
@@ -223,10 +210,10 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 		m.SetReg(isa.R1, 0)
 	})
 	r.runSlices(t, []uint64{1 << 20}, 10)
-	if got := r.sb.Reg(isa.R1); got != 222 {
+	if got := r.prod.Reg(isa.R1); got != 222 {
 		t.Fatalf("patched r1 = %d, want 222", got)
 	}
-	if st := r.sb.Stats(); st.SBInvalidations == 0 {
+	if st := r.prod.Stats(); st.SBInvalidations == 0 {
 		t.Fatalf("store into compiled code did not invalidate: %+v", st)
 	}
 
@@ -239,7 +226,7 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 			m.SetReg(isa.R1, 0)
 		})
 		r.runSlices(t, []uint64{1 << 20}, 10)
-		if got := r.sb.Reg(isa.R1); got != 222 {
+		if got := r.prod.Reg(isa.R1); got != 222 {
 			t.Fatalf("post-patch pass %d: r1 = %d, want 222", pass, got)
 		}
 	}
@@ -248,7 +235,7 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 // TestSuperblockDifferentialMPUReconfig compiles a block containing a
 // (hoisted, const-addressed) store, then reconfigures the EA-MPU so the
 // store becomes a violation: the compiled verdict must be invalidated
-// and all three engines must fault identically.
+// and both engines must fault identically.
 func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 	var p isa.Program
 	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R2, Imm32: 0x9000})
@@ -256,7 +243,7 @@ func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 	p.Emit(isa.Instruction{Op: isa.OpST, Rd: isa.R2, Rs: isa.R3, Imm: 0})
 	p.Emit(isa.Instruction{Op: isa.OpHLT})
 
-	r := newTriRig(64 << 10)
+	r := newPairRig(64 << 10)
 	r.trace()
 	r.each(func(m *Machine) {
 		m.LoadBytes(0x2000, p.Bytes())
@@ -264,13 +251,13 @@ func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 		m.SetReg(isa.SP, 0x8000)
 	})
 	// Unprotected: the store succeeds. Repeat past the compile
-	// threshold so the sb engine compiles the block and hoists the
+	// threshold so the production engine compiles the block and hoists the
 	// (const-addressed) store's verdict.
 	for pass := 0; pass < sbCompileThreshold+1; pass++ {
 		r.runSlices(t, []uint64{1 << 20}, 10)
 		r.each(func(m *Machine) { m.SetEIP(0x2000) })
 	}
-	if st := r.sb.Stats(); st.SBHits == 0 {
+	if st := r.prod.Stats(); st.SBHits == 0 {
 		t.Fatalf("block never compiled before reconfig: %+v", st)
 	}
 
@@ -291,11 +278,11 @@ func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 	})
 	for pass := 0; pass < sbCompileThreshold+1; pass++ {
 		r.each(func(m *Machine) { m.SetEIP(0x2000) })
-		r.rtr, r.ftr, r.str = stepTrace{}, stepTrace{}, stepTrace{}
+		r.rtr, r.ptr = stepTrace{}, stepTrace{}
 		r.trace()
 		r.runSlices(t, []uint64{1 << 20}, 10)
-		if r.sb.EIP() != 0x2000+3*4 {
-			t.Fatalf("pass %d: expected fault at the store, eip=%#x", pass, r.sb.EIP())
+		if r.prod.EIP() != 0x2000+3*4 {
+			t.Fatalf("pass %d: expected fault at the store, eip=%#x", pass, r.prod.EIP())
 		}
 	}
 }
@@ -311,7 +298,7 @@ func TestSuperblockDifferentialEntryEnforcement(t *testing.T) {
 	caller.Emit(isa.Instruction{Op: isa.OpJR, Rs: isa.R2})
 
 	for _, target := range []uint32{0x4000, 0x4004} {
-		r := newTriRig(64 << 10)
+		r := newPairRig(64 << 10)
 		r.trace()
 		r.each(func(m *Machine) {
 			m.LoadBytes(0x2000, caller.Bytes())
@@ -344,7 +331,7 @@ func TestSuperblockDifferentialEntryEnforcement(t *testing.T) {
 // at every possible offset within the compiled kernel blocks (48
 // consecutive periods sweep every intra-block instruction boundary, as
 // the periods are incommensurate with the loop's cycle pattern) and
-// checks interrupt delivery timing is identical on all three engines.
+// checks interrupt delivery timing is identical on both engines.
 // The floor of 14 keeps the guest making progress: each delivery costs
 // 13 cycles (exception entry + handler HLT) before the task resumes.
 func TestSuperblockDifferentialIRQSweep(t *testing.T) {
@@ -352,7 +339,7 @@ func TestSuperblockDifferentialIRQSweep(t *testing.T) {
 	handler.Emit(isa.Instruction{Op: isa.OpHLT})
 
 	for period := uint32(14); period <= 61; period++ {
-		r := newTriRig(64 << 10)
+		r := newPairRig(64 << 10)
 		p := kernelProgram()
 		r.each(func(m *Machine) {
 			timer := NewTimer(m.Cycles)
@@ -370,9 +357,8 @@ func TestSuperblockDifferentialIRQSweep(t *testing.T) {
 		})
 		for slice := 0; slice < 3000; slice++ {
 			rr := r.ref.Run(1 << 20)
-			rf := r.fast.Run(1 << 20)
-			rs := r.sb.Run(1 << 20)
-			r.compare(t, fmt.Sprintf("period %d slice %d", period, slice), rr, rf, rs)
+			rp := r.prod.Run(1 << 20)
+			r.compare(t, fmt.Sprintf("period %d slice %d", period, slice), rr, rp)
 			if rr.Reason == StopHalt {
 				break
 			}
@@ -393,18 +379,17 @@ func TestSuperblockDifferentialIRQSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			r.compare(t, fmt.Sprintf("period %d post-irq %d", period, slice), RunResult{}, RunResult{}, RunResult{})
+			r.compare(t, fmt.Sprintf("period %d post-irq %d", period, slice), RunResult{}, RunResult{})
 		}
-		if r.sb.Reg(isa.R2) == 0 {
+		if r.prod.Reg(isa.R2) == 0 {
 			t.Fatalf("period %d: kernel did not finish", period)
 		}
 	}
 }
 
-// TestSuperblockDifferentialRandomStreams feeds all three engines
-// identical random word streams through Run slices: illegal
-// instructions, wild branches and garbage accesses must stop all three
-// identically.
+// TestSuperblockDifferentialRandomStreams feeds both engines identical
+// random word streams through Run slices: illegal instructions, wild
+// branches and garbage accesses must stop both identically.
 func TestSuperblockDifferentialRandomStreams(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -413,7 +398,7 @@ func TestSuperblockDifferentialRandomStreams(t *testing.T) {
 			words[i] = rng.Uint32()
 		}
 		budget := []uint64{uint64(rng.Intn(64) + 1)}
-		r := newTriRig(64 << 10)
+		r := newPairRig(64 << 10)
 		r.trace()
 		r.each(func(m *Machine) {
 			for i, w := range words {
@@ -434,7 +419,7 @@ func TestSuperblockDifferentialRandomStreams(t *testing.T) {
 // reference stream instruction for instruction. (The other tests
 // attach hooks too; this one asserts the engine still engages.)
 func TestSuperblockHookedTrace(t *testing.T) {
-	r := newTriRig(64 << 10)
+	r := newPairRig(64 << 10)
 	r.trace()
 	p := kernelProgram()
 	r.each(func(m *Machine) {
@@ -443,10 +428,10 @@ func TestSuperblockHookedTrace(t *testing.T) {
 		m.SetReg(isa.SP, 0x8000)
 	})
 	r.runSlices(t, []uint64{1 << 20}, 10)
-	if st := r.sb.Stats(); st.SBHits == 0 {
+	if st := r.prod.Stats(); st.SBHits == 0 {
 		t.Fatalf("hooked run never dispatched a block: %+v", st)
 	}
-	if len(r.str.pcs) == 0 {
+	if len(r.ptr.pcs) == 0 {
 		t.Fatal("hook observed nothing")
 	}
 }
@@ -454,7 +439,7 @@ func TestSuperblockHookedTrace(t *testing.T) {
 // TestSuperblockStats sanity-checks the engine counters on a plain run.
 func TestSuperblockStats(t *testing.T) {
 	m := New(64 << 10)
-	m.FastPath, m.Superblocks = true, true
+	m.FastPath = true
 	p := kernelProgram()
 	if err := m.LoadBytes(0x2000, p.Bytes()); err != nil {
 		t.Fatal(err)
@@ -474,11 +459,33 @@ func TestSuperblockStats(t *testing.T) {
 	}
 }
 
+// TestReferenceNeverCompiles checks that FastPath=false selects the
+// reference oracle in Run too: a hot loop far past the compile threshold
+// must never compile or dispatch a superblock.
+func TestReferenceNeverCompiles(t *testing.T) {
+	m := New(64 << 10)
+	m.FastPath = false
+	p := kernelProgram()
+	if err := m.LoadBytes(0x2000, p.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	m.SetEIP(0x2000 + 4*4)
+	m.SetReg(isa.SP, 0x8000)
+	if res := m.Run(1 << 22); res.Reason != StopHalt {
+		t.Fatalf("stop = %v", res.Reason)
+	}
+	if st := m.Stats(); st.SBCompiles != 0 || st.SBHits != 0 {
+		t.Fatalf("reference engine compiled blocks: %+v", st)
+	}
+}
+
 // TestICacheGrowth checks that the loader-driven predecode-table sizing
 // keeps large programs from alias-thrashing: a straight-line program
 // larger than the default table must decode each instruction once (plus
 // nothing on the second pass) once GrowICacheForText has sized the
-// table, while the fixed default table would miss on every pass.
+// table, while the fixed default table would miss on every pass. It
+// drives Step, which never compiles, so only the predecode table is
+// measured.
 func TestICacheGrowth(t *testing.T) {
 	const words = 2048 // 8 KiB of text: double the default table
 	run := func(m *Machine) Stats {
@@ -494,7 +501,6 @@ func TestICacheGrowth(t *testing.T) {
 		m.SetReg(isa.R1, RAMBase) // harmless target; we stop before using it
 		for pass := 0; pass < 2; pass++ {
 			m.SetEIP(0x2000)
-			m.Superblocks = false // isolate the predecode cache
 			for i := 0; i < words-1; i++ {
 				if res := m.Step(); res.Reason != StopBudget {
 					t.Fatalf("pass %d step %d: %v", pass, i, res.Reason)
