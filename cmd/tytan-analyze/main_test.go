@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
@@ -86,16 +87,15 @@ main:
 	}
 }
 
-// TestSLOCheck is the `make slo-check` gate: the seeded fault-injected
-// scenario, exported and analyzed twice against the checked-in SLO
-// spec — the spec must pass, the exit code must be 0, and the two
-// reports (text and JSON) must be byte-identical.
+// TestSLOCheck is the SLO gate: the seeded fault-injected scenario,
+// exported and analyzed against the checked-in SLO spec, must pass with
+// exit code 0, and its text and JSON reports must be byte-identical on
+// both engines and across repeats.
 func TestSLOCheck(t *testing.T) {
 	dir := t.TempDir()
-
-	analyzeOnce := func(tag string) (text, jsonBlob []byte) {
-		tracePath := filepath.Join(dir, tag+".trace.json")
-		jsonPath := filepath.Join(dir, tag+".report.json")
+	tracePath := filepath.Join(dir, "trace.json")
+	jsonPath := filepath.Join(dir, "report.json")
+	contract.Check(t, contract.Row{Name: "slo-report", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
 		exportScenario(t, tracePath)
 		var out bytes.Buffer
 		code, err := run(config{
@@ -103,38 +103,24 @@ func TestSLOCheck(t *testing.T) {
 			jsonPath: jsonPath,
 			input:    tracePath,
 		}, &out)
-		if err != nil {
-			t.Fatalf("analyze %s: %v", tag, err)
+		if err != nil || code != 0 {
+			t.Fatalf("analyze on %v: exit %d, %v\n%s", at, code, err, out.String())
 		}
-		if code != 0 {
-			t.Fatalf("analyze %s: exit %d\n%s", tag, code, out.String())
+		report := out.String()
+		if !strings.Contains(report, "SLO: PASS") {
+			t.Errorf("expected SLO pass, got:\n%s", report)
+		}
+		for _, class := range []string{"irq", "tick", "task"} {
+			if !strings.Contains(report, class) {
+				t.Errorf("report lacks %q span class:\n%s", class, report)
+			}
 		}
 		blob, err := os.ReadFile(jsonPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.Bytes(), blob
-	}
-
-	text1, json1 := analyzeOnce("a")
-	text2, json2 := analyzeOnce("b")
-
-	if !bytes.Equal(text1, text2) {
-		t.Errorf("text reports differ between two runs of the same seed:\n--- a ---\n%s\n--- b ---\n%s", text1, text2)
-	}
-	if !bytes.Equal(json1, json2) {
-		t.Error("JSON reports differ between two runs of the same seed")
-	}
-
-	report := string(text1)
-	if !strings.Contains(report, "SLO: PASS") {
-		t.Errorf("expected SLO pass, got:\n%s", report)
-	}
-	for _, class := range []string{"irq", "tick", "task"} {
-		if !strings.Contains(report, class) {
-			t.Errorf("report lacks %q span class:\n%s", class, report)
-		}
-	}
+		return append(out.Bytes(), blob...)
+	}})
 }
 
 // TestAnalyzeEmptyTrace: an empty trace must report "no spans" and

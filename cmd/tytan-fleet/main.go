@@ -7,7 +7,7 @@
 // of the flags, so the same invocation renders byte-identical output
 // no matter how the shards and acceptors are scheduled. The telemetry
 // flags are observational only — they never change the report or the
-// event stream (the `make fleet-trace-check` gate).
+// event stream (the TestFleetTraceCheck contract).
 //
 // Usage:
 //

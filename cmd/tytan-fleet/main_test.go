@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/fleet"
 )
 
 // fleetTraceConfig is the gate's fleet: big enough to exercise
-// quarantine refusals and cache sharing, small enough to run twice
-// under -race in CI.
+// quarantine refusals and cache sharing, small enough to run three
+// times under -race.
 func fleetTraceConfig() config {
 	var cfg config
 	cfg.Devices = 12
@@ -29,81 +30,59 @@ func readFile(path string) (string, error) {
 	return string(blob), err
 }
 
-// TestFleetTraceCheck is the `make fleet-trace-check` gate: fleet
-// telemetry is zero-impact and itself deterministic.
+// TestFleetTraceCheck is the fleet telemetry gate: telemetry is
+// zero-impact and itself deterministic, in three fleet runs.
 //
-//  1. Telemetry on vs off: the deterministic report and event stream
-//     are byte-identical.
-//  2. Telemetry on, run twice: the correlated timeline, the incident
-//     report and the report are byte-identical across runs.
+//  1. The "fleet-report" row runs telemetry on, off, then on again: the
+//     report and event stream are byte-identical.
+//  2. The "fleet-timeline" row renders the correlated timeline and the
+//     incident report of the two telemetry-on runs: byte-identical.
 func TestFleetTraceCheck(t *testing.T) {
-	base := fleetTraceConfig()
-
-	run := func(telemetry bool) (*fleet.Result, string, string) {
-		cfg := base.Config
-		if telemetry {
+	var on []*fleet.Result
+	report := func(t *testing.T, at contract.Point) []byte {
+		cfg := fleetTraceConfig().Config
+		if at.On("telemetry") {
 			cfg.Telemetry = fleet.TelemetryConfig{Timeline: true, Metrics: true, FlightSize: 64}
 		}
 		res, err := fleet.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var events strings.Builder
+		if at.On("telemetry") {
+			on = append(on, res)
+		} else if res.Telemetry != nil {
+			t.Error("telemetry products assembled with telemetry off")
+		}
+		out := []byte(res.Report.Text())
 		for _, e := range res.Events {
-			events.WriteString(e.String())
-			events.WriteByte('\n')
+			out = append(out, e.String()+"\n"...)
 		}
-		return res, res.Report.Text(), events.String()
+		return out
 	}
-
-	resOff, repOff, evOff := run(false)
-	resOn1, repOn1, evOn1 := run(true)
-	_, repOn2, evOn2 := run(true)
-
-	// Zero impact: telemetry must not perturb the deterministic outputs.
-	if repOn1 != repOff {
-		t.Errorf("telemetry changed the report:\n--- off\n%s\n--- on\n%s", repOff, repOn1)
-	}
-	if evOn1 != evOff {
-		t.Error("telemetry changed the event stream")
-	}
-	if resOff.Telemetry != nil {
-		t.Error("telemetry products assembled with telemetry off")
-	}
-
-	// Telemetry determinism: same config, same bytes.
-	if repOn1 != repOn2 || evOn1 != evOn2 {
-		t.Error("telemetry-on runs disagree on report or events")
-	}
-	renderTel := func(res *fleet.Result) (string, string) {
-		var tr, inc bytes.Buffer
-		if err := res.Telemetry.Timeline.WriteChromeTrace(&tr); err != nil {
+	timeline := func(t *testing.T, _ contract.Point) []byte {
+		res := on[0]
+		on = on[1:]
+		var out bytes.Buffer
+		if err := res.Telemetry.Timeline.WriteChromeTrace(&out); err != nil {
 			t.Fatal(err)
 		}
-		if err := fleet.WriteIncidents(&inc, res.Telemetry.Incidents); err != nil {
+		if err := fleet.WriteIncidents(&out, res.Telemetry.Incidents); err != nil {
 			t.Fatal(err)
 		}
-		return tr.String(), inc.String()
+		// The timeline correlates every plane-decided session, and the
+		// quarantined device tripped its flight recorder.
+		decided := int(res.Report.Attested + res.Report.Rejected + res.Report.Refused)
+		if got := res.Telemetry.Timeline.CorrelatedCount(); got != decided {
+			t.Errorf("correlated sessions = %d, want %d", got, decided)
+		}
+		if len(res.Telemetry.Incidents) != 1 {
+			t.Errorf("incidents = %d, want 1", len(res.Telemetry.Incidents))
+		}
+		return out.Bytes()
 	}
-	resOn2, _, _ := run(true)
-	tr1, inc1 := renderTel(resOn1)
-	tr2, inc2 := renderTel(resOn2)
-	if tr1 != tr2 {
-		t.Error("timelines differ between identical telemetry runs")
-	}
-	if inc1 != inc2 {
-		t.Errorf("incident reports differ between identical telemetry runs:\n--- run 1\n%s\n--- run 2\n%s", inc1, inc2)
-	}
-
-	// The timeline correlates every plane-decided session.
-	decided := int(resOn1.Report.Attested + resOn1.Report.Rejected + resOn1.Report.Refused)
-	if got := resOn1.Telemetry.Timeline.CorrelatedCount(); got != decided {
-		t.Errorf("correlated sessions = %d, want %d", got, decided)
-	}
-	// The quarantined device tripped its flight recorder.
-	if len(resOn1.Telemetry.Incidents) != 1 {
-		t.Errorf("incidents = %d, want 1", len(resOn1.Telemetry.Incidents))
-	}
+	contract.Check(t,
+		contract.Row{Name: "fleet-report", Axes: []contract.Axis{contract.Over("telemetry", "on", "off")}, Produce: report},
+		contract.Row{Name: "fleet-timeline", Produce: timeline})
 }
 
 // TestFleetCLITelemetryFlags drives runFleet end to end with all three

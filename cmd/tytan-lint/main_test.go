@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/sverify"
 )
 
@@ -75,8 +76,8 @@ func TestAssemblySourceInput(t *testing.T) {
 	}
 }
 
-// TestJSONDeterministic: two runs over the same inputs are
-// byte-identical (the acceptance bar for the report pipeline).
+// TestJSONDeterministic: runs over the same inputs are byte-identical
+// (the acceptance bar for the report pipeline).
 func TestJSONDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	inputs := []string{
@@ -84,19 +85,16 @@ func TestJSONDeterministic(t *testing.T) {
 		writeImage(t, dir, sverify.GenWildStore, 2),
 		writeImage(t, dir, sverify.GenBadSyscall, 2),
 	}
-	var a, b bytes.Buffer
-	if code, err := run(config{jsonPath: "-", inputs: inputs}, &a); code != 1 || err != nil {
-		t.Fatalf("first run: code=%d err=%v", code, err)
-	}
-	if code, err := run(config{jsonPath: "-", inputs: inputs}, &b); code != 1 || err != nil {
-		t.Fatalf("second run: code=%d err=%v", code, err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two -json runs over the same inputs differ")
-	}
-	if !strings.Contains(a.String(), `"severity"`) {
-		t.Fatalf("JSON output missing findings:\n%s", a.String())
-	}
+	contract.Check(t, contract.Row{Name: "lint-json", Produce: func(t *testing.T, _ contract.Point) []byte {
+		var out bytes.Buffer
+		if code, err := run(config{jsonPath: "-", inputs: inputs}, &out); code != 1 || err != nil {
+			t.Fatalf("code=%d err=%v", code, err)
+		}
+		if !strings.Contains(out.String(), `"severity"`) {
+			t.Fatalf("JSON output missing findings:\n%s", out.String())
+		}
+		return out.Bytes()
+	}})
 }
 
 // TestExamplesCorpusClean pins the checked-in example tasks to a clean
@@ -114,9 +112,10 @@ func TestExamplesCorpusClean(t *testing.T) {
 
 // TestBoundsCheck pins the -bounds mode: a certified image passes, an
 // image with an uncertified bound fails even without error findings,
-// the rendered text names the bounds, and two runs over the same
-// inputs are byte-identical (the determinism contract make bounds-check
-// re-verifies from the shell).
+// and the rendered text names the bounds. Its "bounds" row requires
+// every shipped task source to carry certified bounds, and the -bounds
+// JSON over that corpus and the generator images to be byte-identical
+// across repeats.
 func TestBoundsCheck(t *testing.T) {
 	dir := t.TempDir()
 	certified := writeImage(t, dir, sverify.GenCountedLoop, 0)
@@ -142,27 +141,21 @@ func TestBoundsCheck(t *testing.T) {
 		t.Fatalf("uncertified image without -bounds: code=%d err=%v", code, err)
 	}
 
-	jsonA := filepath.Join(dir, "a.json")
-	jsonB := filepath.Join(dir, "b.json")
-	inputs := []string{certified, uncertified}
-	if _, err := run(config{bounds: true, jsonPath: jsonA, inputs: inputs}, &out); err != nil {
-		t.Fatal(err)
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "tasks", "*.s"))
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("examples corpus: %v (%d files)", err, len(examples))
 	}
-	if _, err := run(config{bounds: true, jsonPath: jsonB, inputs: inputs}, &out); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(jsonA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(jsonB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("two -bounds -json runs over the same inputs differ")
-	}
-	if !strings.Contains(string(a), `"bounds"`) {
-		t.Fatal("JSON report missing the bounds object")
-	}
+	contract.Check(t, contract.Row{Name: "bounds", Produce: func(t *testing.T, _ contract.Point) []byte {
+		var json bytes.Buffer
+		if code, err := run(config{bounds: true, jsonPath: "-", inputs: examples}, &json); code != 0 || err != nil {
+			t.Fatalf("examples under -bounds: code=%d err=%v\n%s", code, err, json.String())
+		}
+		if code, err := run(config{bounds: true, jsonPath: "-", inputs: []string{certified, uncertified}}, &json); code != 1 || err != nil {
+			t.Fatalf("generator images under -bounds: code=%d err=%v", code, err)
+		}
+		if !strings.Contains(json.String(), `"bounds"`) {
+			t.Fatal("JSON report missing the bounds object")
+		}
+		return json.Bytes()
+	}})
 }

@@ -93,7 +93,7 @@ func main() {
 	flag.Parse()
 	cfg.files = flag.Args()
 
-	if err := run(cfg); err != nil {
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tytan-sim:", err)
 		os.Exit(1)
 	}
@@ -106,9 +106,9 @@ func parseFaultSpec(spec string) (faultinject.Config, error) {
 }
 
 // exportTo runs write against the named destination ("-" = stdout).
-func exportTo(path string, write func(io.Writer) error) error {
+func exportTo(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -121,7 +121,7 @@ func exportTo(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func run(cfg config) error {
+func run(cfg config, stdout io.Writer) error {
 	if cfg.verify && cfg.baseline {
 		return fmt.Errorf("-verify needs the trusted platform (drop -baseline)")
 	}
@@ -162,7 +162,7 @@ func run(cfg config) error {
 		var extra []trace.Sink
 		if cfg.verbose {
 			extra = append(extra, trace.SinkFunc(func(e trace.Event) {
-				fmt.Println(e)
+				fmt.Fprintln(stdout, e)
 			}))
 		}
 		if monitor != nil {
@@ -183,11 +183,11 @@ func run(cfg config) error {
 				return
 			}
 			left--
-			fmt.Printf("  %08x:  %s\n", pc, in)
+			fmt.Fprintf(stdout, "  %08x:  %s\n", pc, in)
 		}
 	}
 	if cfg.describe {
-		fmt.Print(p.Describe())
+		fmt.Fprint(stdout, p.Describe())
 		return nil
 	}
 	if len(cfg.files) == 0 {
@@ -232,9 +232,9 @@ func run(cfg config) error {
 			return fmt.Errorf("%s: %w", f, err)
 		}
 		if kind == core.Secure {
-			fmt.Printf("loaded %q as task %d at %#x, identity %x\n", im.Name, tcb.ID, tcb.Placement.Base, id)
+			fmt.Fprintf(stdout, "loaded %q as task %d at %#x, identity %x\n", im.Name, tcb.ID, tcb.Placement.Base, id)
 		} else {
-			fmt.Printf("loaded %q as task %d at %#x\n", im.Name, tcb.ID, tcb.Placement.Base)
+			fmt.Fprintf(stdout, "loaded %q as task %d at %#x\n", im.Name, tcb.ID, tcb.Placement.Base)
 		}
 		byName[im.Name] = tcb.ID
 		if inj != nil {
@@ -289,7 +289,7 @@ func run(cfg config) error {
 		if err := runFor(at); err != nil {
 			return err
 		}
-		if err := applyMidRunUpdate(p, update, updatePkg, byName, cfg.deadline); err != nil {
+		if err := applyMidRunUpdate(p, update, updatePkg, byName, cfg.deadline, stdout); err != nil {
 			return err
 		}
 		if err := runFor(cycles - at); err != nil {
@@ -298,48 +298,48 @@ func run(cfg config) error {
 	}
 
 	maxLat, meanLat, nLat := p.K.IRQLatency()
-	fmt.Printf("\n--- ran %.1f ms (%d cycles), %d ticks, %d dispatches ---\n",
+	fmt.Fprintf(stdout, "\n--- ran %.1f ms (%d cycles), %d ticks, %d dispatches ---\n",
 		cfg.ms, cycles, p.K.Ticks(), p.K.Switches())
-	fmt.Printf("cpu utilization: %.1f %%; irq latency mean %.0f / max %d cycles (%d samples)\n",
+	fmt.Fprintf(stdout, "cpu utilization: %.1f %%; irq latency mean %.0f / max %d cycles (%d samples)\n",
 		p.K.Utilization()*100, meanLat, maxLat, nLat)
 	if out := p.Output(); out != "" {
-		fmt.Printf("uart: %q\n", out)
+		fmt.Fprintf(stdout, "uart: %q\n", out)
 	}
 	for _, t := range p.K.Tasks() {
-		fmt.Printf("task %d %-12q %-8s prio %d  activations %d  cpu %d cycles\n",
+		fmt.Fprintf(stdout, "task %d %-12q %-8s prio %d  activations %d  cpu %d cycles\n",
 			t.ID, t.Name, t.State, t.Priority, t.Activations, t.CPUCycles)
 	}
 	if exits := p.K.Exits(); len(exits) > 0 {
-		fmt.Println("exits:")
+		fmt.Fprintln(stdout, "exits:")
 		for _, rec := range exits {
-			fmt.Printf("  [%12d] task %d %-12q %s\n", rec.Reason.Cycle, rec.ID, rec.Name, rec.Reason)
+			fmt.Fprintf(stdout, "  [%12d] task %d %-12q %s\n", rec.Reason.Cycle, rec.ID, rec.Name, rec.Reason)
 		}
 	}
 	if inj != nil {
-		fmt.Printf("injected faults (seed-deterministic):\n")
+		fmt.Fprintf(stdout, "injected faults (seed-deterministic):\n")
 		for _, e := range inj.Events() {
-			fmt.Printf("  [%12d] %-10s %s\n", e.Cycle, e.Class, e.Detail)
+			fmt.Fprintf(stdout, "  [%12d] %-10s %s\n", e.Cycle, e.Class, e.Detail)
 		}
 		if sup := p.Sup; sup != nil && len(sup.Events()) > 0 {
-			fmt.Println("supervisor:")
+			fmt.Fprintln(stdout, "supervisor:")
 			for _, e := range sup.Events() {
-				fmt.Printf("  [%12d] %-12s %-14s %s\n", e.Cycle, e.Task, e.What, e.Detail)
+				fmt.Fprintf(stdout, "  [%12d] %-12s %-14s %s\n", e.Cycle, e.Task, e.What, e.Detail)
 			}
 		}
 	}
 	if obs != nil {
 		if cfg.tracePath != "" {
-			if err := exportTo(cfg.tracePath, obs.WriteChromeTrace); err != nil {
+			if err := exportTo(cfg.tracePath, stdout, obs.WriteChromeTrace); err != nil {
 				return fmt.Errorf("-trace: %w", err)
 			}
 		}
 		if cfg.metricsPath != "" {
-			if err := exportTo(cfg.metricsPath, obs.WriteMetrics); err != nil {
+			if err := exportTo(cfg.metricsPath, stdout, obs.WriteMetrics); err != nil {
 				return fmt.Errorf("-metrics: %w", err)
 			}
 		}
 		if cfg.profilePath != "" {
-			err := exportTo(cfg.profilePath, func(w io.Writer) error {
+			err := exportTo(cfg.profilePath, stdout, func(w io.Writer) error {
 				_, err := io.WriteString(w, obs.Profile().String())
 				return err
 			})
@@ -352,19 +352,19 @@ func run(cfg config) error {
 		// Full offline evaluation over everything the monitor saw —
 		// including the percentile rules the online pass defers.
 		verdict := monitor.Verdict()
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, res := range verdict.Results {
 			mark := "PASS"
 			if !res.Pass {
 				mark = "FAIL"
 			}
-			fmt.Printf("slo [%s] %-32s measured %d over %d sample(s)\n",
+			fmt.Fprintf(stdout, "slo [%s] %-32s measured %d over %d sample(s)\n",
 				mark, res.Text, res.Measured, res.Samples)
 		}
 		if !verdict.Pass {
 			return fmt.Errorf("slo: %d of %d rules violated", len(verdict.Failed()), len(verdict.Results))
 		}
-		fmt.Printf("slo: PASS (%d rules)\n", len(verdict.Results))
+		fmt.Fprintf(stdout, "slo: PASS (%d rules)\n", len(verdict.Results))
 	}
 	return nil
 }

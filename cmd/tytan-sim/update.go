@@ -21,7 +21,7 @@ import (
 // applyMidRunUpdate applies a signed package to the loaded task that
 // carries the package's task name, reports the decision, and keeps the
 // CLI's per-task deadline registered across the identity change.
-func applyMidRunUpdate(p *core.Platform, s *telf.SignedImage, pkg []byte, byName map[string]rtos.TaskID, deadline uint64) error {
+func applyMidRunUpdate(p *core.Platform, s *telf.SignedImage, pkg []byte, byName map[string]rtos.TaskID, deadline uint64, out io.Writer) error {
 	id, ok := byName[s.Image.Name]
 	if !ok {
 		return fmt.Errorf("-update: no loaded task named %q", s.Image.Name)
@@ -30,7 +30,7 @@ func applyMidRunUpdate(p *core.Platform, s *telf.SignedImage, pkg []byte, byName
 	if err != nil {
 		return fmt.Errorf("-update: %w", err)
 	}
-	fmt.Printf("update: %q version %d -> %d, new task %d, identity %x, downtime %d cycles\n",
+	fmt.Fprintf(out, "update: %q version %d -> %d, new task %d, identity %x, downtime %d cycles\n",
 		s.Image.Name, rep.FromVersion, rep.ToVersion, rep.New, rep.NewIdentity, rep.DowntimeCycles)
 	if deadline > 0 {
 		if err := p.RegisterDeadline(rep.New, deadline); err != nil {

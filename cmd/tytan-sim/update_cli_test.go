@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,7 +107,7 @@ func TestUpdateFlagMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{ms: 5, prio: 3, updatePath: pkg, deadline: 16 * 32_000, files: []string{v1}}
-	if err := run(cfg); err != nil {
+	if err := run(cfg, io.Discard); err != nil {
 		t.Fatalf("mid-run update: %v", err)
 	}
 
@@ -120,7 +121,7 @@ func TestUpdateFlagMidRun(t *testing.T) {
 	if err := os.WriteFile(bad, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(config{ms: 5, prio: 3, updatePath: bad, files: []string{v1}}); err == nil {
+	if err := run(config{ms: 5, prio: 3, updatePath: bad, files: []string{v1}}, io.Discard); err == nil {
 		t.Error("corrupted package applied")
 	}
 
@@ -131,12 +132,12 @@ func TestUpdateFlagMidRun(t *testing.T) {
 	if err := runUpdateCmd([]string{"sign", "-version", "1", "-o", gpkg, other}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(config{ms: 5, prio: 3, updatePath: gpkg, files: []string{v1}}); err == nil {
+	if err := run(config{ms: 5, prio: 3, updatePath: gpkg, files: []string{v1}}, io.Discard); err == nil {
 		t.Error("package for an unloaded task applied")
 	}
 
 	// -update on the baseline platform is refused up front.
-	if err := run(config{ms: 1, baseline: true, normal: true, prio: 3, updatePath: pkg, files: []string{v1}}); err == nil {
+	if err := run(config{ms: 1, baseline: true, normal: true, prio: 3, updatePath: pkg, files: []string{v1}}, io.Discard); err == nil {
 		t.Error("-update accepted with -baseline")
 	}
 }

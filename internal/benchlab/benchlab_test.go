@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/machine"
 	"repro/internal/telf"
 	"repro/internal/trusted"
@@ -307,19 +308,7 @@ var _ trusted.ConfigCost
 
 // TestDeterminism: the entire use-case scenario is bit-reproducible —
 // identical rates, costs and cycle counts across runs.
-func TestDeterminism(t *testing.T) {
-	a, err := RunUseCase(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunUseCase(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("use case not deterministic:\n%+v\n%+v", a, b)
-	}
-}
+func TestDeterminism(t *testing.T) { contract.Check(t, useCaseRow(false)) }
 
 func TestTableMarkdown(t *testing.T) {
 	tb := Table{Title: "T", Header: []string{"a", "b"}}

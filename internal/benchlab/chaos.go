@@ -123,22 +123,6 @@ type ChaosResult struct {
 	Obs *core.Obs
 }
 
-// RunChaosSpec runs a chaos scenario from a textual fault spec (the
-// format shared with tytan-sim's -faults flag): seed=, classes= and
-// period= map onto ChaosConfig.
-func RunChaosSpec(spec string, observe bool) (*ChaosResult, error) {
-	fcfg, err := faultinject.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return RunChaos(ChaosConfig{
-		Seed:       fcfg.Seed,
-		Classes:    fcfg.Classes,
-		MeanPeriod: fcfg.MeanPeriod,
-		Observe:    observe,
-	})
-}
-
 // chaosNet dials faulty in-memory connections to the platform's
 // attestation service. Only the first wrapFirst dials of each
 // attestation are disturbed — every fault plan is fixed per connection

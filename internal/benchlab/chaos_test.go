@@ -2,15 +2,16 @@ package benchlab
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/faultinject"
 	"repro/internal/trace"
 )
 
-// chaosSeeds is the fixed seed matrix; `make chaos` runs it with the
-// race detector on.
+// chaosSeeds is the fixed seed matrix.
 var chaosSeeds = []uint64{1, 7, 42, 1337, 0xDEADBEEF}
 
 func seedsForMode(t *testing.T) []uint64 {
@@ -46,39 +47,32 @@ func TestChaosInvariants(t *testing.T) {
 	}
 }
 
+// chaosRow is seed's full-fault chaos run as a contract row. Its
+// transcript is every field of the result but the live Obs handle and
+// the wire counters, which only an observed run fills in; an "observe"
+// axis turns the observability layer on. keep, when non-nil, receives
+// every result.
+func chaosRow(seed uint64, keep func(*ChaosResult), axes ...contract.Axis) contract.Row {
+	return contract.Row{Name: "chaos-" + fmt0x(seed), Axes: axes, Produce: func(t *testing.T, at contract.Point) []byte {
+		res, err := RunChaos(ChaosConfig{Seed: seed, Observe: at.On("observe")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep != nil {
+			keep(res)
+		}
+		transcript := *res
+		transcript.Obs, transcript.WireQuotes, transcript.WireDenials = nil, 0, 0
+		return fmt.Appendf(nil, "%+v\n", transcript)
+	}}
+}
+
 // TestChaosDeterminism: identical seeds produce identical transcripts —
 // cycle counts included. This is the replayability guarantee that makes
 // a chaos failure debuggable.
 func TestChaosDeterminism(t *testing.T) {
-	seeds := seedsForMode(t)[:2]
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt0x(seed), func(t *testing.T) {
-			a, err := RunChaos(ChaosConfig{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunChaos(ChaosConfig{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Cycles != b.Cycles {
-				t.Errorf("cycle counts diverged: %d != %d", a.Cycles, b.Cycles)
-			}
-			if !reflect.DeepEqual(a.InjEvents, b.InjEvents) {
-				t.Error("injection logs diverged")
-			}
-			if !reflect.DeepEqual(a.SupEvents, b.SupEvents) {
-				t.Error("supervisor logs diverged")
-			}
-			if !reflect.DeepEqual(a.ConnFaults, b.ConnFaults) {
-				t.Error("connection fault logs diverged")
-			}
-			if a.RestartAttempts != b.RestartAttempts || a.VictimAttempts != b.VictimAttempts {
-				t.Errorf("attestation attempt counts diverged: %d/%d != %d/%d",
-					a.RestartAttempts, a.VictimAttempts, b.RestartAttempts, b.VictimAttempts)
-			}
-		})
+	for _, seed := range seedsForMode(t)[:2] {
+		t.Run(fmt0x(seed), func(t *testing.T) { contract.Check(t, chaosRow(seed, nil)) })
 	}
 }
 
@@ -120,45 +114,22 @@ func TestChaosClassMasks(t *testing.T) {
 	}
 }
 
-func fmt0x(v uint64) string {
-	const hex = "0123456789abcdef"
-	if v == 0 {
-		return "0x0"
-	}
-	var b [16]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = hex[v&0xF]
-		v >>= 4
-	}
-	return "0x" + string(b[i:])
-}
+func fmt0x(v uint64) string { return fmt.Sprintf("%#x", v) }
 
 // TestChaosObserved: turning the observability layer on must not
 // perturb the chaos transcript — same seed, same cycles, same logs —
 // while the run additionally yields a valid trace, scrapeable metrics,
 // and wire-level attestation counters.
 func TestChaosObserved(t *testing.T) {
-	plain, err := RunChaos(ChaosConfig{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	var observed *ChaosResult
+	keep := func(r *ChaosResult) {
+		if r.Obs != nil {
+			observed = r
+		}
 	}
-	observed, err := RunChaosSpec("seed=7,classes=bitflips+irqstorms+rogues+connfaults", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cycles != observed.Cycles {
-		t.Errorf("observability changed the transcript: %d != %d cycles", plain.Cycles, observed.Cycles)
-	}
-	if !reflect.DeepEqual(plain.InjEvents, observed.InjEvents) {
-		t.Error("injection logs diverged under observation")
-	}
-	if !reflect.DeepEqual(plain.SupEvents, observed.SupEvents) {
-		t.Error("supervisor logs diverged under observation")
-	}
+	contract.Check(t, chaosRow(7, keep, contract.Engine, contract.Toggle("observe")))
 
-	if observed.Obs == nil {
+	if observed == nil {
 		t.Fatal("no observability handle returned")
 	}
 	var tr bytes.Buffer

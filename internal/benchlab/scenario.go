@@ -39,8 +39,8 @@ import (
 //     session correlates across the device/verifier time domains.
 //
 // Every cell is deterministic: two runs of the matrix produce
-// byte-identical text reports (`make scenario-check` asserts exactly
-// that, under the race detector).
+// byte-identical text reports (TestScenarioCheck asserts exactly that,
+// on both engines, under the race detector).
 
 // scenarioSeeds is the fixed seed matrix for scenario cells. Smaller
 // than chaosSeeds — each scenario runs several platform boots.
@@ -977,7 +977,7 @@ func runScenarioCell(s Scenario, seed uint64) ScenarioCell {
 }
 
 // WriteText renders the report. Byte-identical across runs of the same
-// matrix — the determinism contract `make scenario-check` enforces.
+// matrix — the determinism contract TestScenarioCheck enforces.
 func (r *MatrixReport) WriteText(w io.Writer) error {
 	var err error
 	pf := func(format string, args ...any) {

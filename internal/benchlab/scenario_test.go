@@ -4,35 +4,31 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/contract"
 )
 
-// TestScenarioCheck is the `make scenario-check` gate: the full update
-// scenario matrix passes, and two complete runs — cells executing in
-// parallel, under the race detector — render byte-identical reports.
+// TestScenarioCheck is the update-scenario gate: the full matrix
+// passes, and its text report — cells executing in parallel — is
+// byte-identical across engines and repeat runs. Short mode runs the
+// reduced seed set, a row of its own.
 func TestScenarioCheck(t *testing.T) {
 	short := testing.Short()
-	a := RunScenarioMatrix(short)
-	var bufA bytes.Buffer
-	if err := a.WriteText(&bufA); err != nil {
-		t.Fatal(err)
+	name := "scenario-matrix"
+	if short {
+		name += "-short"
 	}
-	t.Logf("matrix report:\n%s", bufA.String())
-	if !a.Pass() {
-		t.Fatal("scenario matrix failed (report above)")
-	}
-
-	b := RunScenarioMatrix(short)
-	var bufB bytes.Buffer
-	if err := b.WriteText(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Pass() {
-		t.Fatal("second matrix run failed")
-	}
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Errorf("matrix reports diverged between runs:\n--- A ---\n%s\n--- B ---\n%s",
-			bufA.String(), bufB.String())
-	}
+	contract.Check(t, contract.Row{Name: name, Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
+		rep := RunScenarioMatrix(short)
+		var buf bytes.Buffer
+		if err := rep.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Pass() {
+			t.Fatalf("scenario matrix failed on %v:\n%s", at, buf.String())
+		}
+		return buf.Bytes()
+	}})
 }
 
 // TestScenarioMatrixShape: every declared scenario appears once per

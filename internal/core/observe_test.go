@@ -3,24 +3,24 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analyze"
+	"repro/internal/contract"
 	"repro/internal/trace"
 	"repro/internal/trusted"
 )
 
-// observedScenario runs a fixed supervised workload — a crashing task
-// burning its restart budget beside a clean exiter — and returns the
-// platform. With observe set the observability layer is on from boot.
-func observedScenario(t *testing.T, observe bool) *Platform {
+// supervisedScenario runs a fixed supervised workload — a crashing
+// task burning its restart budget beside a clean exiter — and returns
+// the platform. setup runs on the fresh platform first.
+func supervisedScenario(t *testing.T, setup func(*Platform)) *Platform {
 	t.Helper()
 	p := newTyTAN(t)
-	if observe {
-		p.EnableObservability()
-	}
+	setup(p)
 	if _, err := p.EnableSupervision(trusted.SupervisorPolicy{
 		MaxRestarts:  2,
 		RestartDelay: 10_000,
@@ -47,57 +47,35 @@ func observedScenario(t *testing.T, observe bool) *Platform {
 	return p
 }
 
-// TestObservabilityZeroImpact: the same workload with and without the
-// observability layer lands on the identical cycle count — emission is
-// a pure lens over the simulation.
-func TestObservabilityZeroImpact(t *testing.T) {
-	plain := observedScenario(t, false)
-	defer plain.Close()
-	observed := observedScenario(t, true)
-	defer observed.Close()
+// observedScenario is the supervised workload with the observability
+// layer on from boot when observe is set.
+func observedScenario(t *testing.T, observe bool) *Platform {
+	t.Helper()
+	return supervisedScenario(t, func(p *Platform) {
+		if observe {
+			p.EnableObservability()
+		}
+	})
+}
 
-	if plain.Cycles() != observed.Cycles() {
-		t.Errorf("cycle counts diverged: plain %d, observed %d", plain.Cycles(), observed.Cycles())
-	}
-	if a, b := plain.K.Switches(), observed.K.Switches(); a != b {
-		t.Errorf("dispatch counts diverged: %d != %d", a, b)
-	}
-	if a, b := plain.M.Stats(), observed.M.Stats(); a != b {
-		t.Errorf("machine stats diverged: %+v != %+v", a, b)
-	}
+// TestObservabilityZeroImpact: the same workload with and without the
+// observability layer lands on the identical cycle count, dispatch
+// count and machine stats — emission is a pure lens over the
+// simulation.
+func TestObservabilityZeroImpact(t *testing.T) {
+	contract.Check(t, contract.Row{Name: "supervised-scenario", Axes: []contract.Axis{contract.Toggle("observe")}, Produce: func(t *testing.T, at contract.Point) []byte {
+		p := observedScenario(t, at.On("observe"))
+		defer p.Close()
+		return fmt.Appendf(nil, "cycles %d switches %d stats %+v\n", p.Cycles(), p.K.Switches(), p.M.Stats())
+	}})
 }
 
 // monitoredScenario is observedScenario with a live SLO monitor wired
 // in as an extra sink, emitting violation events back into the buffer.
 func monitoredScenario(t *testing.T, spec *analyze.Spec) (*Platform, *analyze.Monitor) {
 	t.Helper()
-	p := newTyTAN(t)
 	monitor := analyze.NewMonitor(spec, nil)
-	obs := p.EnableObservability(monitor)
-	monitor.SetOutput(obs.Buf)
-	if _, err := p.EnableSupervision(trusted.SupervisorPolicy{
-		MaxRestarts:  2,
-		RestartDelay: 10_000,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	crashy, _, err := p.LoadTaskSync(mustImage(t, crashySrc), Secure, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Watch(crashy.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.LoadTaskSync(mustImage(t, helloSrc), Secure, 3); err != nil {
-		t.Fatal(err)
-	}
-	quarantined := func() bool {
-		st, ok := p.Sup.Status("crashy")
-		return ok && st.State == trusted.WatchQuarantined
-	}
-	if !runUntil(t, p, 20_000_000, quarantined) {
-		t.Fatalf("crashy never quarantined; events %+v", p.Sup.Events())
-	}
+	p := supervisedScenario(t, func(p *Platform) { monitor.SetOutput(p.EnableObservability(monitor).Buf) })
 	return p, monitor
 }
 
@@ -153,26 +131,25 @@ func TestMonitorZeroImpact(t *testing.T) {
 	}
 }
 
-// TestEventStreamDeterminism: two runs of the same scenario emit
-// deeply equal event streams, and the stream is cycle-ordered.
+// TestEventStreamDeterminism: the scenario emits the same cycle-ordered
+// event stream on every run and on both engines.
 func TestEventStreamDeterminism(t *testing.T) {
-	a := observedScenario(t, true)
-	defer a.Close()
-	b := observedScenario(t, true)
-	defer b.Close()
-
-	ea, eb := a.Observability().Events(), b.Observability().Events()
-	if len(ea) == 0 {
-		t.Fatal("no events emitted")
-	}
-	if !reflect.DeepEqual(ea, eb) {
-		t.Fatalf("event streams diverged: %d vs %d events", len(ea), len(eb))
-	}
-	for i := 1; i < len(ea); i++ {
-		if ea[i].Cycle < ea[i-1].Cycle {
-			t.Fatalf("event %d out of order: cycle %d after %d", i, ea[i].Cycle, ea[i-1].Cycle)
+	contract.Check(t, contract.Row{Name: "supervised-events", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, _ contract.Point) []byte {
+		p := observedScenario(t, true)
+		defer p.Close()
+		events := p.Observability().Events()
+		if len(events) == 0 {
+			t.Fatal("no events emitted")
 		}
-	}
+		var out []byte
+		for i, e := range events {
+			if i > 0 && e.Cycle < events[i-1].Cycle {
+				t.Fatalf("event %d out of order: cycle %d after %d", i, e.Cycle, events[i-1].Cycle)
+			}
+			out = append(out, e.String()+"\n"...)
+		}
+		return out
+	}})
 }
 
 // TestMetricsUnderSupervision: the exported metrics agree with the

@@ -11,7 +11,7 @@
 // quarantine (registry.go). Every number in the text report is a pure
 // function of the Config, so two runs of the same seed render
 // byte-identical reports even under full concurrency — the
-// `make fleet-check` gate.
+// TestFleetCheck contract.
 package fleet
 
 import (
@@ -75,7 +75,7 @@ type Config struct {
 	// Telemetry selects the fleet-wide telemetry products assembled
 	// after the run (implies CollectEvents). Telemetry is purely
 	// observational: the report and the event stream are byte-identical
-	// whether it is on or off — the `make fleet-trace-check` gate.
+	// whether it is on or off — the TestFleetTraceCheck contract.
 	Telemetry TelemetryConfig
 }
 

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/remote"
 	"repro/internal/sha1"
@@ -284,58 +286,48 @@ func TestFarmQuarantinesFaultyDevice(t *testing.T) {
 	}
 }
 
-// TestFleetCheck is the determinism gate (`make fleet-check`): the same
-// config must render byte-identical reports across runs — under -race,
-// with different shard/listener counts racing underneath.
+// fleetRow is a fleet run as a contract row. Its output is everything
+// a run must reproduce however it is scheduled: the full report, with
+// its shard and acceptor-pool echo normalised away, then the event
+// stream. A "shards/listeners" axis ("3/2") varies the pools, and the
+// "telemetry" toggle turns the full telemetry stack on.
+func fleetRow(name string, cfg Config, axes ...contract.Axis) contract.Row {
+	return contract.Row{Name: name, Axes: axes, Produce: func(t *testing.T, at contract.Point) []byte {
+		if sl := at["shards/listeners"]; sl != "" {
+			fmt.Sscanf(sl, "%d/%d", &cfg.Shards, &cfg.Listeners)
+		}
+		cfg.Telemetry = TelemetryConfig{}
+		if at.On("telemetry") {
+			cfg.Telemetry = TelemetryConfig{Timeline: true, Metrics: true, FlightSize: 64}
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Events) == 0 {
+			t.Fatal("no events collected")
+		}
+		rep := res.Report
+		rep.Shards, rep.Listeners = 0, 0 // config echo of the scheduling, not outcome
+		out := fmt.Appendf(nil, "%+v\n", rep)
+		for _, e := range res.Events {
+			out = append(out, e.String()+"\n"...)
+		}
+		return out
+	}}
+}
+
+// TestFleetCheck is the fleet determinism gate: the same config renders
+// the same report and event stream on both engines, at different
+// shard/listener counts racing underneath, with telemetry on or off.
+// Device streams are per-device deterministic; plane events are ordered
+// by (device, session ordinal).
 func TestFleetCheck(t *testing.T) {
 	cfg := Config{
 		Devices: 24, Rounds: 4, Seed: 42,
 		Variants: 3, Faulty: 2, MaxFailures: 2,
 		Observe: true, CollectEvents: true,
 	}
-	run := func(shards, listeners int) (*Result, string) {
-		c := cfg
-		c.Shards = shards
-		c.Listeners = listeners
-		res, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, res.Report.Text()
-	}
-
-	res1, text1 := run(3, 2)
-	res2, _ := run(8, 6)
-	// Shards/Listeners are config echo; everything below them must agree.
-	res2.Report.Shards, res2.Report.Listeners = res1.Report.Shards, res1.Report.Listeners
-	text2b := res2.Report.Text()
-	res1.Report.Shards, res1.Report.Listeners = 3, 2
-
-	if text1 != text2b {
-		t.Fatalf("reports differ across shard counts:\n--- run1\n%s--- run2\n%s", text1, text2b)
-	}
-	if text1 == "" {
-		t.Fatal("empty report")
-	}
-
-	// The combined event streams must agree too — device streams are
-	// per-device deterministic, plane events are ordered by (device,
-	// session ordinal).
-	if len(res1.Events) == 0 {
-		t.Fatal("no events collected")
-	}
-	if len(res1.Events) != len(res2.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(res1.Events), len(res2.Events))
-	}
-	for i := range res1.Events {
-		if res1.Events[i].String() != res2.Events[i].String() {
-			t.Fatalf("event %d differs:\n%s\nvs\n%s", i, res1.Events[i], res2.Events[i])
-		}
-	}
-
-	// And a literal same-config double-run, the exact gate contract.
-	_, again := run(3, 2)
-	if again != text1 {
-		t.Fatalf("same config, different report:\n--- first\n%s--- second\n%s", text1, again)
-	}
+	contract.Check(t, fleetRow("fleet", cfg,
+		contract.Engine, contract.Over("shards/listeners", "3/2", "8/6"), contract.Toggle("telemetry")))
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/remote"
 	"repro/internal/trace"
@@ -104,61 +105,33 @@ func TestTelemetryTimelineCorrelation(t *testing.T) {
 	}
 }
 
-// TestTelemetryTimelineDeterministic asserts two runs of the same
-// config produce byte-identical timelines and incident reports — the
-// package-level half of the fleet-trace-check gate.
+// TestTelemetryTimelineDeterministic asserts every run of the same
+// config, on either engine, produces byte-identical timelines and
+// incident reports.
 func TestTelemetryTimelineDeterministic(t *testing.T) {
-	render := func() (string, string) {
+	contract.Check(t, contract.Row{Name: "fleet-timeline", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, _ contract.Point) []byte {
 		res, err := Run(telemetryConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tr, inc bytes.Buffer
-		if err := res.Telemetry.Timeline.WriteChromeTrace(&tr); err != nil {
+		var out bytes.Buffer
+		if err := res.Telemetry.Timeline.WriteChromeTrace(&out); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteIncidents(&inc, res.Telemetry.Incidents); err != nil {
+		if err := WriteIncidents(&out, res.Telemetry.Incidents); err != nil {
 			t.Fatal(err)
 		}
-		return tr.String(), inc.String()
-	}
-	tr1, inc1 := render()
-	tr2, inc2 := render()
-	if tr1 != tr2 {
-		t.Error("timelines differ between identical runs")
-	}
-	if inc1 != inc2 {
-		t.Errorf("incident reports differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", inc1, inc2)
-	}
+		return out.Bytes()
+	}})
 }
 
 // TestTelemetryZeroImpact asserts the zero-impact contract at the
 // package level: report and event stream are byte-identical with the
 // full telemetry stack on and off.
 func TestTelemetryZeroImpact(t *testing.T) {
-	off := telemetryConfig()
-	off.Telemetry = TelemetryConfig{}
-	off.CollectEvents = true
-	resOff, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOn, err := Run(telemetryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resOn.Report.Text() != resOff.Report.Text() {
-		t.Error("telemetry changed the deterministic report")
-	}
-	if len(resOn.Events) != len(resOff.Events) {
-		t.Fatalf("event counts differ: on=%d off=%d", len(resOn.Events), len(resOff.Events))
-	}
-	for i := range resOn.Events {
-		if resOn.Events[i].String() != resOff.Events[i].String() {
-			t.Fatalf("event %d differs:\non:  %s\noff: %s",
-				i, resOn.Events[i].String(), resOff.Events[i].String())
-		}
-	}
+	cfg := telemetryConfig()
+	cfg.CollectEvents = true
+	contract.Check(t, fleetRow("fleet-telemetry", cfg, contract.Toggle("telemetry")))
 }
 
 // TestTelemetryFlightRecorder asserts the faulty device's recorder

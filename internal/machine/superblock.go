@@ -22,7 +22,8 @@ import (
 //
 // Cycle-exactness is the contract, inherited from fastpath.go and
 // enforced the same way (reference/production lockstep in
-// superblock_test.go, trace-check, chaos): compilation may only
+// superblock_test.go, and the engine axis of the internal/contract
+// rows): compilation may only
 // short-circuit host work. The rules that keep it:
 //
 //   - A compiled op never faults. Ops whose access can fault at runtime

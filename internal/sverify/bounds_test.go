@@ -274,3 +274,17 @@ func TestBoundsAdmissionCostCharged(t *testing.T) {
 		t.Fatalf("armed gate cost %d not above plain %d", armed.Cost(im), plain.Cost(im))
 	}
 }
+
+// BenchmarkVerify times the full static verification of one corpus
+// image — CFG, abstract interpretation and the certified resource
+// bounds — the work the strict pre-load gate adds to a load.
+func BenchmarkVerify(b *testing.B) {
+	im := sverify.GenImage(sverify.GenCountedLoop, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := sverify.Verify(im, sverify.Config{}); rep.Bounds == nil || !rep.Bounds.CyclesBounded {
+			b.Fatal("counted-loop image lost its certified cycle bound")
+		}
+	}
+}

@@ -270,3 +270,19 @@ func TestTypedDecodeErrors(t *testing.T) {
 		t.Errorf("padded: err = %v, want ErrSizeMismatch", err)
 	}
 }
+
+// BenchmarkDecode times decoding one encoded task image, the first step
+// of every load.
+func BenchmarkDecode(b *testing.B) {
+	blob, err := sampleImage().Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -61,27 +61,37 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		Metadata:        map[string]string{"clock": "simulated-cycles"},
 	}
 	for _, e := range events {
-		cycle := strconv.FormatUint(e.Cycle, 10)
-		ce := chromeEvent{
-			Name: e.Kind.String(),
-			Ph:   "i",
-			TS:   json.Number(cycle),
-			PID:  1,
-			TID:  int(e.Sub) + 1,
-			S:    "t",
-			Args: chromeArgs{Sub: e.Sub.String(), Subject: e.Subject, Cycle: cycle},
-		}
-		for _, a := range e.Attrs {
-			if a.IsNum {
-				ce.Args.Attrs = append(ce.Args.Attrs, [3]string{a.Key, "n", fmt.Sprint(a.Num)})
-			} else {
-				ce.Args.Attrs = append(ce.Args.Attrs, [3]string{a.Key, "s", a.Str})
-			}
-		}
-		file.TraceEvents = append(file.TraceEvents, ce)
+		file.TraceEvents = append(file.TraceEvents, instantRecord(1, e))
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
+	return json.NewEncoder(w).Encode(file)
+}
+
+// instantRecord encodes one event as an instant record (ph "i") on
+// process pid, one thread per subsystem.
+func instantRecord(pid int, e Event) chromeEvent {
+	cycle := strconv.FormatUint(e.Cycle, 10)
+	return chromeEvent{
+		Name: e.Kind.String(),
+		Ph:   "i",
+		TS:   json.Number(cycle),
+		PID:  pid,
+		TID:  int(e.Sub) + 1,
+		S:    "t",
+		Args: chromeArgs{Sub: e.Sub.String(), Subject: e.Subject, Cycle: cycle, Attrs: encodeAttrs(e.Attrs)},
+	}
+}
+
+// encodeAttrs renders Attrs as lossless [key, tag, value] triples.
+func encodeAttrs(attrs []Attr) [][3]string {
+	var out [][3]string
+	for _, a := range attrs {
+		if a.IsNum {
+			out = append(out, [3]string{a.Key, "n", strconv.FormatUint(a.Num, 10)})
+		} else {
+			out = append(out, [3]string{a.Key, "s", a.Str})
+		}
+	}
+	return out
 }
 
 // eventCycle recovers the exact cycle of one record: the decimal
@@ -110,41 +120,80 @@ func eventCycle(ce chromeEvent) (uint64, error) {
 // ReadChromeTrace decodes a trace produced by WriteChromeTrace back
 // into events, validating the trace_event structure as it goes.
 func ReadChromeTrace(r io.Reader) ([]Event, error) {
+	lanes, err := decodeChrome(r, false)
+	return flatten(lanes), err
+}
+
+// decodeChrome is the decode loop behind every reader: it rebuilds the
+// lanes of a trace, in pid order of first appearance. Metadata and span
+// records are accepted only in the lanes layout.
+func decodeChrome(r io.Reader, lanesLayout bool) ([]Lane, error) {
 	var file chromeFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&file); err != nil {
+	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("chrome trace: %w", err)
 	}
-	events := make([]Event, 0, len(file.TraceEvents))
-	for i, ce := range file.TraceEvents {
-		if ce.Ph != "i" {
-			return nil, fmt.Errorf("chrome trace: event %d: unexpected phase %q", i, ce.Ph)
+	var lanes []Lane
+	byPID := make(map[int]int) // pid → index into lanes
+	laneFor := func(pid int) *Lane {
+		if idx, ok := byPID[pid]; ok {
+			return &lanes[idx]
 		}
-		e, err := parseInstant(i, ce)
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, e)
+		byPID[pid] = len(lanes)
+		lanes = append(lanes, Lane{})
+		return &lanes[len(lanes)-1]
 	}
-	return events, nil
+	for i, ce := range file.TraceEvents {
+		lane := laneFor(ce.PID)
+		var err error
+		switch {
+		case ce.Ph == "i":
+			var e Event
+			e, err = parseInstant(ce)
+			lane.Events = append(lane.Events, e)
+		case ce.Ph == "M" && lanesLayout:
+			if ce.Name != "process_name" {
+				err = fmt.Errorf("unknown metadata %q", ce.Name)
+			}
+			lane.Name = ce.Args.Name
+		case ce.Ph == "X" && lanesLayout:
+			var s ChromeSpan
+			s, err = parseSpan(ce)
+			lane.Spans = append(lane.Spans, s)
+		default:
+			err = fmt.Errorf("unexpected phase %q", ce.Ph)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("chrome trace: event %d: %w", i, err)
+		}
+	}
+	return lanes, nil
+}
+
+// flatten concatenates the lanes' instant events.
+func flatten(lanes []Lane) []Event {
+	var events []Event
+	for _, l := range lanes {
+		events = append(events, l.Events...)
+	}
+	return events
 }
 
 // parseAttrs decodes the [key, tag, value] attribute triples of one
 // record back into Attrs.
-func parseAttrs(i int, raws [][3]string) ([]Attr, error) {
+func parseAttrs(raws [][3]string) ([]Attr, error) {
 	var attrs []Attr
 	for _, raw := range raws {
 		switch raw[1] {
 		case "n":
 			n, err := strconv.ParseUint(raw[2], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("chrome trace: event %d: bad numeric attr %q: %w", i, raw[2], err)
+				return nil, fmt.Errorf("bad numeric attr %q: %w", raw[2], err)
 			}
 			attrs = append(attrs, Num(raw[0], n))
 		case "s":
 			attrs = append(attrs, Str(raw[0], raw[2]))
 		default:
-			return nil, fmt.Errorf("chrome trace: event %d: unknown attr tag %q", i, raw[1])
+			return nil, fmt.Errorf("unknown attr tag %q", raw[1])
 		}
 	}
 	return attrs, nil
@@ -152,25 +201,22 @@ func parseAttrs(i int, raws [][3]string) ([]Attr, error) {
 
 // parseInstant decodes one ph "i" record back into an Event,
 // validating the kind/subsystem/tid invariants the writers maintain.
-func parseInstant(i int, ce chromeEvent) (Event, error) {
+func parseInstant(ce chromeEvent) (Event, error) {
 	kind, err := ParseKind(ce.Name)
 	if err != nil {
-		return Event{}, fmt.Errorf("chrome trace: event %d: %w", i, err)
+		return Event{}, err
 	}
 	sub, err := ParseSubsystem(ce.Args.Sub)
 	if err != nil {
-		return Event{}, fmt.Errorf("chrome trace: event %d: %w", i, err)
+		return Event{}, err
 	}
 	if want := int(sub) + 1; ce.TID != want {
-		return Event{}, fmt.Errorf("chrome trace: event %d: tid %d does not match subsystem %s", i, ce.TID, sub)
+		return Event{}, fmt.Errorf("tid %d does not match subsystem %s", ce.TID, sub)
 	}
 	cycle, err := eventCycle(ce)
 	if err != nil {
-		return Event{}, fmt.Errorf("chrome trace: event %d: %w", i, err)
-	}
-	e := Event{Cycle: cycle, Sub: sub, Kind: kind, Subject: ce.Args.Subject}
-	if e.Attrs, err = parseAttrs(i, ce.Args.Attrs); err != nil {
 		return Event{}, err
 	}
-	return e, nil
+	attrs, err := parseAttrs(ce.Args.Attrs)
+	return Event{Cycle: cycle, Sub: sub, Kind: kind, Subject: ce.Args.Subject, Attrs: attrs}, err
 }

@@ -63,133 +63,55 @@ func WriteChromeTraceLanes(w io.Writer, lanes []Lane) error {
 			Args: chromeArgs{Name: lane.Name},
 		})
 		for _, e := range lane.Events {
-			cycle := strconv.FormatUint(e.Cycle, 10)
-			ce := chromeEvent{
-				Name: e.Kind.String(),
-				Ph:   "i",
-				TS:   json.Number(cycle),
-				PID:  pid,
-				TID:  int(e.Sub) + 1,
-				S:    "t",
-				Args: chromeArgs{Sub: e.Sub.String(), Subject: e.Subject, Cycle: cycle},
-			}
-			ce.Args.Attrs = encodeAttrs(e.Attrs)
-			file.TraceEvents = append(file.TraceEvents, ce)
+			file.TraceEvents = append(file.TraceEvents, instantRecord(pid, e))
 		}
 		for _, s := range lane.Spans {
 			start := strconv.FormatUint(s.Start, 10)
 			dur := strconv.FormatUint(s.Dur, 10)
-			ce := chromeEvent{
+			file.TraceEvents = append(file.TraceEvents, chromeEvent{
 				Name: s.Name,
 				Ph:   "X",
 				TS:   json.Number(start),
 				Dur:  json.Number(dur),
 				PID:  pid,
 				TID:  spanThread,
-				Args: chromeArgs{Subject: s.Subject, Cycle: start, Dur: dur},
-			}
-			ce.Args.Attrs = encodeAttrs(s.Attrs)
-			file.TraceEvents = append(file.TraceEvents, ce)
+				Args: chromeArgs{Subject: s.Subject, Cycle: start, Dur: dur, Attrs: encodeAttrs(s.Attrs)},
+			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
-}
-
-// encodeAttrs renders Attrs as lossless [key, tag, value] triples.
-func encodeAttrs(attrs []Attr) [][3]string {
-	var out [][3]string
-	for _, a := range attrs {
-		if a.IsNum {
-			out = append(out, [3]string{a.Key, "n", strconv.FormatUint(a.Num, 10)})
-		} else {
-			out = append(out, [3]string{a.Key, "s", a.Str})
-		}
-	}
-	return out
+	return json.NewEncoder(w).Encode(file)
 }
 
 // ReadChromeTraceLanes decodes a trace written by WriteChromeTraceLanes
 // back into lanes, in pid order of first appearance.
 func ReadChromeTraceLanes(r io.Reader) ([]Lane, error) {
-	var file chromeFile
-	if err := json.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("chrome trace: %w", err)
+	return decodeChrome(r, true)
+}
+
+// parseSpan decodes one complete-duration record (ph "X").
+func parseSpan(ce chromeEvent) (ChromeSpan, error) {
+	s := ChromeSpan{Name: ce.Name, Subject: ce.Args.Subject}
+	var err error
+	if s.Start, err = eventCycle(ce); err != nil {
+		return s, err
 	}
-	var lanes []Lane
-	byPID := make(map[int]int) // pid → index into lanes
-	laneFor := func(pid int) *Lane {
-		if idx, ok := byPID[pid]; ok {
-			return &lanes[idx]
-		}
-		byPID[pid] = len(lanes)
-		lanes = append(lanes, Lane{})
-		return &lanes[len(lanes)-1]
+	durStr := ce.Args.Dur
+	if durStr == "" {
+		durStr = ce.Dur.String()
 	}
-	for i, ce := range file.TraceEvents {
-		switch ce.Ph {
-		case "M":
-			if ce.Name != "process_name" {
-				return nil, fmt.Errorf("chrome trace: event %d: unknown metadata %q", i, ce.Name)
-			}
-			laneFor(ce.PID).Name = ce.Args.Name
-		case "i":
-			e, err := parseInstant(i, ce)
-			if err != nil {
-				return nil, err
-			}
-			lane := laneFor(ce.PID)
-			lane.Events = append(lane.Events, e)
-		case "X":
-			s := ChromeSpan{Name: ce.Name, Subject: ce.Args.Subject}
-			start, err := eventCycle(ce)
-			if err != nil {
-				return nil, fmt.Errorf("chrome trace: event %d: %w", i, err)
-			}
-			s.Start = start
-			durStr := ce.Args.Dur
-			if durStr == "" {
-				durStr = ce.Dur.String()
-			}
-			if s.Dur, err = strconv.ParseUint(durStr, 10, 64); err != nil {
-				return nil, fmt.Errorf("chrome trace: event %d: bad dur %q: %w", i, durStr, err)
-			}
-			if s.Attrs, err = parseAttrs(i, ce.Args.Attrs); err != nil {
-				return nil, err
-			}
-			lane := laneFor(ce.PID)
-			lane.Spans = append(lane.Spans, s)
-		default:
-			return nil, fmt.Errorf("chrome trace: event %d: unexpected phase %q", i, ce.Ph)
-		}
+	if s.Dur, err = strconv.ParseUint(durStr, 10, 64); err != nil {
+		return s, fmt.Errorf("bad dur %q: %w", durStr, err)
 	}
-	return lanes, nil
+	s.Attrs, err = parseAttrs(ce.Args.Attrs)
+	return s, err
 }
 
 // ReadTraceEvents recovers the flat instant-event stream from a Chrome
 // trace in either layout: the single-platform form WriteChromeTrace
 // produces, or the multi-lane fleet form — whose metadata and span
-// records are skipped and whose lanes are concatenated in file order.
+// records are validated and dropped and whose lanes are concatenated.
 // It is the tolerant entry point analysis tools should use.
 func ReadTraceEvents(r io.Reader) ([]Event, error) {
-	var file chromeFile
-	if err := json.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("chrome trace: %w", err)
-	}
-	var events []Event
-	for i, ce := range file.TraceEvents {
-		switch ce.Ph {
-		case "M", "X":
-			continue
-		case "i":
-			e, err := parseInstant(i, ce)
-			if err != nil {
-				return nil, err
-			}
-			events = append(events, e)
-		default:
-			return nil, fmt.Errorf("chrome trace: event %d: unexpected phase %q", i, ce.Ph)
-		}
-	}
-	return events, nil
+	lanes, err := decodeChrome(r, true)
+	return flatten(lanes), err
 }
