@@ -37,18 +37,18 @@ race:
 # timing lives in bench/.
 check: build vet lint race
 
-bench:
+bench: latency-bench
 	$(GO) test -bench=. -benchtime=10x -run=^$$ .
-	$(GO) run ./cmd/tytan-bench -latency-json BENCH_latency.json
 
 tables:
 	$(GO) run ./cmd/tytan-bench
 
 # latency-bench runs the instrumented latency scenario and writes
 # BENCH_latency.json (all values in simulated cycles — deterministic).
+# The file is tracked; the latency contract row in internal/benchlab
+# fails when it is stale.
 latency-bench:
 	$(GO) run ./cmd/tytan-bench -latency-json BENCH_latency.json
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_latency.json

@@ -279,8 +279,8 @@ func Analyze(events []trace.Event) *Analysis {
 			case "request":
 				open = append(open, openSpan{class: ClassAttest, subject: e.Subject, start: e.Cycle})
 			default:
-				// Reply (or a legacy single-event exchange): close the
-				// matching request, falling back to the rtt attribute.
+				// Reply: close the matching request, falling back to the
+				// rtt attribute when a truncated trace lost the request.
 				if o, ok := closeOne(ClassAttest, e.Subject, e.Cycle); ok {
 					a.Spans = append(a.Spans, Span{Class: ClassAttest, Subject: o.subject, Start: o.start, End: e.Cycle})
 				} else if rtt, ok := e.NumAttr("rtt"); ok && rtt <= e.Cycle {

@@ -114,10 +114,6 @@ type ChaosResult struct {
 	RetryCalls    uint64
 	RetryAttempts uint64
 	RetryRefusals uint64
-	// WireQuotes/WireDenials count device-side wire exchanges (only
-	// populated when ChaosConfig.Observe is set).
-	WireQuotes  uint64
-	WireDenials uint64
 	// Obs is the observability handle when ChaosConfig.Observe was set.
 	// It is a live view, not part of the deterministic transcript.
 	Obs *core.Obs
@@ -131,7 +127,7 @@ type ChaosResult struct {
 // device-side exchanges (and acts as a barrier before the simulation
 // resumes).
 type chaosNet struct {
-	att     remote.Attestor
+	srv     *remote.Server
 	chain   *faultinject.RNG
 	faulty  bool
 	dialNum int
@@ -157,11 +153,10 @@ func (n *chaosNet) dial() (net.Conn, error) {
 		dev = fc
 	}
 	n.dialNum++
-	srv := remote.NewServer(n.att, remote.ServerOptions{Timeout: chaosIOTimeout})
 	go func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		srv.ServeOne(dev)
+		n.srv.ServeOne(dev)
 		devConn.Close()
 	}()
 	return verConn, nil
@@ -312,15 +307,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	oem := p.Provider("oem")
-	att := remote.Attestor(remote.ComponentsAttestor{C: p.C})
-	var traced *remote.TracedAttestor
+	srvOpts := remote.ServerOptions{Timeout: chaosIOTimeout}
 	if cfg.Observe {
-		traced = &remote.TracedAttestor{Inner: att, Cycles: p.M.Cycles, Obs: res.Obs.Buf}
-		att = traced
+		srvOpts.Obs, srvOpts.Cycles = res.Obs.Sink(), p.M.Cycles
 	}
-	retryStats := &remote.RetryStats{}
 	cnet := &chaosNet{
-		att:    att,
+		srv:    remote.NewServer(remote.ComponentsAttestor{C: p.C}, srvOpts),
 		chain:  connChain,
 		faulty: cfg.Classes&faultinject.ConnFaults != 0,
 	}
@@ -329,11 +321,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Backoff:  time.Millisecond,
 		Timeout:  chaosIOTimeout,
 		Sleep:    func(time.Duration) {},
-		Stats:    retryStats,
 	})
 	attest := func(identity sha1.Digest, nonce uint64) (int, error) {
 		_, attempts, err := client.AttestRetry(cnet.dial, identity, nonce)
 		cnet.settle()
+		res.RetryCalls++
+		res.RetryAttempts += uint64(attempts)
+		if errors.Is(err, remote.ErrRemote) {
+			res.RetryRefusals++
+		}
 		return attempts, err
 	}
 
@@ -429,9 +425,5 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	res.InjEvents = inj.Events()
 	res.SupEvents = p.Sup.Events()
 	res.ConnFaults = cnet.faults
-	res.RetryCalls, res.RetryAttempts, _, _, res.RetryRefusals = retryStats.Counts()
-	if traced != nil {
-		res.WireQuotes, res.WireDenials = traced.Counts()
-	}
 	return res, nil
 }

@@ -2,8 +2,10 @@ package benchlab
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"repro/internal/analyze"
 	"repro/internal/core"
@@ -101,20 +103,26 @@ func MeasureLatency() (LatencyReport, error) {
 		}
 	}
 
-	// Attestation round-trips over the wire view (request/reply pairs
-	// with cycle-accurate RTT — the quote HMACs the task region).
+	// Attestation round-trips over the wire: each is one challenge/quote
+	// exchange on an in-memory pipe, which the server brackets in a
+	// request/reply event pair (cycle-accurate RTT — the quote HMACs the
+	// task region).
 	re0, ok := p.C.RTM.LookupByTask(tcb0.ID)
 	if !ok {
 		return rep, fmt.Errorf("benchlab: latency scenario: t0 not registered")
 	}
-	att := &remote.TracedAttestor{
-		Inner:  remote.ComponentsAttestor{C: p.C},
-		Cycles: p.M.Cycles,
-		Obs:    obs.Buf,
-	}
-	provider := p.Provider("").Name()
+	srv := remote.NewServer(remote.ComponentsAttestor{C: p.C}, remote.ServerOptions{Obs: obs.Sink(), Cycles: p.M.Cycles})
+	provider := p.Provider("")
+	client := remote.NewClient(provider.Verifier(), provider.Name(), remote.ClientOptions{})
 	for i := 0; i < 4; i++ {
-		if _, err := att.QuoteByTruncID(provider, re0.TruncID, uint64(0xbeef+i)); err != nil {
+		devConn, verConn := net.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- srv.ServeOne(devConn) }()
+		_, err := client.Attest(verConn, re0.ID, uint64(0xbeef+i))
+		verConn.Close()
+		err = errors.Join(err, <-served)
+		devConn.Close()
+		if err != nil {
 			return rep, err
 		}
 		if err := p.Run(2 * core.DefaultTickPeriod); err != nil {

@@ -335,7 +335,6 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 	}
 	defer p.Close()
 
-	att := remote.Attestor(remote.ComponentsAttestor{C: p.C})
 	var obs *core.Obs
 	var srvOpts remote.ServerOptions
 	if cfg.Observe {
@@ -345,10 +344,9 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 			extra = append(extra, res.recorder)
 		}
 		obs = p.EnableObservability(extra...)
-		// The attestor and the session server emit through the platform's
-		// fan-out sink, so KindAttest and KindSession events land in the
-		// buffer and the flight recorder alike.
-		att = &remote.TracedAttestor{Inner: att, Cycles: p.M.Cycles, Obs: obs.Sink()}
+		// The server emits through the platform's fan-out sink, so its
+		// KindAttest and KindSession events land in the buffer and the
+		// flight recorder alike.
 		srvOpts = remote.ServerOptions{Obs: obs.Sink(), Cycles: p.M.Cycles}
 	}
 
@@ -368,7 +366,7 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 		return res
 	}
 
-	srv := remote.NewServer(att, srvOpts)
+	srv := remote.NewServer(remote.ComponentsAttestor{C: p.C}, srvOpts)
 	hello := remote.Hello{Device: res.name, Provider: cfg.Provider, TruncID: e.TruncID}
 	for r := 0; r < cfg.Rounds; r++ {
 		if r > 0 {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/core"
@@ -224,6 +226,82 @@ func TestPlaneUnknownDevice(t *testing.T) {
 	}
 	if _, ok := plane.Registry().Lookup("dev-9999"); ok {
 		t.Fatal("refused device must not be enrolled")
+	}
+}
+
+// Peers that connect and never send cannot wedge the acceptor pool.
+// With two acceptors and a 50 ms deadline, each silent connection makes
+// HandleConn fail with a typed timeout that errored counts; a device
+// session queued behind two silent peers still passes once they time
+// out; and closing the listener leaves no goroutine behind.
+func TestPlaneSilentPeers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	known, err := PublishedSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(0)
+	reg.Register(DeviceName(0))
+	client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{Timeout: 50 * time.Millisecond})
+	plane := NewPlane(PlaneConfig{Client: client, Listeners: 2, Registry: reg, KnownGood: known})
+	errored := func() uint64 { _, _, _, n := plane.Counts(); return n }
+
+	var silent []net.Conn
+	defer func() {
+		for _, c := range silent {
+			c.Close()
+		}
+	}()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		devEnd, planeEnd := net.Pipe()
+		silent = append(silent, devEnd)
+		go func() { errs <- plane.HandleConn(planeEnd) }()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, remote.ErrTimeout) {
+			t.Fatalf("HandleConn on a silent peer = %v, want ErrTimeout", err)
+		}
+	}
+	if n := errored(); n != 2 {
+		t.Fatalf("errored = %d after two silent peers, want 2", n)
+	}
+
+	// The same through the pool: two silent peers take both acceptors,
+	// and the device's dial waits until one of them times out.
+	ln := newMemListener()
+	served := make(chan struct{})
+	go func() {
+		plane.Serve(ln)
+		close(served)
+	}()
+	for i := 0; i < 2; i++ {
+		c, err := ln.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		silent = append(silent, c)
+	}
+	cfg, err := Config{Devices: 1}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev := runDevice(cfg, 0, 0, false, ln); dev.err != nil || dev.ok != 1 {
+		t.Fatalf("device behind silent peers: ok=%d denied=%d refused=%d errored=%d err=%v",
+			dev.ok, dev.denied, dev.refused, dev.errored, dev.err)
+	}
+	ln.Close()
+	<-served
+	if n := errored(); n != 4 {
+		t.Fatalf("errored = %d after four silent peers, want 4", n)
+	}
+
+	// Exiting goroutines may still be unwinding; give them a moment.
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines = %d after Serve returned, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // ClientOptions parameterizes the verifier side of the protocol. The
 // zero value is ready: default deadline and retry schedule, default
-// frame limit, no stats.
+// frame limit.
 type ClientOptions struct {
 	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
 	Timeout time.Duration
@@ -33,8 +33,6 @@ type ClientOptions struct {
 	WallBudget time.Duration
 	// Sleep is injectable for tests (nil = time.Sleep).
 	Sleep func(time.Duration)
-	// Stats, when non-nil, accumulates retry accounting.
-	Stats *RetryStats
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -209,10 +207,8 @@ func (c *Client) AttestRetry(dial func() (net.Conn, error), expected sha1.Digest
 	for attempt := 0; attempt < c.opt.Attempts; attempt++ {
 		if attempt > 0 {
 			if c.opt.WallBudget > 0 && slept+backoff > c.opt.WallBudget {
-				err := fmt.Errorf("%w after %d of %d attempts (%v backoff spent, %v budget): %w",
+				return trusted.Quote{}, attempt, fmt.Errorf("%w after %d of %d attempts (%v backoff spent, %v budget): %w",
 					ErrRetryBudget, attempt, c.opt.Attempts, slept, c.opt.WallBudget, lastErr)
-				c.opt.Stats.record(attempt, err)
-				return trusted.Quote{}, attempt, err
 			}
 			c.opt.Sleep(backoff)
 			slept += backoff
@@ -226,18 +222,14 @@ func (c *Client) AttestRetry(dial func() (net.Conn, error), expected sha1.Digest
 		q, err := c.Attest(conn, expected, nonce+uint64(attempt))
 		conn.Close()
 		if err == nil {
-			c.opt.Stats.record(attempt+1, nil)
 			return q, attempt + 1, nil
 		}
 		lastErr = err
 		if errors.Is(err, ErrRemote) {
 			// The device answered: the task is not attestable. Retrying
 			// cannot change an authoritative refusal.
-			c.opt.Stats.record(attempt+1, err)
 			return trusted.Quote{}, attempt + 1, err
 		}
 	}
-	err := fmt.Errorf("remote: attestation failed after %d attempts: %w", c.opt.Attempts, lastErr)
-	c.opt.Stats.record(c.opt.Attempts, err)
-	return trusted.Quote{}, c.opt.Attempts, err
+	return trusted.Quote{}, c.opt.Attempts, fmt.Errorf("remote: attestation failed after %d attempts: %w", c.opt.Attempts, lastErr)
 }

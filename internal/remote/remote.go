@@ -42,8 +42,11 @@
 // initiates a session toward a verifier plane (AttestTo). Client is the
 // verifier side: it owns a trusted.Verifier and drives exchanges
 // (Attest, AttestRetry) or answers device-initiated sessions
-// (AwaitHello, Challenge, Refuse). Deadlines, retry policy, frame
-// limits and stats all live in ServerOptions/ClientOptions.
+// (AwaitHello, Challenge, Refuse). Deadlines, retry policy and frame
+// limits live in ServerOptions/ClientOptions. Server is the one
+// device-side event emitter for a wire exchange: with
+// ServerOptions.Obs wired it emits the quote round-trip (KindAttest
+// request/reply) and the session bracket (KindSession).
 package remote
 
 import (

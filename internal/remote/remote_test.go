@@ -50,12 +50,13 @@ func oemClient(p *core.Platform, opt ClientOptions) *Client {
 	return NewClient(p.Provider("oem").Verifier(), "oem", opt)
 }
 
-// exchange runs one ServeOne/Attest pair over an in-memory pipe.
-func exchange(t *testing.T, p *core.Platform, doVerify func(net.Conn) error) error {
+// exchange runs one ServeOne/Attest pair over an in-memory pipe, the
+// device side served under opt.
+func exchange(t *testing.T, p *core.Platform, opt ServerOptions, doVerify func(net.Conn) error) error {
 	t.Helper()
 	devConn, verConn := net.Pipe()
 	done := make(chan error, 1)
-	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
+	srv := NewServer(ComponentsAttestor{C: p.C}, opt)
 	go func() {
 		defer devConn.Close()
 		done <- srv.ServeOne(devConn)
@@ -71,7 +72,7 @@ func exchange(t *testing.T, p *core.Platform, doVerify func(net.Conn) error) err
 func TestAttestOverWire(t *testing.T) {
 	p, e := devicePlatform(t)
 	c := oemClient(p, ClientOptions{})
-	err := exchange(t, p, func(conn net.Conn) error {
+	err := exchange(t, p, ServerOptions{}, func(conn net.Conn) error {
 		q, err := c.Attest(conn, e.ID, 0xA1B2)
 		if err != nil {
 			return err
@@ -86,12 +87,16 @@ func TestAttestOverWire(t *testing.T) {
 	}
 }
 
+// TestAttestUnknownIdentity: the device refuses to quote an identity it
+// does not run, and the server's reply event carries the refusal reason
+// as its result.
 func TestAttestUnknownIdentity(t *testing.T) {
 	p, _ := devicePlatform(t)
 	c := oemClient(p, ClientOptions{})
 	im, _ := asm.Assemble(".task \"ghost\"\n.entry e\n.text\ne:\n hlt\n")
 	ghost := trusted.IdentityOfImage(im)
-	err := exchange(t, p, func(conn net.Conn) error {
+	buf := &trace.Buffer{}
+	err := exchange(t, p, ServerOptions{Obs: buf, Cycles: p.M.Cycles}, func(conn net.Conn) error {
 		_, err := c.Attest(conn, ghost, 1)
 		return err
 	})
@@ -101,6 +106,17 @@ func TestAttestUnknownIdentity(t *testing.T) {
 	if !strings.Contains(err.Error(), "identity") {
 		t.Errorf("err text = %v", err)
 	}
+	evs := buf.Events()
+	if len(evs) != 2 {
+		t.Fatalf("events = %d (%v), want a request/reply pair", len(evs), evs)
+	}
+	reply := evs[1]
+	if ph, _ := reply.Attr("phase"); reply.Kind != trace.KindAttest || ph.Str != "reply" {
+		t.Fatalf("second event = %v, want the attest reply", reply)
+	}
+	if res, _ := reply.Attr("result"); !strings.Contains(err.Error(), res.Str) || !strings.Contains(res.Str, "identity") {
+		t.Errorf("reply result = %q, want the denial reason in %q", res.Str, err)
+	}
 }
 
 func TestAttestWrongProviderKey(t *testing.T) {
@@ -108,7 +124,7 @@ func TestAttestWrongProviderKey(t *testing.T) {
 	// Verifier holds a different provider's key than it asks the device
 	// to quote under: the MAC will not verify.
 	c := NewClient(p.Provider("someone-else").Verifier(), "oem", ClientOptions{})
-	err := exchange(t, p, func(conn net.Conn) error {
+	err := exchange(t, p, ServerOptions{}, func(conn net.Conn) error {
 		_, err := c.Attest(conn, e.ID, 7)
 		return err
 	})
@@ -124,7 +140,7 @@ func TestReplayAcrossNonces(t *testing.T) {
 	// Capture a quote at nonce 5, try to pass it off at nonce 6 by
 	// replaying the raw frames through a recording proxy.
 	var recorded []byte
-	err := exchange(t, p, func(conn net.Conn) error {
+	err := exchange(t, p, ServerOptions{}, func(conn net.Conn) error {
 		q, err := c.Attest(conn, e.ID, 5)
 		if err != nil {
 			return err
@@ -249,6 +265,9 @@ func TestAttestToChallenged(t *testing.T) {
 // session in KindSession events — phase=hello at open, a closing
 // phase=verdict event carrying the pass result and the device-cycle
 // end-to-end latency — both stamped with the hello's session ordinal.
+// Between them the answered challenge emits its KindAttest
+// request/reply pair, and since device cycles advance only in the
+// quote, the reply's rtt equals the session's e2e.
 func TestAttestToSessionEvents(t *testing.T) {
 	p, e := devicePlatform(t)
 	buf := &trace.Buffer{}
@@ -279,17 +298,34 @@ func TestAttestToSessionEvents(t *testing.T) {
 	}
 
 	evs := buf.Events()
-	if len(evs) != 2 {
-		t.Fatalf("session events = %d (%v), want 2", len(evs), evs)
+	if len(evs) != 4 {
+		t.Fatalf("events = %d (%v), want hello, request, reply, verdict", len(evs), evs)
 	}
-	open, closing := evs[0], evs[1]
-	for i, ev := range evs {
+	open, request, reply, closing := evs[0], evs[1], evs[2], evs[3]
+	for i, ev := range []trace.Event{open, closing} {
 		if ev.Sub != trace.SubRemote || ev.Kind != trace.KindSession || ev.Subject != "dev-0" {
-			t.Fatalf("event %d = %v", i, ev)
+			t.Fatalf("session event %d = %v", i, ev)
 		}
 		if n, ok := ev.NumAttr("session"); !ok || n != 4 {
-			t.Fatalf("event %d session ordinal = %d, %v", i, n, ok)
+			t.Fatalf("session event %d ordinal = %d, %v", i, n, ok)
 		}
+	}
+	for i, ev := range []trace.Event{request, reply} {
+		if ev.Sub != trace.SubRemote || ev.Kind != trace.KindAttest || ev.Subject != "oem" {
+			t.Fatalf("attest event %d = %v", i, ev)
+		}
+		if trunc, _ := ev.Attr("trunc"); trunc.Value() != trace.Hex("", e.ID.TruncatedID()).Value() {
+			t.Fatalf("attest event %d trunc = %q", i, trunc.Value())
+		}
+	}
+	if ph, _ := request.Attr("phase"); ph.Str != "request" {
+		t.Fatalf("request phase = %q", ph.Str)
+	}
+	if ph, _ := reply.Attr("phase"); ph.Str != "reply" {
+		t.Fatalf("reply phase = %q", ph.Str)
+	}
+	if res, _ := reply.Attr("result"); res.Str != "ok" {
+		t.Fatalf("reply result = %q", res.Str)
 	}
 	if ph, _ := open.Attr("phase"); ph.Str != "hello" {
 		t.Fatalf("open phase = %q", ph.Str)
@@ -306,6 +342,9 @@ func TestAttestToSessionEvents(t *testing.T) {
 	}
 	if e2e == 0 {
 		t.Fatal("e2e latency is zero; quoting should charge cycles")
+	}
+	if rtt, ok := reply.NumAttr("rtt"); !ok || rtt != e2e {
+		t.Fatalf("reply rtt = %d (ok=%v), want the session e2e %d", rtt, ok, e2e)
 	}
 }
 

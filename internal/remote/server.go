@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -13,7 +12,7 @@ import (
 
 // ServerOptions parameterizes the device side of the protocol. The zero
 // value is ready: default deadline, default error budget, default frame
-// limit, no stats.
+// limit, no events.
 type ServerOptions struct {
 	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
 	Timeout time.Duration
@@ -25,15 +24,16 @@ type ServerOptions struct {
 	// included (0 = DefaultMaxFrame). Oversize frames are rejected with
 	// ErrFrameTooLarge.
 	MaxFrame int
-	// Stats, when non-nil, accumulates exchange/error accounting.
-	Stats *ServeStats
-	// Obs, when non-nil, receives the device-side session-lifecycle
-	// events (SubRemote / KindSession) for device-initiated sessions:
-	// one phase=hello event when AttestTo opens the session and one
+	// Obs, when non-nil, receives every device-side event of a wire
+	// exchange; the server is their only emitter. Each answered
+	// challenge emits a request/reply pair (SubRemote / KindAttest)
+	// around the quote, the reply carrying its result and rtt. A
+	// device-initiated session is bracketed in SubRemote / KindSession
+	// events: one phase=hello event when AttestTo opens it and one
 	// closing event (phase=verdict/refused/error) stamped with the
 	// device-cycle end-to-end latency. Both carry the session ordinal
 	// from the Hello, forming the correlation key the fleet plane
-	// echoes. Nil costs one pointer check per session.
+	// echoes. Nil costs one pointer check per event.
 	Obs trace.Sink
 	// Cycles supplies the simulated cycle counter for Obs timestamps
 	// (nil stamps zero). Reading the counter never advances it, so
@@ -96,9 +96,22 @@ func (s *Server) serveExchange(conn net.Conn) error {
 	return s.answer(conn, ch)
 }
 
-// answer quotes the challenged task and writes the reply frame.
+// answer quotes the challenged task and writes the reply frame. With
+// Obs wired it brackets the quote in a request/reply event pair
+// (SubRemote / KindAttest, subject = provider), the wire view of the
+// round-trip beside the trusted component's own SubAttest event; the
+// reply carries the outcome and the round-trip time as an rtt
+// attribute, so it stands alone in a truncated trace.
 func (s *Server) answer(conn net.Conn, ch Challenge) error {
+	start := s.now()
+	s.emitAttest(ch, start, "request")
 	q, err := s.att.QuoteByTruncID(ch.Provider, ch.TruncID, ch.Nonce)
+	result := "ok"
+	if err != nil {
+		result = err.Error()
+	}
+	end := s.now()
+	s.emitAttest(ch, end, "reply", trace.Str("result", result), trace.Num("rtt", end-start))
 	if err != nil {
 		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte(err.Error()))
 		return nil // the protocol handled it; not a server failure
@@ -116,26 +129,14 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		err := s.ServeOne(conn)
 		switch {
 		case err == nil:
-			if s.opt.Stats != nil {
-				atomic.AddUint64(&s.opt.Stats.exchanges, 1)
-			}
 			continue
 		case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 			return nil
 		case errors.Is(err, ErrTimeout):
-			if s.opt.Stats != nil {
-				atomic.AddUint64(&s.opt.Stats.timeouts, 1)
-			}
 			return err
 		case errors.Is(err, ErrBadMessage), errors.Is(err, ErrFrameTooLarge):
 			protoErrs++
-			if s.opt.Stats != nil {
-				atomic.AddUint64(&s.opt.Stats.frameErrors, 1)
-			}
 			if protoErrs >= s.opt.ErrorBudget {
-				if s.opt.Stats != nil {
-					atomic.AddUint64(&s.opt.Stats.drops, 1)
-				}
 				return fmt.Errorf("%w: %d protocol errors", ErrErrorBudget, protoErrs)
 			}
 		default:
@@ -224,6 +225,20 @@ func (s *Server) now() uint64 {
 		return 0
 	}
 	return s.opt.Cycles()
+}
+
+// emitAttest emits one quote round-trip event when Obs is wired.
+func (s *Server) emitAttest(ch Challenge, cycle uint64, phase string, attrs ...trace.Attr) {
+	if s.opt.Obs == nil {
+		return
+	}
+	s.opt.Obs.Emit(trace.Event{
+		Cycle:   cycle,
+		Sub:     trace.SubRemote,
+		Kind:    trace.KindAttest,
+		Subject: ch.Provider,
+		Attrs:   append([]trace.Attr{trace.Str("phase", phase), trace.Hex("trunc", ch.TruncID)}, attrs...),
+	})
 }
 
 // emitSession emits one session-lifecycle event when Obs is wired.
