@@ -390,7 +390,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 					return nil, errors.New("quarantined rogue not condemned in Attest")
 				}
 				if _, err := attest(rogueIdentity, 0xDEAD); !errors.Is(err, remote.ErrRemote) {
-				//tytan:allow errwrap — the error value is the reported datum, may be nil
+					//tytan:allow errwrap — the error value is the reported datum, may be nil
 					return nil, fmt.Errorf("attestation of quarantined identity = %v, want ErrRemote", err)
 				}
 				cooldownEnd = p.Cycles() + 500_000

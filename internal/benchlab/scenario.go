@@ -809,7 +809,7 @@ func scenarioBoundedTaskAdmission(e *ScenarioEnv) error {
 	if err := e.boot(core.Options{
 		BoundsAdmission: true,
 		CycleBudgets: map[string]uint64{
-			worker.Name: cert.Cycles, // exactly the certificate: admitted
+			worker.Name:  cert.Cycles, // exactly the certificate: admitted
 			"admit-spin": 100_000,
 			tight.Name:   1, // certified but over budget: refused
 		},

@@ -106,9 +106,9 @@ func UseCaseTaskImage(tag int, periodCycles int) *telf.Image {
 		useCaseImageCache[key] = im
 	}
 	out := *im
-	out.Text = im.Text[: len(im.Text) : len(im.Text)]
-	out.Data = im.Data[: len(im.Data) : len(im.Data)]
-	out.Relocs = im.Relocs[: len(im.Relocs) : len(im.Relocs)]
+	out.Text = im.Text[:len(im.Text):len(im.Text)]
+	out.Data = im.Data[:len(im.Data):len(im.Data)]
+	out.Relocs = im.Relocs[:len(im.Relocs):len(im.Relocs)]
 	return &out
 }
 

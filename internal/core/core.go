@@ -54,12 +54,6 @@ type Options struct {
 	// Baseline selects the unmodified-FreeRTOS configuration: no secure
 	// boot, no EA-MPU, baseline interrupt path.
 	Baseline bool
-	// LoaderPriority is the priority of the background loader service
-	// (default 1, below typical real-time tasks).
-	LoaderPriority int
-	// SensorPeriod is the sample period of the pedal/radar sensors in
-	// cycles (0 = one sample per tick).
-	SensorPeriod uint64
 	// EngineHistory bounds the engine actuator's command log
 	// (0 = 4096).
 	EngineHistory int
@@ -153,15 +147,10 @@ func NewPlatform(opt Options) (*Platform, error) {
 	if opt.Provider == "" {
 		opt.Provider = "default-provider"
 	}
-	if opt.LoaderPriority == 0 {
-		opt.LoaderPriority = 1
-	}
-	if opt.SensorPeriod == 0 {
-		if opt.TickPeriod != 0 {
-			opt.SensorPeriod = opt.TickPeriod
-		} else {
-			opt.SensorPeriod = DefaultTickPeriod
-		}
+	// The pedal and radar sensors sample once per tick.
+	sensorPeriod := opt.TickPeriod
+	if sensorPeriod == 0 {
+		sensorPeriod = DefaultTickPeriod
 	}
 	if opt.EngineHistory == 0 {
 		opt.EngineHistory = 4096
@@ -175,8 +164,8 @@ func NewPlatform(opt Options) (*Platform, error) {
 		platformKey: append([]byte(nil), opt.PlatformKey...),
 		provider:    opt.Provider,
 	}
-	p.Pedal = machine.NewSensor("pedal", m.Cycles, opt.SensorPeriod, 0, 100)
-	p.Radar = machine.NewSensor("radar", m.Cycles, opt.SensorPeriod, 5, 250)
+	p.Pedal = machine.NewSensor("pedal", m.Cycles, sensorPeriod, 0, 100)
+	p.Radar = machine.NewSensor("radar", m.Cycles, sensorPeriod, 5, 250)
 	p.Engine = machine.NewEngine(m.Cycles, opt.EngineHistory)
 	p.NIC = machine.NewNIC(m.Cycles)
 	m.MapDevice(machine.PageUART, p.UART)
@@ -215,7 +204,9 @@ func NewPlatform(opt Options) (*Platform, error) {
 	}
 
 	p.loader = newLoaderService(p, opt.LoaderQuantum)
-	tcb, err := k.NewServiceTask("os-loader", opt.LoaderPriority, p.loader)
+	// Priority 1 keeps the background loader below typical real-time
+	// tasks.
+	tcb, err := k.NewServiceTask("os-loader", 1, p.loader)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,9 @@
 // only ever entered at a dedicated entry point, defeating code-reuse
 // attacks against secure tasks.
 //
-// Semantics implemented here (and exercised by internal/machine on every
-// instruction fetch, load and store):
+// Semantics implemented here (and exercised by internal/machine's
+// interpreter on every instruction fetch, load and store it does not
+// serve from a memoized allow; see span.go):
 //
 //   - A data access at address A by code executing at PC is allowed if A
 //     lies in no protected region at all (unclaimed memory is public) or
@@ -217,7 +218,8 @@ type MPU struct {
 	gen uint64
 
 	// violations counts denied accesses since reset (observability; the
-	// unit itself only reports the fault).
+	// unit itself only reports the fault): every CheckData or CheckExec
+	// call that returns a Violation counts once.
 	violations uint64
 }
 
@@ -346,17 +348,6 @@ func (m *MPU) ClearOwner(owner uint32) int {
 	return n
 }
 
-// Protected reports whether any claiming (non-grant-only) rule's data
-// region covers addr.
-func (m *MPU) Protected(addr uint32) bool {
-	for i := 0; i < NumSlots; i++ {
-		if m.used[i] && !m.slots[i].GrantOnly && m.slots[i].Data.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // CheckData validates a read or write of size bytes at addr performed by
 // code executing at pc. It returns nil if allowed and a *Violation
 // otherwise.
@@ -367,26 +358,13 @@ func (m *MPU) Protected(addr uint32) bool {
 // covers the last byte the second slot scan is skipped entirely — the
 // common case for aligned word accesses inside a task's own region.
 func (m *MPU) CheckData(pc uint32, kind AccessKind, addr, size uint32) error {
-	return m.checkData(pc, kind, addr, size, true)
-}
-
-// ProbeData asks the same question as CheckData without recording a
-// violation on deny. Block-granular consumers — the superblock compiler
-// hoisting per-access checks to compile time, the fast path warming its
-// span caches — must not perturb the violation counter the observability
-// layer exports: only accesses the guest actually performs may count.
-func (m *MPU) ProbeData(pc uint32, kind AccessKind, addr, size uint32) bool {
-	return m.checkData(pc, kind, addr, size, false) == nil
-}
-
-func (m *MPU) checkData(pc uint32, kind AccessKind, addr, size uint32, count bool) error {
 	if !m.enabled {
 		return nil
 	}
 	if size == 0 {
 		size = 1
 	}
-	granted, err := m.checkByte(pc, kind, addr, count)
+	granted, err := m.checkByte(pc, kind, addr)
 	if err != nil {
 		return err
 	}
@@ -397,14 +375,14 @@ func (m *MPU) checkData(pc uint32, kind AccessKind, addr, size uint32, count boo
 	if granted >= 0 && m.slots[granted].Data.Contains(last) {
 		return nil // the same rule grants both boundary bytes
 	}
-	_, err = m.checkByte(pc, kind, last, count)
+	_, err = m.checkByte(pc, kind, last)
 	return err
 }
 
 // checkByte decides one byte. It returns the index of the granting slot
-// (-1 when the byte is public unclaimed memory) or a *Violation; count
-// gates the violation counter.
-func (m *MPU) checkByte(pc uint32, kind AccessKind, addr uint32, count bool) (int, error) {
+// (-1 when the byte is public unclaimed memory) or a *Violation, which
+// it counts.
+func (m *MPU) checkByte(pc uint32, kind AccessKind, addr uint32) (int, error) {
 	need := kind.perm()
 	claimed := false
 	for i := 0; i < NumSlots; i++ {
@@ -425,9 +403,7 @@ func (m *MPU) checkByte(pc uint32, kind AccessKind, addr uint32, count bool) (in
 	if !claimed {
 		return -1, nil // unclaimed memory is public
 	}
-	if count {
-		m.violations++
-	}
+	m.violations++
 	return -1, &Violation{PC: pc, Kind: kind, Addr: addr}
 }
 
@@ -436,16 +412,6 @@ func (m *MPU) checkByte(pc uint32, kind AccessKind, addr uint32, count bool) (in
 // execution (no branch). Entry enforcement applies when control enters a
 // protected executable region from outside it.
 func (m *MPU) CheckExec(fromPC, addr uint32, sequential bool) error {
-	return m.checkExec(fromPC, addr, sequential, true)
-}
-
-// ProbeExec asks the same question as CheckExec without recording a
-// violation on deny (see ProbeData).
-func (m *MPU) ProbeExec(fromPC, addr uint32, sequential bool) bool {
-	return m.checkExec(fromPC, addr, sequential, false) == nil
-}
-
-func (m *MPU) checkExec(fromPC, addr uint32, sequential, count bool) error {
 	if !m.enabled {
 		return nil
 	}
@@ -477,9 +443,7 @@ func (m *MPU) checkExec(fromPC, addr uint32, sequential, count bool) error {
 		return nil
 	}
 	if entered == nil {
-		if count {
-			m.violations++
-		}
+		m.violations++
 		return &Violation{PC: fromPC, Kind: AccessExec, Addr: addr}
 	}
 	if entered.EnforceEntry && !entered.Data.Contains(fromPC) {
@@ -490,9 +454,7 @@ func (m *MPU) checkExec(fromPC, addr uint32, sequential, count bool) error {
 		// and accepting accidental fall-through would let code that
 		// corrupted its own text "walk" into a neighbouring task.
 		if sequential || addr != entered.Entry {
-			if count {
-				m.violations++
-			}
+			m.violations++
 			return &Violation{PC: fromPC, Kind: AccessExec, Addr: addr, Entry: entered.Entry, EntryErr: true}
 		}
 	}

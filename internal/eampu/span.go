@@ -5,7 +5,9 @@ package eampu
 // skip the linear 18-slot scan. A memoized "allow" is only sound while
 // (a) the rule configuration is unchanged — tracked by the generation
 // counter — and (b) the access stays inside an address span over which
-// the verdict is provably constant.
+// the verdict is provably constant. Only allows a CheckExec/CheckData
+// call returned are memoized, so every denial is decided, and counted,
+// by the unit itself.
 //
 // The spans computed here have that property by construction: around a
 // probe address they are narrowed by every used slot's region boundary,

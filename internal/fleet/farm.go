@@ -146,10 +146,10 @@ type deviceResult struct {
 	name      string
 	variant   int
 	faulty    bool
-	ok        int // sessions whose verdict came back pass
-	denied    int // sessions whose verdict came back fail
-	refused   int // hellos refused at the door
-	errored   int // transport/protocol failures
+	ok        int      // sessions whose verdict came back pass
+	denied    int      // sessions whose verdict came back fail
+	refused   int      // hellos refused at the door
+	errored   int      // transport/protocol failures
 	durations []uint64 // attest round-trip spans, device cycles
 	e2e       []uint64 // session end-to-end spans (hello→verdict), device cycles
 	events    []trace.Event

@@ -305,6 +305,82 @@ func TestPlaneSilentPeers(t *testing.T) {
 	}
 }
 
+// A flood of hellos from unregistered names is refused at the door
+// without enrolling anyone or wedging the pool: 64 concurrent hellos
+// through a two-acceptor plane each see ErrRefused, refused reads 64,
+// the registry keeps its size, a registered device's session afterwards
+// passes, and closing the listener leaves no goroutine behind.
+func TestPlaneHelloFlood(t *testing.T) {
+	base := runtime.NumGoroutine()
+	known, err := PublishedSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(0)
+	reg.Register(DeviceName(0))
+	before := reg.Len()
+	client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{})
+	plane := NewPlane(PlaneConfig{Client: client, Listeners: 2, Registry: reg, KnownGood: known})
+
+	ln := newMemListener()
+	served := make(chan struct{})
+	go func() {
+		plane.Serve(ln)
+		close(served)
+	}()
+
+	const flood = 64
+	errs := make(chan error, flood)
+	var wg sync.WaitGroup
+	for i := 0; i < flood; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, err := ln.Dial()
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer conn.Close()
+			// Refused at the hello: no attestor is ever asked.
+			srv := remote.NewServer(remote.ComponentsAttestor{}, remote.ServerOptions{})
+			errs <- srv.AttestTo(conn, remote.Hello{Device: fmt.Sprintf("intruder-%02d", i), Provider: "oem"})
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, remote.ErrRefused) {
+			t.Fatalf("flood hello = %v, want ErrRefused", err)
+		}
+	}
+	if _, _, refused, _ := plane.Counts(); refused != flood {
+		t.Fatalf("refused = %d, want %d", refused, flood)
+	}
+	if n := reg.Len(); n != before {
+		t.Fatalf("registry Len = %d after the flood, want %d", n, before)
+	}
+
+	cfg, err := Config{Devices: 1}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev := runDevice(cfg, 0, 0, false, ln); dev.err != nil || dev.ok != 1 {
+		t.Fatalf("device after the flood: ok=%d denied=%d refused=%d errored=%d err=%v",
+			dev.ok, dev.denied, dev.refused, dev.errored, dev.err)
+	}
+	ln.Close()
+	<-served
+
+	// Exiting goroutines may still be unwinding; give them a moment.
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines = %d after Serve returned, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // A small end-to-end farm: healthy devices attest every round, the
 // faulty device burns its failure budget, is quarantined, and its later
 // hellos are refused. Cache misses equal the number of distinct

@@ -165,6 +165,27 @@ type dataSpan struct {
 	dataLo, dataHi uint32
 }
 
+// execHit is the exec-span cache's hit test: it reports whether the
+// memoized span allows fetching pc after the instruction at lastPC, and
+// returns the slot a miss refills.
+func (m *Machine) execHit(pc uint32) (*execSpan, bool) {
+	e := &m.exec[(pc>>8)*hashMul>>(32-execBits)]
+	return e, e.gen == m.gen && e.lo <= pc && pc <= e.hi && e.lo <= m.lastPC && m.lastPC <= e.hi
+}
+
+// dataHit is the decision cache's hit test: it reports whether the
+// memoized span allows code at pc the access of size bytes at addr, and
+// returns the slot a miss refills. The index mixes execution context
+// and target page: the Int Mux touches every task's context-save area
+// from one fixed PC, so a PC-only index would alternate between spans
+// on every context switch.
+func (m *Machine) dataHit(kind eampu.AccessKind, pc, addr, size uint32) (*dataSpan, bool) {
+	e := &m.dcache[kind][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
+	last := addr + size - 1
+	return e, e.gen == m.gen && e.codeLo <= pc && pc <= e.codeHi &&
+		e.dataLo <= addr && addr <= last && last <= e.dataHi
+}
+
 // syncMPUGen folds EA-MPU reconfigurations into the machine generation.
 func (m *Machine) syncMPUGen() {
 	if g := m.MPU.Generation(); g != m.mpuGen {
@@ -293,8 +314,7 @@ func (m *Machine) decodeAt(pc uint32) (isa.Instruction, *Fault) {
 func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
 	m.syncMPUGen()
 	pc := m.eip
-	e := &m.exec[(pc>>8)*hashMul>>(32-execBits)]
-	if !(e.gen == m.gen && e.lo <= pc && pc <= e.hi && e.lo <= m.lastPC && m.lastPC <= e.hi) {
+	if e, ok := m.execHit(pc); !ok {
 		if err := m.MPU.CheckExec(m.lastPC, pc, !m.branched); err != nil {
 			return isa.Instruction{}, &Fault{PC: pc, Why: "instruction fetch", Wrap: err}
 		}
@@ -337,11 +357,7 @@ func (m *Machine) read32Fast(addr uint32) (uint32, bool) {
 		return 0, false
 	}
 	m.syncMPUGen()
-	pc := m.execPC
-	e := &m.dcache[eampu.AccessRead][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
-	if e.gen == m.gen &&
-		e.codeLo <= pc && pc <= e.codeHi &&
-		e.dataLo <= addr && addr+3 <= e.dataHi {
+	if _, ok := m.dataHit(eampu.AccessRead, m.execPC, addr, 4); ok {
 		return binary.LittleEndian.Uint32(m.ram[off:]), true
 	}
 	return 0, false
@@ -359,11 +375,7 @@ func (m *Machine) write32Fast(addr, v uint32) bool {
 		return false
 	}
 	m.syncMPUGen()
-	pc := m.execPC
-	e := &m.dcache[eampu.AccessWrite][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
-	if e.gen == m.gen &&
-		e.codeLo <= pc && pc <= e.codeHi &&
-		e.dataLo <= addr && addr+3 <= e.dataHi {
+	if _, ok := m.dataHit(eampu.AccessWrite, m.execPC, addr, 4); ok {
 		m.noteRAMWrite(int(off), 4)
 		binary.LittleEndian.PutUint32(m.ram[off:], v)
 		return true
@@ -380,15 +392,8 @@ func (m *Machine) checkData(kind eampu.AccessKind, addr, size uint32) error {
 	}
 	m.syncMPUGen()
 	pc := m.execPC
-	last := addr + size - 1
-	// Index by execution context and target page: the Int Mux touches
-	// every task's context-save area from one fixed PC, so a PC-only
-	// index would alternate between spans on every context switch.
-	e := &m.dcache[kind][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
-	if e.gen == m.gen &&
-		e.codeLo <= pc && pc <= e.codeHi &&
-		e.dataLo <= addr && addr <= e.dataHi &&
-		e.dataLo <= last && last <= e.dataHi {
+	e, hit := m.dataHit(kind, pc, addr, size)
+	if hit {
 		return nil
 	}
 	m.dataSpanFills++
@@ -396,7 +401,7 @@ func (m *Machine) checkData(kind eampu.AccessKind, addr, size uint32) error {
 		return err
 	}
 	dLo, dHi := m.MPU.DataSpan(addr)
-	if last < dLo || last > dHi {
+	if last := addr + size - 1; last < dLo || last > dHi {
 		// The access straddles a covering-set boundary; the combined
 		// verdict has no constant span, so leave the cache alone.
 		return nil

@@ -162,8 +162,8 @@ func TestFastPathDifferentialSelfModify(t *testing.T) {
 	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R2, Imm32: target}) // words 0-1
 	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R3, Imm32: patchedWord()})
 	p.Emit(isa.Instruction{Op: isa.OpST, Rd: isa.R2, Rs: isa.R3, Imm: 0}) // word 4
-	p.Emit(isa.Instruction{Op: isa.OpNOP})                               // word 5
-	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111})         // word 6: patched
+	p.Emit(isa.Instruction{Op: isa.OpNOP})                                // word 5
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111})          // word 6: patched
 	p.Emit(isa.Instruction{Op: isa.OpHLT})
 
 	r := newDiffRig(64 << 10)

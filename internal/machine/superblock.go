@@ -3,22 +3,26 @@ package machine
 import (
 	"encoding/binary"
 
-	"repro/internal/cfg"
 	"repro/internal/eampu"
 	"repro/internal/isa"
 )
 
 // The superblock compiler: threaded-code execution for Run.
 //
-// On first execution of a basic block, compileBlock walks the
+// Once a dispatch PC is hot (sbCompileThreshold), compileBlock walks the
 // straight-line instruction run starting at the dispatch PC — the same
 // block discipline internal/sverify uses, over the loaded bytes instead
 // of the image — and fuses it into a chain of Go closures. Cycle costs
-// are summed at compile time and charged in one add; a block-local
-// abstract interpretation (the shared internal/cfg lattice) proves
-// accesses constant so their bounds/alignment/EA-MPU checks hoist to a
-// single compile-time probe; everything else keeps a per-op pre-check
-// that can refuse, sending execution back to the interpreter.
+// are summed at compile time and charged in one add; every load and
+// store keeps a per-op pre-check that can refuse, sending execution
+// back to the interpreter.
+//
+// The interpreter is the only EA-MPU client. A block reads the
+// interpreter's caches and never asks the unit itself: it dispatches
+// only on an exec-span cache hit, and a memory op runs only on a
+// decision-cache hit. On any miss the interpreter decides the access,
+// counts a denial and fills the cache, so the unit's violation counter
+// is exactly the guest's denied accesses.
 //
 // Cycle-exactness is the contract, inherited from fastpath.go and
 // enforced the same way (reference/production lockstep in
@@ -26,11 +30,11 @@ import (
 // rows): compilation may only
 // short-circuit host work. The rules that keep it:
 //
-//   - A compiled op never faults. Ops whose access can fault at runtime
-//     carry a side-effect-free pre-check; if it cannot prove the access
-//     allowed, the block bails *before* the op and the interpreter
-//     reproduces the exact fault (same PC, same cycle, same counters).
-//     Ops provably faulting at compile time simply end the block.
+//   - A compiled op never faults. Every memory op carries a
+//     side-effect-free pre-check; if the caches do not already allow
+//     the access, the block bails *before* the op and the interpreter
+//     performs it, reproducing any fault exactly (same PC, same cycle,
+//     same counters).
 //   - A block is dispatched only when neither the cycle budget nor the
 //     interrupt-poll watermark can trip at any instruction boundary
 //     inside it (guards on maxCost), so the bulk cycle charge cannot
@@ -38,8 +42,8 @@ import (
 //     Blocks contain no MMIO, SVC or HLT, so no device, interrupt or
 //     kernel state can change mid-block.
 //   - Blocks never cross an exec-verdict span boundary, and the entry
-//     check is exactly the interpreter's fetch check; interior fetch
-//     checks are subsumed by the span, as on the fast path.
+//     check is exactly the interpreter's cached fetch check; interior
+//     fetch checks are subsumed by the span, as on the fast path.
 //   - Invalidation is the fast path's generation discipline: an EA-MPU
 //     reconfiguration bumps the generation via syncMPUGen, and a write
 //     into any RAM granule holding compiled code bumps it via
@@ -80,10 +84,10 @@ const (
 )
 
 // sbOp is one fused instruction. pre, when set, validates the op's
-// memory access without side effects visible to the guest (it may fill
-// decision caches and stashes the validated RAM offset in m.sbOff);
-// returning false bails to the interpreter before the op. fn executes
-// the op and cannot fail.
+// memory access against the decision cache without side effects
+// visible to the guest (it stashes the validated RAM offset in
+// m.sbOff); returning false bails to the interpreter before the op. fn
+// executes the op and cannot fail.
 type sbOp struct {
 	pc     uint32
 	cost   uint32
@@ -117,21 +121,20 @@ type sbEntry struct {
 
 // sbCompileThreshold is the warm-up gate: a PC is interpreted this many
 // times within a generation before its block is compiled. Compilation
-// costs tens of interpreted instructions, and the platform's context
-// switches reconfigure the EA-MPU — bumping the generation and flushing
-// the block cache — every quantum; compiling on first sight makes
-// switch-heavy, short-quantum workloads *slower* than the plain fast
-// path (each block recompiles once per quantum and runs once). Sixteen
-// dispatches-per-generation is enough warm-up that only genuinely hot
-// loops pay the compiler, leaving compute-bound kernels (which re-reach
-// the threshold within microseconds of each flush) at full superblock
-// throughput. The gate narrows but does not close the gap on the
-// switch-heavy Table 1 use case: measured on a 2-vCPU host, caches
-// without superblocks ran it in ~700 µs with 129 allocations against
-// ~920 µs with ~1,140 allocations here, while the compute kernel ran
-// ~2.8x faster here (4.4 ms against 12.3 ms). Keying compiled blocks on
-// the EA-MPU configuration, so per-task blocks survive the round-robin,
-// is the open fix tracked in ROADMAP.md.
+// costs tens of interpreted instructions, so compiling on first sight
+// spends the compiler on code that runs a handful of times. Sixteen
+// dispatches per generation is enough warm-up that only genuinely hot
+// loops pay the compiler. The EA-MPU is keyed on the executing code
+// region, so context switches do not reprogram it: the generation moves
+// only when rules are installed or cleared (task load and unload, IPC
+// shared-memory windows) or when a write lands in cached code (the
+// Table 1 use case bumps it 13 times against 666 switches). The gate's
+// cost is the warm-up itself: on that use case most dispatches are the
+// interpreted runs before a block reaches the threshold, which is why
+// its compiled-block hit ratio is low. Measured on a 2-vCPU host,
+// caches without superblocks ran it in ~700 µs with 129 allocations
+// against ~920 µs with ~1,140 allocations here, while the compute
+// kernel ran ~2.8x faster here (4.4 ms against 12.3 ms).
 const sbCompileThreshold = 16
 
 // stepBlock tries to execute one compiled block at EIP. ok=false means
@@ -171,24 +174,14 @@ func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 		m.sbFallbacks++
 		return 0, false
 	}
-	// Entry fetch check, exactly as fetchFast: span-cache hit or a full
-	// (non-counting) EA-MPU probe. A denied fetch falls back so the
-	// interpreter raises the identical fault, violation count included.
-	ex := &m.exec[(pc>>8)*hashMul>>(32-execBits)]
-	if !(ex.gen == m.gen && ex.lo <= pc && pc <= ex.hi && ex.lo <= m.lastPC && m.lastPC <= ex.hi) {
-		if !m.MPU.ProbeExec(m.lastPC, pc, !m.branched) {
-			m.sbFallbacks++
-			return 0, false
-		}
-		lo, hi := m.MPU.ExecSpan(pc)
-		*ex = execSpan{gen: m.gen, lo: lo, hi: hi}
-		m.execSpanFills++
-	}
-	// The whole block must lie inside the constant-verdict span; then
-	// every interior sequential fetch is allowed, as on the fast path.
-	// (compileBlock clamps blocks to the span, so this only fails when
-	// the span cache holds a different, narrower span for this slot.)
-	if ex.lo > sb.start || sb.end > ex.hi {
+	// Entry fetch check: fetchFast's span-cache hit test. A miss falls
+	// back so the interpreter decides the fetch, raising the identical
+	// fault or filling the span. The whole block must also lie inside
+	// the constant-verdict span; then every interior sequential fetch is
+	// allowed, as on the fast path. (compileBlock clamps blocks to the
+	// span, so this only fails when the span cache holds a different,
+	// narrower span for this slot.)
+	if ex, ok := m.execHit(pc); !ok || ex.lo > sb.start || sb.end > ex.hi {
 		m.sbFallbacks++
 		return 0, false
 	}
@@ -287,8 +280,8 @@ func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 }
 
 // compileBlock fuses the basic block starting at start. It stops before
-// any instruction it cannot execute exactly (SVC/HLT/RDCYC, provably
-// faulting accesses, undecodable words) and after any terminator; a
+// any instruction it cannot execute exactly (SVC/HLT/RDCYC, undecodable
+// words) and after any terminator; a
 // zero-op result is a negative entry meaning "always interpret here".
 func (m *Machine) compileBlock(start uint32) *superblock {
 	m.sbCompiles++
@@ -297,7 +290,6 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 	// check could then never pass, and entry enforcement on the next
 	// region must fire per-instruction.
 	_, spanHi := m.MPU.ExecSpan(start)
-	var regs cfg.Regs
 	pc := start
 	for len(sb.ops) < sbMaxOps {
 		in, fault := m.decodeAt(pc)
@@ -309,7 +301,7 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 			break
 		}
 		op := sbOp{pc: pc, in: in, cost: uint32(InstructionCost(in.Op))}
-		if !m.compileOp(&op, in, pc, pc+w, &regs) {
+		if !compileOp(&op, in, pc, pc+w) {
 			break
 		}
 		sb.ops = append(sb.ops, op)
@@ -322,7 +314,6 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 			sb.maxCost += branchTakenExtra
 			break
 		}
-		cfg.Transfer(in, &regs, false)
 	}
 	if len(sb.ops) > 0 {
 		m.markCompiled(sb.start, sb.end)
@@ -353,7 +344,7 @@ func sbNop(*Machine) sbStatus { return sbNext }
 
 // compileOp lowers one instruction into op. Returning false ends the
 // block before the instruction.
-func (m *Machine) compileOp(op *sbOp, in isa.Instruction, pc, next uint32, regs *cfg.Regs) bool {
+func compileOp(op *sbOp, in isa.Instruction, pc, next uint32) bool {
 	switch in.Op {
 	case isa.OpNOP:
 		op.fn = sbNop
@@ -403,13 +394,13 @@ func (m *Machine) compileOp(op *sbOp, in isa.Instruction, pc, next uint32, regs 
 		rd, v := in.Rd, uint32(int32(in.Imm))
 		op.fn = func(m *Machine) sbStatus { m.setFlags(m.regs[rd], v); return sbNext }
 	case isa.OpLD:
-		return m.compileLoad(op, in, pc, regs, 4)
+		compileLoad(op, in, pc, 4)
 	case isa.OpLDB:
-		return m.compileLoad(op, in, pc, regs, 1)
+		compileLoad(op, in, pc, 1)
 	case isa.OpST:
-		return m.compileStore(op, in, pc, regs, 4)
+		compileStore(op, in, pc, 4)
 	case isa.OpSTB:
-		return m.compileStore(op, in, pc, regs, 1)
+		compileStore(op, in, pc, 1)
 	case isa.OpJMP:
 		t := next + uint32(int32(in.Imm))*4
 		op.term = true
@@ -507,79 +498,35 @@ func (m *Machine) compileOp(op *sbOp, in isa.Instruction, pc, next uint32, regs 
 	return true
 }
 
-// compileLoad lowers LD/LDB. A provably constant in-RAM address hoists
-// all checks to compile time; otherwise the op keeps a runtime
-// pre-check through the decision cache.
-func (m *Machine) compileLoad(op *sbOp, in isa.Instruction, pc uint32, regs *cfg.Regs, size uint32) bool {
+// compileLoad lowers LD/LDB behind a decision-cache pre-check.
+func compileLoad(op *sbOp, in isa.Instruction, pc, size uint32) {
 	rd, rs := in.Rd, in.Rs
 	imm := uint32(int32(in.Imm))
-	if base := regs[rs]; base.IsConst() {
-		off, ok := m.sbConstAccess(pc, eampu.AccessRead, base.V+imm, size)
-		if !ok {
-			return false
-		}
-		if size == 4 {
-			op.fn = func(m *Machine) sbStatus {
-				m.regs[rd] = binary.LittleEndian.Uint32(m.ram[off:])
-				return sbNext
-			}
-		} else {
-			op.fn = func(m *Machine) sbStatus {
-				m.regs[rd] = uint32(m.ram[off])
-				return sbNext
-			}
-		}
-		return true
+	op.pre = func(m *Machine) bool {
+		return m.sbCheckData(eampu.AccessRead, pc, m.regs[rs]+imm, size)
 	}
 	if size == 4 {
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessRead, pc, m.regs[rs]+imm, 4)
-		}
 		op.fn = func(m *Machine) sbStatus {
 			m.regs[rd] = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
 			return sbNext
 		}
 	} else {
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessRead, pc, m.regs[rs]+imm, 1)
-		}
 		op.fn = func(m *Machine) sbStatus {
 			m.regs[rd] = uint32(m.ram[m.sbOff])
 			return sbNext
 		}
 	}
-	return true
 }
 
 // compileStore lowers ST/STB (the base register is Rd, the value Rs).
-func (m *Machine) compileStore(op *sbOp, in isa.Instruction, pc uint32, regs *cfg.Regs, size uint32) bool {
+func compileStore(op *sbOp, in isa.Instruction, pc, size uint32) {
 	rd, rs := in.Rd, in.Rs
 	imm := uint32(int32(in.Imm))
 	op.writes = true
-	if base := regs[rd]; base.IsConst() {
-		off, ok := m.sbConstAccess(pc, eampu.AccessWrite, base.V+imm, size)
-		if !ok {
-			return false
-		}
-		if size == 4 {
-			op.fn = func(m *Machine) sbStatus {
-				m.noteRAMWrite(int(off), 4)
-				binary.LittleEndian.PutUint32(m.ram[off:], m.regs[rs])
-				return sbNext
-			}
-		} else {
-			op.fn = func(m *Machine) sbStatus {
-				m.noteRAMWrite(int(off), 1)
-				m.ram[off] = byte(m.regs[rs])
-				return sbNext
-			}
-		}
-		return true
+	op.pre = func(m *Machine) bool {
+		return m.sbCheckData(eampu.AccessWrite, pc, m.regs[rd]+imm, size)
 	}
 	if size == 4 {
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessWrite, pc, m.regs[rd]+imm, 4)
-		}
 		op.fn = func(m *Machine) sbStatus {
 			off := m.sbOff
 			m.noteRAMWrite(int(off), 4)
@@ -587,9 +534,6 @@ func (m *Machine) compileStore(op *sbOp, in isa.Instruction, pc uint32, regs *cf
 			return sbNext
 		}
 	} else {
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessWrite, pc, m.regs[rd]+imm, 1)
-		}
 		op.fn = func(m *Machine) sbStatus {
 			off := m.sbOff
 			m.noteRAMWrite(int(off), 1)
@@ -597,33 +541,12 @@ func (m *Machine) compileStore(op *sbOp, in isa.Instruction, pc uint32, regs *cf
 			return sbNext
 		}
 	}
-	return true
 }
 
-// sbConstAccess decides at compile time whether an access at a constant
-// address can be hoisted: in RAM, aligned, and allowed by the EA-MPU
-// under the current generation (a non-counting probe — only accesses
-// the guest performs may count violations). ok=false ends the block
-// before the op so the interpreter reproduces the fault, or serves the
-// MMIO access, per execution.
-func (m *Machine) sbConstAccess(pc uint32, kind eampu.AccessKind, addr, size uint32) (off uint32, ok bool) {
-	if addr < RAMBase || (size == 4 && addr&3 != 0) {
-		return 0, false
-	}
-	off = addr - RAMBase
-	if uint64(off)+uint64(size) > uint64(len(m.ram)) {
-		return 0, false
-	}
-	if !m.MPU.ProbeData(pc, kind, addr, size) {
-		return 0, false
-	}
-	return off, true
-}
-
-// sbCheckData is the runtime pre-check for non-constant addresses:
-// RAM bounds, alignment, then the EA-MPU decision cache with a
-// non-counting probe on miss (mirroring checkData's fill discipline).
-// On success the validated RAM offset is stashed in m.sbOff.
+// sbCheckData is a memory op's pre-check: RAM bounds, alignment, then
+// the decision cache's hit test. A miss bails, and the interpreter
+// decides, counts and caches the access. On success the validated RAM
+// offset is stashed in m.sbOff.
 func (m *Machine) sbCheckData(kind eampu.AccessKind, pc, addr, size uint32) bool {
 	if addr < RAMBase || (size == 4 && addr&3 != 0) {
 		return false
@@ -632,22 +555,8 @@ func (m *Machine) sbCheckData(kind eampu.AccessKind, pc, addr, size uint32) bool
 	if uint64(off)+uint64(size) > uint64(len(m.ram)) {
 		return false
 	}
-	last := addr + size - 1
-	e := &m.dcache[kind][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
-	if e.gen == m.gen &&
-		e.codeLo <= pc && pc <= e.codeHi &&
-		e.dataLo <= addr && last <= e.dataHi {
-		m.sbOff = off
-		return true
-	}
-	if !m.MPU.ProbeData(pc, kind, addr, size) {
+	if _, ok := m.dataHit(kind, pc, addr, size); !ok {
 		return false
-	}
-	m.dataSpanFills++
-	dLo, dHi := m.MPU.DataSpan(addr)
-	if last >= dLo && last <= dHi {
-		cLo, cHi := m.MPU.CodeSpan(pc)
-		*e = dataSpan{gen: m.gen, codeLo: cLo, codeHi: cHi, dataLo: dLo, dataHi: dHi}
 	}
 	m.sbOff = off
 	return true

@@ -233,9 +233,10 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 }
 
 // TestSuperblockDifferentialMPUReconfig compiles a block containing a
-// (hoisted, const-addressed) store, then reconfigures the EA-MPU so the
-// store becomes a violation: the compiled verdict must be invalidated
-// and both engines must fault identically.
+// store pre-checked against the decision cache, then reconfigures the
+// EA-MPU so the store becomes a violation: the cached verdict must be
+// invalidated, the pre-check must bail, and both engines must fault
+// identically, violation count included.
 func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 	var p isa.Program
 	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R2, Imm32: 0x9000})
@@ -251,8 +252,8 @@ func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 		m.SetReg(isa.SP, 0x8000)
 	})
 	// Unprotected: the store succeeds. Repeat past the compile
-	// threshold so the production engine compiles the block and hoists the
-	// (const-addressed) store's verdict.
+	// threshold so the production engine compiles the block and its
+	// store runs on a decision-cache hit.
 	for pass := 0; pass < sbCompileThreshold+1; pass++ {
 		r.runSlices(t, []uint64{1 << 20}, 10)
 		r.each(func(m *Machine) { m.SetEIP(0x2000) })
@@ -262,9 +263,9 @@ func TestSuperblockDifferentialMPUReconfig(t *testing.T) {
 	}
 
 	// Claim 0x9000 for code living elsewhere and rerun from the top:
-	// the hoisted "store allowed" verdict must die with the generation.
-	// Repeat past the threshold again so the post-reconfig recompile
-	// (which must refuse to hoist the now-denied store) is exercised.
+	// the cached "store allowed" verdict must die with the generation.
+	// Repeat past the threshold again so the post-reconfig recompile,
+	// whose store pre-check must miss and bail, is exercised.
 	r.each(func(m *Machine) {
 		if err := m.MPU.Install(0, eampu.Rule{
 			Code:  eampu.Region{Start: 0x4000, Size: 0x100},

@@ -52,11 +52,6 @@ func (k *Kernel) RegisterDeadline(id TaskID, period uint64) error {
 	return nil
 }
 
-// UnregisterDeadline stops monitoring the task's deadline.
-func (k *Kernel) UnregisterDeadline(id TaskID) {
-	delete(k.deadlines, id)
-}
-
 // DeadlineMisses returns the total number of missed deadline windows
 // across all monitored tasks.
 func (k *Kernel) DeadlineMisses() uint64 {

@@ -3,7 +3,6 @@ package sverify
 import (
 	"fmt"
 
-	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -16,23 +15,21 @@ import (
 // stack-discipline checks.
 //
 // The value lattice and per-instruction register transfer live in
-// internal/cfg, shared with the simulator's superblock compiler so the
-// two analyses cannot drift apart; this file keeps what is verifier-
-// specific: call-depth tracking, relocation provenance, and finding
-// emission from converged states.
+// lattice.go; this file adds call-depth tracking, relocation provenance,
+// and finding emission from converged states.
 
 // astate is the abstract machine state at one program point: the eight
 // registers plus the call-depth interval [dlo, dhi] (CALLs minus RETs
 // since entry).
 type astate struct {
-	regs     cfg.Regs
+	regs     absRegs
 	dlo, dhi int32
 }
 
 func joinState(a, b astate) astate {
 	var out astate
 	for i := range a.regs {
-		out.regs[i] = cfg.Join(a.regs[i], b.regs[i])
+		out.regs[i] = joinValue(a.regs[i], b.regs[i])
 	}
 	out.dlo = min32(a.dlo, b.dlo)
 	out.dhi = max32(a.dhi, b.dhi)
@@ -66,7 +63,7 @@ func (v *verifier) interpret() {
 	// may be re-entered with a restored context), except that SP starts
 	// at the initial stack top.
 	var entry astate
-	entry.regs[isa.SP] = cfg.StackValue(0)
+	entry.regs[isa.SP] = stackValue(0)
 
 	// maxFrames bounds the call-depth interval: one return address per
 	// frame is the floor, so more frames than stack words is already
@@ -169,26 +166,25 @@ func (v *verifier) flow(off uint32, d decoded, pre, post astate, propagate func(
 }
 
 // spAdd offsets a stack-relative value; anything else degrades to Top.
-// Unlike cfg.Add it deliberately drops relocation provenance on
+// Unlike addValue it deliberately drops relocation provenance on
 // constants: a relocated value used as SP is already suspicious enough
 // that the absolute-address checks should see it.
-func spAdd(a cfg.Value, delta int32) cfg.Value {
+func spAdd(a absValue, delta int32) absValue {
 	switch a.K {
-	case cfg.Stack:
-		return cfg.StackValue(a.Delta() + delta)
-	case cfg.Const:
-		return cfg.ConstValue(a.V + uint32(delta))
+	case kindStack:
+		return stackValue(a.delta() + delta)
+	case kindConst:
+		return constValue(a.V + uint32(delta))
 	}
-	return cfg.TopValue()
+	return absValue{}
 }
 
 // transfer computes the post-state of one instruction. Register effects
-// come from the shared cfg lattice; only the call-depth interval (RET)
-// is verifier-specific. It never emits findings (checkInsn does, from
-// converged states).
+// come from transferRegs; this adds the call-depth interval (RET). It
+// never emits findings (checkInsn does, from converged states).
 func (v *verifier) transfer(in isa.Instruction, off uint32, st astate) astate {
 	out := st
-	cfg.Transfer(in, &out.regs, in.Op == isa.OpLDI32 && v.relocatedImm(off))
+	transferRegs(in, &out.regs, in.Op == isa.OpLDI32 && v.relocatedImm(off))
 	if in.Op == isa.OpRET {
 		out.dlo = max32(out.dlo-1, 0)
 		out.dhi = max32(out.dhi-1, 0)
@@ -233,16 +229,16 @@ func (v *verifier) checkInsn(in isa.Instruction, off uint32, st astate, maxFrame
 
 // checkAccess validates one memory access given the abstract base
 // value. sz is the access width in bytes; store distinguishes writes.
-func (v *verifier) checkAccess(off uint32, in isa.Instruction, base cfg.Value, imm int16, sz uint32, store bool) {
+func (v *verifier) checkAccess(off uint32, in isa.Instruction, base absValue, imm int16, sz uint32, store bool) {
 	dis := in.String()
 	switch base.K {
-	case cfg.Top:
+	case kindTop:
 		return
 
-	case cfg.Stack:
+	case kindStack:
 		// Image offset of the access, relative to base 0: the initial
 		// SP sits at loadSize.
-		soff := int64(v.stackTop) + int64(base.Delta()) + int64(imm)
+		soff := int64(v.stackTop) + int64(base.delta()) + int64(imm)
 		if soff < int64(v.stackLow) {
 			v.add(off, Warning, "stack-oob",
 				fmt.Sprintf("SP-relative access %d bytes below the %d-byte stack reservation", int64(v.stackLow)-soff, v.im.StackSize), dis)
@@ -251,7 +247,7 @@ func (v *verifier) checkAccess(off uint32, in isa.Instruction, base cfg.Value, i
 				"SP-relative access beyond the task's memory region", dis)
 		}
 
-	case cfg.Const:
+	case kindConst:
 		if base.Reloc {
 			// Image-relative address: the loader adds the (granule-
 			// aligned) base, so alignment and extent are decidable.

@@ -114,17 +114,6 @@ func (v *verifier) buildCFG() *CFG {
 	return g
 }
 
-// isTerminator reports whether op ends a basic block.
-func isTerminator(op isa.Op) bool {
-	switch op {
-	case isa.OpJMP, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE,
-		isa.OpBLTU, isa.OpBGEU, isa.OpJR, isa.OpCALL, isa.OpCALLR,
-		isa.OpRET, isa.OpHLT:
-		return true
-	}
-	return false
-}
-
 // blockSuccs resolves the static successor edges of the block whose last
 // instruction is d at off. It mirrors succs without re-emitting findings.
 func (v *verifier) blockSuccs(off uint32, d decoded, leaders map[uint32]bool, id map[uint32]int) []int {

@@ -3,7 +3,6 @@ package sverify
 import (
 	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/isa"
 )
 
@@ -76,7 +75,7 @@ func (v *verifier) indirectTarget(off uint32, in isa.Instruction) (uint32, bool)
 		return 0, false
 	}
 	val := st.regs[in.Rs]
-	if val.K != cfg.Const || !val.Reloc {
+	if val.K != kindConst || !val.Reloc {
 		return 0, false
 	}
 	t := val.V

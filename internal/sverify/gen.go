@@ -275,8 +275,8 @@ func GenImage(class GenClass, seed uint64) *telf.Image {
 		// constant at the external call site.
 		depth := int16(3 + r.intn(6))
 		b.emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R2, Imm: depth})
-		b.emit(isa.Instruction{Op: isa.OpCALL, Imm: 1}) // over the jmp, into f
-		b.emit(isa.Instruction{Op: isa.OpJMP, Imm: 5})  // over the 5-instruction f
+		b.emit(isa.Instruction{Op: isa.OpCALL, Imm: 1})             // over the jmp, into f
+		b.emit(isa.Instruction{Op: isa.OpJMP, Imm: 5})              // over the 5-instruction f
 		b.emit(isa.Instruction{Op: isa.OpCMPI, Rd: isa.R2, Imm: 0}) // f:
 		b.emit(isa.Instruction{Op: isa.OpBEQ, Imm: 2})              // done: skip to ret
 		b.emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R2, Imm: -1})
@@ -289,8 +289,8 @@ func GenImage(class GenClass, seed uint64) *telf.Image {
 	case GenRecursionInfinite:
 		// f: f() — unguarded self-recursion on the must-execute path;
 		// the return-address pushes march SP out of the task's region.
-		b.emit(isa.Instruction{Op: isa.OpCALL, Imm: 1}) // over the jmp, into f
-		b.emit(isa.Instruction{Op: isa.OpJMP, Imm: 3})  // over the 3-instruction f
+		b.emit(isa.Instruction{Op: isa.OpCALL, Imm: 1})             // over the jmp, into f
+		b.emit(isa.Instruction{Op: isa.OpJMP, Imm: 3})              // over the 3-instruction f
 		b.emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R1, Imm: 1}) // f:
 		b.emit(isa.Instruction{Op: isa.OpCALL, Imm: -2})            // f, unconditionally
 		b.emit(isa.Instruction{Op: isa.OpRET})

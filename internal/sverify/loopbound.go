@@ -3,7 +3,6 @@ package sverify
 import (
 	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/isa"
 )
 
@@ -334,7 +333,7 @@ func (v *verifier) inInnerCycle(f *cgFunc, inS map[uint32]bool, header, node uin
 // predecessors and, via extEntry, external call sites — must agree on
 // one non-relocated constant.
 func (v *verifier) loopEntryValue(f *cgFunc, inS map[uint32]bool, header uint32, counter isa.Reg, extEntry func(isa.Reg) (uint32, bool)) (uint32, bool) {
-	var val cfg.Value
+	var val absValue
 	have := false
 	for _, p := range f.preds[header] {
 		if inS[p] {
@@ -346,7 +345,7 @@ func (v *verifier) loopEntryValue(f *cgFunc, inS map[uint32]bool, header uint32,
 		}
 		post := v.transfer(f.insns[p].in, p, st)
 		pv := post.regs[counter]
-		if pv.K != cfg.Const || pv.Reloc {
+		if pv.K != kindConst || pv.Reloc {
 			return 0, false
 		}
 		if have && pv.V != val.V {
@@ -362,7 +361,7 @@ func (v *verifier) loopEntryValue(f *cgFunc, inS map[uint32]bool, header uint32,
 		if have && ev != val.V {
 			return 0, false
 		}
-		val, have = cfg.ConstValue(ev), true
+		val, have = constValue(ev), true
 	}
 	if !have {
 		return 0, false // loop entered at the function entry: no preheader

@@ -325,7 +325,7 @@ func (e *boundEngine) externalCallValue(fn, selfSite uint32, r isa.Reg) (uint32,
 				return 0, false
 			}
 			pv := st.regs[r]
-			if !pv.IsConst() {
+			if !pv.isConst() {
 				return 0, false
 			}
 			if have && pv.V != val {

@@ -209,7 +209,7 @@ func Verify(im *telf.Image, cfg Config) *Report {
 	v.markDefinite()
 
 	rep := &Report{
-		Bounds: bounds,
+		Bounds:   bounds,
 		Name:     im.Name,
 		TextSize: uint32(len(im.Text)),
 		DataSize: uint32(len(im.Data)),

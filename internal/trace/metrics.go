@@ -21,9 +21,6 @@ type Counter struct {
 	n  uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	c.mu.Lock()

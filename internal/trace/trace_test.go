@@ -201,10 +201,10 @@ func TestRegistryPrometheus(t *testing.T) {
 
 func TestParsePrometheusRejects(t *testing.T) {
 	for _, bad := range []string{
-		"orphan 1",                          // sample without TYPE header
-		"# TYPE x counter\nx notanumber",    // bad value
-		"# TYPE x counter\nx 1\nx 2",        // duplicate
-		"# TYPE x counter\nnovaluehere",     // no value separator
+		"orphan 1",                       // sample without TYPE header
+		"# TYPE x counter\nx notanumber", // bad value
+		"# TYPE x counter\nx 1\nx 2",     // duplicate
+		"# TYPE x counter\nnovaluehere",  // no value separator
 	} {
 		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
 			t.Errorf("%q accepted", bad)

@@ -123,7 +123,7 @@ type SupEvent struct {
 }
 
 // maxEvents bounds the audit log so week-long chaos runs cannot grow it
-// without bound; older entries are dropped (the count is kept).
+// without bound; older entries are dropped.
 const maxEvents = 4096
 
 // watch is the supervisor's record of one task under supervision.
@@ -174,7 +174,6 @@ type Supervisor struct {
 
 	nextCheck uint64
 	events    []SupEvent
-	dropped   int
 	tcb       *rtos.TCB
 
 	counts SupCounts
@@ -288,15 +287,10 @@ func (s *Supervisor) Status(name string) (WatchStatus, bool) {
 // Events returns the audit log (oldest first; may have been truncated).
 func (s *Supervisor) Events() []SupEvent { return s.events }
 
-// DroppedEvents returns how many audit entries were discarded to bound
-// the log.
-func (s *Supervisor) DroppedEvents() int { return s.dropped }
-
 func (s *Supervisor) logEvent(task, what, detail string) {
 	if len(s.events) >= maxEvents {
 		n := copy(s.events, s.events[len(s.events)/2:])
 		s.events = s.events[:n]
-		s.dropped += maxEvents - n
 	}
 	s.events = append(s.events, SupEvent{
 		Cycle: s.k.M.Cycles(), Task: task, What: what, Detail: detail,
