@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race check bench tables latency-bench clean
+.PHONY: all build vet lint test race examples check bench tables latency-bench clean
 
 all: build
 
@@ -28,16 +28,26 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the gate CI and pre-commit should run: build, vet, lint and
-# the full test suite under the race detector. The suite carries every
-# byte-identity contract as a row of internal/contract — chaos and
-# scenario determinism, engine equivalence, observability and fleet
-# telemetry zero impact, fleet shard independence, the tytan-sim and
-# tytan-analyze exports and the resource bounds — each pinned to a
-# SHA-256 line in its package's testdata/contract.sum. Run one gate with
-# e.g. `go test -race -run TestFleetCheck ./internal/fleet`. Host-clock
-# timing lives in bench/.
-check: build vet lint race
+# examples runs every program under examples/ (directories without Go
+# files, such as examples/tasks, hold task sources and are skipped); a
+# non-zero exit fails the target. The fleet example uses loopback TCP.
+examples:
+	@for d in examples/*/; do \
+		[ -n "$$(ls $$d*.go 2>/dev/null)" ] || continue; \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "$$d exited non-zero"; exit 1; }; \
+	done
+
+# check is the gate CI and pre-commit should run: build, vet, lint, the
+# full test suite under the race detector and every example program.
+# The suite carries every byte-identity contract as a row of
+# internal/contract — chaos and scenario determinism, engine
+# equivalence, observability and fleet telemetry zero impact, fleet
+# shard independence, the tytan-sim and tytan-analyze exports and the
+# resource bounds — each pinned to a SHA-256 line in its package's
+# testdata/contract.sum. Run one gate with e.g. `go test -race -run
+# TestFleetCheck ./internal/fleet`. Host-clock timing lives in bench/.
+check: build vet lint race examples
 
 bench: latency-bench
 	$(GO) test -bench=. -benchtime=10x -run=^$$ .

@@ -1,13 +1,14 @@
 // Task update: replacing a running secure task with a new binary
 // *without a reboot* — the paper's §8 future work ("a mechanism to
 // update tasks at runtime ... to meet the high availability
-// requirements of embedded applications"), implemented on top of the
-// dynamic-loading machinery.
+// requirements of embedded applications"), implemented by the signed,
+// rollback-protected update service.
 //
-// A metering task v1 runs and seals its odometer state. An update to
-// v2 is applied while the system keeps scheduling: the replacement is
-// loaded, measured and isolated in the background; the switch-over
-// (mailbox transfer + sealed-state migration + schedule) takes a
+// A metering task v1 runs and seals its odometer state. The vendor
+// signs v2 under its update key, and the platform applies it while v1
+// keeps running: the replacement is verified, loaded, measured,
+// isolated and its version counter sealed first; the switch-over
+// (sealed-state migration + mailbox transfer + schedule) takes a
 // bounded, sub-millisecond window.
 //
 //	go run ./examples/taskupdate
@@ -49,8 +50,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	v2src := meter(2)
-	v2, err := asm.Assemble(v2src)
+	v2, err := asm.Assemble(meter(2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	pkg, err := platform.SignUpdate(v2, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,12 +74,13 @@ func main() {
 	}
 	before := len(platform.Output())
 
-	// Apply the update, migrating storage slot 1 to the new identity.
-	res, err := platform.UpdateTask(old.ID, v2, []uint32{1})
+	// Apply the signed update, migrating storage slot 1 to the new
+	// identity.
+	res, err := platform.ApplyUpdate(old.ID, pkg, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("updated to v2, identity %x\n", res.NewIdentity)
+	fmt.Printf("updated to version %d, identity %x\n", res.ToVersion, res.NewIdentity)
 	fmt.Printf("switch-over downtime: %d cycles (%.0f µs at %d MHz)\n",
 		res.DowntimeCycles,
 		float64(machine.CyclesToNanos(res.DowntimeCycles))/1000,
@@ -89,7 +94,7 @@ func main() {
 	fmt.Printf("output after update is all v2 digits:     %q\n", after)
 
 	// The migrated state unseals under the *new* identity.
-	state, err := platform.Unseal(res.New.ID, 1)
+	state, err := platform.Unseal(res.New, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package analyze
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,6 +58,34 @@ func TestAnalyzeTaskWindows(t *testing.T) {
 	last := tasks[2]
 	if last.Subject != "a" || last.End != 1000 || last.Unclosed {
 		t.Errorf("last window = %+v", last)
+	}
+}
+
+// TestAnalyzeConcatenatedStreams: a merged stream concatenates lanes
+// whose cycle counters restart. Each lane's task windows come out as if
+// it were analyzed alone: the last window of one lane closes where that
+// lane ended, never at the next lane's first dispatch.
+func TestAnalyzeConcatenatedStreams(t *testing.T) {
+	laneA := []trace.Event{
+		ev(100, trace.SubKernel, trace.KindTaskSwitch, "a"),
+		ev(400, trace.SubKernel, trace.KindTaskSwitch, "b"),
+		ev(1000, trace.SubKernel, trace.KindCustom, ""),
+	}
+	laneB := []trace.Event{
+		ev(20, trace.SubKernel, trace.KindCustom, ""),
+		ev(50, trace.SubKernel, trace.KindTaskSwitch, "c"),
+		ev(300, trace.SubKernel, trace.KindTaskSwitch, "d"),
+		ev(700, trace.SubKernel, trace.KindCustom, ""),
+	}
+	want := append(spansOf(Analyze(laneA), ClassTask), spansOf(Analyze(laneB), ClassTask)...)
+	got := spansOf(Analyze(append(append([]trace.Event(nil), laneA...), laneB...)), ClassTask)
+	sortSpans := func(s []Span) {
+		sort.Slice(s, func(i, j int) bool { return s[i].Subject < s[j].Subject })
+	}
+	sortSpans(want)
+	sortSpans(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged task windows = %+v, want %+v", got, want)
 	}
 }
 

@@ -211,8 +211,13 @@ func Analyze(events []trace.Event) *Analysis {
 	}
 
 	// curTask / curSince track the running task for activation windows.
+	// streamLast is the highest cycle the current platform stream has
+	// reached: a merged multi-device stream concatenates lanes whose
+	// cycle counters restart, and a dispatch stamped before the open
+	// window's start marks such a restart. The window then closes where
+	// its own stream ended, not at the next lane's first dispatch.
 	var curTask string
-	var curSince uint64
+	var curSince, streamLast uint64
 	haveTask := false
 
 	// loadPhase tracks the current phase of each in-flight load so
@@ -224,6 +229,11 @@ func Analyze(events []trace.Event) *Analysis {
 	loadPhase := make(map[string]phaseMark)
 
 	for _, e := range events {
+		if e.Kind == trace.KindTaskSwitch && haveTask && e.Cycle < curSince {
+			a.Spans = append(a.Spans, Span{Class: ClassTask, Subject: curTask, Start: curSince, End: streamLast})
+			haveTask, streamLast = false, 0
+		}
+		streamLast = max(streamLast, e.Cycle)
 		switch e.Kind {
 		case trace.KindIRQ, trace.KindTick:
 			// One event carries the whole service window: the kernel
@@ -341,7 +351,7 @@ func Analyze(events []trace.Event) *Analysis {
 
 	// Cut whatever is still in flight at the end of the trace.
 	if haveTask {
-		a.Spans = append(a.Spans, Span{Class: ClassTask, Subject: curTask, Start: curSince, End: a.LastCycle})
+		a.Spans = append(a.Spans, Span{Class: ClassTask, Subject: curTask, Start: curSince, End: streamLast})
 	}
 	for name, m := range loadPhase {
 		a.Spans = append(a.Spans, Span{Class: loadPhaseClass + m.phase, Subject: name, Start: m.since, End: a.LastCycle, Unclosed: true})

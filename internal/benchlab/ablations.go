@@ -96,7 +96,7 @@ func AblationStaticMPU() (Table, error) {
 	t.AddRow("rule setup time", "boot only", "runtime")
 	t.AddRow("per-task config cost (cycles)", uint64(0), perTask)
 	t.AddRow("load new task after boot", staticLoad, "supported")
-	t.AddRow("update/replace a task", "reboot required", "UpdateTask (bounded downtime)")
+	t.AddRow("update/replace a task", "reboot required", "ApplyUpdate (bounded downtime)")
 	free := eampu.NumSlots - 7 // boot rules
 	t.AddRow("max concurrent protected tasks", free, free)
 	t.Note("dynamic configuration buys runtime flexibility for ≈%d cycles per loaded task (<0.2 %% of a secure task's creation cost)", perTask)

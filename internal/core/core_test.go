@@ -501,7 +501,7 @@ func TestStaticConfiguration(t *testing.T) {
 	if err := p.Unload(1); !errors.Is(err, ErrStaticConfig) {
 		t.Errorf("runtime unload = %v", err)
 	}
-	if _, err := p.UpdateTask(1, im, nil); !errors.Is(err, ErrStaticConfig) {
+	if _, err := p.ApplyUpdate(1, nil, 0); !errors.Is(err, ErrStaticConfig) {
 		t.Errorf("runtime update = %v", err)
 	}
 }

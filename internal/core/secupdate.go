@@ -44,12 +44,15 @@ func (p *Platform) SignUpdate(im *telf.Image, version uint64) ([]byte, error) {
 }
 
 // ApplyUpdate runs the full secure update pipeline on a loaded secure
-// task: verify signature, enforce the sealed monotonic counter, stage,
-// swap abort-safely, and re-attest under nonce. Enables the service on
-// first use. Refused on statically configured platforms — runtime task
-// replacement is exactly what TrustLite-style static configuration
-// forbids.
-func (p *Platform) ApplyUpdate(id rtos.TaskID, pkg []byte, nonce uint64) (*trusted.UpdateReport, error) {
+// task: verify signature, enforce the sealed monotonic counter, stage
+// and install the new version while the old one stays schedulable, swap
+// abort-safely — re-sealing the listed storage slots to the new
+// identity and carrying a pending mailbox message over — and re-attest
+// under nonce. This is the platform's one runtime update path (the
+// paper's §8 future work). Enables the service on first use. Refused
+// on statically configured platforms — runtime task replacement is
+// exactly what TrustLite-style static configuration forbids.
+func (p *Platform) ApplyUpdate(id rtos.TaskID, pkg []byte, nonce uint64, migrate ...uint32) (*trusted.UpdateReport, error) {
 	if p.staticOnly {
 		return nil, ErrStaticConfig
 	}
@@ -57,5 +60,5 @@ func (p *Platform) ApplyUpdate(id rtos.TaskID, pkg []byte, nonce uint64) (*trust
 	if err != nil {
 		return nil, err
 	}
-	return u.Apply(id, pkg, nonce)
+	return u.Apply(id, pkg, nonce, migrate...)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,6 +107,39 @@ func TestSecureUpdateConfigurationGates(t *testing.T) {
 	}
 }
 
+// TestSecureUpdateKeepsBounds: under the strict gate, an updated task
+// carries its certified resource bounds on the registry entry, exactly
+// as a freshly loaded one does.
+func TestSecureUpdateKeepsBounds(t *testing.T) {
+	p, err := NewPlatform(Options{StrictVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	old, _, err := p.LoadTaskSync(mustImage(t, meterV1), Secure, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := p.C.RTM.LookupByTask(old.ID); e.Bounds == nil {
+		t.Fatal("loaded task has no bounds; test premise broken")
+	}
+	rep, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := p.C.RTM.LookupByTask(rep.New)
+	if !ok {
+		t.Fatal("updated task unregistered")
+	}
+	want, err := p.C.Gate.Check(mustImage(t, meterV2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Bounds == nil || !reflect.DeepEqual(*e.Bounds, *want.Bounds) {
+		t.Errorf("updated task bounds = %+v, want %+v", e.Bounds, want.Bounds)
+	}
+}
+
 // TestSecureUpdateCounterSurvivesRestart: the sealed version counter is
 // bound to the measured identity, not the task incarnation — a
 // supervisor restart of the updated binary leaves rollback protection
@@ -156,32 +190,33 @@ func TestSecureUpdateCounterSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSecureUpdateCounterMigratesWithIdentity: the live-update path
-// (UpdateTask with slot migration) moves the version counter to the new
-// identity, and the secure update service keeps enforcing monotonicity
-// against it afterwards.
+// TestSecureUpdateCounterMigratesWithIdentity: an update moves the
+// version counter to the new identity — even when the caller also lists
+// the counter's slot for migration, the freshly sealed counter wins —
+// and the secure update service keeps enforcing monotonicity against it
+// afterwards.
 func TestSecureUpdateCounterMigratesWithIdentity(t *testing.T) {
 	p := newTyTAN(t)
 	old, _, err := p.LoadTaskSync(mustImage(t, meterV1), Secure, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 4), 0)
+	rep, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Owner-authorized live update, explicitly migrating the counter
-	// slot alongside the identity change.
-	res, err := p.UpdateTask(rep.New, mustImage(t, meterV1), []uint32{trusted.CounterSlot("meter")})
+	// Owner-authorized update, explicitly migrating the counter slot
+	// alongside the identity change.
+	res, err := p.ApplyUpdate(rep.New, signedMeter(t, p, meterV1, 4), 0, trusted.CounterSlot("meter"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The migrated counter still blocks downgrades...
-	if _, err := p.ApplyUpdate(res.New.ID, signedMeter(t, p, meterV2, 3), 0); !errors.Is(err, trusted.ErrUpdateDowngrade) {
+	if _, err := p.ApplyUpdate(res.New, signedMeter(t, p, meterV2, 3), 0); !errors.Is(err, trusted.ErrUpdateDowngrade) {
 		t.Fatalf("downgrade after migration = %v, want ErrUpdateDowngrade", err)
 	}
 	// ...and a fresher version reads it as its base.
-	rep2, err := p.ApplyUpdate(res.New.ID, signedMeter(t, p, meterV2, 7), 0)
+	rep2, err := p.ApplyUpdate(res.New, signedMeter(t, p, meterV2, 7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/rtos"
 	"repro/internal/trusted"
 )
 
@@ -54,7 +53,7 @@ func TestUpdateTaskSwitchesVersions(t *testing.T) {
 		t.Fatalf("v1 not running: %q", beforeOut)
 	}
 
-	res, err := p.UpdateTask(old.ID, v2, nil)
+	res, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestUpdateTaskSwitchesVersions(t *testing.T) {
 	if _, ok := p.K.Task(old.ID); ok {
 		t.Error("old task still present")
 	}
-	if res.New.Priority != old.Priority {
+	if nt, ok := p.K.Task(res.New); !ok || nt.Priority != old.Priority {
 		t.Error("priority not inherited")
 	}
 	// Downtime is bounded kernel work, far below a scheduling period.
@@ -92,7 +91,6 @@ func TestUpdateTaskSwitchesVersions(t *testing.T) {
 func TestUpdateMigratesSealedState(t *testing.T) {
 	p := newTyTAN(t)
 	v1 := mustImage(t, meterV1)
-	v2 := mustImage(t, meterV2)
 	old, _, err := p.LoadTaskSync(v1, Secure, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +100,14 @@ func TestUpdateMigratesSealedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := p.UpdateTask(old.ID, v2, []uint32{4})
+	res, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.MigratedSlots) != 1 || res.MigratedSlots[0] != 4 {
 		t.Errorf("migrated = %v", res.MigratedSlots)
 	}
-	got, err := p.Unseal(res.New.ID, 4)
+	got, err := p.Unseal(res.New, 4)
 	if err != nil || string(got) != string(secret) {
 		t.Fatalf("new version unseal = %q, %v", got, err)
 	}
@@ -118,7 +116,6 @@ func TestUpdateMigratesSealedState(t *testing.T) {
 func TestUpdateWithoutMigrationLosesAccess(t *testing.T) {
 	p := newTyTAN(t)
 	v1 := mustImage(t, meterV1)
-	v2 := mustImage(t, meterV2)
 	old, _, err := p.LoadTaskSync(v1, Secure, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +123,11 @@ func TestUpdateWithoutMigrationLosesAccess(t *testing.T) {
 	if err := p.Seal(old.ID, 4, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.UpdateTask(old.ID, v2, nil)
+	res, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Unseal(res.New.ID, 4); !errors.Is(err, trusted.ErrSealDenied) {
+	if _, err := p.Unseal(res.New, 4); !errors.Is(err, trusted.ErrSealDenied) {
 		t.Errorf("unmigrated unseal = %v, want ErrSealDenied", err)
 	}
 }
@@ -138,7 +135,6 @@ func TestUpdateWithoutMigrationLosesAccess(t *testing.T) {
 func TestUpdateTransfersMailbox(t *testing.T) {
 	p := newTyTAN(t)
 	v1 := mustImage(t, meterV1)
-	v2 := mustImage(t, meterV2)
 	old, oldID, err := p.LoadTaskSync(v1, Secure, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -153,19 +149,19 @@ func TestUpdateTransfersMailbox(t *testing.T) {
 		t.Fatalf("send status %d", status)
 	}
 
-	res, err := p.UpdateTask(old.ID, v2, nil)
+	res, err := p.ApplyUpdate(old.ID, signedMeter(t, p, meterV2, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The pending message now sits in the new version's mailbox.
-	e, ok := p.C.RTM.LookupByTask(res.New.ID)
+	e, ok := p.C.RTM.LookupByTask(res.New)
 	if !ok {
 		t.Fatal("new task unregistered")
 	}
 	box, _ := trusted.MailboxAddr(e)
 	read := func(off uint32) uint32 {
 		var v uint32
-		p.M.WithExecContext(res.New.Placement.Base, func() { v, _ = p.M.Read32(box + off) })
+		p.M.WithExecContext(e.Placement.Base, func() { v, _ = p.M.Read32(box + off) })
 		return v
 	}
 	if read(0) != 1 || read(16) != 0xCAFE {
@@ -175,15 +171,15 @@ func TestUpdateTransfersMailbox(t *testing.T) {
 
 func TestUpdateErrors(t *testing.T) {
 	p := newTyTAN(t)
-	v2 := mustImage(t, meterV2)
-	if _, err := p.UpdateTask(999, v2, nil); !errors.Is(err, rtos.ErrNoSuchTask) {
+	v2 := signedMeter(t, p, meterV2, 2)
+	if _, err := p.ApplyUpdate(999, v2, 0); !errors.Is(err, trusted.ErrUpdateBadTarget) {
 		t.Errorf("unknown task = %v", err)
 	}
 	norm, _, err := p.LoadTaskSync(mustImage(t, meterV1), Normal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.UpdateTask(norm.ID, v2, nil); err == nil {
+	if _, err := p.ApplyUpdate(norm.ID, v2, 0); err == nil {
 		t.Error("normal task updated")
 	}
 	// Baseline platform cannot update.
@@ -191,7 +187,7 @@ func TestUpdateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.UpdateTask(1, v2, nil); !errors.Is(err, ErrBaselineOnly) {
+	if _, err := bp.ApplyUpdate(1, v2, 0); !errors.Is(err, ErrBaselineOnly) {
 		t.Errorf("baseline update = %v", err)
 	}
 	// Migrating an empty slot fails and rolls the update back.
@@ -199,11 +195,23 @@ func TestUpdateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.UpdateTask(sec.ID, mustImage(t, meterV1), []uint32{77}); err == nil {
-		t.Error("migration of empty slot succeeded")
+	if _, err := p.ApplyUpdate(sec.ID, signedMeter(t, p, meterV1, 3), 0, 77); !errors.Is(err, trusted.ErrNoSlot) {
+		t.Errorf("migration of empty slot = %v, want ErrNoSlot", err)
 	}
 	if _, ok := p.K.Task(sec.ID); !ok {
 		t.Error("failed update removed the old task")
+	}
+	// A migration that fails part-way publishes nothing: the slot
+	// re-sealed before the failure still belongs to the old version.
+	secret := []byte("odometer=123456")
+	if err := p.Seal(sec.ID, 4, secret); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ApplyUpdate(sec.ID, signedMeter(t, p, meterV1, 3), 0, 4, 77); !errors.Is(err, trusted.ErrNoSlot) {
+		t.Errorf("partial migration = %v, want ErrNoSlot", err)
+	}
+	if got, err := p.Unseal(sec.ID, 4); err != nil || string(got) != string(secret) {
+		t.Errorf("old version unseal after failed migration = %q, %v", got, err)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // so across a fleet running a handful of firmware builds the verdict is
 // computed once per distinct digest and served from cache for every
 // other device. Today the miss path is a set membership test; once the
-// attestation PKI lands (ROADMAP item 2) it becomes a certificate-chain
-// walk, and the cache is what keeps the plane's throughput flat.
+// attestation PKI lands (the carried-over attestation-PKI item in
+// ROADMAP.md) it becomes a certificate-chain walk, and the cache is what
+// keeps the plane's throughput flat.
 
 // Cache memoizes identity appraisals keyed by measurement digest. Safe
 // for concurrent use. Lookup and fill happen under one lock, so the

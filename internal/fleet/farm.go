@@ -218,7 +218,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// The verifier plane. All simulated devices boot from the same
 	// development platform key, so one provider verifier covers the
-	// whole fleet (per-device endorsement keys are ROADMAP item 2).
+	// whole fleet (per-device endorsement keys are the carried-over
+	// attestation-PKI item in ROADMAP.md).
 	client := remote.NewClient(trusted.NewVerifier(core.DevKey, cfg.Provider), cfg.Provider, remote.ClientOptions{})
 	reg := NewRegistry(cfg.MaxFailures)
 	for i := 0; i < cfg.Devices; i++ {

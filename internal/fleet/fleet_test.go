@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/analyze"
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/remote"
@@ -385,6 +388,60 @@ func TestPlaneHelloFlood(t *testing.T) {
 // faulty device burns its failure budget, is quarantined, and its later
 // hellos are refused. Cache misses equal the number of distinct
 // measurements the plane saw.
+// TestMergedStreamTaskWindows: the fleet's combined event stream
+// concatenates device lanes whose cycle counters restart at boot. No
+// reconstructed span may run backwards across a lane boundary, and two
+// concatenated single-device streams yield the task windows each yields
+// alone.
+func TestMergedStreamTaskWindows(t *testing.T) {
+	res, err := Run(Config{Devices: 4, Rounds: 3, CollectEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range analyze.Analyze(res.Events).Spans {
+		if s.End < s.Start {
+			t.Errorf("span runs backwards: %+v", s)
+		}
+	}
+
+	var lanes [][]trace.Event
+	var want []analyze.Span
+	for _, rounds := range []int{3, 1} {
+		res, err := Run(Config{Devices: 1, Rounds: rounds, CollectEvents: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes = append(lanes, res.Events)
+		want = append(want, taskWindows(analyze.Analyze(res.Events))...)
+	}
+	got := taskWindows(analyze.Analyze(append(append([]trace.Event(nil), lanes[0]...), lanes[1]...)))
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("merged task windows:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// taskWindows returns the analysis's task spans ordered by subject,
+// start and end.
+func taskWindows(a *analyze.Analysis) []analyze.Span {
+	var out []analyze.Span
+	for _, s := range a.Spans {
+		if s.Class == analyze.ClassTask {
+			out = append(out, s)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		x, y := out[i], out[j]
+		if x.Subject != y.Subject {
+			return x.Subject < y.Subject
+		}
+		if x.Start != y.Start {
+			return x.Start < y.Start
+		}
+		return x.End < y.End
+	})
+	return out
+}
+
 func TestFarmQuarantinesFaultyDevice(t *testing.T) {
 	cfg := Config{
 		Devices: 8, Rounds: 5, Shards: 4, Seed: 7,

@@ -71,14 +71,25 @@ func (s *Storage) sealCost(n int) {
 
 // Store seals data under the requesting task's key into slot.
 func (s *Storage) Store(t *rtos.TCB, slot uint32, data []byte) error {
-	kt, _, err := s.taskKey(t)
+	blob, err := s.seal(t, data)
 	if err != nil {
 		return err
 	}
+	s.blobs[slot] = blob
+	return nil
+}
+
+// seal encrypts-and-MACs data under t's task key without writing any
+// slot. The updater seals the new version's state ahead of the swap and
+// writes the blobs only once nothing can fail any more.
+func (s *Storage) seal(t *rtos.TCB, data []byte) ([]byte, error) {
+	kt, _, err := s.taskKey(t)
+	if err != nil {
+		return nil, err
+	}
 	s.sealCost(len(data))
 	s.nonces++
-	s.blobs[slot] = hcrypto.Seal(kt, s.nonces, data)
-	return nil
+	return hcrypto.Seal(kt, s.nonces, data), nil
 }
 
 // Load unseals slot for the requesting task. A task whose identity
@@ -99,20 +110,6 @@ func (s *Storage) Load(t *rtos.TCB, slot uint32) ([]byte, error) {
 		return nil, ErrSealDenied
 	}
 	return pt, nil
-}
-
-// Migrate re-seals a slot from one loaded task's identity to
-// another's: unseal under the source task's key, seal under the
-// destination task's key. This is the owner-authorized escape hatch a
-// runtime task *update* needs — by construction the updated binary has
-// a new identity and could never unseal the old data itself. Both
-// tasks must be loaded (and therefore measured) when migration runs.
-func (s *Storage) Migrate(from, to *rtos.TCB, slot uint32) error {
-	pt, err := s.Load(from, slot)
-	if err != nil {
-		return err
-	}
-	return s.Store(to, slot, pt)
 }
 
 // Slots returns the number of occupied slots.

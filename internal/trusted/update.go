@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/rtos"
 	"repro/internal/sha1"
+	"repro/internal/sverify"
 	"repro/internal/telf"
 	"repro/internal/trace"
 )
@@ -25,16 +26,24 @@ import (
 //
 //	verify    manifest decode, HMAC signature, target-name match
 //	counter   quarantine check + sealed monotonic counter compare
-//	stage     load the new image into fresh memory (old task still runs)
-//	stop      suspend the old task — downtime starts here
-//	install   install/protect/measure/register the new task, suspended
-//	commit    advance the sealed counter, resume new, unload old
+//	stage     load the new image into fresh memory
+//	install   install/protect/measure/register the new task, suspended,
+//	          and seal its version counter under the new identity
+//	stop      suspend the old task — downtime starts here — and re-seal
+//	          the caller's migrate slots under the new identity
+//	commit    resume new, carry the pending mailbox over, write the
+//	          re-sealed slots and the counter, unload old
 //
 // then a fresh attestation quote over the new identity, so a remote
-// verifier observes the new measurement, never a stale one. A fault in
-// any phase before commit unwinds via loader.Job.Abort and resumes the
-// old task; the counter is only written in commit, so an unwound update
-// never burns a version number.
+// verifier observes the new measurement, never a stale one. Everything
+// up to install runs while the old version is still schedulable, so the
+// downtime is stop..commit only: bounded bookkeeping plus one
+// unseal/re-seal per migrated slot, independent of the image size. A
+// fault in any phase unwinds via loader.Job.Abort or Unload and leaves
+// the old task running; the counter and the migrated slots are written
+// only after every step that can fail, so an unwound update never burns
+// a version number and never strands sealed state under an identity
+// that is not running.
 //
 // Every request ends in exactly one typed trace event: update-accepted,
 // update-denied (with a reason attribute), or update-rolled-back (with
@@ -65,15 +74,15 @@ const (
 	UpdateVerify UpdatePhase = iota
 	UpdateCounter
 	UpdateStage
-	UpdateStop
 	UpdateInstall
+	UpdateStop
 	UpdateCommit
 
 	numUpdatePhases
 )
 
 var updatePhaseNames = [numUpdatePhases]string{
-	"verify", "counter", "stage", "stop", "install", "commit",
+	"verify", "counter", "stage", "install", "stop", "commit",
 }
 
 // String names the phase.
@@ -162,6 +171,9 @@ type UpdateReport struct {
 	// DowntimeCycles is the window in which neither version was
 	// schedulable: old suspend through new resume.
 	DowntimeCycles uint64
+	// MigratedSlots lists the storage slots re-sealed to the new
+	// identity.
+	MigratedSlots []uint32
 	// Quote is the fresh post-update attestation over the new identity.
 	Quote Quote
 	Nonce uint64
@@ -220,11 +232,15 @@ func (u *Updater) enter(phase UpdatePhase) error {
 }
 
 // Apply runs the full update pipeline: replace the secure task id with
-// the signed package pkg, then re-attest the result under nonce. On a
-// denial or an aborted swap the old task is untouched (and, if it was
-// stopped, resumed) — Apply never leaves the device without a runnable
-// version of the task.
-func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64) (*UpdateReport, error) {
+// the signed package pkg, re-seal the listed storage slots from the old
+// identity to the new one, then re-attest the result under nonce. The
+// new task inherits the old one's priority and any undelivered mailbox
+// message. Slot migration is the owner-authorized escape hatch: by
+// construction the new binary has a new identity and could never unseal
+// the old data itself. On a denial or an aborted swap the old task and
+// its sealed state are untouched (and, if it was stopped, resumed) —
+// Apply never leaves the device without a runnable version of the task.
+func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64, migrate ...uint32) (*UpdateReport, error) {
 	m := u.k.M
 
 	old, ok := u.k.Task(id)
@@ -259,11 +275,14 @@ func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64) (*UpdateReport
 		return nil, u.deny(name, DenyBadTarget, version,
 			fmt.Errorf("%w: package is for %q", ErrUpdateBadTarget, im.Name))
 	}
+	var bounds *sverify.Bounds
 	if u.c.Gate != nil {
 		m.Charge(u.c.Gate.Cost(im))
-		if _, err := u.c.Gate.Check(im); err != nil {
+		rep, err := u.c.Gate.Check(im)
+		if err != nil {
 			return nil, u.deny(name, DenyCorrupt, version, fmt.Errorf("%w: %w", ErrUpdateCorrupt, err))
 		}
+		bounds = rep.Bounds
 	}
 	newID := IdentityOfImage(im)
 
@@ -307,46 +326,108 @@ func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64) (*UpdateReport
 	}
 	m.Charge(machine.CostAllocBase + uint64(scanned)*machine.CostAllocPerRegion)
 	job := loader.NewJob(m, im, base)
+	// From here on a fault unwinds through abort: it removes whatever
+	// of the new version exists and resumes the old one if it was
+	// stopped. Nothing it undoes is visible outside the swap: the sealed
+	// counter and slots are written only once nothing can fail.
+	var newTCB *rtos.TCB
+	stopped := false
+	abort := func(phase UpdatePhase, err error) (*UpdateReport, error) {
+		if newTCB != nil {
+			// Unload funnels through the exit hooks, so the EA-MPU
+			// rules, registry entry and memory all go with the task.
+			u.k.Unload(newTCB.ID)
+		} else {
+			// Revert the load (which also invalidates any compiled code
+			// over the extent) and free the memory.
+			if !job.Aborted() {
+				cost, _ := job.Abort()
+				m.Charge(cost)
+			}
+			u.k.Alloc.Free(base)
+		}
+		if stopped {
+			u.k.Resume(id)
+		}
+		return nil, u.rollBack(name, phase, version, err)
+	}
 	cost, err := job.Run()
 	m.Charge(cost)
 	if err != nil {
-		u.scrub(job, base)
-		return nil, u.rollBack(name, UpdateStage, version, err)
+		return abort(UpdateStage, err)
+	}
+
+	// --- install (old task still running) -------------------------
+	if err := u.enter(UpdateInstall); err != nil {
+		return abort(UpdateInstall, err)
+	}
+	tcb, err := u.k.InstallTaskSuspended(name, rtos.KindSecure, old.Priority, job.Placement())
+	if err != nil {
+		return abort(UpdateInstall, err)
+	}
+	newTCB = tcb
+	if _, err := u.c.Driver.ProtectTask(newTCB); err != nil {
+		return abort(UpdateInstall, err)
+	}
+	mjob := u.c.RTM.NewMeasureJob(job.Placement().Image, base, nil)
+	mcost, err := mjob.Run()
+	m.Charge(mcost)
+	if err != nil {
+		return abort(UpdateInstall, err)
+	}
+	if measured, _ := mjob.Identity(); measured != newID {
+		// The staged bytes do not hash to the verified image — RAM was
+		// perturbed between stage and measure.
+		return abort(UpdateInstall, fmt.Errorf("staged image measurement mismatch"))
+	}
+	newEntry := u.c.RTM.Register(newTCB, job.Placement().Image, job.Placement(), newID)
+	newEntry.Bounds = bounds
+	var enc [8]byte
+	binary.LittleEndian.PutUint64(enc[:], version)
+	counter, err := u.c.Storage.seal(newTCB, enc[:])
+	if err != nil {
+		return abort(UpdateInstall, err)
 	}
 
 	// --- stop ------------------------------------------------------
 	if err := u.enter(UpdateStop); err != nil {
-		u.scrub(job, base)
-		return nil, u.rollBack(name, UpdateStop, version, err)
+		return abort(UpdateStop, err)
 	}
 	if err := u.k.Suspend(id); err != nil {
-		u.scrub(job, base)
-		return nil, u.rollBack(name, UpdateStop, version, err)
+		return abort(UpdateStop, err)
 	}
+	stopped = true
 	downStart := m.Cycles()
-
-	// --- install ---------------------------------------------------
-	newTCB, err := u.install(UpdateInstall, name, old, job, base, version, newID)
-	if err != nil {
-		return nil, err
+	resealed := make([][]byte, len(migrate))
+	for i, s := range migrate {
+		pt, err := u.c.Storage.Load(old, s)
+		if err == nil {
+			resealed[i], err = u.c.Storage.seal(newTCB, pt)
+		}
+		if err != nil {
+			return abort(UpdateStop, fmt.Errorf("migrating slot %d: %w", s, err))
+		}
 	}
 
 	// --- commit ----------------------------------------------------
 	if err := u.enter(UpdateCommit); err != nil {
-		u.unwindInstalled(newTCB, id)
-		return nil, u.rollBack(name, UpdateCommit, version, err)
+		return abort(UpdateCommit, err)
 	}
 	m.Charge(machine.CostUpdateSwap)
-	var counter [8]byte
-	binary.LittleEndian.PutUint64(counter[:], version)
-	if err := u.c.Storage.Store(newTCB, slot, counter[:]); err != nil {
-		u.unwindInstalled(newTCB, id)
-		return nil, u.rollBack(name, UpdateCommit, version, err)
-	}
 	if err := u.k.Resume(newTCB.ID); err != nil {
-		u.unwindInstalled(newTCB, id)
-		return nil, u.rollBack(name, UpdateCommit, version, err)
+		return abort(UpdateCommit, err)
 	}
+	// A failed transfer leaves the source mailbox intact: its flag is
+	// cleared only after the copy.
+	if err := u.c.Proxy.TransferMailbox(oldEntry, newEntry); err != nil {
+		return abort(UpdateCommit, err)
+	}
+	// Nothing can fail from here on. The counter goes last, so a caller
+	// listing its slot in migrate cannot carry an older version over.
+	for i, s := range migrate {
+		u.c.Storage.blobs[s] = resealed[i]
+	}
+	u.c.Storage.blobs[slot] = counter
 	downtime := m.Cycles() - downStart
 	u.k.Unload(id)
 
@@ -367,6 +448,7 @@ func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64) (*UpdateReport
 		FromVersion:    current,
 		ToVersion:      version,
 		DowntimeCycles: downtime,
+		MigratedSlots:  append([]uint32(nil), migrate...),
 		Quote:          quote,
 		Nonce:          nonce,
 	}
@@ -374,61 +456,4 @@ func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64) (*UpdateReport
 		return report, fmt.Errorf("trusted: update committed but re-attestation failed: %w", err)
 	}
 	return report, nil
-}
-
-// install runs the install phase: bring the staged image up as a
-// suspended, protected, measured, registered task. Any fault scrubs the
-// staged memory and resumes the old task.
-func (u *Updater) install(phase UpdatePhase, name string, old *rtos.TCB, job *loader.Job, base uint32, version uint64, newID sha1.Digest) (*rtos.TCB, error) {
-	if err := u.enter(phase); err != nil {
-		u.scrub(job, base)
-		u.k.Resume(old.ID)
-		return nil, u.rollBack(name, phase, version, err)
-	}
-	newTCB, err := u.k.InstallTaskSuspended(name, rtos.KindSecure, old.Priority, job.Placement())
-	if err != nil {
-		u.scrub(job, base)
-		u.k.Resume(old.ID)
-		return nil, u.rollBack(name, phase, version, err)
-	}
-	if _, err := u.c.Driver.ProtectTask(newTCB); err != nil {
-		u.unwindInstalled(newTCB, old.ID)
-		return nil, u.rollBack(name, phase, version, err)
-	}
-	mjob := u.c.RTM.NewMeasureJob(job.Placement().Image, base, nil)
-	mcost, err := mjob.Run()
-	u.k.M.Charge(mcost)
-	if err != nil {
-		u.unwindInstalled(newTCB, old.ID)
-		return nil, u.rollBack(name, phase, version, err)
-	}
-	measured, _ := mjob.Identity()
-	if measured != newID {
-		// The staged bytes do not hash to the verified image — RAM was
-		// perturbed between stage and measure.
-		u.unwindInstalled(newTCB, old.ID)
-		return nil, u.rollBack(name, phase, version,
-			fmt.Errorf("staged image measurement mismatch"))
-	}
-	u.c.RTM.Register(newTCB, job.Placement().Image, job.Placement(), measured)
-	return newTCB, nil
-}
-
-// scrub unwinds a staged-but-not-installed image: revert the load
-// (which also invalidates any compiled code over the extent) and free
-// the memory.
-func (u *Updater) scrub(job *loader.Job, base uint32) {
-	if job != nil && !job.Aborted() {
-		cost, _ := job.Abort()
-		u.k.M.Charge(cost)
-	}
-	u.k.Alloc.Free(base)
-}
-
-// unwindInstalled removes a fully or partially installed new task and
-// resumes the old one. Unload funnels through the exit hooks, so the
-// EA-MPU rules, registry entry and memory all go with it.
-func (u *Updater) unwindInstalled(newTCB *rtos.TCB, old rtos.TaskID) {
-	u.k.Unload(newTCB.ID)
-	u.k.Resume(old)
 }

@@ -222,7 +222,13 @@ func TestUpdateCounterTamperRefused(t *testing.T) {
 	}
 }
 
+// TestUpdateRollbackAtEveryPhase: a fault at any phase leaves the old
+// version running with its pending mailbox message and its migrate slot
+// readable and the counter unburned; the clean retry then carries both
+// over to the new version.
 func TestUpdateRollbackAtEveryPhase(t *testing.T) {
+	const dataSlot = 4
+	secret := []byte("odometer=123456")
 	for _, phase := range UpdatePhases() {
 		phase := phase
 		t.Run(phase.String(), func(t *testing.T) {
@@ -230,6 +236,18 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 			buf := &trace.Buffer{}
 			r.u.Obs = buf
 			old := r.loadTask(t, mustImage(t, appSrc(1)), rtos.KindSecure, 3)
+			if err := r.c.Storage.Store(old, dataSlot, secret); err != nil {
+				t.Fatal(err)
+			}
+			// A peer leaves a message the old version never consumes.
+			peer := r.loadTask(t, mustImage(t, ".task \"peer\"\n.entry e\n.stack 128\n.bss 28\n.text\ne:\n jmp e\n"), rtos.KindSecure, 2)
+			oldEntry, _ := r.c.RTM.LookupByTask(old.ID)
+			if st := r.c.Proxy.Send(r.k, peer, oldEntry.TruncID, []uint32{0xCAFE}, 4, false); st != IPCStatusOK {
+				t.Fatalf("send status %d", st)
+			}
+			if err := r.k.Unload(peer.ID); err != nil {
+				t.Fatal(err)
+			}
 			live := r.k.Alloc.LiveCount()
 
 			injected := errors.New("power fail")
@@ -239,7 +257,7 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 				}
 				return nil
 			}
-			_, err := r.u.Apply(old.ID, r.pkg(t, 2, 5), 0)
+			_, err := r.u.Apply(old.ID, r.pkg(t, 2, 5), 0, dataSlot)
 			if !errors.Is(err, ErrUpdateAborted) {
 				t.Fatalf("Apply = %v, want ErrUpdateAborted", err)
 			}
@@ -254,6 +272,13 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 			if _, err := r.c.Attest.QuoteTask(old.ID, 7); err != nil {
 				t.Errorf("old task no longer attests: %v", err)
 			}
+			// It still holds its message and unseals its slot.
+			if flag, payload := mailboxOf(r.rig, oldEntry); flag != 1 || payload != 0xCAFE {
+				t.Errorf("old mailbox after rollback: flag=%d payload=%#x", flag, payload)
+			}
+			if got, err := r.c.Storage.Load(old, dataSlot); err != nil || string(got) != string(secret) {
+				t.Errorf("old unseal after rollback = %q, %v", got, err)
+			}
 			// No leaked allocations, no half-installed twin.
 			if got := r.k.Alloc.LiveCount(); got != live {
 				t.Errorf("allocator live count %d, want %d", got, live)
@@ -262,10 +287,22 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 				t.Errorf("%d tasks after rollback, want 1", n)
 			}
 			// The counter was not burned: the same version still applies
-			// cleanly afterwards.
+			// cleanly afterwards, carrying the message and the slot.
 			r.u.FaultHook = nil
-			if _, err := r.u.Apply(old.ID, r.pkg(t, 2, 5), 0); err != nil {
+			rep, err := r.u.Apply(old.ID, r.pkg(t, 2, 5), 0, dataSlot)
+			if err != nil {
 				t.Fatalf("retry after rollback: %v", err)
+			}
+			if rep.FromVersion != 0 {
+				t.Errorf("retry FromVersion = %d, want 0", rep.FromVersion)
+			}
+			newTCB, _ := r.k.Task(rep.New)
+			newEntry, _ := r.c.RTM.LookupByTask(rep.New)
+			if flag, payload := mailboxOf(r.rig, newEntry); flag != 1 || payload != 0xCAFE {
+				t.Errorf("new mailbox after retry: flag=%d payload=%#x", flag, payload)
+			}
+			if got, err := r.c.Storage.Load(newTCB, dataSlot); err != nil || string(got) != string(secret) {
+				t.Errorf("new unseal after retry = %q, %v", got, err)
 			}
 			// Exactly one rolled-back event naming the phase, then one
 			// accepted event.
@@ -286,6 +323,17 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mailboxOf reads a task's mailbox flag and first payload word from
+// the IPC proxy's protection context.
+func mailboxOf(r *rig, e *RegistryEntry) (flag, payload uint32) {
+	box, _ := MailboxAddr(e)
+	r.m.WithExecContext(IPCProxyBase, func() {
+		flag, _ = r.m.Read32(box)
+		payload, _ = r.m.Read32(box + 16)
+	})
+	return flag, payload
 }
 
 // deniedReasons extracts the reason attrs of denied events in order.
