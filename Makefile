@@ -15,11 +15,12 @@ vet:
 
 # lint fails on any Go file gofmt would change, then runs the repo's own
 # static analysis: the determinism vet passes over the simulator source
-# (tytan-vet) and the CFG-based binary verifier over every shipped task
-# source (tytan-lint).
+# and the commands and examples whose exports are pinned (tytan-vet),
+# and the CFG-based binary verifier over every shipped task source
+# (tytan-lint).
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/tytan-vet
+	$(GO) run ./cmd/tytan-vet internal cmd examples
 	$(GO) run ./cmd/tytan-lint examples/tasks/*.s
 
 test:

@@ -133,10 +133,11 @@ func TestTraceCheck(t *testing.T) {
 		}},
 		contract.Row{Name: "sim-prometheus", Produce: func(t *testing.T, _ contract.Point) []byte {
 			_, _, _, metrics := export(t)
-			samples, err := trace.ParsePrometheus(bytes.NewReader(metrics))
+			scrape, err := trace.ScrapePrometheus(bytes.NewReader(metrics))
 			if err != nil {
 				t.Fatalf("Prometheus text does not scrape: %v", err)
 			}
+			samples := scrape.Samples
 			if samples["tytan_cycles"] == 0 {
 				t.Errorf("tytan_cycles not exported or zero; got %v samples", len(samples))
 			}

@@ -381,6 +381,58 @@ irq_latency p99 <= 100c
 	}
 }
 
+// TestSample: the one event-to-duration rule. Each self-timed class
+// reads its own attribute; an attest request, a component-side quote
+// and a failed load carry no duration and are no samples.
+func TestSample(t *testing.T) {
+	for _, tc := range []struct {
+		e      trace.Event
+		class  string
+		cycles uint64
+		ok     bool
+	}{
+		{ev(10, trace.SubKernel, trace.KindIRQ, "", trace.Num("latency", 7)), ClassIRQ, 7, true},
+		{ev(10, trace.SubKernel, trace.KindTick, "", trace.Num("latency", 9)), ClassTick, 9, true},
+		{ev(10, trace.SubRemote, trace.KindAttest, "oem", trace.Str("phase", "request")), ClassAttest, 0, false},
+		{ev(10, trace.SubRemote, trace.KindAttest, "oem", trace.Str("phase", "reply"), trace.Num("rtt", 8)), ClassAttest, 8, true},
+		{ev(10, trace.SubAttest, trace.KindAttest, "oem", trace.Num("rtt", 8)), "", 0, false},
+		{ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "done"),
+			trace.Num("total", 5), trace.Num("latency", 6)), ClassLoad, 6, true},
+		{ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "failed")), "", 0, false},
+		{ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "alloc")), "", 0, false},
+		{ev(10, trace.SubKernel, trace.KindTaskSwitch, "t0"), "", 0, false},
+	} {
+		class, cycles, ok := Sample(tc.e)
+		if class != tc.class || cycles != tc.cycles || ok != tc.ok {
+			t.Errorf("Sample(%v) = %q, %d, %v; want %q, %d, %v", tc.e, class, cycles, ok, tc.class, tc.cycles, tc.ok)
+		}
+	}
+}
+
+// TestMonitorLoadTotalElapsed: load_total is the elapsed window,
+// request to schedulable, online as offline. The latency scenario's t2
+// load does 1,311,002 cycles of work over 1,386,448 elapsed; a bound
+// between the two must fire online on the done event, not only in the
+// offline verdict.
+func TestMonitorLoadTotalElapsed(t *testing.T) {
+	spec, err := ParseSpecString("load_total max <= 1350000c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 5_000
+	m := NewMonitor(spec, nil)
+	m.Emit(ev(c, trace.SubLoader, trace.KindLoadPhase, "t2", trace.Str("phase", "alloc")))
+	m.Emit(ev(c+1_386_448, trace.SubLoader, trace.KindLoadPhase, "t2", trace.Str("phase", "done"),
+		trace.Num("total", 1_311_002), trace.Num("latency", 1_386_448)))
+	if got := m.FiredRules(); len(got) != 1 {
+		t.Errorf("fired online = %v, want the load_total rule", got)
+	}
+	v := m.Verdict()
+	if v.Pass || v.Results[0].Measured != 1_386_448 {
+		t.Errorf("offline verdict = %+v, want a failure measuring 1386448", v.Results)
+	}
+}
+
 func TestMonitorIgnoresOwnViolations(t *testing.T) {
 	spec, err := ParseSpecString("eampu_violation == 0")
 	if err != nil {

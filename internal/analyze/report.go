@@ -124,14 +124,6 @@ func (r *Report) WriteText(w io.Writer) error {
 // `task;class;subject` stacks weighted by span duration. Lines are
 // sorted so output is deterministic.
 func WriteFolded(w io.Writer, a *Analysis) error {
-	// Task self time: activation-window spans per subject.
-	totals := make(map[string]uint64)
-	for _, s := range a.Spans {
-		if s.Class == ClassTask {
-			totals[s.Subject] += s.Duration()
-		}
-	}
-
 	// ownerAt finds the task running at a given cycle via the sorted
 	// activation windows.
 	var windows []Span
@@ -150,10 +142,11 @@ func WriteFolded(w io.Writer, a *Analysis) error {
 		return windows[i-1].Subject
 	}
 
+	// Task self time: the activation windows per task.
 	lines := make(map[string]uint64)
-	for task, cycles := range totals {
-		if cycles > 0 {
-			lines[task] += cycles
+	for task, tc := range a.taskCycles() {
+		if tc.Cycles > 0 {
+			lines[task] += tc.Cycles
 		}
 	}
 	for _, s := range a.Spans {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,7 +34,9 @@ import (
 //	tick_latency     tick spans only
 //	ipc_latency      ipc delivery spans
 //	attest_rtt       attestation round-trip spans
-//	load_total       whole-load spans
+//	load_total       whole-load spans, request → schedulable (online
+//	                 from the done event's latency, offline from the
+//	                 phase events: the same window)
 //	fleet_e2e        cross-domain attestation sessions (device hello →
 //	                 close, correlated with the plane's verdict events
 //	                 by session key)
@@ -291,10 +294,11 @@ func (s *Spec) Evaluate(a *Analysis) *Verdict {
 
 // Monitor evaluates a spec online, as a trace.Sink attached to the
 // live event stream. Only rules falsifiable by a single sample are
-// checked online: upper bounds on max (one span over the bound decides
-// the rule) and zero/upper bounds on occurrence counts. Percentile and
-// mean rules need the full population and are deferred to the offline
-// Evaluate pass — Verdict() runs it over everything the monitor saw.
+// checked online: upper bounds on max over the classes Sample covers
+// (one span over the bound decides the rule) and zero/upper bounds on
+// occurrence counts. Percentile and mean rules need the full population
+// and are deferred to the offline Evaluate pass — Verdict() runs it
+// over everything the monitor saw.
 //
 // On the first violation of each rule the monitor emits one
 // KindSLOViolation event into its output sink, stamping the violating
@@ -360,6 +364,7 @@ func (m *Monitor) Emit(e trace.Event) {
 	}
 	m.events = append(m.events, e)
 	m.counts[e.Kind]++
+	class, d, sampled := Sample(e)
 
 	for i, rule := range m.spec.Rules {
 		if m.fired[i] {
@@ -380,52 +385,10 @@ func (m *Monitor) Emit(e trace.Event) {
 			}
 			continue
 		}
-		if onlineMax(rule) {
-			if d, ok := m.spanSample(rule, e); ok && !rule.compare(d) {
-				m.fire(i, rule, e.Cycle, d)
-			}
+		if sampled && onlineMax(rule) && slices.Contains(rule.spanClasses(), class) && !rule.compare(d) {
+			m.fire(i, rule, e.Cycle, d)
 		}
 	}
-}
-
-// spanSample extracts a single span duration relevant to the rule from
-// one event, if the event closes such a span on its own (events that
-// carry their duration as an attribute).
-func (m *Monitor) spanSample(rule Rule, e trace.Event) (uint64, bool) {
-	classOf := func(k trace.Kind) (string, bool) {
-		switch k {
-		case trace.KindIRQ:
-			return ClassIRQ, true
-		case trace.KindTick:
-			return ClassTick, true
-		}
-		return "", false
-	}
-	for _, c := range rule.spanClasses() {
-		switch c {
-		case ClassIRQ, ClassTick:
-			if ec, ok := classOf(e.Kind); ok && ec == c {
-				if lat, ok := e.NumAttr("latency"); ok {
-					return lat, true
-				}
-			}
-		case ClassAttest:
-			if e.Kind == trace.KindAttest && e.Sub == trace.SubRemote {
-				if rtt, ok := e.NumAttr("rtt"); ok {
-					return rtt, true
-				}
-			}
-		case ClassLoad:
-			if e.Kind == trace.KindLoadPhase {
-				if ph, _ := e.Attr("phase"); ph.Str == "done" {
-					if total, ok := e.NumAttr("total"); ok {
-						return total, true
-					}
-				}
-			}
-		}
-	}
-	return 0, false
 }
 
 // fire emits the violation event for rule i (caller holds m.mu).

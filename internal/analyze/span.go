@@ -3,10 +3,12 @@
 // engine pairs start/end events into typed spans (interrupt service
 // windows, load-pipeline phases, attestation round-trips, IPC
 // deliveries, task activation windows); latency reports aggregate the
-// spans into per-class percentile tables; and a small declarative SLO
-// language (slo.go) evaluates bounds over them — online as a
-// trace.Sink while the simulation runs, or offline over an exported
-// Chrome trace.
+// spans into per-class percentile tables; the cycle-attribution
+// profile (profile.go) sums the task windows and load breakdowns; and a
+// small declarative SLO language (slo.go) evaluates bounds over them —
+// online as a trace.Sink while the simulation runs, or offline over an
+// exported Chrome trace. It is the only place cycles are attributed:
+// Sample is the one rule that reads a span duration off a single event.
 //
 // The whole layer is pure: it reads events and produces values, never
 // touching simulated state or charging cycles, so the paper's cycle
@@ -84,6 +86,10 @@ type Analysis struct {
 	// trap-to-trap execution segments the static verifier's worst-case
 	// burst bound must dominate. Nil when the stream has none.
 	Bursts map[string]BurstStats
+
+	// lastTask is the stream's final task window, cut at the last event
+	// (Profile runs it on to the platform's cycle count).
+	lastTask Span
 }
 
 // BurstStats aggregates the measured execution bursts of one task.
@@ -168,6 +174,43 @@ func (a *Analysis) Classes() []string {
 	return out
 }
 
+// Sample is the one rule that turns a single event into a span
+// duration, for the classes whose closing event carries its own length:
+//
+//	irq, tick  the kernel's interrupt event, "latency" (raise → exit)
+//	attest     a SubRemote attest reply, "rtt" (request → reply)
+//	load       a load's "done" event, "latency" (first phase event →
+//	           schedulable, the same window the offline load span covers)
+//
+// class is set for every event of those kinds and ok only when the
+// event carries the duration: an attest request does not. A failed
+// load closes its load span offline but carries no latency attribute,
+// so it is no sample; online consumers (Monitor, the platform's
+// histograms) see completed loads only.
+func Sample(e trace.Event) (class string, cycles uint64, ok bool) {
+	key := "latency"
+	switch e.Kind {
+	case trace.KindIRQ:
+		class = ClassIRQ
+	case trace.KindTick:
+		class = ClassTick
+	case trace.KindAttest:
+		if e.Sub != trace.SubRemote {
+			return "", 0, false
+		}
+		class, key = ClassAttest, "rtt"
+	case trace.KindLoadPhase:
+		if ph, _ := e.Attr("phase"); ph.Str != "done" {
+			return "", 0, false
+		}
+		class = ClassLoad
+	default:
+		return "", 0, false
+	}
+	cycles, ok = e.NumAttr(key)
+	return class, cycles, ok
+}
+
 // openSpan tracks a span whose end event has not arrived yet.
 type openSpan struct {
 	class   string
@@ -238,11 +281,7 @@ func Analyze(events []trace.Event) *Analysis {
 		case trace.KindIRQ, trace.KindTick:
 			// One event carries the whole service window: the kernel
 			// stamps completion and attributes the raise-to-exit latency.
-			class := ClassIRQ
-			if e.Kind == trace.KindTick {
-				class = ClassTick
-			}
-			lat, _ := e.NumAttr("latency")
+			class, lat, _ := Sample(e)
 			start := e.Cycle
 			if lat <= e.Cycle {
 				start = e.Cycle - lat
@@ -293,7 +332,7 @@ func Analyze(events []trace.Event) *Analysis {
 				// rtt attribute when a truncated trace lost the request.
 				if o, ok := closeOne(ClassAttest, e.Subject, e.Cycle); ok {
 					a.Spans = append(a.Spans, Span{Class: ClassAttest, Subject: o.subject, Start: o.start, End: e.Cycle})
-				} else if rtt, ok := e.NumAttr("rtt"); ok && rtt <= e.Cycle {
+				} else if _, rtt, ok := Sample(e); ok && rtt <= e.Cycle {
 					a.Spans = append(a.Spans, Span{Class: ClassAttest, Subject: e.Subject, Start: e.Cycle - rtt, End: e.Cycle})
 				}
 			}
@@ -351,7 +390,8 @@ func Analyze(events []trace.Event) *Analysis {
 
 	// Cut whatever is still in flight at the end of the trace.
 	if haveTask {
-		a.Spans = append(a.Spans, Span{Class: ClassTask, Subject: curTask, Start: curSince, End: streamLast})
+		a.lastTask = Span{Class: ClassTask, Subject: curTask, Start: curSince, End: streamLast}
+		a.Spans = append(a.Spans, a.lastTask)
 	}
 	for name, m := range loadPhase {
 		a.Spans = append(a.Spans, Span{Class: loadPhaseClass + m.phase, Subject: name, Start: m.since, End: a.LastCycle, Unclosed: true})

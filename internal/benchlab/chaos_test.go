@@ -148,10 +148,11 @@ func TestChaosObserved(t *testing.T) {
 	if err := observed.Obs.WriteMetrics(&pm); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := trace.ParsePrometheus(bytes.NewReader(pm.Bytes()))
+	scrape, err := trace.ScrapePrometheus(bytes.NewReader(pm.Bytes()))
 	if err != nil {
 		t.Fatalf("metrics do not scrape: %v", err)
 	}
+	samples := scrape.Samples
 	if samples["tytan_sup_faults"] == 0 {
 		t.Error("supervisor fault counter zero in a chaos run")
 	}

@@ -387,8 +387,10 @@ func (s *loaderService) advance(req *LoadRequest, budget uint64) uint64 {
 		req.EndCycle = p.M.Cycles()
 		req.phase = LoadDone
 		if o := p.obs; o != nil {
-			// The terminal event carries the full Table 4 breakdown; the
-			// profile exporter attributes load cycles to phases from it.
+			// The terminal event carries the full Table 4 breakdown (the
+			// profile attributes load cycles to phases from it) and the
+			// request-to-schedulable latency (analyze.Sample's load
+			// sample, for the histogram and online SLO rules).
 			b := req.Breakdown
 			o.Emit(trace.Event{
 				Cycle: req.EndCycle, Sub: trace.SubLoader,

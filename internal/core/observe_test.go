@@ -165,11 +165,11 @@ func TestMetricsUnderSupervision(t *testing.T) {
 		if err := obs.WriteMetrics(&buf); err != nil {
 			t.Fatal(err)
 		}
-		m, err := trace.ParsePrometheus(bytes.NewReader(buf.Bytes()))
+		m, err := trace.ScrapePrometheus(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("metrics do not scrape: %v\n%s", err, buf.String())
 		}
-		return m
+		return m.Samples
 	}
 	m := scrape()
 	// crashy faults three times (original + 2 restarts), restarts
@@ -249,6 +249,59 @@ func TestObsExportRoundTrips(t *testing.T) {
 	}
 	if !strings.Contains(prof.String(), "crashy") {
 		t.Error("profile report does not mention crashy")
+	}
+}
+
+// TestProfileInvariants: the profile accounts for every cycle the
+// event stream can attribute. The task rows cover the run from the
+// first dispatch to the platform's cycle count, one dispatch per task
+// switch, and the load-phase rows add up to the work the completed
+// loads report.
+func TestProfileInvariants(t *testing.T) {
+	p := observedScenario(t, true)
+	defer p.Close()
+	obs := p.Observability()
+	prof := obs.Profile()
+
+	var switches int
+	var firstDispatch, loadWork uint64
+	for _, e := range obs.Events() {
+		switch e.Kind {
+		case trace.KindTaskSwitch:
+			if switches == 0 {
+				firstDispatch = e.Cycle
+			}
+			switches++
+		case trace.KindLoadPhase:
+			if ph, _ := e.Attr("phase"); ph.Str == "done" {
+				total, _ := e.NumAttr("total")
+				loadWork += total
+			}
+		}
+	}
+	if switches == 0 || loadWork == 0 {
+		t.Fatalf("scenario has %d task switches and %d load cycles", switches, loadWork)
+	}
+
+	var taskCycles uint64
+	var dispatches int
+	for _, tc := range prof.Tasks {
+		taskCycles += tc.Cycles
+		dispatches += tc.Dispatches
+	}
+	if want := prof.TotalCycles - firstDispatch; taskCycles != want {
+		t.Errorf("task cycles = %d, want TotalCycles %d - first dispatch %d = %d",
+			taskCycles, prof.TotalCycles, firstDispatch, want)
+	}
+	if dispatches != switches {
+		t.Errorf("dispatches = %d, want %d task switches", dispatches, switches)
+	}
+	var phaseCycles uint64
+	for _, ph := range prof.LoadPhases {
+		phaseCycles += ph.Cycles
+	}
+	if phaseCycles != loadWork {
+		t.Errorf("load-phase cycles = %d, want the done events' total %d", phaseCycles, loadWork)
 	}
 }
 

@@ -47,8 +47,8 @@ const (
 	// entries, indexed by word address) in its default configuration.
 	// 1024 entries cover 4 KiB of straight-line code per alias set —
 	// plenty for the paper's task images — while keeping the table cheap
-	// to allocate per machine. The table grows (Options.ICacheBits,
-	// GrowICacheForText) up to icacheMaxBits when larger images load.
+	// to allocate per machine. GrowICacheForText grows the table up to
+	// icacheMaxBits when larger images load.
 	icacheBits    = 10
 	icacheMaxBits = 16
 

@@ -153,9 +153,9 @@ type Machine struct {
 	mpuGen uint64
 	icache []icEntry
 	// icMask is the predecode-table index mask (table size - 1). It
-	// defaults to icacheSize-1 and grows with the loaded text extent
-	// (Options.ICacheBits, GrowICacheForText) so large images do not
-	// thrash the direct-mapped table.
+	// starts at 1<<icacheBits - 1 and grows with the loaded text extent
+	// (GrowICacheForText) so large images do not thrash the
+	// direct-mapped table.
 	icMask    uint32
 	textBytes uint32 // cumulative loaded text, drives icache growth
 	exec      [execWays]execSpan
@@ -227,46 +227,22 @@ type Machine struct {
 	Obs trace.Sink
 }
 
-// Options parameterizes machine construction beyond the common case.
-type Options struct {
-	// RAMSize is the amount of mapped RAM (0 selects DefaultRAMSize).
-	RAMSize uint32
-	// ICacheBits sizes the direct-mapped predecode table at 1<<n
-	// entries (0 selects the icacheBits default). Values are clamped to
-	// [icacheBits, icacheMaxBits]. The loader grows the table further to
-	// match the loaded text extent via GrowICacheForText, so most
-	// callers never set this.
-	ICacheBits int
-}
-
 // New creates a machine with the given amount of RAM (0 selects
 // DefaultRAMSize) and a fresh, disabled EA-MPU.
 func New(ramSize uint32) *Machine {
-	return NewWithOptions(Options{RAMSize: ramSize})
-}
-
-// NewWithOptions creates a machine from explicit options.
-func NewWithOptions(opt Options) *Machine {
-	if opt.RAMSize == 0 {
-		opt.RAMSize = DefaultRAMSize
-	}
-	bits := opt.ICacheBits
-	if bits < icacheBits {
-		bits = icacheBits
-	}
-	if bits > icacheMaxBits {
-		bits = icacheMaxBits
+	if ramSize == 0 {
+		ramSize = DefaultRAMSize
 	}
 	return &Machine{
 		MPU:        &eampu.MPU{},
 		FastPath:   FastPathDefault,
-		ram:        getRAM(opt.RAMSize),
+		ram:        getRAM(ramSize),
 		devices:    make(map[uint32]Device),
 		enabledIRQ: ^uint32(0),
 		gen:        1, // zero-valued cache entries must never match
 		codeLo:     eampu.MaxAddr,
 		sbLo:       eampu.MaxAddr,
-		icMask:     1<<uint(bits) - 1,
+		icMask:     1<<icacheBits - 1,
 	}
 }
 

@@ -528,15 +528,3 @@ func TestICacheGrowth(t *testing.T) {
 }
 
 func icacheSizeDefault() uint64 { return 1 << icacheBits }
-
-// TestNewWithOptionsICacheBits checks the Options knob sizes the table
-// directly.
-func TestNewWithOptionsICacheBits(t *testing.T) {
-	m := NewWithOptions(Options{RAMSize: 64 << 10, ICacheBits: 12})
-	if m.icMask != (1<<12)-1 {
-		t.Fatalf("icMask = %#x", m.icMask)
-	}
-	if m2 := NewWithOptions(Options{RAMSize: 64 << 10, ICacheBits: 99}); m2.icMask != (1<<icacheMaxBits)-1 {
-		t.Fatalf("clamped icMask = %#x", m2.icMask)
-	}
-}

@@ -79,15 +79,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum
 }
 
-// Snapshot returns copies of the bucket upper bounds and the cumulative
-// bucket counts (len(bounds)+1 entries, the last being the implicit
-// +Inf bucket), plus the sum and total — the histogram's full exported
-// state, for benchmark summaries.
-func (h *Histogram) Snapshot() (bounds, cumulative []uint64, sum, total uint64) {
-	b, c, s, t := h.snapshot()
-	return append([]uint64(nil), b...), c, s, t
-}
-
 // snapshot returns cumulative bucket counts, sum and total.
 func (h *Histogram) snapshot() (bounds []uint64, cum []uint64, sum, total uint64) {
 	h.mu.Lock()

@@ -154,15 +154,3 @@ func ScrapePrometheus(rd io.Reader) (*Scrape, error) {
 	}
 	return out, nil
 }
-
-// ParsePrometheus scrapes text in the Prometheus exposition format into
-// a sample map keyed by the full sample name (including any {labels}
-// suffix, e.g. `foo_bucket{le="100"}`). See ScrapePrometheus for the
-// richer form that also returns HELP text.
-func ParsePrometheus(rd io.Reader) (map[string]float64, error) {
-	s, err := ScrapePrometheus(rd)
-	if err != nil {
-		return nil, err
-	}
-	return s.Samples, nil
-}

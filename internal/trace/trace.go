@@ -18,8 +18,9 @@
 //     the queryable Buffer (this file);
 //   - metrics: Registry with counters, gauges and histograms
 //     (metrics.go), rendered in Prometheus text format (prom.go);
-//   - exporters: Chrome trace_event JSON (chrome.go) and the
-//     cycle-attribution profile (profile.go).
+//   - exporters: Chrome trace_event JSON (chrome.go). Cycle
+//     attribution (spans, the per-task and load-phase profile) lives
+//     in internal/analyze.
 package trace
 
 import (
@@ -164,7 +165,8 @@ func SessionKey(device string, ordinal uint64) string {
 
 // Attr is one structured event attribute: a key with either a string or
 // an unsigned numeric value. Numbers stay numbers through the exporters
-// so consumers (the profile builder, histograms) need not re-parse.
+// so consumers (the span engine, profile and histograms) need not
+// re-parse.
 type Attr struct {
 	Key   string
 	Str   string

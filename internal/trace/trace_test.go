@@ -176,10 +176,11 @@ func TestRegistryPrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	samples, err := ParsePrometheus(strings.NewReader(text))
+	scrape, err := ScrapePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("scrape failed: %v\n%s", err, text)
 	}
+	samples := scrape.Samples
 	want := map[string]float64{
 		"tytan_restarts_total":                       3,
 		"tytan_tasks":                                5,
@@ -199,14 +200,14 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 }
 
-func TestParsePrometheusRejects(t *testing.T) {
+func TestScrapePrometheusRejects(t *testing.T) {
 	for _, bad := range []string{
 		"orphan 1",                       // sample without TYPE header
 		"# TYPE x counter\nx notanumber", // bad value
 		"# TYPE x counter\nx 1\nx 2",     // duplicate
 		"# TYPE x counter\nnovaluehere",  // no value separator
 	} {
-		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
+		if _, err := ScrapePrometheus(strings.NewReader(bad)); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}
@@ -221,32 +222,4 @@ func TestDuplicateMetricPanics(t *testing.T) {
 		}
 	}()
 	r.Counter("dup", "")
-}
-
-func TestBuildProfile(t *testing.T) {
-	events := []Event{
-		{Cycle: 0, Sub: SubKernel, Kind: KindTaskSwitch, Subject: "idle"},
-		{Cycle: 100, Sub: SubKernel, Kind: KindTaskSwitch, Subject: "t0"},
-		{Cycle: 400, Sub: SubKernel, Kind: KindTaskSwitch, Subject: "idle"},
-		{Cycle: 500, Sub: SubKernel, Kind: KindTaskSwitch, Subject: "t0"},
-		{Cycle: 700, Sub: SubLoader, Kind: KindLoadPhase, Subject: "img",
-			Attrs: []Attr{Str("phase", "done"), Num("alloc", 40), Num("copy", 60)}},
-	}
-	p := BuildProfile(events, 1000)
-	if len(p.Tasks) != 2 {
-		t.Fatalf("tasks = %+v", p.Tasks)
-	}
-	// t0: [100,400)+[500,1000) = 800; idle: [0,100)+[400,500) = 200.
-	if p.Tasks[0].Name != "t0" || p.Tasks[0].Cycles != 800 || p.Tasks[0].Dispatches != 2 {
-		t.Errorf("t0 = %+v", p.Tasks[0])
-	}
-	if p.Tasks[1].Name != "idle" || p.Tasks[1].Cycles != 200 {
-		t.Errorf("idle = %+v", p.Tasks[1])
-	}
-	if len(p.LoadPhases) != 2 || p.LoadPhases[0] != (PhaseCycles{"alloc", 40}) {
-		t.Errorf("load phases = %+v", p.LoadPhases)
-	}
-	if s := p.String(); !strings.Contains(s, "t0") || !strings.Contains(s, "alloc") {
-		t.Errorf("String = %q", s)
-	}
 }
