@@ -7,8 +7,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/telf"
 )
+
+// corpusSeeds is the number of generator seeds per class in the fuzz
+// seed corpus.
+const corpusSeeds = 3
 
 // seedEntries is the deterministic fuzz seed corpus: one encoded image
 // per generator class and seed. TestFuzzSeedCorpus materializes it
@@ -17,7 +22,7 @@ import (
 func seedEntries(t testing.TB) map[string][]byte {
 	out := make(map[string][]byte)
 	for c := GenClass(0); c < NumGenClasses; c++ {
-		for seed := uint64(0); seed < 3; seed++ {
+		for seed := uint64(0); seed < corpusSeeds; seed++ {
 			im := GenImage(c, seed)
 			enc, err := im.Encode()
 			if err != nil {
@@ -53,6 +58,27 @@ func TestFuzzSeedCorpus(t *testing.T) {
 			t.Errorf("seed %s is stale; delete it and re-run to regenerate", path)
 		}
 	}
+}
+
+// TestVerifyCorpus pins the full report — findings, blocks and bounds
+// — of every seed-corpus image, so a change to any analysis shows up as
+// a digest miss on the "verify-corpus" row.
+func TestVerifyCorpus(t *testing.T) {
+	contract.Check(t, contract.Row{Name: "verify-corpus", Produce: func(t *testing.T, _ contract.Point) []byte {
+		var out bytes.Buffer
+		for c := GenClass(0); c < NumGenClasses; c++ {
+			for seed := uint64(0); seed < corpusSeeds; seed++ {
+				rep := Verify(GenImage(c, seed), Config{})
+				if err := rep.WriteJSON(&out); err != nil {
+					t.Fatal(err)
+				}
+				if err := rep.WriteText(&out); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out.Bytes()
+	}})
 }
 
 // FuzzVerify holds the verifier to its robustness contract: it never
