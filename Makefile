@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race examples check bench tables latency-bench clean
+.PHONY: all build vet lint test race examples check fuzz bench tables latency-bench clean
 
 all: build
 
@@ -49,6 +49,17 @@ examples:
 # testdata/contract.sum. Run one gate with e.g. `go test -race -run
 # TestFleetCheck ./internal/fleet`. Host-clock timing lives in bench/.
 check: build vet lint race examples
+
+# fuzz runs each of the repo's five fuzzers for 30 s in turn. It is a
+# manual target, not part of check. A crasher is written to the
+# fuzzer's testdata/fuzz/ directory, where the plain test suite replays
+# it; fix the code, then check the input in as a regression test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime 30s ./internal/sverify
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChallenge$$' -fuzztime 30s ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalHello$$' -fuzztime 30s ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
 
 bench: latency-bench
 	$(GO) test -bench=. -benchtime=10x -run=^$$ .

@@ -19,7 +19,7 @@ func TestRegisterDeadlineErrors(t *testing.T) {
 main:
     svc 1
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 3)
+	tcb, err := loadTask(k, im, KindNormal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ main:
 loop:
     jmp loop
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 3)
+	tcb, err := loadTask(k, im, KindNormal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ main:
     svc 2
     svc 1
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 3)
+	tcb, err := loadTask(k, im, KindNormal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ main:
     svc 5
     svc 1
 `)
-		tcb, err := k.CreateTaskFromImage(im, KindNormal, 3)
+		tcb, err := loadTask(k, im, KindNormal, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

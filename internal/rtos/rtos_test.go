@@ -5,9 +5,35 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/loader"
 	"repro/internal/machine"
 	"repro/internal/telf"
 )
+
+// loadTask loads an image in one non-interruptible step — allocate,
+// stream, relocate, prepare, schedule — charging the costs of each
+// step, so a test can create tasks without the platform's loader
+// service.
+func loadTask(k *Kernel, im *telf.Image, kind TaskKind, prio int) (*TCB, error) {
+	base, scanned, err := k.Alloc.Alloc(loader.PlacedSize(im))
+	if err != nil {
+		return nil, err
+	}
+	k.M.Charge(machine.CostAllocBase + uint64(scanned)*machine.CostAllocPerRegion)
+	job := loader.NewJob(k.M, im, base)
+	cost, err := job.Run()
+	k.M.Charge(cost)
+	if err != nil {
+		k.Alloc.Free(base)
+		return nil, err
+	}
+	t, err := k.InstallTask(im.Name, kind, prio, job.Placement())
+	if err != nil {
+		k.Alloc.Free(base)
+		return nil, err
+	}
+	return t, nil
+}
 
 func newKernel(t *testing.T, cfg Config) *Kernel {
 	t.Helper()
@@ -50,7 +76,7 @@ main:
     svc 5
     svc 1
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 3)
+	tcb, err := loadTask(k, im, KindNormal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +125,10 @@ main:
     svc 5
     svc 1
 `)
-	if _, err := k.CreateTaskFromImage(low, KindNormal, 1); err != nil {
+	if _, err := loadTask(k, low, KindNormal, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.CreateTaskFromImage(high, KindNormal, 5); err != nil {
+	if _, err := loadTask(k, high, KindNormal, 5); err != nil {
 		t.Fatal(err)
 	}
 	k.StartTick()
@@ -139,7 +165,7 @@ loop:
     svc 0          ; yield
     jmp loop
 `)
-		if _, err := k.CreateTaskFromImage(im, KindNormal, 2); err != nil {
+		if _, err := loadTask(k, im, KindNormal, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +222,7 @@ main:
     svc 5
     svc 1
 `)
-	if _, err := k.CreateTaskFromImage(im, KindNormal, 3); err != nil {
+	if _, err := loadTask(k, im, KindNormal, 3); err != nil {
 		t.Fatal(err)
 	}
 	start := k.M.Cycles()
@@ -223,7 +249,7 @@ main:
 loop:
     jmp loop
 `)
-	if _, err := k.CreateTaskFromImage(im, KindNormal, 2); err != nil {
+	if _, err := loadTask(k, im, KindNormal, 2); err != nil {
 		t.Fatal(err)
 	}
 	k.StartTick()
@@ -249,7 +275,7 @@ loop:
     svc 0
     jmp loop
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +328,7 @@ loop:
     svc 0
     jmp loop
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +371,7 @@ main:
 loop:
     jmp loop
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +410,10 @@ main:
     svc 5
     svc 1
 `)
-	if _, err := k.CreateTaskFromImage(bad, KindNormal, 3); err != nil {
+	if _, err := loadTask(k, bad, KindNormal, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.CreateTaskFromImage(good, KindNormal, 2); err != nil {
+	if _, err := loadTask(k, good, KindNormal, 2); err != nil {
 		t.Fatal(err)
 	}
 	k.StartTick()
@@ -412,7 +438,7 @@ main:
     svc 5
     svc 1
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +465,7 @@ main:
     mov r3, r0
     hlt
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +619,7 @@ func TestSoftTimerOneShot(t *testing.T) {
 func TestSecureTaskRequiresTyTAN(t *testing.T) {
 	k := newKernel(t, Config{}) // baseline
 	im := mustImage(t, ".task \"s\"\n.entry e\n.text\ne:\n hlt\n")
-	if _, err := k.CreateTaskFromImage(im, KindSecure, 2); err == nil {
+	if _, err := loadTask(k, im, KindSecure, 2); err == nil {
 		t.Error("secure task created on baseline kernel")
 	}
 }
@@ -601,7 +627,7 @@ func TestSecureTaskRequiresTyTAN(t *testing.T) {
 func TestBadPriority(t *testing.T) {
 	k := newKernel(t, Config{})
 	im := mustImage(t, ".text\ne:\n hlt\n")
-	if _, err := k.CreateTaskFromImage(im, KindNormal, NumPriorities); err != ErrBadPriority {
+	if _, err := loadTask(k, im, KindNormal, NumPriorities); err != ErrBadPriority {
 		t.Errorf("err = %v", err)
 	}
 	if _, err := k.NewServiceTask("x", -1, doneService{}); err != ErrBadPriority {
@@ -649,7 +675,7 @@ main:
 loop:
     jmp loop
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,10 +773,10 @@ loop:
     svc 2
     jmp loop
 `)
-	if _, err := k.CreateTaskFromImage(chatty, KindNormal, 2); err != nil {
+	if _, err := loadTask(k, chatty, KindNormal, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.CreateTaskFromImage(quiet, KindNormal, 5); err != nil {
+	if _, err := loadTask(k, quiet, KindNormal, 5); err != nil {
 		t.Fatal(err)
 	}
 	k.StartTick()
@@ -778,7 +804,7 @@ main:
     svc 5
     svc 1
 `)
-	if _, err := k.CreateTaskFromImage(im, KindNormal, 2); err != nil {
+	if _, err := loadTask(k, im, KindNormal, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.RunUntil(k.M.Cycles() + 50_000); err != nil {
@@ -803,7 +829,7 @@ main:
     svc 5
     svc 1
 `)
-		if _, err := k.CreateTaskFromImage(im, KindNormal, 1+i%4); err != nil {
+		if _, err := loadTask(k, im, KindNormal, 1+i%4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -861,7 +887,7 @@ func TestStringersAndAccessors(t *testing.T) {
 
 	k := newKernel(t, Config{})
 	im := mustImage(t, ".task \"acc\"\n.entry e\n.stack 128\n.text\ne:\n jmp e\n")
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -913,7 +939,7 @@ main:
     svc 5
     svc 1
 `)
-	if _, err := k.CreateTaskFromImage(im, KindNormal, 2); err != nil {
+	if _, err := loadTask(k, im, KindNormal, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.RunUntil(k.M.Cycles() + 20_000); err != nil {
@@ -953,7 +979,7 @@ main:
     svc 2
     jmp main
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1033,7 +1059,7 @@ main:
     svc 5
     svc 1
 `)
-	tcb, err := k.CreateTaskFromImage(im, KindNormal, 2)
+	tcb, err := loadTask(k, im, KindNormal, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

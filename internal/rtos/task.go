@@ -6,7 +6,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/machine"
-	"repro/internal/telf"
 	"repro/internal/trace"
 )
 
@@ -130,32 +129,6 @@ func (k *Kernel) InstallTaskSuspended(name string, kind TaskKind, prio int, p lo
 		k.emit(trace.KindTaskInstall, name,
 			trace.Num("id", uint64(t.ID)), trace.Str("kind", kind.String()),
 			trace.Num("prio", uint64(prio)), trace.Hex("base", uint64(p.Base)))
-	}
-	return t, nil
-}
-
-// CreateTaskFromImage performs the complete, *non-interruptible* load
-// path used by the unmodified-FreeRTOS baseline (and by benchmarks
-// measuring raw creation cost): allocate, stream, relocate, prepare,
-// schedule. The TyTAN path (interruptible, with EA-MPU and measurement
-// interleaved) lives in internal/core.
-func (k *Kernel) CreateTaskFromImage(im *telf.Image, kind TaskKind, prio int) (*TCB, error) {
-	base, scanned, err := k.Alloc.Alloc(loader.PlacedSize(im))
-	if err != nil {
-		return nil, err
-	}
-	k.M.Charge(machine.CostAllocBase + uint64(scanned)*machine.CostAllocPerRegion)
-	job := loader.NewJob(k.M, im, base)
-	cost, err := job.Run()
-	k.M.Charge(cost)
-	if err != nil {
-		k.Alloc.Free(base)
-		return nil, err
-	}
-	t, err := k.InstallTask(im.Name, kind, prio, job.Placement())
-	if err != nil {
-		k.Alloc.Free(base)
-		return nil, err
 	}
 	return t, nil
 }

@@ -67,8 +67,24 @@ func (v *verifier) interpret() {
 
 	// maxFrames bounds the call-depth interval: one return address per
 	// frame is the floor, so more frames than stack words is already
-	// overflow. The clamp also guarantees termination under recursion.
+	// overflow. Depth grows only along CALL edges (a RET has no flow
+	// successors), so a depth above the number of reachable CALL sites
+	// took a call cycle that pumps it without bound: widen it straight
+	// to maxFrames rather than one frame per fixpoint pass, which would
+	// let the header's stack size set the running time.
 	maxFrames := int32(v.im.StackSize/4) + 1
+	var callSites int32
+	for _, d := range v.reach {
+		if d.ok && d.in.Op == isa.OpCALL {
+			callSites++
+		}
+	}
+	deeper := func(depth int32) int32 {
+		if depth >= callSites {
+			return maxFrames
+		}
+		return min32(depth+1, maxFrames)
+	}
 
 	states := map[uint32]astate{v.im.Entry: entry}
 	work := []uint32{v.im.Entry}
@@ -95,9 +111,7 @@ func (v *verifier) interpret() {
 		if !d.ok {
 			continue
 		}
-		st := states[off]
-		out := v.transfer(d.in, off, st)
-		v.flow(off, d, st, out, propagate, maxFrames)
+		v.flow(off, d, v.transfer(d.in, off, states[off]), propagate, deeper)
 	}
 
 	// Retain the converged states: the call graph resolves indirect
@@ -121,47 +135,23 @@ func (v *verifier) interpret() {
 // CFG edges. CALL edges adjust SP and the depth interval on the way
 // into the callee; the fallthrough (return point) assumes a balanced,
 // register-clobbering callee — SP and depth preserved, registers Top.
-func (v *verifier) flow(off uint32, d decoded, pre, post astate, propagate func(uint32, astate), maxFrames int32) {
-	in := d.in
-	next := off + d.size
-	target := func() (uint32, bool) {
-		t := int64(off) + int64(d.size) + 4*int64(in.Imm)
-		if t < 0 || t >= int64(v.textLen) {
-			return 0, false
+func (v *verifier) flow(off uint32, d decoded, post astate, propagate func(uint32, astate), deeper func(int32) int32) {
+	e := v.edgesOf(off, d)
+	if e.inText {
+		st := post
+		if d.in.Op == isa.OpCALL {
+			st.regs[isa.SP] = spAdd(post.regs[isa.SP], -4)
+			st.dlo, st.dhi = deeper(post.dlo), deeper(post.dhi)
 		}
-		return uint32(t), true
+		propagate(e.target, st)
 	}
-	returnPoint := func() astate {
-		var out astate
-		out.regs[isa.SP] = post.regs[isa.SP]
-		out.dlo, out.dhi = post.dlo, post.dhi
-		return out
-	}
-	switch in.Op {
-	case isa.OpHLT, isa.OpRET, isa.OpJR:
-		return
-	case isa.OpJMP:
-		if t, ok := target(); ok {
-			propagate(t, post)
+	if e.next {
+		st := post
+		if d.in.Op.IsCall() {
+			st = astate{dlo: post.dlo, dhi: post.dhi}
+			st.regs[isa.SP] = post.regs[isa.SP]
 		}
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		propagate(next, post)
-		if t, ok := target(); ok {
-			propagate(t, post)
-		}
-	case isa.OpCALL:
-		callee := post
-		callee.regs[isa.SP] = spAdd(post.regs[isa.SP], -4)
-		callee.dlo = min32(callee.dlo+1, maxFrames)
-		callee.dhi = min32(callee.dhi+1, maxFrames)
-		if t, ok := target(); ok {
-			propagate(t, callee)
-		}
-		propagate(next, returnPoint())
-	case isa.OpCALLR:
-		propagate(next, returnPoint())
-	default:
-		propagate(next, post)
+		propagate(off+d.size, st)
 	}
 }
 

@@ -27,7 +27,6 @@ type cgCall struct {
 type cgFunc struct {
 	entry uint32
 	insns map[uint32]decoded  // instruction offsets in the function body
-	order []uint32            // body offsets in discovery order
 	succs map[uint32][]uint32 // intra-procedural successor edges
 	preds map[uint32][]uint32 // reverse edges (loop-bound inference)
 	calls []cgCall            // resolved call sites, in site order
@@ -41,7 +40,6 @@ type cgFunc struct {
 	unresolvedJumps []uint32
 	resolvedJumps   []uint32
 
-	rets []uint32 // RET sites (frame-balance checkpoints)
 	svcs []uint32 // SVC sites (burst boundaries for the WCET engine)
 }
 
@@ -130,180 +128,78 @@ func (v *verifier) buildCallGraph() *callGraph {
 func (v *verifier) walkFunc(entry uint32) *cgFunc {
 	f := &cgFunc{
 		entry: entry,
-		insns: make(map[uint32]decoded),
 		succs: make(map[uint32][]uint32),
 		preds: make(map[uint32][]uint32),
 	}
-	work := []uint32{entry}
-	for len(work) > 0 {
-		off := work[0]
-		work = work[1:]
-		if _, seen := f.insns[off]; seen {
-			continue
-		}
-		if off >= v.textLen {
-			continue
-		}
-		d := v.decodeAt(off)
-		if d.size == 0 {
-			d.size = v.textLen - off
-		}
-		f.insns[off] = d
-		f.order = append(f.order, off)
+	f.insns = v.walk(entry, func(off uint32, d decoded) []uint32 {
 		if !d.ok {
-			continue // undecodable: execution faults here, path ends
+			return nil // undecodable: execution faults here, path ends
 		}
 		succs := v.funcSuccs(f, off, d)
 		f.succs[off] = succs
 		for _, s := range succs {
 			f.preds[s] = append(f.preds[s], off)
-			work = append(work, s)
 		}
-	}
+		return succs
+	})
 	return f
 }
 
 // funcSuccs computes the intra-procedural successors of the instruction
-// at off and records the function's call/ret/svc structure as a side
+// at off and records the function's call/svc structure as a side
 // effect. Branch targets outside the code section or on non-canonical
 // boundaries contribute no edge (execution faults there).
 func (v *verifier) funcSuccs(f *cgFunc, off uint32, d decoded) []uint32 {
 	in := d.in
-	next := off + d.size
-	fall := func() []uint32 {
-		if next >= v.textLen {
-			return nil
-		}
-		return []uint32{next}
+	e := v.edgesOf(off, d)
+	var out []uint32
+	if next := off + d.size; e.next && next < v.textLen {
+		out = append(out, next)
 	}
-	target := func() (uint32, bool) {
-		t := int64(off) + int64(d.size) + 4*int64(in.Imm)
-		if t < 0 || t >= int64(v.textLen) {
-			return 0, false
-		}
-		return uint32(t), true
-	}
-	switch in.Op {
-	case isa.OpHLT:
-		return nil
-	case isa.OpRET:
-		f.rets = append(f.rets, off)
-		return nil
-	case isa.OpJMP:
-		if t, ok := target(); ok {
-			return []uint32{t}
-		}
-		return nil
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		out := fall()
-		if t, ok := target(); ok {
-			out = append(out, t)
-		}
-		return out
-	case isa.OpCALL:
-		if t, ok := target(); ok {
-			f.calls = append(f.calls, cgCall{site: off, callee: t})
-		}
-		return fall()
-	case isa.OpCALLR:
+	switch {
+	case e.inText && in.Op == isa.OpCALL:
+		f.calls = append(f.calls, cgCall{site: off, callee: e.target})
+	case e.inText:
+		out = append(out, e.target)
+	case in.Op == isa.OpCALLR:
 		if t, ok := v.indirectTarget(off, in); ok {
 			f.calls = append(f.calls, cgCall{site: off, callee: t, indirect: true})
 		} else {
 			f.unresolvedCalls = append(f.unresolvedCalls, off)
 		}
-		return fall()
-	case isa.OpJR:
+	case in.Op == isa.OpJR:
 		if t, ok := v.indirectTarget(off, in); ok {
 			f.resolvedJumps = append(f.resolvedJumps, off)
-			return []uint32{t}
+			out = append(out, t)
+		} else {
+			f.unresolvedJumps = append(f.unresolvedJumps, off)
 		}
-		f.unresolvedJumps = append(f.unresolvedJumps, off)
-		return nil
-	case isa.OpSVC:
+	case in.Op == isa.OpSVC:
 		f.svcs = append(f.svcs, off)
-		return fall()
-	default:
-		return fall()
 	}
+	return out
 }
 
-// markRecursion runs an iterative Tarjan SCC over the function graph
-// and marks every function on a call cycle.
+// markRecursion marks every function on a call cycle: the members of
+// each multi-function strongly connected component of the call graph,
+// and every function that calls itself.
 func (g *callGraph) markRecursion() {
-	index := make(map[uint32]int)
-	low := make(map[uint32]int)
-	onStack := make(map[uint32]bool)
-	var stack []uint32
-	next := 0
-
-	type frame struct {
-		fn   uint32
-		edge int
+	callees := func(fn uint32) []uint32 {
+		var out []uint32
+		for _, c := range g.funcs[fn].calls {
+			out = append(out, c.callee)
+		}
+		return out
 	}
-	for _, root := range g.order {
-		if _, seen := index[root]; seen {
+	for _, comp := range tarjanSCC(g.order, callees) {
+		if len(comp) < 2 {
 			continue
 		}
-		var frames []frame
-		push := func(fn uint32) {
-			index[fn] = next
-			low[fn] = next
-			next++
-			stack = append(stack, fn)
-			onStack[fn] = true
-			frames = append(frames, frame{fn: fn})
-		}
-		push(root)
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			calls := g.funcs[fr.fn].calls
-			if fr.edge < len(calls) {
-				callee := calls[fr.edge].callee
-				fr.edge++
-				if _, seen := index[callee]; !seen {
-					push(callee)
-				} else if onStack[callee] {
-					if index[callee] < low[fr.fn] {
-						low[fr.fn] = index[callee]
-					}
-				}
-				continue
-			}
-			// Frame done: pop, fold lowlink into the parent.
-			fn := fr.fn
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[fn] < low[parent.fn] {
-					low[parent.fn] = low[fn]
-				}
-			}
-			if low[fn] == index[fn] {
-				// fn is an SCC root: pop the component.
-				var comp []uint32
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp = append(comp, top)
-					if top == fn {
-						break
-					}
-				}
-				if len(comp) > 1 {
-					id := comp[0]
-					for _, m := range comp {
-						if m < id {
-							id = m
-						}
-					}
-					for _, m := range comp {
-						g.recursive[m] = true
-						g.sccSize[m] = len(comp)
-						g.sccID[m] = id
-					}
-				}
-			}
+		id := minOf(comp)
+		for _, m := range comp {
+			g.recursive[m] = true
+			g.sccSize[m] = len(comp)
+			g.sccID[m] = id
 		}
 	}
 	// Self-recursion is a cycle Tarjan's component size misses.

@@ -11,8 +11,8 @@ import (
 // This file builds the control-flow graph: a linear sweep of the text
 // section establishes the canonical instruction boundaries (two-word
 // LDI32 included), then a reachability traversal from the entry point
-// follows JMP/Jcc/CALL fallthrough edges, flagging every branch that
-// leaves the code region or lands mid-instruction.
+// follows the edges edgesOf gives, flagging every branch that leaves
+// the code region or lands mid-instruction.
 
 // findingKey dedupes findings: one diagnostic per (offset, code).
 type findingKey struct {
@@ -223,6 +223,32 @@ func (v *verifier) relocatedImm(off uint32) bool {
 	return false
 }
 
+// edges is the control-flow edge rule of one decoded instruction; every
+// analysis in the package reads its successors from edgesOf.
+type edges struct {
+	// next reports whether execution may continue at the next
+	// instruction: a fallthrough, or the return point of a call.
+	next bool
+	// direct reports a PC-relative target (JMP, Bcc, CALL); inText
+	// whether target lies inside the text section.
+	direct, inText bool
+	target         uint32
+}
+
+// edgesOf applies the edge rule to the valid instruction d at off. Every
+// call is assumed to return to its next instruction. Indirect transfers
+// (JR, CALLR's callee) have no static target; the call graph resolves
+// them from the converged abstract states.
+func (v *verifier) edgesOf(off uint32, d decoded) edges {
+	op := d.in.Op
+	e := edges{next: op != isa.OpHLT && op != isa.OpRET && op != isa.OpJR && op != isa.OpJMP}
+	if op == isa.OpJMP || op == isa.OpCALL || op.IsCondBranch() {
+		t := int64(off) + int64(d.size) + 4*int64(d.in.Imm)
+		e.direct, e.inText, e.target = true, t >= 0 && t < int64(v.textLen), uint32(t)
+	}
+	return e
+}
+
 // succs returns the static successor offsets of the instruction at off,
 // recording edge findings (out-of-text and mid-instruction targets) as
 // it goes. Successors outside the text section are reported but not
@@ -232,56 +258,53 @@ func (v *verifier) succs(off uint32, d decoded) []uint32 {
 		return nil
 	}
 	in := d.in
-	next := off + d.size
-	fall := func() []uint32 {
-		if next >= v.textLen {
-			if next == v.textLen {
-				v.add(off, Warning, "fallthrough-end",
-					"execution falls off the end of the code section into data", in.String())
-			}
-			return nil
+	e := v.edgesOf(off, d)
+	var out []uint32
+	if next := off + d.size; e.next {
+		if next < v.textLen {
+			out = append(out, next)
+		} else if next == v.textLen {
+			v.add(off, Warning, "fallthrough-end",
+				"execution falls off the end of the code section into data", in.String())
 		}
-		return []uint32{next}
 	}
-	target := func() (uint32, bool) {
-		t := int64(off) + int64(d.size) + 4*int64(in.Imm)
-		if t < 0 || t >= int64(v.textLen) {
-			v.add(off, Error, "branch-out-of-text",
-				fmt.Sprintf("branch target %#x is outside the code section (%d bytes)", uint32(t), v.textLen), in.String())
-			return 0, false
-		}
-		tt := uint32(t)
-		if cd, ok := v.canon[tt]; !ok || !cd.ok {
+	switch {
+	case e.direct && !e.inText:
+		v.add(off, Error, "branch-out-of-text",
+			fmt.Sprintf("branch target %#x is outside the code section (%d bytes)", e.target, v.textLen), in.String())
+	case e.direct:
+		if cd, ok := v.canon[e.target]; !ok || !cd.ok {
 			v.add(off, Error, "branch-mid-insn",
-				fmt.Sprintf("branch target %#x is not on an instruction boundary (mid-LDI32 or undecodable)", tt), in.String())
+				fmt.Sprintf("branch target %#x is not on an instruction boundary (mid-LDI32 or undecodable)", e.target), in.String())
 		}
-		return tt, true
-	}
-	switch in.Op {
-	case isa.OpHLT, isa.OpRET:
-		return nil
-	case isa.OpJMP:
-		if t, ok := target(); ok {
-			return []uint32{t}
-		}
-		return nil
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU, isa.OpCALL:
-		out := fall()
-		if t, ok := target(); ok {
-			out = append(out, t)
-		}
-		return out
-	case isa.OpJR:
+		out = append(out, e.target)
+	case in.Op == isa.OpJR:
 		v.add(off, Warning, "indirect-branch",
 			"indirect jump: target cannot be verified statically", in.String())
-		return nil
-	case isa.OpCALLR:
+	case in.Op == isa.OpCALLR:
 		v.add(off, Warning, "indirect-branch",
 			"indirect call: target cannot be verified statically", in.String())
-		return fall() // assume the callee returns
-	default:
-		return fall()
 	}
+	return out
+}
+
+// walk decodes every text offset reachable from entry through succsOf
+// and returns them. succsOf sees each reached offset once, undecodable
+// ones included, in breadth-first discovery order.
+func (v *verifier) walk(entry uint32, succsOf func(off uint32, d decoded) []uint32) map[uint32]decoded {
+	seen := make(map[uint32]decoded)
+	work := []uint32{entry}
+	for len(work) > 0 {
+		off := work[0]
+		work = work[1:]
+		if _, ok := seen[off]; ok || off >= v.textLen {
+			continue
+		}
+		d := v.decodeAt(off)
+		seen[off] = d
+		work = append(work, succsOf(off, d)...)
+	}
+	return seen
 }
 
 // traverse walks the CFG from the entry point, decoding at every
@@ -289,30 +312,14 @@ func (v *verifier) succs(off uint32, d decoded) []uint32 {
 // branch lands mid-instruction — that disagreement is itself reported
 // by succs) and flagging reachable undecodable words.
 func (v *verifier) traverse() {
-	v.reach = make(map[uint32]decoded)
-	if v.textLen == 0 {
-		return
-	}
-	work := []uint32{v.im.Entry}
-	for len(work) > 0 {
-		off := work[0]
-		work = work[1:]
-		if _, seen := v.reach[off]; seen {
-			continue
-		}
-		d := v.decodeAt(off)
-		if d.size == 0 {
-			d.size = v.textLen - off
-		}
-		v.reach[off] = d
+	v.reach = v.walk(v.im.Entry, func(off uint32, d decoded) []uint32 {
 		v.order = append(v.order, off)
 		if !d.ok {
 			v.addGuaranteed(off, Error, "invalid-opcode",
 				"reachable word is not a valid instruction (illegal-instruction fault)", v.rawWord(off))
-			continue
 		}
-		work = append(work, v.succs(off, d)...)
-	}
+		return v.succs(off, d)
+	})
 	// Canonical holes the traversal never reached are just data carried
 	// in .text — worth a note, not an error.
 	for off, d := range v.canon {
@@ -327,9 +334,9 @@ func (v *verifier) traverse() {
 }
 
 // leaders computes the basic-block leader set among the reachable
-// instructions: the entry point, every static branch target, and every
-// fallthrough successor of a control-transfer instruction. Only offsets
-// actually reached are included.
+// instructions: the entry point, every static branch target, and the
+// next instruction after every block end — a control transfer or HLT.
+// Only offsets actually reached are included.
 func (v *verifier) leaders() map[uint32]bool {
 	leaders := make(map[uint32]bool)
 	if len(v.reach) == 0 {
@@ -340,21 +347,12 @@ func (v *verifier) leaders() map[uint32]bool {
 		if !d.ok {
 			continue
 		}
-		in := d.in
-		next := off + d.size
-		switch in.Op {
-		case isa.OpJMP, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU, isa.OpCALL:
-			t := int64(off) + int64(d.size) + 4*int64(in.Imm)
-			if t >= 0 && t < int64(v.textLen) {
-				leaders[uint32(t)] = true
-			}
-			if _, ok := v.reach[next]; ok && in.Op != isa.OpJMP {
-				leaders[next] = true
-			}
-		case isa.OpJR, isa.OpCALLR, isa.OpRET, isa.OpHLT:
-			if _, ok := v.reach[next]; ok {
-				leaders[next] = true
-			}
+		e := v.edgesOf(off, d)
+		if e.inText {
+			leaders[e.target] = true
+		}
+		if e.direct || !e.next || d.in.Op == isa.OpCALLR {
+			leaders[off+d.size] = true
 		}
 	}
 	for off := range leaders {
@@ -394,23 +392,21 @@ func (v *verifier) mustPath() map[uint32]bool {
 			return must
 		}
 		in := d.in
-		switch in.Op {
-		case isa.OpJMP, isa.OpCALL:
-			t := int64(off) + int64(d.size) + 4*int64(in.Imm)
-			if t < 0 || t >= int64(v.textLen) {
+		switch e := v.edgesOf(off, d); {
+		case e.direct && !in.Op.IsCondBranch(): // JMP, CALL: the target runs next
+			if !e.inText {
 				return must
 			}
-			off = uint32(t)
-		case isa.OpSVC:
+			off = e.target
+		case e.direct || !e.next || in.Op == isa.OpCALLR: // Bcc, HLT, RET, JR, CALLR
+			return must
+		case in.Op == isa.OpSVC:
 			switch uint16(in.Imm) {
 			case 0, 2, 5, 6: // yield, delay, putchar, gettime: return here
 				off += d.size
 			default:
 				return must
 			}
-		case isa.OpHLT, isa.OpRET, isa.OpJR, isa.OpCALLR,
-			isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-			return must
 		default:
 			off += d.size
 		}

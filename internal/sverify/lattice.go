@@ -171,15 +171,3 @@ func transferRegs(in isa.Instruction, regs *absRegs, ldi32Reloc bool) {
 		regs[in.Rd] = absValue{}
 	}
 }
-
-// isTerminator reports whether op ends a basic block: every control
-// transfer plus HLT.
-func isTerminator(op isa.Op) bool {
-	switch op {
-	case isa.OpJMP, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE,
-		isa.OpBLTU, isa.OpBGEU, isa.OpJR, isa.OpCALL, isa.OpCALLR,
-		isa.OpRET, isa.OpHLT:
-		return true
-	}
-	return false
-}

@@ -112,17 +112,3 @@ func TestTransferLDI32Reloc(t *testing.T) {
 		t.Fatal("relocated value must not count as an absolute constant")
 	}
 }
-
-func TestTerminator(t *testing.T) {
-	for _, op := range []isa.Op{isa.OpJMP, isa.OpBEQ, isa.OpJR, isa.OpCALL,
-		isa.OpCALLR, isa.OpRET, isa.OpHLT} {
-		if !isTerminator(op) {
-			t.Errorf("%v not a terminator", op)
-		}
-	}
-	for _, op := range []isa.Op{isa.OpNOP, isa.OpADD, isa.OpSVC, isa.OpPUSH} {
-		if isTerminator(op) {
-			t.Errorf("%v wrongly a terminator", op)
-		}
-	}
-}

@@ -171,8 +171,8 @@ func (v *verifier) loopBound(f *cgFunc, comp []uint32, header uint32, allowCall 
 		// Which side leaves the loop? A side with no edge (invalid
 		// target, fall off the end) leaves it too — by faulting.
 		fall := br + f.insns[br].size
-		tgt, hasTgt := branchTargetOf(br, f.insns[br])
-		exitOnTaken := !hasTgt || !inS[tgt]
+		e := v.edgesOf(br, f.insns[br])
+		exitOnTaken := !e.inText || !inS[e.target]
 		exitOnFall := !inS[fall] || fall >= v.textLen
 		if exitOnTaken == exitOnFall {
 			continue // both stay in (not an exit) or both leave (not in an SCC)
@@ -250,15 +250,6 @@ func (v *verifier) loopBound(f *cgFunc, comp []uint32, header uint32, allowCall 
 		}
 	}
 	return best, found
-}
-
-// branchTargetOf mirrors the branch-target arithmetic without findings.
-func branchTargetOf(off uint32, d decoded) (uint32, bool) {
-	t := int64(off) + int64(d.size) + 4*int64(d.in.Imm)
-	if t < 0 {
-		return 0, false
-	}
-	return uint32(t), true
 }
 
 // onEveryCycle reports whether every path from header back to header

@@ -301,7 +301,7 @@ func (e *boundEngine) proveSelfRecursionUncached(entry uint32) (uint64, bool) {
 			syn.preds[s] = append(syn.preds[s], n)
 		}
 	}
-	comp, ok := sccContaining(sortedNodes(syn.insns), func(n uint32) []uint32 { return syn.succs[n] }, entry)
+	comp, ok := sccContaining(sortedKeys(syn.insns), func(n uint32) []uint32 { return syn.succs[n] }, entry)
 	if !ok {
 		return 0, false
 	}
@@ -676,7 +676,7 @@ func (e *boundEngine) regionBound(f *cgFunc, entries []uint32, succsOf func(uint
 		}
 		return out
 	}
-	comps := tarjanSCC(sortedSet(nodes), restricted)
+	comps := tarjanSCC(sortedKeys(nodes), restricted)
 
 	compIdx := make(map[uint32]int)
 	for i, c := range comps {
@@ -809,16 +809,8 @@ func minOf(comp []uint32) uint32 {
 	return m
 }
 
-func sortedNodes(m map[uint32]decoded) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedSet(m map[uint32]bool) []uint32 {
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[uint32]V) []uint32 {
 	out := make([]uint32, 0, len(m))
 	for n := range m {
 		out = append(out, n)

@@ -2,6 +2,7 @@ package sverify
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/contract"
@@ -124,6 +125,22 @@ func TestBranchMidInsn(t *testing.T) {
 	wantFinding(t, rep, "invalid-opcode", Error)
 }
 
+// TestBlockAfterHiddenJump: a JMP decoded from an LDI32's immediate word
+// ends a block like any other transfer, so the instruction after it
+// starts one even though the LDI32 also falls through to it.
+func TestBlockAfterHiddenJump(t *testing.T) {
+	jmp := code(isa.Instruction{Op: isa.OpJMP, Imm: 1})
+	im := mkimg(0, code(
+		isa.Instruction{Op: isa.OpBEQ, Imm: 1}, // into the immediate word
+		isa.Instruction{Op: isa.OpLDI32, Rd: isa.R1, Imm32: binary.LittleEndian.Uint32(jmp)},
+		isa.Instruction{Op: isa.OpNOP},
+		isa.Instruction{Op: isa.OpHLT},
+	))
+	if rep := Verify(im, Config{}); rep.Insns != 5 || rep.Blocks != 5 {
+		t.Fatalf("%d insns in %d blocks, want 5 in 5:\n%s", rep.Insns, rep.Blocks, reportText(rep))
+	}
+}
+
 func TestIndirectBranchWarning(t *testing.T) {
 	im := mkimg(0, code(isa.Instruction{Op: isa.OpJR, Rs: isa.R1}))
 	rep := Verify(im, Config{})
@@ -153,6 +170,23 @@ func TestRecursionCallDepthWarning(t *testing.T) {
 		isa.Instruction{Op: isa.OpHLT},
 	))
 	wantFinding(t, Verify(im, Config{}), "call-depth", Warning)
+}
+
+// TestHugeStackRecursionTerminates: a declared stack size is header
+// data an attacker controls, so it must not set how many fixpoint
+// passes a call cycle takes to converge.
+func TestHugeStackRecursionTerminates(t *testing.T) {
+	im := mkimg(0, code(isa.Instruction{Op: isa.OpCALL, Imm: -1})) // main: call main
+	im.StackSize = 800000000
+	rep := Verify(im, Config{})
+	wantFinding(t, rep, "call-depth", Warning)
+	wantFinding(t, rep, "recursion", Error)
+	for _, f := range rep.DefiniteErrors() {
+		if f.Code == "recursion" {
+			return
+		}
+	}
+	t.Fatalf("unguarded self-recursion is not Definite:\n%s", reportText(rep))
 }
 
 func TestAbsoluteAddressChecks(t *testing.T) {

@@ -48,9 +48,6 @@ type SupervisorPolicy struct {
 	// CPUQuota: a watched task using more than this many CPU cycles
 	// within one check window is killed as runaway. 0 disables.
 	CPUQuota uint64
-	// PollPeriod is how often the supervisor polls an in-flight reload
-	// (default CheckPeriod/4).
-	PollPeriod uint64
 }
 
 // withDefaults fills zero fields from the tick period.
@@ -66,9 +63,6 @@ func (p SupervisorPolicy) withDefaults(tick uint64) SupervisorPolicy {
 	}
 	if p.CheckPeriod == 0 {
 		p.CheckPeriod = 8 * tick
-	}
-	if p.PollPeriod == 0 {
-		p.PollPeriod = p.CheckPeriod / 4
 	}
 	return p
 }
@@ -407,7 +401,7 @@ func (s *Supervisor) NextWake() uint64 {
 			continue
 		}
 		if w.ticket != nil {
-			consider(now + s.pol.PollPeriod)
+			consider(now + s.pol.CheckPeriod/4) // poll the in-flight reload
 		} else {
 			consider(w.restartAt)
 		}
