@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -57,21 +58,70 @@ func TestUseCaseAtomicFastPathEquivalence(t *testing.T) {
 	contract.Check(t, useCaseRow(true, contract.Engine))
 }
 
-// TestUseCaseSuperblockEquivalence: the use-case tasks, run on each
-// engine for the same window, must retire the same instructions in the
-// same cycles, with superblocks compiled on the production engine only.
+// hotTaskSrc is a use-case control task whose every activation first
+// spins a compute loop of 2,000 iterations, far past the production
+// engine's warm-up gate, before it writes its tag and sleeps: the
+// Table 1 tasks themselves run each instruction once per activation,
+// so they never compile.
+func hotTaskSrc(tag int) string {
+	return fmt.Sprintf(`
+.task "h%d"
+.entry main
+.stack 192
+.bss 28
+.text
+main:
+    ldi32 r4, 0xF0000500   ; engine actuator
+loop:
+    ldi r1, 2000
+spin:
+    addi r0, 3
+    addi r1, -1
+    cmpi r1, 0
+    bne spin
+    ldi r2, %d             ; activation tag
+    st [r4+0], r2
+    ldi r0, %d
+    svc 2                  ; sleep one period
+    jmp loop
+`, tag, tag, useCasePeriod)
+}
+
+// TestUseCaseSuperblockEquivalence: two hot use-case tasks, run on each
+// engine through the same window, must retire the same instructions in
+// the same cycles, with superblocks compiled on the production engine
+// only. The window holds ticks, pre-emption between the two tasks, and
+// the interruptible load of t2 with its EA-MPU reconfiguration, so
+// compiled blocks meet the whole platform in lockstep.
 func TestUseCaseSuperblockEquivalence(t *testing.T) {
 	contract.Check(t, engineRow("usecase-window", func(t *testing.T) (any, machine.Stats) {
 		p := mustPlatform(core.Options{})
 		defer p.Close()
 		for _, tag := range []int{tagT0, tagT1} {
-			im := UseCaseTaskImage(tag, useCasePeriod)
-			im.Name = fmt.Sprintf("t%d", tag-1)
+			im, err := asm.Assemble(hotTaskSrc(tag))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, _, err := p.LoadTaskSync(im, core.Secure, 5); err != nil {
 				t.Fatalf("load: %v", err)
 			}
 		}
-		if err := p.Run(64 * core.DefaultTickPeriod); err != nil {
+		if err := p.Run(16 * core.DefaultTickPeriod); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		req := p.LoadTaskAsync(UseCaseT2Image(tagT2, useCasePeriod), core.Secure, 4)
+		for i := 0; !req.Done() && i < 200; i++ {
+			if err := p.Run(core.DefaultTickPeriod); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		}
+		if !req.Done() {
+			t.Fatal("t2 load never completed")
+		}
+		if err := req.Err(); err != nil {
+			t.Fatalf("load t2: %v", err)
+		}
+		if err := p.Run(16 * core.DefaultTickPeriod); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		stats := p.M.Stats()

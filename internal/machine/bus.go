@@ -9,7 +9,9 @@ import (
 
 // The bus: every software-visible memory access funnels through here and
 // is checked against the EA-MPU using the current execution context
-// (m.execPC). Raw* variants bypass the MPU and model hardware-internal
+// (m.execPC). ReadWords/WriteWords are the checked bulk transfer the
+// trusted components move whole context frames and measurement blocks
+// with. Raw* variants bypass the MPU and model hardware-internal
 // accesses (the exception engine, secure boot) and test instrumentation.
 
 // BusError reports an access outside mapped memory or with bad alignment.
@@ -47,8 +49,8 @@ func (m *Machine) deviceAt(addr uint32) (Device, uint32, error) {
 // Read32 performs an EA-MPU-checked 32-bit read in the current execution
 // context.
 func (m *Machine) Read32(addr uint32) (uint32, error) {
-	if v, ok := m.read32Fast(addr); ok {
-		return v, nil
+	if off, ok := m.wordsFast(eampu.AccessRead, addr, 1); ok {
+		return binary.LittleEndian.Uint32(m.ram[off:]), nil
 	}
 	if addr%4 != 0 {
 		return 0, &BusError{Addr: addr, Why: "misaligned 32-bit read"}
@@ -62,7 +64,9 @@ func (m *Machine) Read32(addr uint32) (uint32, error) {
 // Write32 performs an EA-MPU-checked 32-bit write in the current
 // execution context.
 func (m *Machine) Write32(addr, v uint32) error {
-	if m.write32Fast(addr, v) {
+	if off, ok := m.wordsFast(eampu.AccessWrite, addr, 1); ok {
+		m.noteRAMWrite(off, 4)
+		binary.LittleEndian.PutUint32(m.ram[off:], v)
 		return nil
 	}
 	if addr%4 != 0 {
@@ -190,21 +194,42 @@ func (m *Machine) ZeroBytes(addr, n uint32) error {
 	return nil
 }
 
-// CheckedCopy copies n bytes from src to dst through the EA-MPU in the
-// current execution context, 4 bytes at a time (addresses must be
-// word-aligned). Trusted components use it for message delivery so that
-// a misconfigured rule set fails loudly rather than silently bypassing
-// protection.
-func (m *Machine) CheckedCopy(dst, src, n uint32) error {
-	if n%4 != 0 || dst%4 != 0 || src%4 != 0 {
-		return &BusError{Addr: dst, Why: "misaligned copy"}
+// ReadWords reads len(dst) words through the EA-MPU in the current
+// execution context, dst[i] from addr+4i; WriteWords stores src[i] to
+// addr+4i. Trusted components move whole context frames and
+// measurement blocks with them. On the production engine a span that
+// one decision-cache hit allows is copied in bulk. Any other span goes
+// through Read32 in ascending order, or Write32 highest address first
+// like a push sequence, so a fault names the same word, leaves the same
+// partial write and counts the same violations as that word loop.
+func (m *Machine) ReadWords(addr uint32, dst []uint32) error {
+	if off, ok := m.wordsFast(eampu.AccessRead, addr, len(dst)); ok {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(m.ram[off+4*i:])
+		}
+		return nil
 	}
-	for off := uint32(0); off < n; off += 4 {
-		v, err := m.Read32(src + off)
+	for i := range dst {
+		v, err := m.Read32(addr + uint32(4*i))
 		if err != nil {
 			return err
 		}
-		if err := m.Write32(dst+off, v); err != nil {
+		dst[i] = v
+	}
+	return nil
+}
+
+// WriteWords is the store-side counterpart of ReadWords.
+func (m *Machine) WriteWords(addr uint32, src []uint32) error {
+	if off, ok := m.wordsFast(eampu.AccessWrite, addr, len(src)); ok {
+		m.noteRAMWrite(off, 4*len(src))
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(m.ram[off+4*i:], v)
+		}
+		return nil
+	}
+	for i := len(src) - 1; i >= 0; i-- {
+		if err := m.Write32(addr+uint32(4*i), src[i]); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"repro/internal/eampu"
@@ -344,43 +343,24 @@ func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
 	return in, nil
 }
 
-// read32Fast serves an aligned RAM word read entirely from the decision
-// cache: on a hit the access is known-allowed and the value comes
-// straight out of m.ram. ok=false falls back to the reference bus path
-// (including all fault cases, which stay byte-for-byte identical).
-func (m *Machine) read32Fast(addr uint32) (uint32, bool) {
-	if !m.FastPath || addr&3 != 0 || addr < RAMBase {
+// wordsFast serves aligned RAM word accesses from the decision cache:
+// when one hit allows every byte of the n words at addr, it returns
+// their RAM offset and the caller moves them straight in m.ram (a
+// writer notes the span with noteRAMWrite). ok=false falls back to the
+// reference bus path, word by word, including all fault cases, which
+// stay byte-for-byte identical.
+func (m *Machine) wordsFast(kind eampu.AccessKind, addr uint32, n int) (int, bool) {
+	if !m.FastPath || n == 0 || addr&3 != 0 || addr < RAMBase {
 		return 0, false
 	}
 	off := addr - RAMBase
-	if uint64(off)+4 > uint64(len(m.ram)) {
+	size := 4 * uint64(n)
+	if uint64(off)+size > uint64(len(m.ram)) {
 		return 0, false
 	}
 	m.syncMPUGen()
-	if _, ok := m.dataHit(eampu.AccessRead, m.execPC, addr, 4); ok {
-		return binary.LittleEndian.Uint32(m.ram[off:]), true
-	}
-	return 0, false
-}
-
-// write32Fast is the store-side counterpart of read32Fast; it performs
-// the write (including dirty tracking and code-line invalidation probes)
-// only on a decision-cache hit.
-func (m *Machine) write32Fast(addr, v uint32) bool {
-	if !m.FastPath || addr&3 != 0 || addr < RAMBase {
-		return false
-	}
-	off := addr - RAMBase
-	if uint64(off)+4 > uint64(len(m.ram)) {
-		return false
-	}
-	m.syncMPUGen()
-	if _, ok := m.dataHit(eampu.AccessWrite, m.execPC, addr, 4); ok {
-		m.noteRAMWrite(int(off), 4)
-		binary.LittleEndian.PutUint32(m.ram[off:], v)
-		return true
-	}
-	return false
+	_, ok := m.dataHit(kind, m.execPC, addr, uint32(size))
+	return int(off), ok
 }
 
 // checkData dispatches a data-access check through the decision cache

@@ -594,21 +594,6 @@ func TestMMIOUnmappedPage(t *testing.T) {
 	}
 }
 
-func TestCheckedCopy(t *testing.T) {
-	m := New(64 << 10)
-	m.LoadBytes(0x2000, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if err := m.CheckedCopy(0x3000, 0x2000, 8); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := m.ReadBytes(0x3000, 8)
-	if string(b) != string([]byte{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Error("copy mismatch")
-	}
-	if err := m.CheckedCopy(0x3001, 0x2000, 8); err == nil {
-		t.Error("misaligned copy accepted")
-	}
-}
-
 func TestMillisToCycles(t *testing.T) {
 	if got := MillisToCycles(27.8); got != 1_334_400 {
 		t.Errorf("27.8ms = %d cycles, want 1,334,400", got)

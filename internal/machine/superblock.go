@@ -120,22 +120,20 @@ type sbEntry struct {
 }
 
 // sbCompileThreshold is the warm-up gate: a PC is interpreted this many
-// times within a generation before its block is compiled. Compilation
-// costs tens of interpreted instructions, so compiling on first sight
-// spends the compiler on code that runs a handful of times. Sixteen
-// dispatches per generation is enough warm-up that only genuinely hot
-// loops pay the compiler. The EA-MPU is keyed on the executing code
-// region, so context switches do not reprogram it: the generation moves
-// only when rules are installed or cleared (task load and unload, IPC
-// shared-memory windows) or when a write lands in cached code (the
-// Table 1 use case bumps it 13 times against 666 switches). The gate's
-// cost is the warm-up itself: on that use case most dispatches are the
-// interpreted runs before a block reaches the threshold, which is why
-// its compiled-block hit ratio is low. Measured on a 2-vCPU host,
-// caches without superblocks ran it in ~700 µs with 129 allocations
-// against ~920 µs with ~1,140 allocations here, while the compute
-// kernel ran ~2.8x faster here (4.4 ms against 12.3 ms).
-const sbCompileThreshold = 16
+// times within a generation before its block is compiled. Compiling
+// costs tens of interpreted instructions and a few closure allocations
+// per op, so it pays only for code that then runs hundreds of times.
+// The EA-MPU is keyed on the executing code region, so context switches
+// do not reprogram it: the generation moves only when rules are
+// installed or cleared (task load and unload, IPC shared-memory
+// windows) or when a write lands in cached code. At 256 the Table 1 use
+// case, 3,278 instructions per run with no PC that hot, compiles
+// nothing, while the compute kernel's loop still runs compiled (hit
+// ratio 0.9999). Against the earlier gate of 16, which compiled 146
+// blocks for 136 hits per use-case run, the use case dropped from 1,136
+// to 130 allocations and from 503 to 423 µs per run (bench/run.sh, four
+// alternating 5 s runs on a 2-vCPU host), and the kernel did not move.
+const sbCompileThreshold = 256
 
 // stepBlock tries to execute one compiled block at EIP. ok=false means
 // the interpreter must run this instruction; machine state is untouched

@@ -106,6 +106,11 @@ func (r *pairRig) runSlices(t *testing.T, budgets []uint64, maxSlices int) {
 	}
 }
 
+// kernelIters is kernelProgram's loop count: twice the warm-up gate, so
+// each of the loop's dispatch PCs compiles halfway through and runs
+// compiled for the other half.
+const kernelIters = 2 * sbCompileThreshold
+
 // kernelProgram is a compute loop with const-addressed and pointer
 // memory traffic, calls and stack ops — the shape superblocks fuse.
 func kernelProgram() isa.Program {
@@ -116,9 +121,9 @@ func kernelProgram() isa.Program {
 	p.Emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R0, Imm: 3})
 	p.Emit(isa.Instruction{Op: isa.OpRET})
 	// entry at word 4
-	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 100})        // counter
-	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R2, Imm: 0})          // sum
-	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R3, Imm32: 0x9000}) // buffer
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: kernelIters}) // counter
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R2, Imm: 0})           // sum
+	p.Emit(isa.Instruction{Op: isa.OpLDI32, Rd: isa.R3, Imm32: 0x9000})  // buffer
 	// loop at word 8:
 	p.Emit(isa.Instruction{Op: isa.OpMOV, Rd: isa.R0, Rs: isa.R1})
 	p.Emit(isa.Instruction{Op: isa.OpPUSH, Rs: isa.R1})

@@ -8,7 +8,8 @@ import (
 // SaveFrame performs the mechanical part of a context save shared by
 // the baseline handler and the trusted Int Mux: push r7..r0 below the
 // EIP/EFLAGS words the exception engine already pushed, and record the
-// frame base in t.SavedSP.
+// frame base in t.SavedSP. The frame moves as one checked word
+// transfer, stored highest address first like a push sequence.
 //
 // The pushes go through the *checked* bus in the current execution
 // context: under TyTAN the Int Mux runs this inside its own protection
@@ -17,12 +18,10 @@ import (
 // security property of §4 "Interrupting secure tasks".
 func SaveFrame(k *Kernel, t *TCB) error {
 	m := k.M
-	sp := m.Reg(spReg)
-	for i := isa.NumRegs - 1; i >= 0; i-- {
-		sp -= 4
-		if err := m.Write32(sp, m.Reg(isa.Reg(i))); err != nil {
-			return err
-		}
+	regs := m.SaveContext().Regs
+	sp := m.Reg(spReg) - 4*isa.NumRegs
+	if err := m.WriteWords(sp, regs[:]); err != nil {
+		return err
 	}
 	m.SetReg(spReg, sp)
 	t.SavedSP = sp
@@ -34,24 +33,12 @@ func SaveFrame(k *Kernel, t *TCB) error {
 // past the frame and re-enable interrupts.
 func RestoreFrame(k *Kernel, t *TCB) error {
 	m := k.M
-	var ctx machine.Context
-	for i := 0; i < isa.NumRegs; i++ {
-		v, err := m.Read32(t.SavedSP + uint32(i*4))
-		if err != nil {
-			return err
-		}
-		ctx.Regs[i] = v
-	}
-	eip, err := m.Read32(t.SavedSP + uint32(isa.NumRegs*4))
-	if err != nil {
+	var frame [contextFrameWords]uint32
+	if err := m.ReadWords(t.SavedSP, frame[:]); err != nil {
 		return err
 	}
-	eflags, err := m.Read32(t.SavedSP + uint32(isa.NumRegs*4+4))
-	if err != nil {
-		return err
-	}
-	ctx.EIP = eip
-	ctx.EFLAGS = eflags
+	ctx := machine.Context{EIP: frame[isa.NumRegs], EFLAGS: frame[isa.NumRegs+1]}
+	copy(ctx.Regs[:], frame[:])
 	// The restored SP is derived from the frame base, not from the
 	// saved r7, so a corrupted frame cannot desynchronize the unwind.
 	ctx.Regs[spReg] = t.SavedSP + contextFrameBytes

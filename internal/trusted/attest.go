@@ -169,19 +169,14 @@ func (a *Attest) QuoteTaskForProvider(provider string, id rtos.TaskID, nonce uin
 func readPlatformKey(m *machine.Machine, ctxBase uint32) ([]byte, error) {
 	key := make([]byte, machine.KeySize)
 	base := machine.DeviceAddr(machine.PageKeyStore)
+	var words [machine.KeySize / 4]uint32
 	var err error
-	m.WithExecContext(ctxBase, func() {
-		for off := uint32(0); off < machine.KeySize; off += 4 {
-			var v uint32
-			v, err = m.Read32(base + off)
-			if err != nil {
-				return
-			}
-			binary.LittleEndian.PutUint32(key[off:], v)
-		}
-	})
+	m.WithExecContext(ctxBase, func() { err = m.ReadWords(base, words[:]) })
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrKeyDenied, err)
+	}
+	for i, v := range words {
+		binary.LittleEndian.PutUint32(key[4*i:], v)
 	}
 	m.Charge(machine.KeySize / 4 * 4) // MMIO reads
 	return key, nil

@@ -204,22 +204,22 @@ func (j *MeasureJob) Run() (uint64, error) {
 }
 
 // readBlock reads n bytes of task memory through the checked bus in the
-// RTM's protection context (its boot grant covers task regions).
+// RTM's protection context (its boot grant covers task regions): the
+// whole-word prefix as one word transfer, any tail byte by byte.
 func (j *MeasureJob) readBlock(off, n uint32) ([]byte, error) {
 	block := j.buf[:n]
+	var wbuf [sha1.BlockSize / 4]uint32
+	words := wbuf[:n/4]
 	var err error
 	j.rtm.m.WithExecContext(RTMBase, func() {
 		addr := j.base + off
-		var i uint32
-		for ; i+4 <= n; i += 4 {
-			var v uint32
-			v, err = j.rtm.m.Read32(addr + i)
-			if err != nil {
-				return
-			}
-			binary.LittleEndian.PutUint32(block[i:], v)
+		if err = j.rtm.m.ReadWords(addr, words); err != nil {
+			return
 		}
-		for ; i < n; i++ {
+		for i, v := range words {
+			binary.LittleEndian.PutUint32(block[4*i:], v)
+		}
+		for i := n &^ 3; i < n; i++ {
 			var b byte
 			b, err = j.rtm.m.Read8(addr + i)
 			if err != nil {

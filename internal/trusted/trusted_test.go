@@ -2,10 +2,13 @@ package trusted
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/eampu"
+	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/machine"
 	"repro/internal/rtos"
@@ -22,7 +25,7 @@ type rig struct {
 	c *Components
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	m := machine.New(4 << 20)
 	m.MapDevice(machine.PageUART, machine.NewUART())
@@ -38,7 +41,7 @@ func newRig(t *testing.T) *rig {
 	return &rig{m: m, k: k, c: c}
 }
 
-func mustImage(t *testing.T, src string) *telf.Image {
+func mustImage(t testing.TB, src string) *telf.Image {
 	t.Helper()
 	im, err := asm.Assemble(src)
 	if err != nil {
@@ -50,7 +53,7 @@ func mustImage(t *testing.T, src string) *telf.Image {
 // loadTask performs the full TyTAN loading sequence of §4 by hand:
 // allocate, load+relocate, prepare stack, configure EA-MPU, measure,
 // schedule.
-func (r *rig) loadTask(t *testing.T, im *telf.Image, kind rtos.TaskKind, prio int) *rtos.TCB {
+func (r *rig) loadTask(t testing.TB, im *telf.Image, kind rtos.TaskKind, prio int) *rtos.TCB {
 	t.Helper()
 	base, scanned, err := r.k.Alloc.Alloc(loader.PlacedSize(im))
 	if err != nil {
@@ -264,6 +267,72 @@ main:
 		t.Fatal("no secure save happened")
 	}
 	_ = tcb
+}
+
+// liveTask loads a secure task and enters it the way the scheduler
+// does, through an Int Mux restore of its initial frame, leaving SP
+// where the exception engine's EIP/EFLAGS push would leave it.
+func liveTask(t testing.TB, r *rig) *rtos.TCB {
+	t.Helper()
+	tcb := r.loadTask(t, mustImage(t, ".task \"x\"\n.entry e\n.stack 128\n.text\ne:\n jmp e\n"), rtos.KindSecure, 3)
+	if err := r.c.Mux.Restore(r.k, tcb); err != nil {
+		t.Fatal(err)
+	}
+	r.m.SetReg(isa.SP, r.m.Reg(isa.SP)-8)
+	return tcb
+}
+
+// TestIntMuxSaveFaultEngines saves a context onto a stack that runs
+// below RAM, outside the Int Mux grant, on the production engine and on
+// the reference oracle. A first save and restore on the task's own
+// stack warms the decision cache. On both engines the bad frame's two
+// top words must land, the save must fault at the third word, and the
+// cycle and violation counts must agree.
+func TestIntMuxSaveFaultEngines(t *testing.T) {
+	run := func(fast bool) string {
+		prev := machine.FastPathDefault
+		machine.FastPathDefault = fast
+		defer func() { machine.FastPathDefault = prev }()
+		r := newRig(t)
+		tcb := liveTask(t, r)
+		if err := r.c.Mux.Save(r.k, tcb); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.c.Mux.Restore(r.k, tcb); err != nil {
+			t.Fatal(err)
+		}
+		r.m.SetReg(isa.SP, machine.RAMBase+8)
+		err := r.c.Mux.Save(r.k, tcb)
+		top, _ := r.m.ReadBytes(machine.RAMBase, 8)
+		return fmt.Sprintf("err=%v cycles=%d violations=%d top=%x",
+			err, r.m.Cycles(), r.m.MPU.Violations(), top)
+	}
+	prod, ref := run(true), run(false)
+	if !strings.Contains(prod, "bus error at 0xffc") {
+		t.Fatalf("save below RAM: %s", prod)
+	}
+	if prod != ref {
+		t.Fatalf("engines differ:\nprod %s\nref  %s", prod, ref)
+	}
+}
+
+// BenchmarkContextFrame times one Int Mux context save plus restore on
+// a booted platform: the frame path every Table 1 context switch takes.
+func BenchmarkContextFrame(b *testing.B) {
+	r := newRig(b)
+	tcb := liveTask(b, r)
+	sp := r.m.Reg(isa.SP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.m.SetReg(isa.SP, sp)
+		if err := r.c.Mux.Save(r.k, tcb); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.c.Mux.Restore(r.k, tcb); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestMeasurementMatchesImageIdentity(t *testing.T) {
