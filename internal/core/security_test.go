@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -360,6 +362,133 @@ func TestAttackEAMPUDriverOverlap(t *testing.T) {
 	}
 	if _, err := p.C.Driver.Configure(rule); !errors.Is(err, eampu.ErrOverlap) {
 		t.Errorf("overlapping claim = %v, want ErrOverlap", err)
+	}
+}
+
+// forgerTask loads a forged stack pointer from its data word (patched
+// after load, once every placement is known) and then either spins
+// until the tick pre-empts it or sleeps through svc 2. Either way the
+// kernel banks its context at the forged SP.
+const forgerTask = `
+.task "forger"
+.entry main
+.stack 128
+.bss 28
+.text
+main:
+    ldi32 r1, target
+    ld r7, [r1+0]
+    ldi32 r0, 0xDEADBEEF
+    ldi32 r2, 0xDEADBEEF
+%s
+spin:
+    jmp spin
+.data
+target:
+    .word 0
+`
+
+// sleeperTask is a secure task with known data and a mailbox; it prints
+// 'V' each time it wakes and never writes its own data.
+const sleeperTask = `
+.task "sleeper"
+.entry main
+.stack 128
+.bss 28
+.text
+main:
+    ldi r1, 86   ; 'V'
+    svc 5
+    ldi r0, 30000
+    svc 2
+    jmp main
+.data
+    .word 0x11111111, 0x22222222, 0x33333333, 0x44444444
+    .word 0x55555555, 0x66666666, 0x77777777, 0x88888888
+    .word 0x99999999, 0xAAAAAAAA, 0xBBBBBBBB, 0xCCCCCCCC
+`
+
+// TestAttackForgedStackPointer: a task that aims SP at memory it does
+// not own cannot make the kernel bank its context there. The frame-bank
+// gate checks the whole 40-byte span against the task's own stack
+// before any byte is written, so the target stays intact, the forger
+// exits with stack-overflow, the run itself does not fail and the
+// co-resident secure task keeps printing — on the tick path and the
+// syscall path, on both engines, with identical cycles and exit record.
+func TestAttackForgedStackPointer(t *testing.T) {
+	frame := uint32(rtos.ContextFrameBytes)
+	// ram marks targets whose span is RAM, so the byte compare below
+	// is not vacuous; the UART output covers the MMIO target.
+	targets := []struct {
+		name string
+		ram  bool
+		sp   func(p *Platform, victim, forger *rtos.TCB) uint32
+	}{
+		{"victim-data", true, func(_ *Platform, v, _ *rtos.TCB) uint32 { return v.Placement.DataBase() + 48 }},
+		{"victim-mailbox", true, func(p *Platform, v, _ *rtos.TCB) uint32 {
+			e, _ := p.C.RTM.LookupByTask(v.ID)
+			box, _ := trusted.MailboxAddr(e)
+			return box + frame
+		}},
+		{"idt", true, func(*Platform, *rtos.TCB, *rtos.TCB) uint32 { return machine.IDTBase + frame }},
+		{"trusted-area", true, func(*Platform, *rtos.TCB, *rtos.TCB) uint32 { return trusted.RTMBase + 0x40 }},
+		{"mmio-uart", false, func(*Platform, *rtos.TCB, *rtos.TCB) uint32 {
+			return machine.DeviceAddr(machine.PageUART) + frame
+		}},
+		{"unmapped-low", false, func(*Platform, *rtos.TCB, *rtos.TCB) uint32 { return 8 }},
+		{"above-stack-top", true, func(_ *Platform, _, f *rtos.TCB) uint32 { return f.Placement.StackTop() + frame }},
+		{"below-stack-base", true, func(_ *Platform, _, f *rtos.TCB) uint32 { return f.Placement.StackBase() }},
+	}
+	paths := []struct{ name, tail string }{
+		{"tick", ""},
+		{"svc", "    ldi r0, 100\n    svc 2"},
+	}
+	prev := machine.FastPathDefault
+	defer func() { machine.FastPathDefault = prev }()
+	for _, tg := range targets {
+		for _, path := range paths {
+			t.Run(tg.name+"/"+path.name, func(t *testing.T) {
+				var runs [2]string
+				for i, fast := range []bool{true, false} {
+					machine.FastPathDefault = fast
+					p := newTyTAN(t)
+					victim, _, err := p.LoadTaskSync(mustImage(t, sleeperTask), Secure, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					forger, _, err := p.LoadTaskSync(mustImage(t, fmt.Sprintf(forgerTask, path.tail)), Normal, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sp := tg.sp(p, victim, forger)
+					if err := p.M.RawWrite32(forger.Placement.DataBase(), sp); err != nil {
+						t.Fatal(err)
+					}
+					before, err := p.M.ReadBytes(sp-frame, frame)
+					if tg.ram && err != nil {
+						t.Fatalf("target span not in RAM: %v", err)
+					}
+					if err := p.Run(10 * DefaultTickPeriod); err != nil {
+						t.Fatalf("fast=%v: run failed: %v", fast, err)
+					}
+					if after, _ := p.M.ReadBytes(sp-frame, frame); !bytes.Equal(before, after) {
+						t.Errorf("fast=%v: frame span [%#x,%#x) changed:\n% x\n% x", fast, sp-frame, sp, before, after)
+					}
+					ex := forger.Exit
+					if ex == nil || ex.Cause != rtos.ExitStackOverflow || ex.FaultAddr != sp-frame {
+						t.Fatalf("fast=%v: forger exit = %+v, want stack-overflow at %#x", fast, ex, sp-frame)
+					}
+					if out := p.Output(); out == "" || strings.Trim(out, "V") != "" {
+						t.Errorf("fast=%v: output %q, want only the sleeper's Vs", fast, out)
+					}
+					runs[i] = fmt.Sprintf("cycles=%d violations=%d exit=%+v",
+						p.M.Cycles(), p.M.MPU.Violations(), *ex)
+				}
+				if runs[0] != runs[1] {
+					t.Errorf("engines differ:\nprod %s\nref  %s", runs[0], runs[1])
+				}
+			})
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/rtos"
 	"repro/internal/trusted"
 )
 
@@ -215,6 +216,10 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// overflowTask recurses without bound and yields at every level, so
+// the kernel banks its context while the stack sinks. Without the yield
+// the recursion would run on through its own data and code before any
+// bank saw it.
 const overflowTask = `
 .task "overflow"
 .entry main
@@ -222,6 +227,7 @@ const overflowTask = `
 .bss 28
 .text
 main:
+    svc 0           ; yield: bank the context at this depth
     call main       ; unbounded recursion
 `
 
@@ -241,6 +247,9 @@ func TestStackOverflowKillsTask(t *testing.T) {
 	}
 	if _, ok := p.K.Task(bad.ID); ok {
 		t.Error("overflowing task survived")
+	}
+	if ex := bad.Exit; ex == nil || ex.Cause != rtos.ExitStackOverflow || ex.FaultAddr >= bad.Placement.StackBase() {
+		t.Errorf("overflow exit = %+v, want stack-overflow below stack base %#x", ex, bad.Placement.StackBase())
 	}
 	if p.Output() != "hi" {
 		t.Errorf("lower-priority task output %q; overflow not contained", p.Output())

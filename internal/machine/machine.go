@@ -438,21 +438,17 @@ func (m *Machine) SetIDTHandler(vector int, handler uint32) error {
 	return m.RawWrite32(IDTBase+uint32(vector*4), handler)
 }
 
-// EnterInterrupt performs the hardware part of interrupt delivery for
-// the current CPU context: push EFLAGS and EIP onto the current stack,
-// clear the global interrupt-enable flag, and vector through the IDT.
-// The pushes are performed in the *interrupted code's* protection
-// context, exactly like the exception engine described in §4 (it saves
-// EIP/EFLAGS "to the stack of the interrupted task").
-//
-// It returns the handler address from the IDT; the software layers above
-// decide how to transfer control there.
+// EnterInterrupt is the bare-machine model of interrupt delivery:
+// push EFLAGS and EIP onto the current stack, clear the global
+// interrupt-enable flag, and vector through the IDT. It returns the
+// handler address from the IDT. The machine package's differential
+// tests use it; the rtos kernel does not, since it banks the whole
+// frame through its checked context-save path instead.
 func (m *Machine) EnterInterrupt(vector int) (handler uint32, err error) {
 	m.Charge(CostHWException)
 	sp := m.regs[isa.SP]
-	// Hardware pushes bypass the MPU: the exception engine is trusted
-	// silicon. (Software cannot reach this path with a forged SP; the
-	// Int Mux validates the saved frame before any software touches it.)
+	// The pushes bypass the EA-MPU and nothing checks SP first: the
+	// caller owns the stack it interrupts.
 	if err := m.RawWrite32(sp-4, m.eflags); err != nil {
 		return 0, &Fault{PC: m.eip, Why: "exception push EFLAGS", Wrap: err}
 	}

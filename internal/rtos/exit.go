@@ -30,8 +30,9 @@ const (
 	ExitFault
 	// ExitBadSyscall: the task raised an SVC number nobody handles.
 	ExitBadSyscall
-	// ExitStackOverflow: the banked context sank below the stack
-	// reservation.
+	// ExitStackOverflow: the context frame would not fit inside the
+	// task's own stack, so it was not banked (FaultAddr is the frame's
+	// base, SP-40).
 	ExitStackOverflow
 	// ExitRestoreFault: the task's saved context could not be restored.
 	ExitRestoreFault

@@ -6,21 +6,25 @@ import (
 )
 
 // SaveFrame performs the mechanical part of a context save shared by
-// the baseline handler and the trusted Int Mux: push r7..r0 below the
-// EIP/EFLAGS words the exception engine already pushed, and record the
-// frame base in t.SavedSP. The frame moves as one checked word
-// transfer, stored highest address first like a push sequence.
+// the baseline handler and the trusted Int Mux: write the whole frame
+// (r0..r7, EIP, EFLAGS) just below SP as one checked word transfer,
+// highest address first like a push sequence, and record the frame
+// base in t.SavedSP. The kernel's bankContext has already checked that
+// the span lies inside the task's own stack.
 //
-// The pushes go through the *checked* bus in the current execution
+// The transfer goes through the *checked* bus in the current execution
 // context: under TyTAN the Int Mux runs this inside its own protection
 // context (whose boot-time grant covers task stacks), and any attempt
 // by untrusted code to bank a secure task's context faults — the
 // security property of §4 "Interrupting secure tasks".
 func SaveFrame(k *Kernel, t *TCB) error {
 	m := k.M
-	regs := m.SaveContext().Regs
-	sp := m.Reg(spReg) - 4*isa.NumRegs
-	if err := m.WriteWords(sp, regs[:]); err != nil {
+	ctx := m.SaveContext()
+	var frame [contextFrameWords]uint32
+	copy(frame[:], ctx.Regs[:])
+	frame[isa.NumRegs], frame[isa.NumRegs+1] = ctx.EIP, ctx.EFLAGS
+	sp := ctx.Regs[spReg] - contextFrameBytes
+	if err := m.WriteWords(sp, frame[:]); err != nil {
 		return err
 	}
 	m.SetReg(spReg, sp)

@@ -77,7 +77,8 @@ func (m *Mutex) Lock() (acquired bool, err error) {
 		m.boostHolder(cur.Priority)
 	}
 	m.waiters = append(m.waiters, cur)
-	return false, m.k.BlockCurrent()
+	m.k.BlockCurrent()
+	return false, nil
 }
 
 // boostHolder raises the holder's effective priority, re-queueing it if

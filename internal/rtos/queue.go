@@ -71,14 +71,15 @@ func (q *Queue) Receive() (uint32, bool) {
 // ReceiveOrBlock dequeues an item; if the queue is empty it blocks the
 // current task until a Send arrives (used by service tasks that drain
 // work queues).
-func (q *Queue) ReceiveOrBlock() (uint32, bool, error) {
+func (q *Queue) ReceiveOrBlock() (uint32, bool) {
 	if v, ok := q.Receive(); ok {
-		return v, true, nil
+		return v, true
 	}
 	cur := q.k.current
 	if cur == nil {
-		return 0, false, nil
+		return 0, false
 	}
 	q.waiters = append(q.waiters, cur)
-	return 0, false, q.k.BlockCurrent()
+	q.k.BlockCurrent()
+	return 0, false
 }

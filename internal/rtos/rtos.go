@@ -139,7 +139,6 @@ type TCB struct {
 	// ISA-task fields.
 	Placement loader.Placement
 	EntryAddr uint32
-	StackTop  uint32
 	// SavedSP points at the saved register frame on the task's stack
 	// while the task is not running. The frame layout (low to high) is
 	// r0..r7, EIP, EFLAGS — "the OS prepares the stack of this task as

@@ -1,6 +1,8 @@
 package rtos
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -857,14 +859,14 @@ func TestQueueReceiveOrBlockNonTask(t *testing.T) {
 	k := newKernel(t, Config{})
 	q, _ := k.NewQueue("x", 1)
 	// No current task: must not block, just report empty.
-	v, ok, err := q.ReceiveOrBlock()
-	if err != nil || ok || v != 0 {
-		t.Errorf("ReceiveOrBlock idle = (%d, %v, %v)", v, ok, err)
+	v, ok := q.ReceiveOrBlock()
+	if ok || v != 0 {
+		t.Errorf("ReceiveOrBlock idle = (%d, %v)", v, ok)
 	}
 	q.Send(9)
-	v, ok, err = q.ReceiveOrBlock()
-	if err != nil || !ok || v != 9 {
-		t.Errorf("ReceiveOrBlock = (%d, %v, %v)", v, ok, err)
+	v, ok = q.ReceiveOrBlock()
+	if !ok || v != 9 {
+		t.Errorf("ReceiveOrBlock = (%d, %v)", v, ok)
 	}
 }
 
@@ -1092,5 +1094,94 @@ func TestIdleAndUtilization(t *testing.T) {
 	}
 	if u := k.Utilization(); u > 0.1 {
 		t.Errorf("utilization = %.2f, want near 0", u)
+	}
+}
+
+// gateTask loads SP from its data word (patched after load), yields so
+// the kernel banks its context there, and halts if it comes back.
+const gateTask = `
+.task "gate"
+.entry main
+.stack 128
+.text
+main:
+    ldi32 r1, target
+    ld r7, [r1+0]
+    svc 0
+    hlt
+.data
+target:
+    .word 0
+`
+
+// TestBankContextGateBoundary: a frame that exactly fills the bottom
+// or the top of the stack is banked and resumed; one word past either
+// end is refused with a stack-overflow exit at SP-40 and nothing
+// written.
+func TestBankContextGateBoundary(t *testing.T) {
+	cases := []struct {
+		name string
+		sp   func(top, base uint32) uint32
+		want ExitCause
+	}{
+		{"bottom", func(_, base uint32) uint32 { return base + contextFrameBytes }, ExitHalt},
+		{"below-bottom", func(_, base uint32) uint32 { return base + contextFrameBytes - 4 }, ExitStackOverflow},
+		{"top", func(top, _ uint32) uint32 { return top }, ExitHalt},
+		{"above-top", func(top, _ uint32) uint32 { return top + 4 }, ExitStackOverflow},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := newKernel(t, Config{})
+			tcb, err := loadTask(k, mustImage(t, gateTask), KindNormal, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := tcb.Placement
+			sp := c.sp(pl.StackTop(), pl.StackBase())
+			if err := k.M.RawWrite32(pl.DataBase(), sp); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := k.M.ReadBytes(sp-contextFrameBytes, contextFrameBytes)
+			if err := k.RunUntil(100_000); err != nil {
+				t.Fatal(err)
+			}
+			ex := tcb.Exit
+			if ex == nil || ex.Cause != c.want {
+				t.Fatalf("exit = %+v, want %v", ex, c.want)
+			}
+			if c.want != ExitStackOverflow {
+				return
+			}
+			if ex.FaultAddr != sp-contextFrameBytes {
+				t.Errorf("fault addr = %#x, want %#x", ex.FaultAddr, sp-contextFrameBytes)
+			}
+			if after, _ := k.M.ReadBytes(sp-contextFrameBytes, contextFrameBytes); !bytes.Equal(before, after) {
+				t.Errorf("refused frame was written:\n% x\n% x", before, after)
+			}
+		})
+	}
+}
+
+// failingSave is an InterruptPath whose every save faults.
+type failingSave struct{ BaselinePath }
+
+func (failingSave) Save(*Kernel, *TCB) error { return errors.New("save fault") }
+
+// TestBankContextSaveFaultIsTypedExit: a save that faults after the
+// frame-bank gate passed removes the task with a typed fault exit, and
+// RunUntil itself does not fail.
+func TestBankContextSaveFaultIsTypedExit(t *testing.T) {
+	k := newKernel(t, Config{})
+	k.IntPath = failingSave{}
+	k.StartTick()
+	tcb, err := loadTask(k, mustImage(t, ".task \"spin\"\n.entry main\n.stack 128\n.text\nmain:\n    jmp main\n"), KindNormal, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(3 * DefaultTickPeriod); err != nil {
+		t.Fatal(err)
+	}
+	if ex := tcb.Exit; ex == nil || ex.Cause != ExitFault || ex.Detail != "context save: save fault" {
+		t.Fatalf("exit = %+v, want a context-save fault", ex)
 	}
 }

@@ -1,8 +1,6 @@
 package rtos
 
 import (
-	"fmt"
-
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
@@ -108,52 +106,18 @@ func (k *Kernel) tick() {
 	k.checkDeadlines()
 }
 
-// checkStackBounds kills a task whose banked context frame has sunk
-// below its stack reservation — FreeRTOS-style stack overflow checking.
-// Returning true means the task was killed.
-func (k *Kernel) checkStackBounds(t *TCB) bool {
-	if !t.IsISA() || t.Placement.Image == nil {
-		return false
-	}
-	if t.SavedSP >= t.Placement.StackBase() {
-		return false
-	}
-	k.removeTaskWith(t, ExitReason{
-		Cause:     ExitStackOverflow,
-		FaultAddr: t.SavedSP,
-		Detail:    fmt.Sprintf("sp %#x below stack base %#x", t.SavedSP, t.Placement.StackBase()),
-	})
-	return true
-}
-
 // serviceInterrupt delivers the highest-priority pending interrupt:
-// hardware entry, context save via the configured InterruptPath, and
-// the handler body.
-func (k *Kernel) serviceInterrupt() error {
+// exception entry, context save of an interrupted ISA task (see
+// bankContext), and the handler body.
+func (k *Kernel) serviceInterrupt() {
 	line, ok := k.M.PendingIRQ()
 	if !ok {
-		return nil
+		return
 	}
 	cur := k.current
-	if cur != nil && cur.IsISA() && k.ctxLive {
-		// Hardware pushes EIP/EFLAGS onto the interrupted task's stack.
-		if _, err := k.M.EnterInterrupt(line); err != nil {
-			return err
-		}
-		if err := k.IntPath.Save(k, cur); err != nil {
-			return err
-		}
-		k.ctxLive = false
-		if k.checkStackBounds(cur) {
-			cur = nil
-			k.current = nil
-		}
-	} else {
-		// Idle or a native service task: no ISA context to bank, but
-		// the exception entry still happens.
-		k.M.Charge(machine.CostHWException)
-		k.M.SetInterruptsEnabled(false)
-	}
+	k.M.Charge(machine.CostHWException)
+	k.M.SetInterruptsEnabled(false)
+	k.bankContext()
 	if cur != nil && cur.State == StateRunning {
 		cur.EntryInfo = EntryResumed
 		if cur.IsISA() || cur.serviceRunnable() {
@@ -187,7 +151,6 @@ func (k *Kernel) serviceInterrupt() error {
 		k.emit(kind, "", trace.Num("line", uint64(line)), trace.Num("latency", lat))
 	}
 	k.M.SetInterruptsEnabled(true)
-	return nil
 }
 
 // serviceRunnable reports whether a service task has work queued.
@@ -203,13 +166,12 @@ func (t *TCB) serviceRunnable() bool {
 // limit, all tasks are dead, or (with no tick running) nothing can make
 // progress. It is the kernel's "main" — the simulated CPU alternates
 // between task execution and kernel paths exactly as the hardware
-// would.
+// would. A task's faults, a context frame its SP cannot hold included,
+// end in typed exits, never in an error.
 func (k *Kernel) RunUntil(limit uint64) error {
 	for k.M.Cycles() < limit {
 		if k.M.InterruptDeliverable() {
-			if err := k.serviceInterrupt(); err != nil {
-				return err
-			}
+			k.serviceInterrupt()
 			continue
 		}
 		k.wakeDelayed()
@@ -225,9 +187,7 @@ func (k *Kernel) RunUntil(limit uint64) error {
 			k.M.Charge(machine.CostSchedulerPick)
 			k.current = t
 		}
-		if err := k.dispatch(limit); err != nil {
-			return err
-		}
+		k.dispatch(limit)
 	}
 	return nil
 }
@@ -240,10 +200,9 @@ func (k *Kernel) Quiesce() {
 	}
 	t := k.current
 	if t.State == StateRunning {
-		if err := k.parkCurrentContext(); err == nil {
-			t.EntryInfo = EntryResumed
-		}
+		k.bankContext()
 		if t.State != StateDead {
+			t.EntryInfo = EntryResumed
 			k.enqueue(t)
 		}
 	}
@@ -252,7 +211,7 @@ func (k *Kernel) Quiesce() {
 
 // dispatch runs the current task until it blocks, exits, is pre-empted
 // or the limit is reached.
-func (k *Kernel) dispatch(limit uint64) error {
+func (k *Kernel) dispatch(limit uint64) {
 	t := k.current
 	t.State = StateRunning
 	t.Activations++
@@ -264,7 +223,7 @@ func (k *Kernel) dispatch(limit uint64) error {
 	}
 	now := k.M.Cycles()
 	if now >= limit {
-		return nil
+		return
 	}
 	budget := limit - now
 
@@ -293,14 +252,14 @@ func (k *Kernel) dispatch(limit uint64) error {
 			k.current = nil
 			k.removeTaskWith(t, ExitReason{Cause: ExitDone})
 		}
-		return nil
+		return
 	}
 
 	// ISA task: restore its context (if not already live) and run.
 	if !k.ctxLive {
 		if err := k.IntPath.Restore(k, t); err != nil {
 			k.removeTaskWith(t, ExitReason{Cause: ExitRestoreFault, Detail: err.Error()})
-			return nil
+			return
 		}
 		k.ctxLive = true
 	}
@@ -315,31 +274,24 @@ func (k *Kernel) dispatch(limit uint64) error {
 		// Leave it current: serviceInterrupt saves it. The burst is not
 		// over — an interrupt is not a trap boundary; the accumulator
 		// keeps running across the pre-emption.
-		return nil
 	case machine.StopBudget:
 		// Hit the simulation limit mid-run; park it consistently.
 		k.Quiesce()
-		return nil
 	case machine.StopSVC:
 		k.closeBurst(t, "svc")
 		k.M.Charge(machine.CostSyscallEntry)
-		if err := k.handleSyscall(t, res.SVC); err != nil {
-			return err
-		}
+		k.handleSyscall(t, res.SVC)
 		// A syscall may have readied a higher-priority task (IPC
 		// delivery, resume): pre-empt at the syscall boundary, exactly
 		// like the tick path would.
-		return k.preemptIfNeeded()
+		k.preemptIfNeeded()
 	case machine.StopHalt:
 		k.closeBurst(t, "hlt")
 		k.removeTaskWith(t, ExitReason{Cause: ExitHalt, PC: k.M.EIP()})
-		return nil
 	case machine.StopFault:
 		k.closeBurst(t, "fault")
 		k.removeTaskWith(t, faultExitReason(k.M.Cycles(), res.Fault))
-		return nil
 	}
-	return nil
 }
 
 // closeBurst ends the task's current execution burst at a trap boundary
@@ -359,36 +311,22 @@ func (k *Kernel) closeBurst(t *TCB, boundary string) {
 
 // preemptIfNeeded parks the current task when a strictly
 // higher-priority task is ready to run.
-func (k *Kernel) preemptIfNeeded() error {
+func (k *Kernel) preemptIfNeeded() {
 	t := k.current
 	if t == nil || t.State != StateRunning {
-		return nil
+		return
 	}
 	for p := NumPriorities - 1; p > t.Priority; p-- {
 		if len(k.ready[p]) == 0 {
 			continue
 		}
-		if err := k.parkCurrentContext(); err != nil {
-			return err
-		}
+		k.bankContext()
 		if t.State != StateDead {
 			t.EntryInfo = EntryResumed
 			k.enqueue(t)
 		}
 		k.current = nil
 		k.preempted++
-		return nil
+		return
 	}
-	return nil
-}
-
-// pushInterruptFrame simulates the hardware exception push for a
-// software-initiated suspension (syscall blocking, quiesce): EFLAGS and
-// EIP go onto the current stack so the uniform restore path works.
-func (k *Kernel) pushInterruptFrame() {
-	m := k.M
-	sp := m.Reg(spReg)
-	m.RawWrite32(sp-4, m.EFLAGS())
-	m.RawWrite32(sp-8, m.EIP())
-	m.SetReg(spReg, sp-8)
 }

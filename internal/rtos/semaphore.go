@@ -60,14 +60,15 @@ func (s *Semaphore) TryTake() bool {
 // Take decrements the semaphore, blocking the current task when the
 // count is zero. It reports whether the count was taken immediately
 // (false means the task blocked and will resume once given).
-func (s *Semaphore) Take() (bool, error) {
+func (s *Semaphore) Take() bool {
 	if s.TryTake() {
-		return true, nil
+		return true
 	}
 	cur := s.k.current
 	if cur == nil {
-		return false, nil
+		return false
 	}
 	s.waiters = append(s.waiters, cur)
-	return false, s.k.BlockCurrent()
+	s.k.BlockCurrent()
+	return false
 }

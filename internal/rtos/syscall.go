@@ -25,43 +25,40 @@ const (
 // task's context is live; handlers read arguments straight from the
 // registers, exactly like the register-based calling convention of the
 // paper's IPC.
-func (k *Kernel) handleSyscall(t *TCB, svc uint16) error {
+func (k *Kernel) handleSyscall(t *TCB, svc uint16) {
 	if k.Obs != nil {
 		k.emit(trace.KindSyscall, t.Name,
 			trace.Num("id", uint64(t.ID)), trace.Num("svc", uint64(svc)))
 	}
 	switch svc {
 	case SVCYield:
-		return k.YieldCurrent()
+		k.YieldCurrent()
 	case SVCExit:
 		k.current = nil
 		k.ctxLive = false
 		k.removeTaskWith(t, ExitReason{Cause: ExitSelf, PC: k.M.EIP()})
-		return nil
 	case SVCDelay:
-		return k.DelayCurrent(uint64(k.M.Reg(isa.R0)))
+		k.DelayCurrent(uint64(k.M.Reg(isa.R0)))
 	case SVCPutChar:
 		if d, ok := k.Device(machine.PageUART); ok {
 			d.Write(machine.UARTRegTx, k.M.Reg(isa.R1))
 		}
 		k.M.Charge(4)
-		return nil
 	case SVCGetTime:
 		c := k.M.Cycles()
 		k.M.SetReg(isa.R0, uint32(c))
 		k.M.SetReg(isa.R1, uint32(c>>32))
 		k.M.Charge(2)
-		return nil
+	default:
+		if k.Syscalls != nil && k.Syscalls.HandleSyscall(k, t, svc) {
+			return
+		}
+		// Unknown service: the task is misbehaving; kill it. Isolation
+		// means this cannot harm anyone else.
+		k.current = nil
+		k.ctxLive = false
+		k.removeTaskWith(t, ExitReason{Cause: ExitBadSyscall, PC: k.M.EIP(), SVC: svc})
 	}
-	if k.Syscalls != nil && k.Syscalls.HandleSyscall(k, t, svc) {
-		return nil
-	}
-	// Unknown service: the task is misbehaving; kill it. Isolation means
-	// this cannot harm anyone else.
-	k.current = nil
-	k.ctxLive = false
-	k.removeTaskWith(t, ExitReason{Cause: ExitBadSyscall, PC: k.M.EIP(), SVC: svc})
-	return nil
 }
 
 // Device is a convenience accessor for a mapped device page.

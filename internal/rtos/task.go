@@ -116,7 +116,6 @@ func (k *Kernel) InstallTaskSuspended(name string, kind TaskKind, prio int, p lo
 		Priority:  prio,
 		Placement: p,
 		EntryAddr: p.EntryAddr(),
-		StackTop:  p.StackTop(),
 		SavedSP:   savedSP,
 		EntryInfo: EntryFreshStart,
 		State:     StateSuspended,
@@ -193,16 +192,12 @@ func (k *Kernel) removeTaskWith(t *TCB, reason ExitReason) {
 	}
 }
 
-// Unload kills a task by ID (the dynamic unloading of §4).
+// Unload kills a task by ID (the dynamic unloading of §4). A live
+// context is dropped, not banked: the task's memory is reclaimed.
 func (k *Kernel) Unload(id TaskID) error {
 	t, ok := k.tasks[id]
 	if !ok {
 		return ErrNoSuchTask
-	}
-	if k.current == t && t.IsISA() && k.ctxLive {
-		// Park the context first so the stack frame is consistent (the
-		// memory is about to be reclaimed anyway, but hooks may hash it).
-		k.ctxLive = false
 	}
 	k.removeTaskWith(t, ExitReason{Cause: ExitKilled, Detail: "unloaded"})
 	return nil
@@ -217,9 +212,7 @@ func (k *Kernel) Suspend(id TaskID) error {
 	}
 	k.M.Charge(machine.CostSuspendResume)
 	if k.current == t {
-		if err := k.parkCurrentContext(); err != nil {
-			return err
-		}
+		k.bankContext()
 		k.current = nil
 	}
 	if t.State == StateDead {
@@ -247,60 +240,66 @@ func (k *Kernel) Resume(id TaskID) error {
 	return nil
 }
 
-// parkCurrentContext banks the live register state of the current ISA
-// task onto its stack so another task can run.
-func (k *Kernel) parkCurrentContext() error {
+// bankContext saves the current ISA task's live context as one
+// 10-word frame on the task's own stack (§4 "Interrupting secure
+// tasks") through the configured InterruptPath. Before any byte is
+// written it checks that the frame span [SP-40, SP) lies inside the
+// task's stack reservation, so a forged SP cannot aim the save at
+// another principal's memory. A task that fails the check, or whose
+// save faults anyway, is removed with a typed exit; callers test
+// t.State for StateDead. The check is not charged.
+func (k *Kernel) bankContext() {
 	t := k.current
 	if t == nil || !t.IsISA() || !k.ctxLive {
-		return nil
-	}
-	k.pushInterruptFrame()
-	if err := k.IntPath.Save(k, t); err != nil {
-		return err
+		return
 	}
 	k.ctxLive = false
-	if k.checkStackBounds(t) {
-		k.current = nil
+	sp := k.M.Reg(spReg)
+	base, top := t.Placement.StackBase(), t.Placement.StackTop()
+	if sp < base+contextFrameBytes || sp > top {
+		k.removeTaskWith(t, ExitReason{
+			Cause:     ExitStackOverflow,
+			FaultAddr: sp - contextFrameBytes,
+			Detail: fmt.Sprintf("context frame [%#x,%#x) outside stack [%#x,%#x)",
+				sp-contextFrameBytes, sp, base, top),
+		})
+		return
 	}
-	return nil
+	if err := k.IntPath.Save(k, t); err != nil {
+		k.removeTaskWith(t, ExitReason{Cause: ExitFault, Detail: "context save: " + err.Error()})
+	}
 }
 
 // DelayCurrent blocks the current ISA task for the given number of
 // cycles. Called from the syscall path with a live context.
-func (k *Kernel) DelayCurrent(cycles uint64) error {
+func (k *Kernel) DelayCurrent(cycles uint64) {
 	t := k.current
 	if t == nil {
-		return nil
+		return
 	}
-	if err := k.parkCurrentContext(); err != nil {
-		return err
-	}
+	k.bankContext()
 	if t.State == StateDead {
-		return nil
+		return
 	}
 	t.State = StateBlocked
 	t.wakeAt = k.M.Cycles() + cycles
 	k.current = nil
-	return nil
 }
 
 // BlockCurrent parks the current task in StateBlocked without a wake
 // deadline; something must later call Unblock. Used by IPC receive.
-func (k *Kernel) BlockCurrent() error {
+func (k *Kernel) BlockCurrent() {
 	t := k.current
 	if t == nil {
-		return nil
+		return
 	}
-	if err := k.parkCurrentContext(); err != nil {
-		return err
-	}
+	k.bankContext()
 	if t.State == StateDead {
-		return nil
+		return
 	}
 	t.State = StateBlocked
 	t.wakeAt = 0
 	k.current = nil
-	return nil
 }
 
 // Unblock makes a blocked task ready (message arrival, queue space).
@@ -323,19 +322,16 @@ func (k *Kernel) WakeService(t *TCB) {
 }
 
 // YieldCurrent requeues the current task behind its priority peers.
-func (k *Kernel) YieldCurrent() error {
+func (k *Kernel) YieldCurrent() {
 	t := k.current
 	if t == nil {
-		return nil
+		return
 	}
-	if err := k.parkCurrentContext(); err != nil {
-		return err
-	}
+	k.bankContext()
 	if t.State == StateDead {
-		return nil
+		return
 	}
 	t.EntryInfo = EntryResumed
 	k.enqueue(t)
 	k.current = nil
-	return nil
 }

@@ -190,9 +190,7 @@ func (c *Components) HandleSyscall(k *rtos.Kernel, t *rtos.TCB, svc uint16) bool
 	case SVCIPCSendSync:
 		c.Proxy.HandleSend(k, t, true)
 	case SVCIPCRecv:
-		if err := c.Proxy.HandleRecv(k, t); err != nil {
-			return false
-		}
+		c.Proxy.HandleRecv(k, t)
 	case SVCGetID:
 		if e, ok := c.RTM.LookupByTask(t.ID); ok {
 			m.SetReg(isa.R0, IPCStatusOK)

@@ -241,16 +241,16 @@ func (p *IPCProxy) pokeSavedReg(t *rtos.TCB, r isa.Reg, v uint32) {
 // HandleRecv services the blocking-receive SVC: if the mailbox already
 // holds a message, return immediately with r0 = EntryMessage; otherwise
 // block until a delivery wakes the task.
-func (p *IPCProxy) HandleRecv(k *rtos.Kernel, t *rtos.TCB) error {
+func (p *IPCProxy) HandleRecv(k *rtos.Kernel, t *rtos.TCB) {
 	e, ok := p.rtm.LookupByTask(t.ID)
 	if !ok {
 		k.M.SetReg(isa.R0, IPCStatusNoReceiver)
-		return nil
+		return
 	}
 	box, ok := mailboxBase(e)
 	if !ok {
 		k.M.SetReg(isa.R0, IPCStatusNoMailbox)
-		return nil
+		return
 	}
 	var flags uint32
 	p.m.WithExecContext(IPCProxyBase, func() {
@@ -261,12 +261,12 @@ func (p *IPCProxy) HandleRecv(k *rtos.Kernel, t *rtos.TCB) error {
 			p.emitIPC(t.Name, trace.Str("dir", "recv"), trace.Str("state", "ready"))
 		}
 		k.M.SetReg(isa.R0, rtos.EntryMessage)
-		return nil
+		return
 	}
 	if p.Obs != nil {
 		p.emitIPC(t.Name, trace.Str("dir", "recv"), trace.Str("state", "blocked"))
 	}
-	return k.BlockCurrent()
+	k.BlockCurrent()
 }
 
 // TransferMailbox moves a pending (undelivered) message from one

@@ -270,15 +270,14 @@ main:
 }
 
 // liveTask loads a secure task and enters it the way the scheduler
-// does, through an Int Mux restore of its initial frame, leaving SP
-// where the exception engine's EIP/EFLAGS push would leave it.
+// does, through an Int Mux restore of its initial frame, leaving SP at
+// its stack top.
 func liveTask(t testing.TB, r *rig) *rtos.TCB {
 	t.Helper()
 	tcb := r.loadTask(t, mustImage(t, ".task \"x\"\n.entry e\n.stack 128\n.text\ne:\n jmp e\n"), rtos.KindSecure, 3)
 	if err := r.c.Mux.Restore(r.k, tcb); err != nil {
 		t.Fatal(err)
 	}
-	r.m.SetReg(isa.SP, r.m.Reg(isa.SP)-8)
 	return tcb
 }
 
