@@ -99,12 +99,6 @@ func main() {
 	}
 }
 
-// parseFaultSpec parses the -faults flag value (shared format with the
-// chaos harness).
-func parseFaultSpec(spec string) (faultinject.Config, error) {
-	return faultinject.ParseSpec(spec)
-}
-
 // exportTo runs write against the named destination ("-" = stdout).
 func exportTo(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "-" {
@@ -134,7 +128,7 @@ func run(cfg config, stdout io.Writer) error {
 		if cfg.baseline {
 			return fmt.Errorf("-faults needs the trusted platform (drop -baseline)")
 		}
-		fcfg, err := parseFaultSpec(cfg.faults)
+		fcfg, err := faultinject.ParseSpec(cfg.faults)
 		if err != nil {
 			return err
 		}

@@ -215,8 +215,9 @@ main:
 	}
 }
 
+// TestParseFaultSpec: the -faults flag value is a faultinject spec.
 func TestParseFaultSpec(t *testing.T) {
-	cfg, err := parseFaultSpec("seed=0x2a,classes=bitflips+irqstorms,period=90000")
+	cfg, err := faultinject.ParseSpec("seed=0x2a,classes=bitflips+irqstorms,period=90000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestParseFaultSpec(t *testing.T) {
 		t.Errorf("classes = %v", cfg.Classes)
 	}
 	for _, bad := range []string{"seed", "seed=x", "classes=nukes", "bogus=1", "period=x"} {
-		if _, err := parseFaultSpec(bad); err == nil {
+		if _, err := faultinject.ParseSpec(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}

@@ -105,17 +105,29 @@ func TestBitFlipStaysInsideTargets(t *testing.T) {
 
 func TestRogueSourceDeterministicAndAssemblable(t *testing.T) {
 	targets := RogueTargets{TrustedAddr: 0x6000, ForeignAddr: 0x40_1000}
-	for seed := uint64(1); seed <= 10; seed++ {
-		s1 := RogueSource(NewRNG(seed), "rogue", targets)
-		s2 := RogueSource(NewRNG(seed), "rogue", targets)
-		if s1 != s2 {
+	kinds := map[string]bool{}
+	for seed := uint64(1); seed <= 40; seed++ {
+		s1, k1 := RogueSource(NewRNG(seed), "rogue", targets)
+		s2, k2 := RogueSource(NewRNG(seed), "rogue", targets)
+		if s1 != s2 || k1 != k2 {
 			t.Fatalf("seed %d: source not deterministic", seed)
 		}
 		if _, err := asm.Assemble(s1); err != nil {
-			t.Fatalf("seed %d: does not assemble: %v\n%s", seed, err, s1)
+			t.Fatalf("seed %d: %s probe does not assemble: %v\n%s", seed, k1, err, s1)
+		}
+		kinds[k1] = true
+	}
+	for _, k := range []string{"trusted-write", "foreign-write", "bad-syscall", "forged-sp"} {
+		if !kinds[k] {
+			t.Errorf("no seed drew the %s probe", k)
 		}
 	}
-	if RogueSource(NewRNG(1), "rogue", targets) == RogueSource(NewRNG(2), "rogue", targets) {
+	if len(kinds) != 4 {
+		t.Errorf("probe kinds drawn = %v, want 4", kinds)
+	}
+	s1, _ := RogueSource(NewRNG(1), "rogue", targets)
+	s2, _ := RogueSource(NewRNG(2), "rogue", targets)
+	if s1 == s2 {
 		t.Error("different seeds generate identical rogues")
 	}
 }

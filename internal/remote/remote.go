@@ -88,7 +88,8 @@ var (
 )
 
 // writeFrame sends one framed message no larger than max bytes
-// (type byte included; max <= 0 means DefaultMaxFrame).
+// (type byte included; max <= 0 means DefaultMaxFrame) with a single
+// Write of header and payload.
 func writeFrame(w io.Writer, max int, typ byte, payload []byte) error {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -96,13 +97,10 @@ func writeFrame(w io.Writer, max int, typ byte, payload []byte) error {
 	if len(payload)+1 > max {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 5, 5+len(payload))
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)+1))
+	frame[4] = typ
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
