@@ -61,8 +61,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalHello$$' -fuzztime 30s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
 
+# bench runs the root benchmarks and every in-package benchmark under
+# internal/ (telf, sverify, trusted, fleet, ...), ten iterations each
+# with allocation counts. It reads the host clock, so it stays out of
+# check.
 bench: latency-bench
 	$(GO) test -bench=. -benchtime=10x -run=^$$ .
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 10x ./internal/...
 
 tables:
 	$(GO) run ./cmd/tytan-bench

@@ -287,6 +287,11 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	if cfg.CollectEvents {
+		n := len(planeEvents)
+		for i := range results {
+			n += len(results[i].events)
+		}
+		res.Events = make([]trace.Event, 0, n)
 		for i := range results {
 			res.Events = append(res.Events, results[i].events...)
 		}
@@ -400,11 +405,13 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 	}
 
 	if obs != nil {
-		a := analyze.Analyze(obs.Events())
+		// One copy of the stream serves both: Analyze only reads it.
+		events := obs.Events()
+		a := analyze.Analyze(events)
 		res.durations = a.Durations(analyze.ClassAttest)
 		res.e2e = a.Durations(analyze.ClassSession)
 		if cfg.CollectEvents {
-			res.events = obs.Events()
+			res.events = events
 		}
 	}
 	return res

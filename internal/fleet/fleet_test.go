@@ -542,3 +542,28 @@ func TestFleetCheck(t *testing.T) {
 	contract.Check(t, fleetRow("fleet", cfg,
 		contract.Engine, contract.Over("shards/listeners", "3/2", "8/6"), contract.Toggle("telemetry")))
 }
+
+// TestPlaneEmitAllocs pins the plane's emit cost: each decision event
+// allocates its attrs once, at their final length.
+func TestPlaneEmitAllocs(t *testing.T) {
+	emitted := 0
+	sink := trace.SinkFunc(func(trace.Event) { emitted++ })
+	client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{})
+	p := NewPlane(PlaneConfig{Client: client, Obs: sink})
+	d := Device{Name: "dev-0042", State: DeviceSuspect, Failures: 1}
+	for _, c := range []struct {
+		name string
+		emit func()
+	}{
+		{"pass verdict", func() { p.emitVerdict(d, 3, true, "") }},
+		{"fail verdict", func() { p.emitVerdict(d, 3, false, "unknown measurement") }},
+		{"refusal", func() { p.emitRefusal(d, 3, "quarantined") }},
+	} {
+		if got := testing.AllocsPerRun(100, c.emit); got != 1 {
+			t.Errorf("%s allocates %v times, want 1", c.name, got)
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("no events reached the sink")
+	}
+}

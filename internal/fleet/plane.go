@@ -172,11 +172,14 @@ func (p *Plane) emitVerdict(d Device, session uint64, pass bool, reason string) 
 	if !pass {
 		result = "fail"
 	}
-	attrs := []trace.Attr{
+	// One allocation holds all five attrs: what, result, state, the
+	// optional reason and the session.
+	attrs := make([]trace.Attr, 0, 5)
+	attrs = append(attrs,
 		trace.Str("what", "verdict"),
 		trace.Str("result", result),
 		trace.Str("state", d.State.String()),
-	}
+	)
 	if reason != "" {
 		attrs = append(attrs, trace.Str("reason", reason))
 	}

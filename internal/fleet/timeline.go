@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"io"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -57,17 +58,30 @@ type Timeline struct {
 	Sessions []Session
 }
 
+// sessionID is a session's correlation key before it is rendered as
+// trace.SessionKey.
+type sessionID struct {
+	device  string
+	ordinal uint64
+}
+
 // BuildTimeline reconstructs sessions from the device streams,
 // correlates them with the plane's decisions, and lays out the lanes.
 // Inputs are not mutated; the output is a pure function of them, so a
-// deterministic fleet run yields a byte-identical timeline.
+// deterministic fleet run yields a byte-identical timeline. Every step
+// is linear in the events: sessions are found by key in a map, and
+// each device lane reads its own sessions from a per-device index.
 func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
-	t := &Timeline{}
-	byKey := make(map[string]int) // session key → index into t.Sessions
+	// The plane rules on each session about once, so its stream's length
+	// is a good first guess at the session count.
+	t := &Timeline{Sessions: make([]Session, 0, len(plane))}
+	byKey := make(map[sessionID]int, len(plane)) // session key → index into t.Sessions
+	byDevice := make(map[string][]int)           // device → its indices into t.Sessions, ascending
 
 	// Reconstruct the device-side brackets.
 	for _, d := range devices {
-		for _, e := range d.Events {
+		for i := range d.Events {
+			e := &d.Events[i]
 			if e.Kind != trace.KindSession {
 				continue
 			}
@@ -79,17 +93,19 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 			if !ok {
 				continue
 			}
-			key := trace.SessionKey(e.Subject, n)
+			id := sessionID{e.Subject, n}
+			idx, found := byKey[id]
 			if phase.Str == "hello" {
-				if _, dup := byKey[key]; !dup {
-					byKey[key] = len(t.Sessions)
+				if !found {
+					byKey[id] = len(t.Sessions)
+					byDevice[e.Subject] = append(byDevice[e.Subject], len(t.Sessions))
 					t.Sessions = append(t.Sessions, Session{
-						Key: key, Device: e.Subject, Ordinal: n, Start: e.Cycle,
+						Key: trace.SessionKey(e.Subject, n), Device: e.Subject, Ordinal: n, Start: e.Cycle,
 					})
 				}
 				continue
 			}
-			if idx, found := byKey[key]; found && !t.Sessions[idx].Closed() {
+			if found && !t.Sessions[idx].Closed() {
 				s := &t.Sessions[idx]
 				s.End = e.Cycle
 				s.Outcome = phase.Str
@@ -100,39 +116,36 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		}
 	}
 
-	// Correlate the plane's decisions by session key.
-	for i := range plane {
-		e := &plane[i]
-		if e.Kind != trace.KindFleet {
-			continue
-		}
-		n, ok := e.NumAttr("session")
-		if !ok {
-			continue
-		}
-		if idx, found := byKey[trace.SessionKey(e.Subject, n)]; found {
-			if t.Sessions[idx].Plane == nil {
-				t.Sessions[idx].Plane = e
-			}
-		}
-	}
-
-	// Lane 0: the verifier plane. Each decision keeps its own sequence
+	// Lane 0: the verifier plane. The first plane decision about a
+	// session is its Plane. Each decision keeps its own sequence
 	// ordinal as a "seq" attr and is re-anchored to the correlated
 	// session's closing device cycle, so the lane lines up with the
 	// device lanes in the viewer. Uncorrelated decisions keep their
 	// ordinal as the timestamp (there is no cycle to anchor to).
-	vp := trace.Lane{Name: "verifier-plane"}
-	for _, e := range plane {
-		anchored := e
-		anchored.Attrs = append(append([]trace.Attr(nil), e.Attrs...), trace.Num("seq", e.Cycle))
-		if n, ok := e.NumAttr("session"); ok {
-			if idx, found := byKey[trace.SessionKey(e.Subject, n)]; found && t.Sessions[idx].Closed() {
-				anchored.Cycle = t.Sessions[idx].End
-			}
+	t.Lanes = make([]trace.Lane, 0, 1+len(devices))
+	vp := trace.Lane{Name: "verifier-plane", Events: make([]trace.Event, len(plane))}
+	for i := range plane {
+		e := &plane[i]
+		anchored := &vp.Events[i]
+		*anchored = *e
+		anchored.Attrs = append(slices.Clip(e.Attrs), trace.Num("seq", e.Cycle))
+		n, ok := e.NumAttr("session")
+		if !ok {
+			continue
 		}
-		vp.Events = append(vp.Events, anchored)
+		idx, found := byKey[sessionID{e.Subject, n}]
+		if !found {
+			continue
+		}
+		s := &t.Sessions[idx]
+		if e.Kind == trace.KindFleet && s.Plane == nil {
+			s.Plane = e
+		}
+		if s.Closed() {
+			anchored.Cycle = s.End
+		}
 	}
+	vp.Spans = make([]trace.ChromeSpan, 0, len(t.Sessions))
 	for i := range t.Sessions {
 		s := &t.Sessions[i]
 		if !s.Correlated() {
@@ -140,7 +153,7 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		}
 		vp.Spans = append(vp.Spans, trace.ChromeSpan{
 			Name: s.Key, Subject: s.Device, Start: s.Start, Dur: s.End - s.Start,
-			Attrs: append([]trace.Attr(nil), s.Plane.Attrs...),
+			Attrs: slices.Clone(s.Plane.Attrs),
 		})
 	}
 	t.Lanes = append(t.Lanes, vp)
@@ -148,13 +161,15 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 	// One lane per device: the full event stream plus a bar per closed
 	// session, named by the session key it shares with the plane's bar.
 	for _, d := range devices {
-		lane := trace.Lane{Name: "device/" + d.Name, Events: d.Events}
-		for i := range t.Sessions {
-			s := &t.Sessions[i]
-			if s.Device != d.Name || !s.Closed() {
+		own := byDevice[d.Name]
+		lane := trace.Lane{Name: "device/" + d.Name, Events: d.Events, Spans: make([]trace.ChromeSpan, 0, len(own))}
+		for _, idx := range own {
+			s := &t.Sessions[idx]
+			if !s.Closed() {
 				continue
 			}
-			attrs := []trace.Attr{trace.Str("phase", s.Outcome)}
+			attrs := make([]trace.Attr, 0, 3)
+			attrs = append(attrs, trace.Str("phase", s.Outcome))
 			if s.Result != "" {
 				attrs = append(attrs, trace.Str("result", s.Result))
 			}

@@ -489,3 +489,33 @@ func TestMaxFrameOption(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestEmitAllocs pins the server's emit cost: a session event
+// allocates its attrs once, at their final length; an attest event
+// does too, plus the trunc attr's hex string.
+func TestEmitAllocs(t *testing.T) {
+	emitted := 0
+	sink := trace.SinkFunc(func(trace.Event) { emitted++ })
+	s := NewServer(nil, ServerOptions{Obs: sink})
+	h := Hello{Device: "dev-0042", Provider: "oem", Session: 7}
+	ch := Challenge{Provider: "oem", TruncID: 0xdeadbeef}
+	for _, c := range []struct {
+		name string
+		want float64
+		emit func()
+	}{
+		{"session", 1, func() {
+			s.emitSession(h, 100, trace.Str("phase", "verdict"), trace.Str("result", "pass"), trace.Num("e2e", 42))
+		}},
+		{"attest", 2, func() {
+			s.emitAttest(ch, 100, "reply", trace.Str("result", "ok"), trace.Num("rtt", 9))
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, c.emit); got != c.want {
+			t.Errorf("%s event allocates %v times, want %v", c.name, got, c.want)
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("no events reached the sink")
+	}
+}

@@ -227,31 +227,37 @@ func (s *Server) now() uint64 {
 	return s.opt.Cycles()
 }
 
-// emitAttest emits one quote round-trip event when Obs is wired.
+// emitAttest emits one quote round-trip event when Obs is wired. The
+// event's attrs are allocated once, at their final length.
 func (s *Server) emitAttest(ch Challenge, cycle uint64, phase string, attrs ...trace.Attr) {
 	if s.opt.Obs == nil {
 		return
 	}
+	all := make([]trace.Attr, 0, 2+len(attrs))
+	all = append(all, trace.Str("phase", phase), trace.Hex("trunc", ch.TruncID))
 	s.opt.Obs.Emit(trace.Event{
 		Cycle:   cycle,
 		Sub:     trace.SubRemote,
 		Kind:    trace.KindAttest,
 		Subject: ch.Provider,
-		Attrs:   append([]trace.Attr{trace.Str("phase", phase), trace.Hex("trunc", ch.TruncID)}, attrs...),
+		Attrs:   append(all, attrs...),
 	})
 }
 
-// emitSession emits one session-lifecycle event when Obs is wired.
+// emitSession emits one session-lifecycle event when Obs is wired. The
+// event's attrs are allocated once, at their final length.
 func (s *Server) emitSession(h Hello, cycle uint64, attrs ...trace.Attr) {
 	if s.opt.Obs == nil {
 		return
 	}
+	all := make([]trace.Attr, 0, 1+len(attrs))
+	all = append(all, trace.Num("session", h.Session))
 	s.opt.Obs.Emit(trace.Event{
 		Cycle:   cycle,
 		Sub:     trace.SubRemote,
 		Kind:    trace.KindSession,
 		Subject: h.Device,
-		Attrs:   append([]trace.Attr{trace.Num("session", h.Session)}, attrs...),
+		Attrs:   append(all, attrs...),
 	})
 }
 

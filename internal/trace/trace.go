@@ -26,6 +26,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -160,7 +161,9 @@ func ParseKind(s string) (Kind, error) {
 // KindSession events and plane-side KindFleet events both resolve to
 // this key, which is what joins the two time domains.
 func SessionKey(device string, ordinal uint64) string {
-	return fmt.Sprintf("%s#%d", device, ordinal)
+	var buf [64]byte
+	b := append(append(buf[:0], device...), '#')
+	return string(strconv.AppendUint(b, ordinal, 10))
 }
 
 // Attr is one structured event attribute: a key with either a string or
@@ -181,7 +184,10 @@ func Str(key, val string) Attr { return Attr{Key: key, Str: val} }
 func Num(key string, val uint64) Attr { return Attr{Key: key, Num: val, IsNum: true} }
 
 // Hex builds a string attribute rendering val as hex (addresses).
-func Hex(key string, val uint64) Attr { return Attr{Key: key, Str: fmt.Sprintf("%#x", val)} }
+func Hex(key string, val uint64) Attr {
+	var buf [18]byte
+	return Attr{Key: key, Str: string(strconv.AppendUint(append(buf[:0], "0x"...), val, 16))}
+}
 
 // Value renders the attribute value.
 func (a Attr) Value() string {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,4 +224,29 @@ func TestDuplicateMetricPanics(t *testing.T) {
 		}
 	}()
 	r.Counter("dup", "")
+}
+
+// keep makes the allocation tests' strings escape, as they do when an
+// emitted event carries them.
+var keep string
+
+// TestHexAndSessionKey pins Hex and SessionKey to the fmt forms they
+// replace ("%#x" and "%s#%d"), and to one allocation each: the string.
+func TestHexAndSessionKey(t *testing.T) {
+	for _, n := range []uint64{0, 1, 0xdeadbeef, math.MaxUint64} {
+		if got, want := Hex("k", n).Str, fmt.Sprintf("%#x", n); got != want {
+			t.Errorf("Hex(%d) = %q, want %q", n, got, want)
+		}
+		for _, device := range []string{"", "dev-0042", strings.Repeat("d", 100)} {
+			if got, want := SessionKey(device, n), fmt.Sprintf("%s#%d", device, n); got != want {
+				t.Errorf("SessionKey(%q, %d) = %q, want %q", device, n, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { keep = Hex("k", 0xdeadbeef).Str }); n != 1 {
+		t.Errorf("Hex allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keep = SessionKey("dev-0042", 12345) }); n != 1 {
+		t.Errorf("SessionKey allocates %v times, want 1", n)
+	}
 }
