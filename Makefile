@@ -50,7 +50,7 @@ examples:
 # TestFleetCheck ./internal/fleet`. Host-clock timing lives in bench/.
 check: build vet lint race examples
 
-# fuzz runs each of the repo's five fuzzers for 30 s in turn. It is a
+# fuzz runs each of the repo's six fuzzers for 30 s in turn. It is a
 # manual target, not part of check. A crasher is written to the
 # fuzzer's testdata/fuzz/ directory, where the plain test suite replays
 # it; fix the code, then check the input in as a regression test.
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChallenge$$' -fuzztime 30s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalHello$$' -fuzztime 30s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
+	$(GO) test -run '^$$' -fuzz '^FuzzMemConn$$' -fuzztime 30s ./internal/fleet
 
 # bench runs the root benchmarks and every in-package benchmark under
 # internal/ (telf, sverify, trusted, fleet, ...), ten iterations each

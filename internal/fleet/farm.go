@@ -1,6 +1,9 @@
 // Package fleet is the fleet-scale attestation service: N deterministic
 // simulated TyTAN platforms (the device farm) attest against one
-// concurrent verifier plane, over an in-memory network.
+// concurrent verifier plane, over an in-memory network whose conns
+// behave like loopback sockets: writes are buffered (up to 64 KiB
+// unread) and never wait for the reader, and a closed peer's last
+// bytes still arrive (memnet.go).
 //
 // The farm spins devices up in a sharded worker pool — each simulation
 // is wall-clock-free, so instances parallelize trivially and the shard

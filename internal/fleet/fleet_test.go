@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -232,6 +234,18 @@ func TestPlaneUnknownDevice(t *testing.T) {
 	}
 }
 
+// waitGoroutines fails t unless the goroutine count falls back to base
+// within a second; exiting goroutines may still be unwinding.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines = %d after Serve returned, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // Peers that connect and never send cannot wedge the acceptor pool.
 // With two acceptors and a 50 ms deadline, each silent connection makes
 // HandleConn fail with a typed timeout that errored counts; a device
@@ -257,7 +271,7 @@ func TestPlaneSilentPeers(t *testing.T) {
 	}()
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		devEnd, planeEnd := net.Pipe()
+		devEnd, planeEnd := memPipe()
 		silent = append(silent, devEnd)
 		go func() { errs <- plane.HandleConn(planeEnd) }()
 	}
@@ -299,12 +313,111 @@ func TestPlaneSilentPeers(t *testing.T) {
 		t.Fatalf("errored = %d after four silent peers, want 4", n)
 	}
 
-	// Exiting goroutines may still be unwinding; give them a moment.
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i == 100 {
-			t.Fatalf("goroutines = %d after Serve returned, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
+	waitGoroutines(t, base)
+}
+
+// helloFrame is a device's hello frame for dev-0000, its payload padded
+// with zero bytes to pad bytes when pad is larger.
+func helloFrame(pad int) []byte {
+	dev, provider := DeviceName(0), "oem"
+	payload := append([]byte{byte(len(dev))}, dev...)
+	payload = append(append(payload, byte(len(provider))), provider...)
+	payload = append(payload, make([]byte, 16)...) // TruncID, Session
+	if len(payload) < pad {
+		payload = append(payload, make([]byte, pad-len(payload))...)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(1+len(payload)))
+	return append(append(frame, remote.MsgHello), payload...)
+}
+
+// Hostile peers on the farm's own transport cannot wedge the plane. A
+// flooder sends a hello padded to the frame limit and keeps writing
+// without reading; its writes fail with ErrConnFull once 64 KiB sit
+// unread, and the plane rejects the hello as malformed. A staller
+// writes half a hello frame and goes quiet; the plane's 50 ms deadline
+// ends the session. Either way HandleConn returns a typed error that
+// errored counts, both directly and through the acceptor pool, a
+// registered device's session afterwards passes, and closing the
+// listener leaves no goroutine behind.
+func TestPlaneHostilePeers(t *testing.T) {
+	known, err := PublishedSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Config{Devices: 1}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		peer func(t *testing.T, c net.Conn)
+		want error
+	}{
+		{"flood", func(t *testing.T, c net.Conn) {
+			if _, err := c.Write(helloFrame(remote.DefaultMaxFrame - 1)); err != nil {
+				t.Errorf("hello write: %v", err)
+				return
+			}
+			// The plane may close before the buffer fills.
+			flood := make([]byte, 1000)
+			for {
+				if _, err := c.Write(flood); err != nil {
+					if !errors.Is(err, ErrConnFull) && !errors.Is(err, io.ErrClosedPipe) {
+						t.Errorf("flood write = %v, want ErrConnFull or io.ErrClosedPipe", err)
+					}
+					return
+				}
+			}
+		}, remote.ErrBadMessage},
+		{"half-frame", func(t *testing.T, c net.Conn) {
+			frame := helloFrame(0)
+			if _, err := c.Write(frame[:len(frame)/2]); err != nil {
+				t.Errorf("half-frame write: %v", err)
+			}
+		}, remote.ErrTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			reg := NewRegistry(0)
+			reg.Register(DeviceName(0))
+			client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{Timeout: 50 * time.Millisecond})
+			plane := NewPlane(PlaneConfig{Client: client, Listeners: 2, Registry: reg, KnownGood: known})
+			errored := func() uint64 { _, _, _, n := plane.Counts(); return n }
+
+			// Writes never block, so the peer runs to completion first.
+			devEnd, planeEnd := memPipe()
+			defer devEnd.Close()
+			tc.peer(t, devEnd)
+			if err := plane.HandleConn(planeEnd); !errors.Is(err, tc.want) {
+				t.Fatalf("HandleConn = %v, want %v", err, tc.want)
+			}
+			if n := errored(); n != 1 {
+				t.Fatalf("errored = %d after one hostile peer, want 1", n)
+			}
+
+			ln := newMemListener()
+			served := make(chan struct{})
+			go func() {
+				plane.Serve(ln)
+				close(served)
+			}()
+			c, err := ln.Dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			tc.peer(t, c)
+			if dev := runDevice(cfg, 0, 0, false, ln); dev.err != nil || dev.ok != 1 {
+				t.Fatalf("device after a hostile peer: ok=%d denied=%d refused=%d errored=%d err=%v",
+					dev.ok, dev.denied, dev.refused, dev.errored, dev.err)
+			}
+			ln.Close()
+			<-served
+			if n := errored(); n != 2 {
+				t.Fatalf("errored = %d after two hostile peers, want 2", n)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 
@@ -375,13 +488,7 @@ func TestPlaneHelloFlood(t *testing.T) {
 	ln.Close()
 	<-served
 
-	// Exiting goroutines may still be unwinding; give them a moment.
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i == 100 {
-			t.Fatalf("goroutines = %d after Serve returned, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, base)
 }
 
 // A small end-to-end farm: healthy devices attest every round, the
