@@ -275,16 +275,22 @@ func TestBoundsAdmissionCostCharged(t *testing.T) {
 	}
 }
 
-// BenchmarkVerify times the full static verification of one corpus
-// image — CFG, abstract interpretation and the certified resource
-// bounds — the work the strict pre-load gate adds to a load.
+// BenchmarkVerify times the full static verification of one image per
+// generator class — CFG, abstract interpretation and the certified
+// resource bounds — the work the strict pre-load gate adds to a load,
+// on every shape the gate sees (recursion, indirect calls, SP
+// manipulation, faulting images), not only one counted loop.
 func BenchmarkVerify(b *testing.B) {
-	im := sverify.GenImage(sverify.GenCountedLoop, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rep := sverify.Verify(im, sverify.Config{}); rep.Bounds == nil || !rep.Bounds.CyclesBounded {
-			b.Fatal("counted-loop image lost its certified cycle bound")
-		}
+	for c := sverify.GenClass(0); c < sverify.NumGenClasses; c++ {
+		im := sverify.GenImage(c, 0)
+		b.Run(c.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep := sverify.Verify(im, sverify.Config{})
+				if c == sverify.GenCountedLoop && (rep.Bounds == nil || !rep.Bounds.CyclesBounded) {
+					b.Fatal("counted-loop image lost its certified cycle bound")
+				}
+			}
+		})
 	}
 }
