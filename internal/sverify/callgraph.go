@@ -1,6 +1,8 @@
 package sverify
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -32,10 +34,10 @@ type cgFunc struct {
 	calls []cgCall            // resolved call sites, in site order
 
 	// unresolvedCalls are CALLR sites whose callee the lattice cannot
-	// name; unresolvedJumps are JR sites with an unknown target. Either
-	// makes every resource bound of the function Unbounded.
-	// resolvedJumps are the JR sites the lattice did name (their CFG
-	// warnings are downgraded once the target is known).
+	// name (in site order); unresolvedJumps are JR sites with an
+	// unknown target. Either makes every resource bound of the function
+	// Unbounded. resolvedJumps are the JR sites the lattice did name
+	// (their CFG warnings are downgraded once the target is known).
 	unresolvedCalls []uint32
 	unresolvedJumps []uint32
 	resolvedJumps   []uint32
@@ -142,6 +144,10 @@ func (v *verifier) walkFunc(entry uint32) *cgFunc {
 		}
 		return succs
 	})
+	// The walk discovers sites breadth-first; the passes look them up
+	// by offset.
+	slices.SortFunc(f.calls, func(a, b cgCall) int { return cmp.Compare(a.site, b.site) })
+	slices.Sort(f.unresolvedCalls)
 	return f
 }
 
@@ -178,6 +184,21 @@ func (v *verifier) funcSuccs(f *cgFunc, off uint32, d decoded) []uint32 {
 		f.svcs = append(f.svcs, off)
 	}
 	return out
+}
+
+// calleeAt returns the callee of the resolved call at site.
+func (f *cgFunc) calleeAt(site uint32) (uint32, bool) {
+	i, ok := slices.BinarySearchFunc(f.calls, site, func(c cgCall, s uint32) int { return cmp.Compare(c.site, s) })
+	if !ok {
+		return 0, false
+	}
+	return f.calls[i].callee, true
+}
+
+// unresolvedAt reports whether site is a CALLR the lattice cannot name.
+func (f *cgFunc) unresolvedAt(site uint32) bool {
+	_, ok := slices.BinarySearch(f.unresolvedCalls, site)
+	return ok
 }
 
 // markRecursion marks every function on a call cycle: the members of

@@ -157,6 +157,19 @@ func (v *verifier) loopBound(f *cgFunc, comp []uint32, header uint32, allowCall 
 			return 0, false
 		}
 	}
+	// cycleAvoids reports whether some in-loop cycle through from
+	// avoids the node avoid.
+	cycleAvoids := func(from, avoid uint32) bool {
+		next := func(work []uint32, n uint32) []uint32 {
+			for _, s := range f.succs[n] {
+				if inS[s] && s != avoid {
+					work = append(work, s)
+				}
+			}
+			return work
+		}
+		return reachable(next(nil, from), next)[from]
+	}
 	sorted := append([]uint32(nil), comp...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
@@ -216,7 +229,9 @@ func (v *verifier) loopBound(f *cgFunc, comp []uint32, header uint32, allowCall 
 		// cycle, and never inside a nested cycle that avoids the header.
 		sound := true
 		for _, node := range []uint32{stepSite, preds[0], br} {
-			if !v.onEveryCycle(f, inS, header, node) || v.inInnerCycle(f, inS, header, node) {
+			onEvery := node == header || !cycleAvoids(header, node)
+			inInner := node != header && cycleAvoids(node, header)
+			if !onEvery || inInner {
 				sound = false
 				break
 			}
@@ -250,73 +265,6 @@ func (v *verifier) loopBound(f *cgFunc, comp []uint32, header uint32, allowCall 
 		}
 	}
 	return best, found
-}
-
-// onEveryCycle reports whether every path from header back to header
-// inside the loop passes through node. (The header itself trivially
-// qualifies.)
-func (v *verifier) onEveryCycle(f *cgFunc, inS map[uint32]bool, header, node uint32) bool {
-	if node == header {
-		return true
-	}
-	// BFS from the header's in-loop successors, avoiding node: if the
-	// header is reachable, a cycle dodges the node.
-	seen := map[uint32]bool{node: true}
-	var work []uint32
-	for _, s := range f.succs[header] {
-		if inS[s] && s != node {
-			work = append(work, s)
-		}
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if n == header {
-			return false
-		}
-		for _, s := range f.succs[n] {
-			if inS[s] && !seen[s] {
-				work = append(work, s)
-			}
-		}
-	}
-	return true
-}
-
-// inInnerCycle reports whether node lies on a cycle that avoids the
-// header — a nested loop that could repeat it within one iteration.
-func (v *verifier) inInnerCycle(f *cgFunc, inS map[uint32]bool, header, node uint32) bool {
-	if node == header {
-		return false
-	}
-	seen := map[uint32]bool{header: true}
-	var work []uint32
-	for _, s := range f.succs[node] {
-		if inS[s] && s != header {
-			work = append(work, s)
-		}
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if n == node {
-			return true
-		}
-		for _, s := range f.succs[n] {
-			if inS[s] && !seen[s] {
-				work = append(work, s)
-			}
-		}
-	}
-	return false
 }
 
 // loopEntryValue resolves the counter's constant value on every edge

@@ -81,6 +81,33 @@ type resResult struct {
 	ok  bool
 }
 
+// memo returns m[key], running compute on the first lookup only. The
+// slot is filled before compute runs, so a call cycle back to key
+// reads (0, false).
+func memo(m map[uint32]*resResult, key uint32, compute func() (uint64, bool)) (uint64, bool) {
+	if r := m[key]; r != nil {
+		return r.val, r.ok
+	}
+	r := &resResult{}
+	m[key] = r
+	r.val, r.ok = compute()
+	return r.val, r.ok
+}
+
+// resource names one per-function bound the engine resolves over the
+// call graph.
+type resource int
+
+const (
+	resStack  resource = iota // worst-case stack excursion in bytes
+	resCycles                 // worst-case entry-to-RET cycles
+)
+
+var (
+	resName    = [...]string{resStack: "stack", resCycles: "cycle"}
+	resCeiling = [...]uint64{resStack: maxStackBound, resCycles: maxCycleBound}
+)
+
 // boundEngine resolves function bounds bottom-up over the call graph.
 // Stack and cycle bounds are memoized separately so a resource is only
 // analyzed in callee mode when some caller actually needs it (the task
@@ -89,10 +116,8 @@ type resResult struct {
 type boundEngine struct {
 	v         *verifier
 	g         *callGraph
-	stackMemo map[uint32]*resResult
-	wcetMemo  map[uint32]*resResult
-	proveMemo map[uint32]*resResult // bounded-recursion frame counts
-	visiting  map[uint32]bool
+	memos     [2]map[uint32]*resResult // per resource
+	proveMemo map[uint32]*resResult    // bounded-recursion frame counts
 	reasons   map[string]bool
 }
 
@@ -130,16 +155,14 @@ func (v *verifier) computeBounds() *Bounds {
 	e := &boundEngine{
 		v:         v,
 		g:         v.buildCallGraph(),
-		stackMemo: make(map[uint32]*resResult),
-		wcetMemo:  make(map[uint32]*resResult),
+		memos:     [2]map[uint32]*resResult{make(map[uint32]*resResult), make(map[uint32]*resResult)},
 		proveMemo: make(map[uint32]*resResult),
-		visiting:  make(map[uint32]bool),
 		reasons:   make(map[string]bool),
 	}
 	e.downgradeResolvedIndirects()
 	e.emitRecursionFindings()
 
-	if st, ok := e.stackBound(v.im.Entry); ok {
+	if st, ok := e.resolve(resStack, v.im.Entry); ok {
 		b.StackBounded = true
 		b.StackBytes = uint32(st)
 	}
@@ -266,15 +289,10 @@ func (e *boundEngine) emitRecursionFindings() {
 // headed at the function entry, then running the counted-loop prover
 // with the counter's entry value taken from the external call sites.
 func (e *boundEngine) proveSelfRecursion(entry uint32) (uint64, bool) {
-	if r := e.proveMemo[entry]; r != nil {
-		return r.val, r.ok
-	}
-	frames, ok := e.proveSelfRecursionUncached(entry)
-	e.proveMemo[entry] = &resResult{val: frames, ok: ok}
-	return frames, ok
+	return memo(e.proveMemo, entry, func() (uint64, bool) { return e.proveSelfRecursionOnce(entry) })
 }
 
-func (e *boundEngine) proveSelfRecursionUncached(entry uint32) (uint64, bool) {
+func (e *boundEngine) proveSelfRecursionOnce(entry uint32) (uint64, bool) {
 	f := e.g.funcs[entry]
 	var self []uint32
 	for _, c := range f.calls {
@@ -348,106 +366,66 @@ func (e *boundEngine) selfCallSite(entry uint32) uint32 {
 	return noCallSite
 }
 
-// checkRecursive handles the shared recursion preamble of the per-
-// resource resolvers: it reports (frames, true, true) for a certified
-// self-recursion, (0, false, true) for an unprovable cycle (reason
-// recorded), and handled=false for non-recursive functions.
-func (e *boundEngine) checkRecursive(entry uint32) (frames uint64, ok, handled bool) {
-	if !e.g.recursive[entry] {
-		return 0, false, false
-	}
-	if e.g.sccSize[entry] > 1 {
-		e.reason(entry, "mutual recursion")
-		return 0, false, true
-	}
-	f, okp := e.proveSelfRecursion(entry)
-	if !okp {
-		e.reason(entry, "self-recursion without a provable counter decrement")
-		return 0, false, true
-	}
-	return f, true, true
+// resolve computes the callee-mode bound of one function for resource
+// r, memoized over the call graph. A recursive function is bounded only
+// by a certified self-recursion, and any bound only within the
+// resource's ceiling.
+func (e *boundEngine) resolve(r resource, entry uint32) (uint64, bool) {
+	return memo(e.memos[r], entry, func() (uint64, bool) {
+		f := e.g.funcs[entry]
+		if f == nil {
+			return 0, false
+		}
+		frames, selfCall := uint64(0), noCallSite
+		if e.g.recursive[entry] {
+			if e.g.sccSize[entry] > 1 {
+				e.reason(entry, "mutual recursion")
+				return 0, false
+			}
+			var ok bool
+			if frames, ok = e.proveSelfRecursion(entry); !ok {
+				e.reason(entry, "self-recursion without a provable counter decrement")
+				return 0, false
+			}
+			selfCall = e.selfCallSite(entry)
+		}
+		total, ok := e.cost(r, f, selfCall, frames)
+		if !ok {
+			return 0, false
+		}
+		if total > resCeiling[r] {
+			if frames > 0 {
+				e.reason(entry, "recursive "+resName[r]+" bound exceeds the model ceiling")
+			}
+			return 0, false
+		}
+		return total, true
+	})
 }
 
-// stackBound computes the callee-mode stack bound of one function,
-// memoized over the call graph.
-func (e *boundEngine) stackBound(entry uint32) (uint64, bool) {
-	if r := e.stackMemo[entry]; r != nil {
-		return r.val, r.ok
+// cost bounds f for resource r. A self-recursion certified to at most
+// frames activations (0 for a plain function) has its self-call at
+// selfCall cost nothing per frame and its nesting charged here: every
+// nested stack frame costs its call-site depth plus the pushed return
+// address, the deepest frame its full own excursion; every cycle frame
+// costs its own bound.
+func (e *boundEngine) cost(r resource, f *cgFunc, selfCall uint32, frames uint64) (uint64, bool) {
+	if r == resStack {
+		own, depth, ok := e.stackPass(f, selfCall)
+		return satAdd(satMul(frames, depth+4), own), ok
 	}
-	r := &resResult{}
-	e.stackMemo[entry] = r
-	f := e.g.funcs[entry]
-	if f == nil || e.visiting[entry] {
-		return 0, false
-	}
-	e.visiting[entry] = true
-	defer delete(e.visiting, entry)
-
-	if frames, okr, handled := e.checkRecursive(entry); handled {
-		if !okr {
-			return 0, false
-		}
-		// Per-frame excursion with the self-call contributing nothing
-		// (the frame multiplication accounts for the nesting): every
-		// nested frame costs its call-site depth plus the pushed return
-		// address, the deepest frame its full own excursion.
-		ownStack, callDepth, sok := e.stackPass(f, e.selfCallSite(entry))
-		if !sok {
-			return 0, false
-		}
-		total := satAdd(satMul(frames, uint64(callDepth)+4), ownStack)
-		if total > maxStackBound {
-			e.reason(entry, "recursive stack bound exceeds the model ceiling")
-			return 0, false
-		}
-		r.val, r.ok = total, true
-		return total, true
-	}
-	st, _, ok := e.stackPass(f, noCallSite)
-	if !ok || st > maxStackBound {
-		return 0, false
-	}
-	r.val, r.ok = st, true
-	return st, true
+	own, ok := e.funcWCET(f, false, selfCall)
+	return satMul(max(frames, 1), own), ok
 }
 
-// calleeWCET computes the callee-mode (entry-to-RET) cycle bound of one
-// function, memoized over the call graph.
-func (e *boundEngine) calleeWCET(entry uint32) (uint64, bool) {
-	if r := e.wcetMemo[entry]; r != nil {
-		return r.val, r.ok
+// jumpsResolved refuses a function with an unresolved indirect jump:
+// neither pass can follow it.
+func (e *boundEngine) jumpsResolved(f *cgFunc) bool {
+	if len(f.unresolvedJumps) > 0 {
+		e.reason(f.unresolvedJumps[0], "indirect jump target unresolved")
+		return false
 	}
-	r := &resResult{}
-	e.wcetMemo[entry] = r
-	f := e.g.funcs[entry]
-	if f == nil || e.visiting[entry] {
-		return 0, false
-	}
-	e.visiting[entry] = true
-	defer delete(e.visiting, entry)
-
-	if frames, okr, handled := e.checkRecursive(entry); handled {
-		if !okr {
-			return 0, false
-		}
-		own, wok := e.funcWCET(f, false, e.selfCallSite(entry))
-		if !wok {
-			return 0, false
-		}
-		total := satMul(frames, own)
-		if total > maxCycleBound {
-			e.reason(entry, "recursive cycle bound exceeds the model ceiling")
-			return 0, false
-		}
-		r.val, r.ok = total, true
-		return total, true
-	}
-	w, ok := e.funcWCET(f, false, noCallSite)
-	if !ok || w > maxCycleBound {
-		return 0, false
-	}
-	r.val, r.ok = w, true
-	return w, true
+	return true
 }
 
 // stackPass runs the per-function frame dataflow: the interval of SP
@@ -456,18 +434,9 @@ func (e *boundEngine) calleeWCET(entry uint32) (uint64, bool) {
 // displacement at the exempted self-call site, and whether the frame is
 // certified (balanced at every RET, no direct SP arithmetic, no growth
 // without bound).
-func (e *boundEngine) stackPass(f *cgFunc, selfCall uint32) (maxExc uint64, selfDepth int64, ok bool) {
+func (e *boundEngine) stackPass(f *cgFunc, selfCall uint32) (maxExc, selfDepth uint64, ok bool) {
 	type iv struct{ lo, hi int64 }
-	callee := make(map[uint32]uint32, len(f.calls))
-	for _, c := range f.calls {
-		callee[c.site] = c.callee
-	}
-	unresolved := make(map[uint32]bool, len(f.unresolvedCalls))
-	for _, s := range f.unresolvedCalls {
-		unresolved[s] = true
-	}
-	if len(f.unresolvedJumps) > 0 {
-		e.reason(f.unresolvedJumps[0], "indirect jump target unresolved")
+	if !e.jumpsResolved(f) {
 		return 0, 0, false
 	}
 	states := map[uint32]iv{f.entry: {}}
@@ -522,15 +491,15 @@ func (e *boundEngine) stackPass(f *cgFunc, selfCall uint32) (maxExc uint64, self
 			exc = st.hi + 4 // the pushed return address
 			switch {
 			case n == selfCall:
-				if st.hi > selfDepth {
-					selfDepth = st.hi
+				if st.hi > int64(selfDepth) {
+					selfDepth = uint64(st.hi)
 				}
-			case unresolved[n]:
+			case f.unresolvedAt(n):
 				e.reason(n, "indirect call target unresolved")
 				return 0, 0, false
 			default:
-				if c, okc := callee[n]; okc {
-					cs, okb := e.stackBound(c)
+				if c, okc := f.calleeAt(n); okc {
+					cs, okb := e.resolve(resStack, c)
 					if !okb {
 						e.reason(n, "callee stack bound unavailable")
 						return 0, 0, false
@@ -582,16 +551,7 @@ func (e *boundEngine) stackPass(f *cgFunc, selfCall uint32) (maxExc uint64, self
 // successor edges are cut and every post-SVC resume point starts its
 // own burst, so the result bounds any maximal run segment.
 func (e *boundEngine) funcWCET(f *cgFunc, burst bool, selfCall uint32) (uint64, bool) {
-	callee := make(map[uint32]uint32, len(f.calls))
-	for _, c := range f.calls {
-		callee[c.site] = c.callee
-	}
-	unresolved := make(map[uint32]bool, len(f.unresolvedCalls))
-	for _, s := range f.unresolvedCalls {
-		unresolved[s] = true
-	}
-	if len(f.unresolvedJumps) > 0 {
-		e.reason(f.unresolvedJumps[0], "indirect jump target unresolved")
+	if !e.jumpsResolved(f) {
 		return 0, false
 	}
 	succsOf := func(n uint32) []uint32 {
@@ -614,12 +574,12 @@ func (e *boundEngine) funcWCET(f *cgFunc, burst bool, selfCall uint32) (uint64, 
 			c += machine.BranchTakenExtra
 		}
 		if op.IsCall() && n != selfCall {
-			if unresolved[n] {
+			if f.unresolvedAt(n) {
 				e.reason(n, "indirect call target unresolved")
 				return 0, false
 			}
-			if t, okc := callee[n]; okc {
-				cw, okb := e.calleeWCET(t)
+			if t, okc := f.calleeAt(n); okc {
+				cw, okb := e.resolve(resCycles, t)
 				if !okb {
 					e.reason(n, "callee cycle bound unavailable")
 					return 0, false
@@ -646,24 +606,7 @@ func (e *boundEngine) funcWCET(f *cgFunc, burst bool, selfCall uint32) (uint64, 
 // incoming edges removed.
 func (e *boundEngine) regionBound(f *cgFunc, entries []uint32, succsOf func(uint32) []uint32, costOf func(uint32) (uint64, bool)) (uint64, bool) {
 	// Restrict to what the entries actually reach.
-	nodes := make(map[uint32]bool)
-	var work []uint32
-	for _, en := range entries {
-		if !nodes[en] {
-			nodes[en] = true
-			work = append(work, en)
-		}
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		for _, s := range succsOf(n) {
-			if !nodes[s] {
-				nodes[s] = true
-				work = append(work, s)
-			}
-		}
-	}
+	nodes := reachable(entries, func(work []uint32, n uint32) []uint32 { return append(work, succsOf(n)...) })
 	if len(nodes) == 0 {
 		return 0, true
 	}
@@ -797,6 +740,22 @@ func (e *boundEngine) regionBound(f *cgFunc, entries []uint32, succsOf func(uint
 		}
 	}
 	return out, true
+}
+
+// reachable returns the nodes reachable from starts, starts included.
+// next appends n's successors to the work list and returns it.
+func reachable(starts []uint32, next func(work []uint32, n uint32) []uint32) map[uint32]bool {
+	seen := make(map[uint32]bool)
+	work := append([]uint32(nil), starts...)
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !seen[n] {
+			seen[n] = true
+			work = next(work, n)
+		}
+	}
+	return seen
 }
 
 func minOf(comp []uint32) uint32 {
