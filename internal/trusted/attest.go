@@ -259,19 +259,13 @@ func NewVerifier(kp []byte, provider string) *Verifier {
 }
 
 // Verify checks a quote against the expected identity and the nonce the
-// verifier issued.
+// verifier issued: VerifyMAC with the identity appraised between the
+// nonce and the MAC checks.
 func (v *Verifier) Verify(q Quote, expected sha1.Digest, nonce uint64) error {
-	if q.Nonce != nonce {
-		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid)
-	}
-	if q.ID != expected {
+	if q.Nonce == nonce && q.ID != expected {
 		return fmt.Errorf("%w: identity mismatch", ErrQuoteInvalid)
 	}
-	want := hcrypto.HMAC(v.ka, quoteMessage(q.ID, q.Nonce))
-	if !bytes.Equal(want[:], q.MAC[:]) {
-		return fmt.Errorf("%w: bad MAC", ErrQuoteInvalid)
-	}
-	return nil
+	return v.VerifyMAC(q, nonce)
 }
 
 // VerifyMAC checks a quote's freshness (the nonce) and authenticity

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/eampu"
+	"repro/internal/hcrypto"
 	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/machine"
@@ -543,6 +544,39 @@ main:
 	}
 	if _, _, err := r.c.RTM.LookupByTruncID(e.TruncID); !errors.Is(err, ErrUnknownIdentity) {
 		t.Error("stale identity still resolvable")
+	}
+}
+
+// TestVerifyCheckOrder pins Verify's check order and messages — nonce,
+// then identity, then MAC — which tytan-attest's demo prints.
+func TestVerifyCheckOrder(t *testing.T) {
+	v := NewVerifier(testKey, "test-provider")
+	id, other := sha1.Sum1([]byte("task")), sha1.Sum1([]byte("other"))
+	good := Quote{ID: id, Nonce: 7, MAC: hcrypto.HMAC(v.ka, quoteMessage(id, 7))}
+	forged := good
+	forged.MAC[0] ^= 1
+	cases := []struct {
+		q        Quote
+		expected sha1.Digest
+		nonce    uint64
+		want     string
+	}{
+		{good, id, 7, ""},
+		{forged, other, 8, "nonce mismatch"},
+		{forged, other, 7, "identity mismatch"},
+		{forged, id, 7, "bad MAC"},
+	}
+	for _, c := range cases {
+		err := v.Verify(c.q, c.expected, c.nonce)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("genuine quote rejected: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrQuoteInvalid) || err.Error() != ErrQuoteInvalid.Error()+": "+c.want {
+			t.Errorf("err = %v, want %q", err, c.want)
+		}
 	}
 }
 
