@@ -181,11 +181,11 @@ func runPlane(addr, provider string, autoEnroll bool, maxFailures, listeners int
 
 	client := remote.NewClient(trusted.NewVerifier(core.DevKey, provider), provider, remote.ClientOptions{})
 	plane := fleet.NewPlane(fleet.PlaneConfig{
-		Client:      client,
-		KnownGood:   known,
-		AutoEnroll:  autoEnroll,
-		MaxFailures: maxFailures,
-		Listeners:   listeners,
+		Client:     client,
+		Registry:   fleet.NewRegistry(maxFailures),
+		KnownGood:  known,
+		AutoEnroll: autoEnroll,
+		Listeners:  listeners,
 	})
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -65,11 +65,8 @@ type PlaneConfig struct {
 	// serves concurrently (0 = 4).
 	Listeners int
 	// Registry is the fleet's device table (nil = a fresh registry with
-	// the MaxFailures budget).
+	// the default failure budget).
 	Registry *Registry
-	// MaxFailures is the appraisal-failure budget before quarantine,
-	// used when Registry is nil (0 = 3).
-	MaxFailures int
 	// KnownGood is the published measurement set devices must match.
 	KnownGood []sha1.Digest
 	// AutoEnroll registers unknown devices on first hello instead of
@@ -96,7 +93,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		reg = NewRegistry(cfg.MaxFailures)
+		reg = NewRegistry(0)
 	}
 	listeners := cfg.Listeners
 	if listeners <= 0 {

@@ -11,15 +11,11 @@ import (
 )
 
 // ClientOptions parameterizes the verifier side of the protocol. The
-// zero value is ready: default deadline and retry schedule, default
-// frame limit.
+// zero value is ready: default deadline and retry schedule. Frames are
+// bounded by DefaultMaxFrame.
 type ClientOptions struct {
 	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
 	Timeout time.Duration
-	// MaxFrame bounds frame sizes in both directions, type byte
-	// included (0 = DefaultMaxFrame). Oversize frames are rejected with
-	// ErrFrameTooLarge.
-	MaxFrame int
 	// Attempts is AttestRetry's total number of tries (0 = 3).
 	Attempts int
 	// Backoff is AttestRetry's delay before the second attempt; it
@@ -38,9 +34,6 @@ type ClientOptions struct {
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultIOTimeout
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Attempts == 0 {
 		o.Attempts = 3
@@ -71,9 +64,6 @@ func NewClient(v *trusted.Verifier, provider string, opt ClientOptions) *Client 
 // Provider returns the provider name the client challenges under.
 func (c *Client) Provider() string { return c.provider }
 
-// Options returns the client's resolved options (defaults applied).
-func (c *Client) Options() ClientOptions { return c.opt }
-
 // exchange sends one challenge and reads the device's reply (no
 // deadline handling and no verification; the callers wrap it).
 func (c *Client) exchange(conn net.Conn, trunc, nonce uint64) (trusted.Quote, error) {
@@ -85,10 +75,10 @@ func (c *Client) exchange(conn net.Conn, trunc, nonce uint64) (trusted.Quote, er
 	if err != nil {
 		return trusted.Quote{}, err
 	}
-	if err := writeFrame(conn, c.opt.MaxFrame, MsgChallenge, payload); err != nil {
+	if err := writeFrame(conn, DefaultMaxFrame, MsgChallenge, payload); err != nil {
 		return trusted.Quote{}, err
 	}
-	typ, resp, err := readFrame(conn, c.opt.MaxFrame)
+	typ, resp, err := readFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		return trusted.Quote{}, err
 	}
@@ -149,7 +139,7 @@ func (c *Client) Challenge(conn net.Conn, trunc, nonce uint64) (trusted.Quote, e
 func (c *Client) AwaitHello(conn net.Conn) (Hello, error) {
 	var h Hello
 	err := withDeadline(conn, c.opt.Timeout, func() error {
-		typ, payload, err := readFrame(conn, c.opt.MaxFrame)
+		typ, payload, err := readFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			return err
 		}
@@ -167,7 +157,7 @@ func (c *Client) AwaitHello(conn net.Conn) (Hello, error) {
 // plane will not attest this device. The device sees ErrRefused.
 func (c *Client) Refuse(conn net.Conn, reason string) error {
 	return withDeadline(conn, c.opt.Timeout, func() error {
-		return writeFrame(conn, c.opt.MaxFrame, MsgError, []byte(reason))
+		return writeFrame(conn, DefaultMaxFrame, MsgError, []byte(reason))
 	})
 }
 
@@ -185,7 +175,7 @@ func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
 		}
 		payload = append(payload, p)
 		payload = append(payload, reason...)
-		return writeFrame(conn, c.opt.MaxFrame, MsgVerdict, payload)
+		return writeFrame(conn, DefaultMaxFrame, MsgVerdict, payload)
 	})
 }
 

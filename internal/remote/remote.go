@@ -67,10 +67,10 @@ const (
 	MsgVerdict   byte = 5
 )
 
-// DefaultMaxFrame bounds frame sizes against malformed peers when the
-// options do not say otherwise. Fleet-sized quotes and future
-// certificate chains can raise the limit per Server/Client instead of
-// editing the package.
+// DefaultMaxFrame bounds frame sizes against malformed peers: always on
+// the Client, and on a Server whose options do not say otherwise.
+// Fleet-sized quotes and future certificate chains can raise the limit
+// per Server instead of editing the package.
 const DefaultMaxFrame = 4096
 
 // Protocol errors.

@@ -450,10 +450,10 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
-// TestMaxFrameOption: the frame limit is per Server/Client, not a
-// package constant. A server with a small limit rejects frames a
-// default client would send; a client with a raised limit accepts
-// frames beyond DefaultMaxFrame.
+// TestMaxFrameOption: the frame limit is per Server, not a package
+// constant. A server with a small limit rejects frames a default client
+// would send; the frame codec with a raised limit accepts frames beyond
+// DefaultMaxFrame.
 func TestMaxFrameOption(t *testing.T) {
 	p, e := devicePlatform(t)
 	// Server limited to 16-byte frames: the client's challenge (> 16

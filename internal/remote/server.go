@@ -68,9 +68,6 @@ func NewServer(att Attestor, opt ServerOptions) *Server {
 	return &Server{att: att, opt: opt.withDefaults()}
 }
 
-// Options returns the server's resolved options (defaults applied).
-func (s *Server) Options() ServerOptions { return s.opt }
-
 // ServeOne handles a single challenge/response exchange on conn under
 // the server's I/O deadline.
 func (s *Server) ServeOne(conn net.Conn) error {
