@@ -24,11 +24,12 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/loader"
 	"repro/internal/machine"
 	"repro/internal/rtos"
 	"repro/internal/sha1"
+	"repro/internal/sverify"
 	"repro/internal/telf"
-	"repro/internal/trace"
 	"repro/internal/trusted"
 )
 
@@ -45,8 +46,6 @@ const DefaultTickPeriod = rtos.DefaultTickPeriod
 type Options struct {
 	// RAMSize in bytes (0 = 4 MiB).
 	RAMSize uint32
-	// TickPeriod in cycles (0 = DefaultTickPeriod).
-	TickPeriod uint64
 	// PlatformKey is Kp; zero-length selects a fixed development key.
 	PlatformKey []byte
 	// Provider is the attestation-key derivation context.
@@ -70,10 +69,12 @@ type Options struct {
 	Static     []StaticTask
 	StaticOnly bool
 	// StrictVerify arms the static pre-load verification gate at boot:
-	// the loader refuses images the verifier proves broken, before any
-	// memory is allocated or measured. Requires the TyTAN configuration
-	// (it is a trusted-layer policy); combined with Baseline,
-	// NewPlatform fails with ErrBaselineOnly.
+	// every load — sync, async, static — is verified before memory is
+	// allocated or measured, and images with Error findings fail with
+	// an error wrapping loader.ErrVerifyRejected (plus a verify-denied
+	// trace event when observability is on). Requires the TyTAN
+	// configuration (it is a trusted-layer policy); combined with
+	// Baseline, NewPlatform fails with ErrBaselineOnly.
 	StrictVerify bool
 	// BoundsAdmission additionally arms the resource-bound admission
 	// check at boot (implies StrictVerify): the loader refuses images
@@ -124,9 +125,7 @@ type Platform struct {
 	provider    string
 	staticOnly  bool
 
-	// obs is the platform-wide event sink; nil until
-	// EnableObservability. obsHandle is the exporter handle.
-	obs       trace.Sink
+	// obsHandle is the exporter handle; nil until EnableObservability.
 	obsHandle *Obs
 }
 
@@ -147,10 +146,8 @@ func NewPlatform(opt Options) (*Platform, error) {
 	if opt.Provider == "" {
 		opt.Provider = "default-provider"
 	}
-	// The pedal and radar sensors sample once per tick.
-	sensorPeriod := opt.TickPeriod
-	if sensorPeriod == 0 {
-		sensorPeriod = DefaultTickPeriod
+	if (opt.StrictVerify || opt.BoundsAdmission) && opt.Baseline {
+		return nil, fmt.Errorf("core: verification gate: %w", ErrBaselineOnly)
 	}
 	if opt.EngineHistory == 0 {
 		opt.EngineHistory = 4096
@@ -164,8 +161,9 @@ func NewPlatform(opt Options) (*Platform, error) {
 		platformKey: append([]byte(nil), opt.PlatformKey...),
 		provider:    opt.Provider,
 	}
-	p.Pedal = machine.NewSensor("pedal", m.Cycles, sensorPeriod, 0, 100)
-	p.Radar = machine.NewSensor("radar", m.Cycles, sensorPeriod, 5, 250)
+	// The pedal and radar sensors sample once per tick.
+	p.Pedal = machine.NewSensor("pedal", m.Cycles, DefaultTickPeriod, 0, 100)
+	p.Radar = machine.NewSensor("radar", m.Cycles, DefaultTickPeriod, 5, 250)
 	p.Engine = machine.NewEngine(m.Cycles, opt.EngineHistory)
 	p.NIC = machine.NewNIC(m.Cycles)
 	m.MapDevice(machine.PageUART, p.UART)
@@ -175,10 +173,7 @@ func NewPlatform(opt Options) (*Platform, error) {
 	m.MapDevice(machine.PageKeyStore, p.KeyStore)
 	m.MapDevice(machine.PageEngine, p.Engine)
 
-	k, err := rtos.NewKernel(m, rtos.Config{
-		TyTAN:      !opt.Baseline,
-		TickPeriod: opt.TickPeriod,
-	})
+	k, err := rtos.NewKernel(m, rtos.Config{TyTAN: !opt.Baseline})
 	if err != nil {
 		return nil, err
 	}
@@ -191,15 +186,12 @@ func NewPlatform(opt Options) (*Platform, error) {
 		}
 		p.C = c
 	}
-	if opt.StrictVerify {
+	if opt.StrictVerify || opt.BoundsAdmission {
 		// Armed before the static tasks load so they are gated too.
-		if err := p.EnableStrictVerify(); err != nil {
-			return nil, fmt.Errorf("core: strict verify: %w", err)
-		}
-	}
-	if opt.BoundsAdmission {
-		if err := p.EnableBoundsAdmission(opt.CycleBudgets); err != nil {
-			return nil, fmt.Errorf("core: bounds admission: %w", err)
+		p.C.Gate = &loader.Gate{
+			Cfg:     sverify.Config{RAMSize: m.RAMSize(), Syscalls: trusted.AllowedSyscalls()},
+			Bounds:  opt.BoundsAdmission,
+			Budgets: opt.CycleBudgets,
 		}
 	}
 
@@ -225,36 +217,8 @@ func NewPlatform(opt Options) (*Platform, error) {
 	return p, nil
 }
 
-// EnableStrictVerify arms the static pre-load verification gate: from
-// now on every load — sync, async, static — is verified before memory
-// is allocated, and images with Error findings fail with an error
-// wrapping loader.ErrVerifyRejected (a verify-denied trace event is
-// emitted when observability is on). TyTAN configuration only.
-func (p *Platform) EnableStrictVerify() error {
-	if p.C == nil {
-		return ErrBaselineOnly
-	}
-	p.C.EnableVerifyGate(p.M.RAMSize())
-	return nil
-}
-
 // StrictVerify reports whether the pre-load verification gate is armed.
 func (p *Platform) StrictVerify() bool { return p.C != nil && p.C.Gate != nil }
-
-// EnableBoundsAdmission arms the static resource-bound admission check
-// on top of the strict verification gate (arming the gate first if
-// necessary): from now on every load is refused — with a typed
-// verify-denied trace event naming the reason — unless its certified
-// worst-case stack depth plus the pre-emption context frame fits its
-// stack reservation, and its worst-case burst fits any cycle budget
-// declared for it in budgets. TyTAN configuration only.
-func (p *Platform) EnableBoundsAdmission(budgets map[string]uint64) error {
-	if err := p.EnableStrictVerify(); err != nil {
-		return err
-	}
-	p.C.EnableBoundsAdmission(budgets)
-	return nil
-}
 
 // BoundsAdmission reports whether the resource-bound admission check is
 // armed.

@@ -211,12 +211,8 @@ func (s *loaderService) setPhase(req *LoadRequest, ph LoadPhase) {
 	if ph == LoadDone || ph == LoadFailed {
 		return
 	}
-	if o := s.p.obs; o != nil {
-		o.Emit(trace.Event{
-			Cycle: s.p.M.Cycles(), Sub: trace.SubLoader,
-			Kind: trace.KindLoadPhase, Subject: req.im.Name,
-			Attrs: []trace.Attr{trace.Str("phase", ph.String())},
-		})
+	if s.p.M.Obs != nil {
+		s.p.M.Emit(trace.SubLoader, trace.KindLoadPhase, req.im.Name, trace.Str("phase", ph.String()))
 	}
 }
 
@@ -228,16 +224,11 @@ func (s *loaderService) fail(req *LoadRequest, err error) uint64 {
 	req.err = fmt.Errorf("%w: %w", ErrLoadFailed, err)
 	failedIn := req.phase
 	req.phase = LoadFailed
-	if o := s.p.obs; o != nil {
-		o.Emit(trace.Event{
-			Cycle: s.p.M.Cycles(), Sub: trace.SubLoader,
-			Kind: trace.KindLoadPhase, Subject: req.im.Name,
-			Attrs: []trace.Attr{
-				trace.Str("phase", "failed"),
-				trace.Str("in", failedIn.String()),
-				trace.Str("err", err.Error()),
-			},
-		})
+	if s.p.M.Obs != nil {
+		s.p.M.Emit(trace.SubLoader, trace.KindLoadPhase, req.im.Name,
+			trace.Str("phase", "failed"),
+			trace.Str("in", failedIn.String()),
+			trace.Str("err", err.Error()))
 	}
 	var used uint64
 	if req.job != nil && !req.job.Aborted() {
@@ -280,7 +271,7 @@ func (s *loaderService) advance(req *LoadRequest, budget uint64) uint64 {
 		req.Breakdown.Verify += cost
 		rep, err := gate.Check(req.im)
 		if err != nil {
-			if o := p.obs; o != nil {
+			if p.M.Obs != nil {
 				info, warn, errs := rep.Counts()
 				attrs := []trace.Attr{
 					trace.Num("errors", uint64(errs)),
@@ -295,11 +286,7 @@ func (s *loaderService) advance(req *LoadRequest, budget uint64) uint64 {
 				} else if errFindings := rep.Errors(); len(errFindings) > 0 {
 					attrs = append(attrs, trace.Str("first", errFindings[0].Code))
 				}
-				o.Emit(trace.Event{
-					Cycle: p.M.Cycles(), Sub: trace.SubLoader,
-					Kind: trace.KindVerifyDenied, Subject: req.im.Name,
-					Attrs: attrs,
-				})
+				p.M.Emit(trace.SubLoader, trace.KindVerifyDenied, req.im.Name, attrs...)
 			}
 			return cost + s.fail(req, err)
 		}
@@ -386,29 +373,24 @@ func (s *loaderService) advance(req *LoadRequest, budget uint64) uint64 {
 		req.Breakdown.Schedule += p.M.Cycles() - before
 		req.EndCycle = p.M.Cycles()
 		req.phase = LoadDone
-		if o := p.obs; o != nil {
+		if p.M.Obs != nil {
 			// The terminal event carries the full Table 4 breakdown (the
 			// profile attributes load cycles to phases from it) and the
 			// request-to-schedulable latency (analyze.Sample's load
 			// sample, for the histogram and online SLO rules).
 			b := req.Breakdown
-			o.Emit(trace.Event{
-				Cycle: req.EndCycle, Sub: trace.SubLoader,
-				Kind: trace.KindLoadPhase, Subject: req.im.Name,
-				Attrs: []trace.Attr{
-					trace.Str("phase", "done"),
-					trace.Num("verify", b.Verify),
-					trace.Num("alloc", b.Alloc),
-					trace.Num("copy", b.Copy),
-					trace.Num("reloc", b.Reloc),
-					trace.Num("install", b.Install),
-					trace.Num("protect", b.Protect),
-					trace.Num("measure", b.Measure),
-					trace.Num("schedule", b.Schedule),
-					trace.Num("total", b.Total()),
-					trace.Num("latency", req.EndCycle-req.StartCycle),
-				},
-			})
+			p.M.Emit(trace.SubLoader, trace.KindLoadPhase, req.im.Name,
+				trace.Str("phase", "done"),
+				trace.Num("verify", b.Verify),
+				trace.Num("alloc", b.Alloc),
+				trace.Num("copy", b.Copy),
+				trace.Num("reloc", b.Reloc),
+				trace.Num("install", b.Install),
+				trace.Num("protect", b.Protect),
+				trace.Num("measure", b.Measure),
+				trace.Num("schedule", b.Schedule),
+				trace.Num("total", b.Total()),
+				trace.Num("latency", req.EndCycle-req.StartCycle))
 		}
 		return 0
 	}

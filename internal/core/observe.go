@@ -47,12 +47,13 @@ var loadTotalBounds = []uint64{50_000, 100_000, 250_000, 500_000, 1_000_000, 2_0
 // is dominated by the HMAC over the task region, §5).
 var attestRTTBounds = []uint64{10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000}
 
-// EnableObservability wires the observability layer into every
-// subsystem and returns the handle. Extra sinks (a live printer, a
-// test recorder) see the same stream as the buffer. Idempotent: a
-// second call returns the same handle and ignores extras. There is no
-// way to disable it again on a live platform — build a fresh platform
-// for uninstrumented measurement.
+// EnableObservability installs the platform's one event sink,
+// Machine.Obs, which every subsystem emits through, and returns the
+// handle. Extra sinks (a live printer, a test recorder) see the same
+// stream as the buffer. Idempotent: a second call returns the same
+// handle and ignores extras. There is no way to disable it again on a
+// live platform — build a fresh platform for uninstrumented
+// measurement.
 func (p *Platform) EnableObservability(extra ...trace.Sink) *Obs {
 	if p.obsHandle != nil {
 		return p.obsHandle
@@ -70,23 +71,11 @@ func (p *Platform) EnableObservability(extra ...trace.Sink) *Obs {
 		"Attestation round-trip time, request to verified reply.", attestRTTBounds...)
 	o.registerGauges()
 
-	// Every subsystem feeds the buffer; the metrics sink peels
-	// histogram samples off the same stream.
+	// Every subsystem emits through the machine's one sink, which feeds
+	// the buffer; the metrics sink peels histogram samples off the same
+	// stream.
 	sinks := append([]trace.Sink{o.Buf, trace.SinkFunc(o.observeEvent)}, extra...)
-	sink := trace.Multi(sinks...)
-	p.obs = sink
-	p.M.Obs = sink
-	p.K.Obs = sink
-	if p.C != nil {
-		p.C.Attest.Obs = sink
-		p.C.Proxy.Obs = sink
-	}
-	if p.Sup != nil {
-		p.Sup.Obs = sink
-	}
-	if p.updater != nil {
-		p.updater.Obs = sink
-	}
+	p.M.Obs = trace.Multi(sinks...)
 	p.obsHandle = o
 	return o
 }
@@ -99,7 +88,7 @@ func (p *Platform) Observability() *Obs { return p.obsHandle }
 // remote-attestation server, a fleet harness) emit through it so their
 // events land in the buffer, the metrics observer and every extra sink
 // alike.
-func (o *Obs) Sink() trace.Sink { return o.p.obs }
+func (o *Obs) Sink() trace.Sink { return o.p.M.Obs }
 
 // observeEvent feeds event-derived metrics (histograms need samples,
 // not end-of-run gauge reads), one sample per event analyze.Sample

@@ -14,8 +14,6 @@ import (
 
 // EnableSecureUpdate instantiates the trusted update service for the
 // platform's default provider. Idempotent; TyTAN configuration only.
-// If observability is on (before or after this call), update decisions
-// flow into the same event stream.
 func (p *Platform) EnableSecureUpdate() (*trusted.Updater, error) {
 	if p.C == nil {
 		return nil, ErrBaselineOnly
@@ -27,7 +25,6 @@ func (p *Platform) EnableSecureUpdate() (*trusted.Updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	u.Obs = p.obs
 	p.updater = u
 	return u, nil
 }

@@ -40,9 +40,6 @@ func (p *Platform) EnableSupervision(pol trusted.SupervisorPolicy) (*trusted.Sup
 	if _, err := sup.Attach(supervisorPriority); err != nil {
 		return nil, err
 	}
-	// When observability came first, the supervisor joins its sink (the
-	// reverse order is handled by EnableObservability).
-	sup.Obs = p.obs
 	p.Sup = sup
 	return sup, nil
 }

@@ -60,9 +60,6 @@ type Config struct {
 	// layout that fits the task pool — fleet devices are tiny, and the
 	// platform pool keeps peak memory O(Shards)).
 	RAMSize uint32
-	// RunSlice is how many cycles each device simulates between rounds
-	// (0 = one tick period).
-	RunSlice uint64
 	// Observe attaches per-device observability so attestation
 	// round-trip spans (in simulated cycles) are measured.
 	Observe bool
@@ -127,9 +124,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RAMSize == 0 {
 		c.RAMSize = 2 << 20
-	}
-	if c.RunSlice == 0 {
-		c.RunSlice = core.DefaultTickPeriod
 	}
 	if c.Telemetry.enabled() {
 		c.CollectEvents = true
@@ -379,7 +373,7 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 	hello := remote.Hello{Device: res.name, Provider: cfg.Provider, TruncID: e.TruncID}
 	for r := 0; r < cfg.Rounds; r++ {
 		if r > 0 {
-			if err := p.Run(cfg.RunSlice); err != nil {
+			if err := p.Run(core.DefaultTickPeriod); err != nil {
 				res.err = err
 				return res
 			}

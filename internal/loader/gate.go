@@ -47,7 +47,7 @@ func (e *BoundsError) Error() string {
 func (e *BoundsError) Unwrap() error { return ErrBoundsRejected }
 
 // Gate is the opt-in pre-load verification gate: when armed (see
-// trusted.Components.EnableVerifyGate and core.Options.StrictVerify),
+// core.Options.StrictVerify and BoundsAdmission),
 // the loader service runs the static verifier over every image before
 // allocating memory for it, and refuses to measure-and-install images
 // with Error findings. Verification-before-measurement matters: a task

@@ -241,21 +241,17 @@ func (m *Machine) Run(budget uint64) RunResult {
 // Out of line so Run's loop stays small; only reached when execution
 // has already stopped.
 func (m *Machine) emitFault(f *Fault) {
-	e := trace.Event{
-		Cycle: m.cycles, Sub: trace.SubMachine, Kind: trace.KindViolation,
-		Attrs: []trace.Attr{trace.Hex("pc", uint64(f.PC)), trace.Str("why", f.Why)},
-	}
+	sub := trace.SubMachine
+	attrs := []trace.Attr{trace.Hex("pc", uint64(f.PC)), trace.Str("why", f.Why)}
 	var v *eampu.Violation
 	if errors.As(f.Wrap, &v) {
-		e.Sub = trace.SubEAMPU
-		e.Attrs = append(e.Attrs,
-			trace.Str("access", v.Kind.String()),
-			trace.Hex("addr", uint64(v.Addr)))
+		sub = trace.SubEAMPU
+		attrs = append(attrs, trace.Str("access", v.Kind.String()), trace.Hex("addr", uint64(v.Addr)))
 		if v.EntryErr {
-			e.Attrs = append(e.Attrs, trace.Hex("entry", uint64(v.Entry)))
+			attrs = append(attrs, trace.Hex("entry", uint64(v.Entry)))
 		}
 	}
-	m.Obs.Emit(e)
+	m.Emit(sub, trace.KindViolation, "", attrs...)
 }
 
 // CheckExecEntry validates a software-initiated control transfer into a

@@ -221,9 +221,9 @@ type Machine struct {
 	// hook. It must not mutate machine state.
 	OnStep func(pc uint32, in isa.Instruction)
 
-	// Obs, when set, receives machine-level observability events
-	// (EA-MPU violation faults). Emission happens only when execution
-	// already stopped, charges no cycles, and must not mutate state.
+	// Obs, when set, is the platform's one event sink: the machine, the
+	// kernel, the trusted components and the loader all report through
+	// Emit. Emission charges no cycles and must not mutate state.
 	Obs trace.Sink
 }
 
@@ -295,6 +295,16 @@ func (m *Machine) RAMEnd() uint32 { return RAMBase + uint32(len(m.ram)) }
 
 // Cycles returns the current cycle counter.
 func (m *Machine) Cycles() uint64 { return m.cycles }
+
+// Emit sends one typed event, stamped with the cycle counter, to Obs; a
+// nil Obs drops it. Call sites on frequent paths guard with m.Obs != nil
+// themselves so attribute construction is skipped when nothing listens.
+func (m *Machine) Emit(sub trace.Subsystem, kind trace.Kind, subject string, attrs ...trace.Attr) {
+	if m.Obs == nil {
+		return
+	}
+	m.Obs.Emit(trace.Event{Cycle: m.cycles, Sub: sub, Kind: kind, Subject: subject, Attrs: attrs})
+}
 
 // Charge advances the cycle counter by n and polls interrupt sources so
 // that device interrupts assert at the correct simulated time even while
@@ -436,47 +446,6 @@ func (m *Machine) SetIDTHandler(vector int, handler uint32) error {
 		return fmt.Errorf("machine: vector %d out of range", vector)
 	}
 	return m.RawWrite32(IDTBase+uint32(vector*4), handler)
-}
-
-// EnterInterrupt is the bare-machine model of interrupt delivery:
-// push EFLAGS and EIP onto the current stack, clear the global
-// interrupt-enable flag, and vector through the IDT. It returns the
-// handler address from the IDT. The machine package's differential
-// tests use it; the rtos kernel does not, since it banks the whole
-// frame through its checked context-save path instead.
-func (m *Machine) EnterInterrupt(vector int) (handler uint32, err error) {
-	m.Charge(CostHWException)
-	sp := m.regs[isa.SP]
-	// The pushes bypass the EA-MPU and nothing checks SP first: the
-	// caller owns the stack it interrupts.
-	if err := m.RawWrite32(sp-4, m.eflags); err != nil {
-		return 0, &Fault{PC: m.eip, Why: "exception push EFLAGS", Wrap: err}
-	}
-	if err := m.RawWrite32(sp-8, m.eip); err != nil {
-		return 0, &Fault{PC: m.eip, Why: "exception push EIP", Wrap: err}
-	}
-	m.regs[isa.SP] = sp - 8
-	m.intEnable = false
-	return m.IDTHandler(vector), nil
-}
-
-// ReturnFromInterrupt undoes EnterInterrupt's stack frame for the
-// current context: pop EIP and EFLAGS and re-enable interrupts.
-func (m *Machine) ReturnFromInterrupt() error {
-	sp := m.regs[isa.SP]
-	eip, err := m.RawRead32(sp)
-	if err != nil {
-		return err
-	}
-	eflags, err := m.RawRead32(sp + 4)
-	if err != nil {
-		return err
-	}
-	m.eip = eip
-	m.eflags = eflags
-	m.regs[isa.SP] = sp + 8
-	m.intEnable = true
-	return nil
 }
 
 // --- CPU state accessors ---------------------------------------------------

@@ -99,8 +99,8 @@ func (k *Kernel) checkDeadlines() {
 		for now >= w.nextAt {
 			if !w.ran {
 				w.misses++
-				if k.Obs != nil {
-					k.emit(trace.KindDeadlineMiss, t.Name,
+				if k.M.Obs != nil {
+					k.M.Emit(trace.SubKernel, trace.KindDeadlineMiss, t.Name,
 						trace.Num("id", uint64(t.ID)),
 						trace.Num("deadline", w.nextAt),
 						trace.Num("late", now-w.nextAt),

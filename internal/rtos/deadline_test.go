@@ -47,7 +47,7 @@ main:
 func TestDeadlineMetByBusyTask(t *testing.T) {
 	k := newKernel(t, Config{})
 	buf := &trace.Buffer{}
-	k.Obs = buf
+	k.M.Obs = buf
 	im := mustImage(t, `
 .task "busy"
 .entry main
@@ -83,7 +83,7 @@ loop:
 func TestDeadlineMissesWhileSleeping(t *testing.T) {
 	k := newKernel(t, Config{})
 	buf := &trace.Buffer{}
-	k.Obs = buf
+	k.M.Obs = buf
 	im := mustImage(t, `
 .task "sleepy"
 .entry main

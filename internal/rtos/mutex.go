@@ -92,8 +92,8 @@ func (m *Mutex) boostHolder(prio int) {
 	if wasReady {
 		m.k.enqueue(h)
 	}
-	if m.k.Obs != nil {
-		m.k.emit(trace.KindMutex, m.name,
+	if m.k.M.Obs != nil {
+		m.k.M.Emit(trace.SubKernel, trace.KindMutex, m.name,
 			trace.Str("event", "priority-inherited"), trace.Num("prio", uint64(prio)))
 	}
 }

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/loader"
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // NumPriorities is the number of scheduling priorities; higher number =
@@ -284,12 +283,6 @@ type Kernel struct {
 	exits     map[TaskID]ExitRecord
 	exitOrder []TaskID
 
-	// Obs, when set, receives typed kernel events (task lifecycle,
-	// dispatches, syscalls, interrupts) stamped with the simulated cycle
-	// counter. Emission charges no cycles and a nil sink costs one
-	// pointer check, so observability never perturbs the measurement.
-	Obs trace.Sink
-
 	// OnTaskExit, when set, observes every task termination with its
 	// structured reason, after the task has been removed. The trusted
 	// supervisor hooks it to drive restart/quarantine policy.
@@ -398,17 +391,4 @@ func (k *Kernel) IRQLatency() (max uint64, mean float64, samples uint64) {
 		return 0, 0, 0
 	}
 	return k.irqLatencyMax, float64(k.irqLatencySum) / float64(k.irqLatencyN), k.irqLatencyN
-}
-
-// emit sends one kernel event to the observability sink. Call sites on
-// frequent paths guard with k.Obs != nil themselves so attribute
-// construction is skipped entirely when observability is off.
-func (k *Kernel) emit(kind trace.Kind, subject string, attrs ...trace.Attr) {
-	if k.Obs == nil {
-		return
-	}
-	k.Obs.Emit(trace.Event{
-		Cycle: k.M.Cycles(), Sub: trace.SubKernel,
-		Kind: kind, Subject: subject, Attrs: attrs,
-	})
 }

@@ -143,12 +143,12 @@ func (k *Kernel) serviceInterrupt() {
 			k.irqLatencyMax = lat
 		}
 	}
-	if k.Obs != nil {
+	if k.M.Obs != nil {
 		kind := trace.KindIRQ
 		if line == machine.IRQTimer {
 			kind = trace.KindTick
 		}
-		k.emit(kind, "", trace.Num("line", uint64(line)), trace.Num("latency", lat))
+		k.M.Emit(trace.SubKernel, kind, "", trace.Num("line", uint64(line)), trace.Num("latency", lat))
 	}
 	k.M.SetInterruptsEnabled(true)
 }
@@ -217,8 +217,8 @@ func (k *Kernel) dispatch(limit uint64) {
 	t.Activations++
 	k.switches++
 	k.noteDispatch(t)
-	if k.Obs != nil {
-		k.emit(trace.KindTaskSwitch, t.Name,
+	if k.M.Obs != nil {
+		k.M.Emit(trace.SubKernel, trace.KindTaskSwitch, t.Name,
 			trace.Num("id", uint64(t.ID)), trace.Num("prio", uint64(t.Priority)))
 	}
 	now := k.M.Cycles()
@@ -302,10 +302,10 @@ func (k *Kernel) dispatch(limit uint64) {
 func (k *Kernel) closeBurst(t *TCB, boundary string) {
 	cycles := t.burstAcc
 	t.burstAcc = 0
-	if k.Obs == nil {
+	if k.M.Obs == nil {
 		return
 	}
-	k.emit(trace.KindTaskBurst, t.Name,
+	k.M.Emit(trace.SubKernel, trace.KindTaskBurst, t.Name,
 		trace.Num("cycles", cycles), trace.Str("boundary", boundary))
 }
 

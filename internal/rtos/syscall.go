@@ -26,8 +26,8 @@ const (
 // registers, exactly like the register-based calling convention of the
 // paper's IPC.
 func (k *Kernel) handleSyscall(t *TCB, svc uint16) {
-	if k.Obs != nil {
-		k.emit(trace.KindSyscall, t.Name,
+	if k.M.Obs != nil {
+		k.M.Emit(trace.SubKernel, trace.KindSyscall, t.Name,
 			trace.Num("id", uint64(t.ID)), trace.Num("svc", uint64(svc)))
 	}
 	switch svc {

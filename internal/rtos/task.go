@@ -124,8 +124,8 @@ func (k *Kernel) InstallTaskSuspended(name string, kind TaskKind, prio int, p lo
 	k.tasks[t.ID] = t
 	k.taskOrder = append(k.taskOrder, t)
 	k.M.Charge(machine.CostSchedulerAdd)
-	if k.Obs != nil {
-		k.emit(trace.KindTaskInstall, name,
+	if k.M.Obs != nil {
+		k.M.Emit(trace.SubKernel, trace.KindTaskInstall, name,
 			trace.Num("id", uint64(t.ID)), trace.Str("kind", kind.String()),
 			trace.Num("prio", uint64(prio)), trace.Hex("base", uint64(p.Base)))
 	}
@@ -148,7 +148,7 @@ func (k *Kernel) removeTaskWith(t *TCB, reason ExitReason) {
 	rec := k.recordExit(t, reason)
 	// Every exit path funnels through here, so one typed event covers
 	// halt, self-exit, faults, kills and watchdog verdicts alike.
-	if k.Obs != nil {
+	if k.M.Obs != nil {
 		attrs := []trace.Attr{
 			trace.Num("id", uint64(t.ID)),
 			trace.Str("cause", rec.Reason.Cause.String()),
@@ -162,7 +162,7 @@ func (k *Kernel) removeTaskWith(t *TCB, reason ExitReason) {
 		if rec.Reason.Cause == ExitBadSyscall {
 			attrs = append(attrs, trace.Num("svc", uint64(rec.Reason.SVC)))
 		}
-		k.emit(trace.KindTaskExit, t.Name, attrs...)
+		k.M.Emit(trace.SubKernel, trace.KindTaskExit, t.Name, attrs...)
 	}
 	if k.Hooks != nil {
 		k.Hooks.TaskExiting(k, t)

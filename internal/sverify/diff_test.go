@@ -219,13 +219,8 @@ func TestStrictVerifyBaselineRejected(t *testing.T) {
 	if _, err := core.NewPlatform(core.Options{Baseline: true, StrictVerify: true}); !errors.Is(err, core.ErrBaselineOnly) {
 		t.Fatalf("baseline + StrictVerify: err = %v, want ErrBaselineOnly", err)
 	}
-	p, err := core.NewPlatform(core.Options{Baseline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.EnableStrictVerify(); !errors.Is(err, core.ErrBaselineOnly) {
-		t.Fatalf("EnableStrictVerify on baseline: err = %v, want ErrBaselineOnly", err)
+	if _, err := core.NewPlatform(core.Options{Baseline: true, BoundsAdmission: true}); !errors.Is(err, core.ErrBaselineOnly) {
+		t.Fatalf("baseline + BoundsAdmission: err = %v, want ErrBaselineOnly", err)
 	}
 }
 

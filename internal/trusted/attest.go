@@ -43,38 +43,29 @@ type Attest struct {
 	// Monotonic quote accounting.
 	quotes       uint64
 	quoteDenials uint64
-
-	// Obs, when set, receives a typed event per quote request
-	// (KindAttest, subject = provider).
-	Obs trace.Sink
 }
 
 // QuoteCounts returns the number of quotes issued and denied (unknown
 // identity or quarantine) since boot.
 func (a *Attest) QuoteCounts() (issued, denied uint64) { return a.quotes, a.quoteDenials }
 
-// noteQuote accounts one quote request and reports it on the sink.
+// noteQuote accounts one quote request and reports it as a KindAttest
+// event (subject = provider).
 func (a *Attest) noteQuote(provider string, id rtos.TaskID, err error) {
 	if err != nil {
 		a.quoteDenials++
 	} else {
 		a.quotes++
 	}
-	if a.Obs == nil {
+	if a.m.Obs == nil {
 		return
 	}
 	result := "ok"
 	if err != nil {
 		result = err.Error()
 	}
-	a.Obs.Emit(trace.Event{
-		Cycle: a.m.Cycles(), Sub: trace.SubAttest,
-		Kind: trace.KindAttest, Subject: provider,
-		Attrs: []trace.Attr{
-			trace.Num("task", uint64(id)),
-			trace.Str("result", result),
-		},
-	})
+	a.m.Emit(trace.SubAttest, trace.KindAttest, provider,
+		trace.Num("task", uint64(id)), trace.Str("result", result))
 }
 
 // Quarantine marks a task identity as untrustworthy. Every later quote

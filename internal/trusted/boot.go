@@ -23,8 +23,8 @@ type Components struct {
 	Attest  *Attest
 	Storage *Storage
 
-	// Gate is the static pre-load verification gate; nil (off) until
-	// EnableVerifyGate arms it.
+	// Gate is the static pre-load verification gate; nil (off) unless
+	// core.Options.StrictVerify or BoundsAdmission arms it at boot.
 	Gate *loader.Gate
 
 	// BootReport is the secure-boot measurement chain over the trusted

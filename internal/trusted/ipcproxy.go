@@ -46,11 +46,6 @@ type IPCProxy struct {
 	sends   uint64
 	dropped uint64
 	windows []*SharedWindow
-
-	// Obs, when set, receives one KindIPC event per proxy operation
-	// (send attempts with their delivery status, blocking receives).
-	// Emission charges no cycles, preserving the zero-impact contract.
-	Obs trace.Sink
 }
 
 // Mailbox layout constants.
@@ -100,24 +95,12 @@ func mailboxBase(e *RegistryEntry) (uint32, bool) {
 	return e.Placement.BSSBase(), true
 }
 
-// emitIPC sends one typed proxy event (nil sink: no-op, no attrs built
-// by callers that guard themselves).
-func (p *IPCProxy) emitIPC(subject string, attrs ...trace.Attr) {
-	if p.Obs == nil {
-		return
-	}
-	p.Obs.Emit(trace.Event{
-		Cycle: p.m.Cycles(), Sub: trace.SubIPC,
-		Kind: trace.KindIPC, Subject: subject, Attrs: attrs,
-	})
-}
-
 // Send performs an asynchronous delivery on behalf of sender (resolved
 // from the interrupt origin). payload is at most MaxPayloadLen bytes.
 // The returned status is the r0 value of the ABI.
 func (p *IPCProxy) Send(k *rtos.Kernel, sender *rtos.TCB, recvTrunc uint64, payload []uint32, length uint32, sync bool) int {
 	status, recvName := p.deliver(k, sender, recvTrunc, payload, length, sync)
-	if p.Obs != nil {
+	if p.m.Obs != nil {
 		attrs := []trace.Attr{
 			trace.Str("dir", "send"),
 			trace.Num("status", uint64(status)),
@@ -129,7 +112,7 @@ func (p *IPCProxy) Send(k *rtos.Kernel, sender *rtos.TCB, recvTrunc uint64, payl
 		if sync {
 			attrs = append(attrs, trace.Str("mode", "sync"))
 		}
-		p.emitIPC(sender.Name, attrs...)
+		p.m.Emit(trace.SubIPC, trace.KindIPC, sender.Name, attrs...)
 	}
 	return status
 }
@@ -257,14 +240,14 @@ func (p *IPCProxy) HandleRecv(k *rtos.Kernel, t *rtos.TCB) {
 		flags, _ = p.m.Read32(box + mailboxFlagOff)
 	})
 	if flags != 0 {
-		if p.Obs != nil {
-			p.emitIPC(t.Name, trace.Str("dir", "recv"), trace.Str("state", "ready"))
+		if p.m.Obs != nil {
+			p.m.Emit(trace.SubIPC, trace.KindIPC, t.Name, trace.Str("dir", "recv"), trace.Str("state", "ready"))
 		}
 		k.M.SetReg(isa.R0, rtos.EntryMessage)
 		return
 	}
-	if p.Obs != nil {
-		p.emitIPC(t.Name, trace.Str("dir", "recv"), trace.Str("state", "blocked"))
+	if p.m.Obs != nil {
+		p.m.Emit(trace.SubIPC, trace.KindIPC, t.Name, trace.Str("dir", "recv"), trace.Str("state", "blocked"))
 	}
 	k.BlockCurrent()
 }

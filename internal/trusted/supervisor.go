@@ -171,11 +171,6 @@ type Supervisor struct {
 	tcb       *rtos.TCB
 
 	counts SupCounts
-
-	// Obs, when set, receives every audit-log entry as a typed event
-	// (KindSupervisor, subject = task name). Unlike the bounded audit
-	// log, the sink sees the full stream.
-	Obs trace.Sink
 }
 
 // SupCounts are the supervisor's monotonic action counters — unlike the
@@ -281,6 +276,9 @@ func (s *Supervisor) Status(name string) (WatchStatus, bool) {
 // Events returns the audit log (oldest first; may have been truncated).
 func (s *Supervisor) Events() []SupEvent { return s.events }
 
+// logEvent appends one audit-log entry and reports it as a
+// KindSupervisor event (subject = task name); unlike the bounded log,
+// the event stream keeps every entry.
 func (s *Supervisor) logEvent(task, what, detail string) {
 	if len(s.events) >= maxEvents {
 		n := copy(s.events, s.events[len(s.events)/2:])
@@ -303,12 +301,9 @@ func (s *Supervisor) logEvent(task, what, detail string) {
 	case "ended":
 		s.counts.Ended++
 	}
-	if s.Obs != nil {
-		s.Obs.Emit(trace.Event{
-			Cycle: s.k.M.Cycles(), Sub: trace.SubSupervisor,
-			Kind: trace.KindSupervisor, Subject: task,
-			Attrs: []trace.Attr{trace.Str("what", what), trace.Str("detail", detail)},
-		})
+	if s.k.M.Obs != nil {
+		s.k.M.Emit(trace.SubSupervisor, trace.KindSupervisor, task,
+			trace.Str("what", what), trace.Str("detail", detail))
 	}
 }
 

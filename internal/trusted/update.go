@@ -60,9 +60,6 @@ type Updater struct {
 	// point. A non-nil return aborts the update.
 	FaultHook func(UpdatePhase) error
 
-	// Obs, when set, receives the typed decision events.
-	Obs trace.Sink
-
 	counts UpdateCounts
 }
 
@@ -196,30 +193,23 @@ func NewUpdater(k *rtos.Kernel, c *Components, provider string) (*Updater, error
 	}, nil
 }
 
-// emit reports one decision event.
-func (u *Updater) emit(kind trace.Kind, subject string, attrs ...trace.Attr) {
-	if u.Obs == nil {
-		return
-	}
-	u.Obs.Emit(trace.Event{
-		Cycle: u.k.M.Cycles(), Sub: trace.SubUpdate,
-		Kind: kind, Subject: subject, Attrs: attrs,
-	})
-}
-
 // deny accounts and reports a refusal; nothing has changed on-device.
 func (u *Updater) deny(task, reason string, version uint64, err error) error {
 	u.counts.Denied++
-	u.emit(trace.KindUpdateDenied, task,
-		trace.Str("reason", reason), trace.Num("version", version))
+	if u.k.M.Obs != nil {
+		u.k.M.Emit(trace.SubUpdate, trace.KindUpdateDenied, task,
+			trace.Str("reason", reason), trace.Num("version", version))
+	}
 	return err
 }
 
 // rollBack accounts and reports an unwound mid-swap fault.
 func (u *Updater) rollBack(task string, phase UpdatePhase, version uint64, cause error) error {
 	u.counts.RolledBack++
-	u.emit(trace.KindUpdateRolledBack, task,
-		trace.Str("phase", phase.String()), trace.Num("version", version))
+	if u.k.M.Obs != nil {
+		u.k.M.Emit(trace.SubUpdate, trace.KindUpdateRolledBack, task,
+			trace.Str("phase", phase.String()), trace.Num("version", version))
+	}
 	return fmt.Errorf("%w (phase %s): %w", ErrUpdateAborted, phase, cause)
 }
 
@@ -436,9 +426,11 @@ func (u *Updater) Apply(id rtos.TaskID, pkg []byte, nonce uint64, migrate ...uin
 	// under a fresh nonce, as part of the update itself.
 	quote, err := u.c.Attest.QuoteTask(newTCB.ID, nonce)
 	u.counts.Accepted++
-	u.emit(trace.KindUpdateAccepted, name,
-		trace.Num("from", current), trace.Num("to", version),
-		trace.Num("downtime", downtime), trace.Num("new-task", uint64(newTCB.ID)))
+	if u.k.M.Obs != nil {
+		u.k.M.Emit(trace.SubUpdate, trace.KindUpdateAccepted, name,
+			trace.Num("from", current), trace.Num("to", version),
+			trace.Num("downtime", downtime), trace.Num("new-task", uint64(newTCB.ID)))
+	}
 	report := &UpdateReport{
 		Task:           name,
 		Old:            id,

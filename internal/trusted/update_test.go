@@ -47,7 +47,7 @@ func (r *updRig) pkg(t *testing.T, release int, version uint64) []byte {
 func TestUpdateAccepted(t *testing.T) {
 	r := newUpdRig(t)
 	buf := &trace.Buffer{}
-	r.u.Obs = buf
+	r.m.Obs = buf
 	old := r.loadTask(t, mustImage(t, appSrc(1)), rtos.KindSecure, 3)
 	oldEntry, _ := r.c.RTM.LookupByTask(old.ID)
 
@@ -113,7 +113,7 @@ func TestUpdateAccepted(t *testing.T) {
 func TestUpdateDowngradeRefused(t *testing.T) {
 	r := newUpdRig(t)
 	buf := &trace.Buffer{}
-	r.u.Obs = buf
+	r.m.Obs = buf
 	old := r.loadTask(t, mustImage(t, appSrc(1)), rtos.KindSecure, 3)
 	rep, err := r.u.Apply(old.ID, r.pkg(t, 2, 5), 0)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestUpdateDowngradeRefused(t *testing.T) {
 func TestUpdateBadSignatureAndCorruptRefused(t *testing.T) {
 	r := newUpdRig(t)
 	buf := &trace.Buffer{}
-	r.u.Obs = buf
+	r.m.Obs = buf
 	old := r.loadTask(t, mustImage(t, appSrc(1)), rtos.KindSecure, 3)
 
 	// Signed under the wrong key.
@@ -234,7 +234,7 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 		t.Run(phase.String(), func(t *testing.T) {
 			r := newUpdRig(t)
 			buf := &trace.Buffer{}
-			r.u.Obs = buf
+			r.m.Obs = buf
 			old := r.loadTask(t, mustImage(t, appSrc(1)), rtos.KindSecure, 3)
 			if err := r.c.Storage.Store(old, dataSlot, secret); err != nil {
 				t.Fatal(err)

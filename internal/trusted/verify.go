@@ -1,10 +1,6 @@
 package trusted
 
-import (
-	"repro/internal/loader"
-	"repro/internal/rtos"
-	"repro/internal/sverify"
-)
+import "repro/internal/rtos"
 
 // AllowedSyscalls returns the authoritative SVC allowlist of the booted
 // platform: the kernel services plus the trusted services this layer
@@ -26,32 +22,4 @@ func AllowedSyscalls() map[uint16]bool {
 		m[n] = true
 	}
 	return m
-}
-
-// EnableVerifyGate arms the strict pre-load gate: from now on the
-// loader service statically verifies every image before allocating
-// memory for it and refuses — with a typed verify-denied trace event —
-// to measure-and-install images with Error findings. ramSize is the
-// platform's RAM size (for the beyond-RAM access checks).
-func (c *Components) EnableVerifyGate(ramSize uint32) {
-	if c.Gate != nil {
-		return // idempotent: keep an already-armed gate (and its policy)
-	}
-	c.Gate = &loader.Gate{Cfg: sverify.Config{
-		RAMSize:  ramSize,
-		Syscalls: AllowedSyscalls(),
-	}}
-}
-
-// EnableBoundsAdmission arms the resource-bound admission check on top
-// of the strict gate: images whose certified worst-case stack depth
-// (plus the pre-emption context frame) does not fit their stack
-// reservation — or whose worst-case burst exceeds a cycle budget
-// declared for them in budgets — are refused before any memory is
-// allocated. budgets maps image names to per-activation cycle budgets;
-// nil declares no cycle constraints (the stack check still applies).
-// The gate must already be armed (EnableVerifyGate).
-func (c *Components) EnableBoundsAdmission(budgets map[string]uint64) {
-	c.Gate.Bounds = true
-	c.Gate.Budgets = budgets
 }
