@@ -242,35 +242,49 @@ func TestAblationAtomicBreaksDeadlines(t *testing.T) {
 	}
 }
 
+// TestAllTablesRender pins the text of every paper table (Tables 1-8,
+// IPC and the supplementals) on both engines: the `paper-tables` row.
 func TestAllTablesRender(t *testing.T) {
-	tables, err := AllTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 12 {
-		t.Fatalf("tables = %d, want 12 (Tables 1-8 + IPC + supplementals)", len(tables))
-	}
-	for _, tb := range tables {
-		s := tb.String()
-		if !strings.Contains(s, "==") || len(tb.Rows) == 0 {
-			t.Errorf("table %q renders badly", tb.Title)
+	contract.Check(t, contract.Row{Name: "paper-tables", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, _ contract.Point) []byte {
+		tables, err := AllTables()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(tables) != 12 {
+			t.Fatalf("tables = %d, want 12 (Tables 1-8 + IPC + supplementals)", len(tables))
+		}
+		var out strings.Builder
+		for _, tb := range tables {
+			s := tb.String()
+			if !strings.Contains(s, "==") || len(tb.Rows) == 0 {
+				t.Errorf("table %q renders badly", tb.Title)
+			}
+			out.WriteString(s)
+		}
+		return []byte(out.String())
+	}})
 }
 
+// TestAblationsRender pins the text of every ablation table on both
+// engines: the `ablations` row.
 func TestAblationsRender(t *testing.T) {
-	tables, err := AllAblations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 9 {
-		t.Fatalf("ablations = %d, want 9", len(tables))
-	}
-	for _, tb := range tables {
-		if len(tb.Rows) == 0 {
-			t.Errorf("ablation %q has no rows", tb.Title)
+	contract.Check(t, contract.Row{Name: "ablations", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, _ contract.Point) []byte {
+		tables, err := AllAblations()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(tables) != 9 {
+			t.Fatalf("ablations = %d, want 9", len(tables))
+		}
+		var out strings.Builder
+		for _, tb := range tables {
+			if len(tb.Rows) == 0 {
+				t.Errorf("ablation %q has no rows", tb.Title)
+			}
+			out.WriteString(tb.String())
+		}
+		return []byte(out.String())
+	}})
 }
 
 func TestTableFormatting(t *testing.T) {
