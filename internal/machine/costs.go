@@ -202,8 +202,6 @@ const (
 const (
 	CostSchedulerPick  = 160 // highest-priority ready task selection
 	CostTick           = 90  // tick bookkeeping (time slice, delays)
-	CostQueueOp        = 140 // queue send/receive bookkeeping
-	CostTimerOp        = 120 // software timer arm/cancel
 	CostContextSwitch  = 48  // switch kernel bookkeeping (excl. save/restore)
 	CostSyscallEntry   = 64  // SVC decode and dispatch
 	CostTaskExitClean  = 840 // removing a task from scheduler structures

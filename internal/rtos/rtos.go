@@ -1,8 +1,10 @@
 // Package rtos implements the real-time operating system of the
 // simulated platform: a FreeRTOS-like kernel with priority-based
-// pre-emptive scheduling, a periodic tick, delays, queues and software
-// timers — extended, as in the paper, with TyTAN's hooks for secure
-// tasks.
+// pre-emptive scheduling, a periodic tick and delays — extended, as in
+// the paper, with TyTAN's hooks for secure tasks. Tasks block only on
+// delays and on IPC (BlockCurrent/Unblock); the kernel has no queue,
+// semaphore, mutex or software-timer objects, because no syscall would
+// expose them to a guest.
 //
 // The kernel runs *inside* the simulation: all of its work is charged to
 // the machine's cycle counter through the calibrated cost model, and all
@@ -78,7 +80,7 @@ type TaskState int
 const (
 	StateReady TaskState = iota
 	StateRunning
-	StateBlocked   // delayed or waiting on a queue/message
+	StateBlocked   // delayed, waiting for a message, or an idle service
 	StateSuspended // explicitly suspended; not schedulable until resumed
 	StateDead
 )
@@ -259,7 +261,6 @@ type Kernel struct {
 	// (no restore needed before running it again).
 	ctxLive bool
 
-	timers    []*SoftTimer
 	ticks     uint64
 	switches  uint64
 	preempted uint64

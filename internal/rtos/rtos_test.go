@@ -551,71 +551,6 @@ func TestServiceTaskDone(t *testing.T) {
 	}
 }
 
-// --- queues and timers ---------------------------------------------------
-
-func TestQueueSendReceive(t *testing.T) {
-	k := newKernel(t, Config{})
-	q, err := k.NewQueue("q", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Send(1) || !q.Send(2) {
-		t.Fatal("send failed")
-	}
-	if q.Send(3) {
-		t.Error("send to full queue succeeded")
-	}
-	if q.Drops() != 1 {
-		t.Errorf("drops = %d", q.Drops())
-	}
-	v, ok := q.Receive()
-	if !ok || v != 1 {
-		t.Errorf("receive = (%d, %v)", v, ok)
-	}
-	if q.Len() != 1 {
-		t.Errorf("len = %d", q.Len())
-	}
-	if _, err := k.NewQueue("bad", 0); err != ErrQueueCapacity {
-		t.Errorf("zero capacity = %v", err)
-	}
-}
-
-func TestSoftTimerPeriodic(t *testing.T) {
-	k := newKernel(t, Config{TickPeriod: 10_000})
-	fired := 0
-	st := k.NewSoftTimer("beat", 20_000, true, func(*Kernel) { fired++ })
-	k.StartTick()
-	if err := k.RunUntil(105_000); err != nil {
-		t.Fatal(err)
-	}
-	if fired < 4 || fired > 5 {
-		t.Errorf("fired = %d, want ≈5 in 105k cycles at 20k period", fired)
-	}
-	st.Stop()
-	before := fired
-	if err := k.RunUntil(200_000); err != nil {
-		t.Fatal(err)
-	}
-	if fired != before {
-		t.Error("stopped timer kept firing")
-	}
-}
-
-func TestSoftTimerOneShot(t *testing.T) {
-	k := newKernel(t, Config{})
-	fired := 0
-	st := k.NewSoftTimer("once", 5_000, false, func(*Kernel) { fired++ })
-	if err := k.RunUntil(50_000); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if st.Active() {
-		t.Error("one-shot still active")
-	}
-}
-
 // --- configuration and guards ---------------------------------------------
 
 func TestSecureTaskRequiresTyTAN(t *testing.T) {
@@ -694,55 +629,6 @@ loop:
 }
 
 // --- additional scheduler coverage -----------------------------------------
-
-type queueDrainService struct {
-	q    *Queue
-	got  []uint32
-	idle bool
-}
-
-func (s *queueDrainService) HasWork() bool { return s.q.Len() > 0 }
-
-func (s *queueDrainService) Step(k *Kernel, self *TCB, budget uint64) (uint64, NativeStatus) {
-	v, ok := s.q.Receive()
-	if !ok {
-		return 100, NativeIdle
-	}
-	s.got = append(s.got, v)
-	if s.q.Len() == 0 {
-		return 300, NativeIdle
-	}
-	return 300, NativeReady
-}
-
-func TestQueueWakesBlockedService(t *testing.T) {
-	k := newKernel(t, Config{})
-	q, err := k.NewQueue("work", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := &queueDrainService{q: q}
-	tcb, err := k.NewServiceTask("drain", 4, svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RunUntil(k.M.Cycles() + 10_000); err != nil {
-		t.Fatal(err)
-	}
-	if tcb.State != StateBlocked {
-		t.Fatalf("drain not blocked: %v", tcb.State)
-	}
-	for _, v := range []uint32{10, 20, 30} {
-		q.Send(v)
-	}
-	k.WakeService(tcb)
-	if err := k.RunUntil(k.M.Cycles() + 50_000); err != nil {
-		t.Fatal(err)
-	}
-	if len(svc.got) != 3 || svc.got[0] != 10 || svc.got[2] != 30 {
-		t.Errorf("drained = %v", svc.got)
-	}
-}
 
 func TestPreemptionAtSyscallBoundary(t *testing.T) {
 	// A low-priority task delays; when its wake readies it while an
@@ -855,21 +741,6 @@ main:
 	}
 }
 
-func TestQueueReceiveOrBlockNonTask(t *testing.T) {
-	k := newKernel(t, Config{})
-	q, _ := k.NewQueue("x", 1)
-	// No current task: must not block, just report empty.
-	v, ok := q.ReceiveOrBlock()
-	if ok || v != 0 {
-		t.Errorf("ReceiveOrBlock idle = (%d, %v)", v, ok)
-	}
-	q.Send(9)
-	v, ok = q.ReceiveOrBlock()
-	if !ok || v != 9 {
-		t.Errorf("ReceiveOrBlock = (%d, %v)", v, ok)
-	}
-}
-
 func TestStringersAndAccessors(t *testing.T) {
 	for k, want := range map[TaskKind]string{
 		KindNormal: "normal", KindSecure: "secure", KindService: "service", TaskKind(9): "kind(9)",
@@ -904,14 +775,6 @@ func TestStringersAndAccessors(t *testing.T) {
 	}
 	if k.Switches() == 0 {
 		t.Error("Switches accessor")
-	}
-	q, _ := k.NewQueue("named", 1)
-	if q.Name() != "named" {
-		t.Error("queue name")
-	}
-	st := k.NewSoftTimer("st", 100, false, func(*Kernel) {})
-	if st.Name() != "st" || st.Fired() != 0 {
-		t.Error("timer accessors")
 	}
 }
 
@@ -1004,81 +867,6 @@ main:
 	}
 	if err := k.Resume(999); err != ErrNoSuchTask {
 		t.Errorf("resume missing = %v", err)
-	}
-}
-
-func TestSemaphoreBasics(t *testing.T) {
-	k := newKernel(t, Config{})
-	s := k.NewSemaphore("sem", 1, 2)
-	if s.Name() != "sem" || s.Count() != 1 {
-		t.Error("constructor")
-	}
-	if !s.TryTake() {
-		t.Error("take with count 1")
-	}
-	if s.TryTake() {
-		t.Error("take with count 0")
-	}
-	if !s.Give() || !s.Give() {
-		t.Error("gives under ceiling")
-	}
-	if s.Give() {
-		t.Error("give past ceiling accepted")
-	}
-	if s.Count() != 2 {
-		t.Errorf("count = %d", s.Count())
-	}
-	// Negative initial clamps to zero; unbounded ceiling.
-	u := k.NewSemaphore("u", -5, 0)
-	if u.Count() != 0 {
-		t.Error("negative initial")
-	}
-	for i := 0; i < 100; i++ {
-		if !u.Give() {
-			t.Fatal("unbounded give refused")
-		}
-	}
-}
-
-func TestSemaphoreWakesBlockedTask(t *testing.T) {
-	k := newKernel(t, Config{})
-	s := k.NewSemaphore("work", 0, 0)
-	k.Syscalls = syscallFunc(func(k *Kernel, t *TCB, svc uint16) bool {
-		if svc != 41 {
-			return false
-		}
-		s.Take()
-		return true
-	})
-	im := mustImage(t, `
-.task "taker"
-.entry main
-.stack 128
-.text
-main:
-    svc 41
-    ldi r1, 84    ; 'T'
-    svc 5
-    svc 1
-`)
-	tcb, err := loadTask(k, im, KindNormal, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RunUntil(k.M.Cycles() + 20_000); err != nil {
-		t.Fatal(err)
-	}
-	if tcb.State != StateBlocked {
-		t.Fatalf("taker not blocked: %v", tcb.State)
-	}
-	if !s.Give() {
-		t.Fatal("give")
-	}
-	if err := k.RunUntil(k.M.Cycles() + 50_000); err != nil {
-		t.Fatal(err)
-	}
-	if uart(t, k).String() != "T" {
-		t.Errorf("output = %q", uart(t, k).String())
 	}
 }
 

@@ -56,8 +56,8 @@ func (k *Kernel) wakeDelayed() {
 }
 
 // nextEventCycle returns the next cycle at which something is scheduled
-// to happen: the timer tick, a delayed task's wake, or a software
-// timer's deadline. Returns 0 if nothing is pending.
+// to happen: the timer tick or a delayed task's wake. Returns 0 if
+// nothing is pending.
 func (k *Kernel) nextEventCycle() uint64 {
 	var next uint64
 	consider := func(c uint64) {
@@ -69,11 +69,6 @@ func (k *Kernel) nextEventCycle() uint64 {
 	for _, t := range k.taskOrder {
 		if t.State == StateBlocked && t.wakeAt != 0 {
 			consider(t.wakeAt)
-		}
-	}
-	for _, st := range k.timers {
-		if st.active {
-			consider(st.deadline)
 		}
 	}
 	return next
@@ -96,13 +91,12 @@ func (k *Kernel) idleAdvance(limit uint64) bool {
 	return true
 }
 
-// tick is the timer interrupt handler body: bookkeeping plus expiry of
-// software timers. Delay wakeups are handled in the run loop so that
-// they also work with the tick disabled.
+// tick is the timer interrupt handler body: bookkeeping plus the
+// periodic-deadline check. Delay wakeups are handled in the run loop so
+// that they also work with the tick disabled.
 func (k *Kernel) tick() {
 	k.ticks++
 	k.M.Charge(machine.CostTick)
-	k.expireTimers()
 	k.checkDeadlines()
 }
 
@@ -175,7 +169,6 @@ func (k *Kernel) RunUntil(limit uint64) error {
 			continue
 		}
 		k.wakeDelayed()
-		k.expireTimers()
 		if k.current == nil {
 			t := k.dequeueHighest()
 			if t == nil {

@@ -132,12 +132,6 @@ func (k *Kernel) InstallTaskSuspended(name string, kind TaskKind, prio int, p lo
 	return t, nil
 }
 
-// removeTask deletes t from the kernel with an administrative reason;
-// fault paths call removeTaskWith directly with their structured cause.
-func (k *Kernel) removeTask(t *TCB) {
-	k.removeTaskWith(t, ExitReason{Cause: ExitKilled})
-}
-
 // removeTaskWith deletes t from the kernel: exit recording, hooks,
 // memory reclamation, scheduler cleanup ("Unloading a task requires
 // deleting it from the OS scheduler and reclaiming its memory", §4).
@@ -302,7 +296,7 @@ func (k *Kernel) BlockCurrent() {
 	k.current = nil
 }
 
-// Unblock makes a blocked task ready (message arrival, queue space).
+// Unblock makes a blocked task ready (message arrival).
 // info is delivered in R0 at the next restore.
 func (k *Kernel) Unblock(t *TCB, info uint32) {
 	if t.State != StateBlocked {
