@@ -23,7 +23,7 @@ import (
 type Obs struct {
 	// Buf collects every typed event in emission order.
 	Buf *trace.Buffer
-	// Reg holds the platform metrics (counters, gauges, histograms).
+	// Reg holds the platform metrics (gauges, histograms).
 	Reg *trace.Registry
 
 	p *Platform

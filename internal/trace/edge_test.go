@@ -71,8 +71,7 @@ func TestChromeReadsFloatMangledTS(t *testing.T) {
 func TestPrometheusAdversarialHelp(t *testing.T) {
 	help := "line one\nline two \\ backslash \"quoted\" \\n literal"
 	r := NewRegistry()
-	c := r.Counter("tytan_adversarial_total", help)
-	c.Add(7)
+	r.Gauge("tytan_adversarial", help, func() uint64 { return 7 })
 	h := r.Histogram("tytan_adversarial_cycles", "bounds\nwith \\ tricks", 10)
 	h.Observe(5)
 
@@ -96,10 +95,10 @@ func TestPrometheusAdversarialHelp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrape failed: %v\n%s", err, text)
 	}
-	if got := s.Help["tytan_adversarial_total"]; got != help {
+	if got := s.Help["tytan_adversarial"]; got != help {
 		t.Errorf("help round trip:\n got %q\nwant %q", got, help)
 	}
-	if s.Samples["tytan_adversarial_total"] != 7 {
+	if s.Samples["tytan_adversarial"] != 7 {
 		t.Errorf("samples = %v", s.Samples)
 	}
 	if s.Samples[`tytan_adversarial_cycles_bucket{le="10"}`] != 1 {

@@ -113,11 +113,10 @@ func TestReadTraceEventsBothLayouts(t *testing.T) {
 
 func TestLabeledMetricsExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.CounterWith("fleet_sessions_total", "sessions by outcome",
-		Label{Key: "outcome", Value: "attested"})
-	c.Add(7)
-	r.CounterWith("fleet_sessions_total", "sessions by outcome",
-		Label{Key: "outcome", Value: "rejected"}).Add(2)
+	r.GaugeWith("fleet_sessions", "sessions by outcome",
+		func() uint64 { return 7 }, Label{Key: "outcome", Value: "attested"})
+	r.GaugeWith("fleet_sessions", "sessions by outcome",
+		func() uint64 { return 2 }, Label{Key: "outcome", Value: "rejected"})
 	r.GaugeWith("fleet_device_state", "per-device registry state",
 		func() uint64 { return 1 },
 		Label{Key: "device", Value: "evil\"dev\\\nname"})
@@ -128,17 +127,17 @@ func TestLabeledMetricsExposition(t *testing.T) {
 	}
 	text := buf.String()
 	// One HELP/TYPE header per family, not per label set.
-	if n := strings.Count(text, "# TYPE fleet_sessions_total counter"); n != 1 {
+	if n := strings.Count(text, "# TYPE fleet_sessions gauge"); n != 1 {
 		t.Fatalf("TYPE header count = %d in:\n%s", n, text)
 	}
 	s, err := ScrapePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("scrape: %v\n%s", err, text)
 	}
-	if v := s.Samples[`fleet_sessions_total{outcome="attested"}`]; v != 7 {
+	if v := s.Samples[`fleet_sessions{outcome="attested"}`]; v != 7 {
 		t.Fatalf("attested = %v, want 7 in %v", v, s.Samples)
 	}
-	if v := s.Samples[`fleet_sessions_total{outcome="rejected"}`]; v != 2 {
+	if v := s.Samples[`fleet_sessions{outcome="rejected"}`]; v != 2 {
 		t.Fatalf("rejected = %v, want 2", v)
 	}
 	// Adversarial label value round-trips in its canonical escaped form.
@@ -150,13 +149,14 @@ func TestLabeledMetricsExposition(t *testing.T) {
 
 func TestDuplicateLabeledMetricPanics(t *testing.T) {
 	r := NewRegistry()
-	r.CounterWith("dup_total", "h", Label{Key: "a", Value: "x"})
+	zero := func() uint64 { return 0 }
+	r.GaugeWith("dup", "h", zero, Label{Key: "a", Value: "x"})
 	// Same family, different labels: fine.
-	r.CounterWith("dup_total", "h", Label{Key: "a", Value: "y"})
+	r.GaugeWith("dup", "h", zero, Label{Key: "a", Value: "y"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate (name, labels) registration did not panic")
 		}
 	}()
-	r.CounterWith("dup_total", "h", Label{Key: "a", Value: "x"})
+	r.GaugeWith("dup", "h", zero, Label{Key: "a", Value: "x"})
 }

@@ -9,31 +9,9 @@ import (
 
 // Metric kinds as rendered in the Prometheus text exposition format.
 const (
-	metricCounter   = "counter"
 	metricGauge     = "gauge"
 	metricHistogram = "histogram"
 )
-
-// Counter is a monotonically increasing metric. The zero value is
-// ready; Counter is safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	c.mu.Lock()
-	c.n += n
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
 
 // Histogram accumulates observations into fixed cycle buckets plus a
 // running sum and count, mirroring the Prometheus histogram type. The
@@ -110,9 +88,8 @@ type metric struct {
 	help   string
 	kind   string
 
-	counter *Counter
-	gauge   func() uint64
-	hist    *Histogram
+	gauge func() uint64
+	hist  *Histogram
 }
 
 // renderLabels renders a label set as the canonical escaped {…} sample
@@ -171,20 +148,6 @@ func (r *Registry) register(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterWith(name, help)
-}
-
-// CounterWith registers and returns a new counter carrying the given
-// labels. Metrics sharing a name form one family; registering the same
-// (name, labels) pair twice panics.
-func (r *Registry) CounterWith(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, labels: labels, help: help, kind: metricCounter, counter: c})
-	return c
-}
-
 // Gauge registers a gauge whose value is sampled from fn at export
 // time — zero cost on the simulation path.
 func (r *Registry) Gauge(name, help string, fn func() uint64) {
@@ -192,6 +155,8 @@ func (r *Registry) Gauge(name, help string, fn func() uint64) {
 }
 
 // GaugeWith registers a labelled gauge sampled from fn at export time.
+// Metrics sharing a name form one family; registering the same (name,
+// labels) pair twice panics.
 func (r *Registry) GaugeWith(name, help string, fn func() uint64, labels ...Label) {
 	r.register(&metric{name: name, labels: labels, help: help, kind: metricGauge, gauge: fn})
 }

@@ -63,8 +63,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
 		}
 		switch m.kind {
-		case metricCounter:
-			fmt.Fprintf(bw, "%s %d\n", m.sample(), m.counter.Value())
 		case metricGauge:
 			fmt.Fprintf(bw, "%s %d\n", m.sample(), m.gauge())
 		case metricHistogram:

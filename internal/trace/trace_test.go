@@ -165,8 +165,7 @@ func TestChromeRejectsJunk(t *testing.T) {
 
 func TestRegistryPrometheus(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("tytan_restarts_total", "Supervisor restarts.")
-	c.Add(3)
+	r.Gauge("tytan_restarts", "Supervisor restarts.", func() uint64 { return 3 })
 	r.Gauge("tytan_tasks", "Live tasks.", func() uint64 { return 5 })
 	h := r.Histogram("tytan_irq_latency_cycles", "IRQ dispatch latency.", 10, 100)
 	h.Observe(5)
@@ -184,8 +183,8 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 	samples := scrape.Samples
 	want := map[string]float64{
-		"tytan_restarts_total":                       3,
-		"tytan_tasks":                                5,
+		"tytan_restarts": 3,
+		"tytan_tasks":    5,
 		`tytan_irq_latency_cycles_bucket{le="10"}`:   1,
 		`tytan_irq_latency_cycles_bucket{le="100"}`:  2,
 		`tytan_irq_latency_cycles_bucket{le="+Inf"}`: 3,
@@ -217,13 +216,13 @@ func TestScrapePrometheusRejects(t *testing.T) {
 
 func TestDuplicateMetricPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup", "")
+	r.Gauge("dup", "", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on duplicate registration")
 		}
 	}()
-	r.Counter("dup", "")
+	r.Gauge("dup", "", func() uint64 { return 0 })
 }
 
 // keep makes the allocation tests' strings escape, as they do when an
