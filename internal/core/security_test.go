@@ -492,6 +492,89 @@ func TestAttackForgedStackPointer(t *testing.T) {
 	}
 }
 
+// selfRewriteTask stores over its own first text word after the RTM
+// has measured it, prints 'W' once the store went through, then sleeps.
+const selfRewriteTask = `
+.task "self-rewrite"
+.entry main
+.stack 128
+.bss 28
+.text
+main:
+    ldi32 r1, main
+    ldi32 r2, 0x41414141
+    st [r1+0], r2     ; rewrite the measured code
+    ldi r1, 87        ; 'W'
+    svc 5
+sleep:
+    ldi r0, 30000
+    svc 2
+    jmp sleep
+`
+
+// TestAttackSelfRewriteAfterMeasurement pins a known gap (ROADMAP item
+// 12): a secure task may rewrite its own code after measurement,
+// because Driver.ProtectTask grants it one PermRWX rule over its whole
+// region, and the quote still carries the load-time identity, because
+// the RTM measures only at load. The OS, which holds no rule over a
+// secure task, is refused the same store. Whoever closes the gap flips
+// the first two assertions. Both engines, identical cycles.
+func TestAttackSelfRewriteAfterMeasurement(t *testing.T) {
+	const rewritten, osWord = 0x41414141, 0x42424242
+	prev := machine.FastPathDefault
+	defer func() { machine.FastPathDefault = prev }()
+	var runs [2]string
+	for i, fast := range []bool{true, false} {
+		machine.FastPathDefault = fast
+		p := newTyTAN(t)
+		im := mustImage(t, selfRewriteTask)
+		task, _, err := p.LoadTaskSync(im, Secure, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := task.Placement.TextBase()
+		if task.EntryAddr != text {
+			t.Fatalf("entry %#x is not the first text word %#x", task.EntryAddr, text)
+		}
+		if err := p.Run(10 * DefaultTickPeriod); err != nil {
+			t.Fatalf("fast=%v: run failed: %v", fast, err)
+		}
+
+		// Today's outcome: the store lands and the task runs on.
+		if got, _ := p.M.RawRead32(text); got != rewritten {
+			t.Errorf("fast=%v: first text word = %#x, want the task's own store %#x", fast, got, uint32(rewritten))
+		}
+		if _, ok := p.K.Task(task.ID); !ok || task.Exit != nil {
+			t.Fatalf("fast=%v: self-rewriting task did not survive: exit %+v", fast, task.Exit)
+		}
+		if out := p.Output(); !strings.HasPrefix(out, "W") {
+			t.Errorf("fast=%v: output %q, want the post-store 'W'", fast, out)
+		}
+		// The quote vouches for the code as loaded, not as it now is.
+		q, err := p.Provider("").Quote(task.ID, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Provider("").Verifier().Verify(q, trusted.IdentityOfImage(im), 7); err != nil {
+			t.Errorf("fast=%v: quote no longer carries the load-time identity: %v", fast, err)
+		}
+
+		// The OS context holds no rule over a secure task: refused.
+		var osErr error
+		p.M.WithExecContext(trusted.OSBase, func() { osErr = p.M.Write32(text, osWord) })
+		if osErr == nil {
+			t.Errorf("fast=%v: OS store over a secure task's text succeeded", fast)
+		}
+		if got, _ := p.M.RawRead32(text); got != rewritten {
+			t.Errorf("fast=%v: first text word = %#x after the refused OS store", fast, got)
+		}
+		runs[i] = fmt.Sprintf("cycles=%d violations=%d output=%q", p.M.Cycles(), p.M.MPU.Violations(), p.Output())
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("engines differ:\nprod %s\nref  %s", runs[0], runs[1])
+	}
+}
+
 // GenTestImage builds a small distinct secure-task image (the name is
 // baked into the TELF header, so each call yields a distinct identity).
 func GenTestImage(t *testing.T, name string) *telf.Image {
