@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/contract"
+	"repro/internal/machine"
 	"repro/internal/trace"
 	"repro/internal/trusted"
 )
@@ -149,6 +150,29 @@ func TestEventStreamDeterminism(t *testing.T) {
 			out = append(out, e.String()+"\n"...)
 		}
 		return out
+	}})
+}
+
+// TestObservedMetrics: the Prometheus text of the observed scenario,
+// gauges and event-fed histograms alike, is pinned for each engine. The
+// gauges carry the engine's own counters (decode misses, span fills),
+// so the row renders both engines' text one after the other instead of
+// asserting they are equal.
+func TestObservedMetrics(t *testing.T) {
+	contract.Check(t, contract.Row{Name: "observed-metrics", Produce: func(t *testing.T, _ contract.Point) []byte {
+		prev := machine.FastPathDefault
+		defer func() { machine.FastPathDefault = prev }()
+		var out bytes.Buffer
+		for _, fast := range []bool{true, false} {
+			machine.FastPathDefault = fast
+			p := observedScenario(t, true)
+			fmt.Fprintf(&out, "# fast path %v\n", fast)
+			if err := p.Observability().WriteMetrics(&out); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+		}
+		return out.Bytes()
 	}})
 }
 
