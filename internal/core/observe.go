@@ -10,28 +10,22 @@ import (
 )
 
 // Observability wiring: EnableObservability turns on the platform-wide
-// lens — typed events from every subsystem collected into one buffer,
-// per-subsystem metrics in one registry, and the exporters (Chrome
-// trace, Prometheus text, cycle-attribution profile) over both.
+// lens — typed events from every subsystem collected into one buffer —
+// and the exporters over it (Chrome trace, Prometheus text,
+// cycle-attribution profile).
 //
-// The lens is pure: emission never charges simulated cycles, gauges are
-// sampled at export time, and with observability off every emission
-// site is a single nil check — the paper's cycle numbers are identical
-// either way.
+// The lens is pure: emission never charges simulated cycles, metrics
+// are built at export time (gauges read the counters, histograms replay
+// the buffer), and with observability off every emission site is a
+// single nil check — the paper's cycle numbers are identical either
+// way.
 
 // Obs is the platform's observability handle.
 type Obs struct {
 	// Buf collects every typed event in emission order.
 	Buf *trace.Buffer
-	// Reg holds the platform metrics (gauges, histograms).
-	Reg *trace.Registry
 
 	p *Platform
-
-	// Histograms fed from the event stream.
-	irqLatency *trace.Histogram
-	loadTotal  *trace.Histogram
-	attestRTT  *trace.Histogram
 }
 
 // irqLatencyBounds buckets interrupt-entry latency in cycles.
@@ -58,24 +52,11 @@ func (p *Platform) EnableObservability(extra ...trace.Sink) *Obs {
 	if p.obsHandle != nil {
 		return p.obsHandle
 	}
-	o := &Obs{
-		Buf: new(trace.Buffer),
-		Reg: trace.NewRegistry(),
-		p:   p,
+	o := &Obs{Buf: new(trace.Buffer), p: p}
+	p.M.Obs = o.Buf
+	if len(extra) > 0 {
+		p.M.Obs = trace.Multi(append([]trace.Sink{o.Buf}, extra...)...)
 	}
-	o.irqLatency = o.Reg.Histogram("tytan_irq_latency_cycles",
-		"Interrupt entry latency per serviced interrupt.", irqLatencyBounds...)
-	o.loadTotal = o.Reg.Histogram("tytan_load_total_cycles",
-		"Dynamic load latency, request to schedulable.", loadTotalBounds...)
-	o.attestRTT = o.Reg.Histogram("tytan_attest_rtt_cycles",
-		"Attestation round-trip time, request to verified reply.", attestRTTBounds...)
-	o.registerGauges()
-
-	// Every subsystem emits through the machine's one sink, which feeds
-	// the buffer; the metrics sink peels histogram samples off the same
-	// stream.
-	sinks := append([]trace.Sink{o.Buf, trace.SinkFunc(o.observeEvent)}, extra...)
-	p.M.Obs = trace.Multi(sinks...)
 	p.obsHandle = o
 	return o
 }
@@ -83,35 +64,45 @@ func (p *Platform) EnableObservability(extra ...trace.Sink) *Obs {
 // Observability returns the handle if EnableObservability has run.
 func (p *Platform) Observability() *Obs { return p.obsHandle }
 
-// Sink returns the installed fan-out sink — the one every subsystem
-// emits through. External components attached to the platform (a
+// Sink returns the installed sink — the one every subsystem emits
+// through. External components attached to the platform (a
 // remote-attestation server, a fleet harness) emit through it so their
-// events land in the buffer, the metrics observer and every extra sink
-// alike.
+// events land in the buffer and every extra sink alike.
 func (o *Obs) Sink() trace.Sink { return o.p.M.Obs }
 
-// observeEvent feeds event-derived metrics (histograms need samples,
-// not end-of-run gauge reads), one sample per event analyze.Sample
-// times.
-func (o *Obs) observeEvent(e trace.Event) {
-	class, cycles, ok := analyze.Sample(e)
-	if !ok {
-		return
+// metrics builds the platform registry: the three event-fed histograms,
+// filled by replaying the buffer through analyze.Sample, then every
+// subsystem's counters as gauges.
+func (o *Obs) metrics() *trace.Registry {
+	r := trace.NewRegistry()
+	irqLatency := r.Histogram("tytan_irq_latency_cycles",
+		"Interrupt entry latency per serviced interrupt.", irqLatencyBounds...)
+	loadTotal := r.Histogram("tytan_load_total_cycles",
+		"Dynamic load latency, request to schedulable.", loadTotalBounds...)
+	attestRTT := r.Histogram("tytan_attest_rtt_cycles",
+		"Attestation round-trip time, request to verified reply.", attestRTTBounds...)
+	for _, e := range o.Buf.Events() {
+		class, cycles, ok := analyze.Sample(e)
+		if !ok {
+			continue
+		}
+		switch class {
+		case analyze.ClassIRQ, analyze.ClassTick:
+			irqLatency.Observe(cycles)
+		case analyze.ClassLoad:
+			loadTotal.Observe(cycles)
+		case analyze.ClassAttest:
+			attestRTT.Observe(cycles)
+		}
 	}
-	switch class {
-	case analyze.ClassIRQ, analyze.ClassTick:
-		o.irqLatency.Observe(cycles)
-	case analyze.ClassLoad:
-		o.loadTotal.Observe(cycles)
-	case analyze.ClassAttest:
-		o.attestRTT.Observe(cycles)
-	}
+	o.registerGauges(r)
+	return r
 }
 
 // registerGauges exposes every subsystem's monotonic counters as
-// export-time-sampled gauges — zero cost while the simulation runs.
-func (o *Obs) registerGauges() {
-	p, r := o.p, o.Reg
+// export-time-sampled gauges.
+func (o *Obs) registerGauges(r *trace.Registry) {
+	p := o.p
 
 	r.Gauge("tytan_cycles", "Platform cycle counter.", p.M.Cycles)
 
@@ -210,9 +201,10 @@ func (o *Obs) WriteChromeTrace(w io.Writer) error {
 	return trace.WriteChromeTrace(w, o.Buf.Events())
 }
 
-// WriteMetrics exports the registry in Prometheus text format.
+// WriteMetrics builds the platform metrics from the counters and the
+// buffered events and exports them in Prometheus text format.
 func (o *Obs) WriteMetrics(w io.Writer) error {
-	return o.Reg.WritePrometheus(w)
+	return o.metrics().WritePrometheus(w)
 }
 
 // Profile attributes the simulation's cycles to tasks and load phases
