@@ -224,23 +224,30 @@ type openSpan struct {
 // reported as an unclosed span cut at the last observed cycle.
 func Analyze(events []trace.Event) *Analysis {
 	a := &Analysis{Events: events}
-	for _, e := range events {
-		if e.Cycle > a.LastCycle {
-			a.LastCycle = e.Cycle
-		}
-	}
 
-	// Pre-scan the plane-side session keys: a device-side session span
-	// whose key the verifier plane also ruled on is cross-domain
-	// (ClassFleetE2E); one without plane evidence stays ClassSession.
+	// Pre-scan: the last cycle, a span count to size Spans by (one per
+	// event of a span-closing kind), and the plane-side session keys: a
+	// device-side session span whose key the verifier plane also ruled
+	// on is cross-domain (ClassFleetE2E); one without plane evidence
+	// stays ClassSession.
+	var closers int
 	planeKeys := make(map[string]bool)
 	for _, e := range events {
-		if e.Sub == trace.SubFleet && e.Kind == trace.KindFleet {
-			if n, ok := e.NumAttr("session"); ok {
+		a.LastCycle = max(a.LastCycle, e.Cycle)
+		switch e.Kind {
+		case trace.KindIRQ, trace.KindTick, trace.KindTaskSwitch, trace.KindLoadPhase:
+			closers++
+		case trace.KindAttest, trace.KindSession:
+			if e.Sub == trace.SubRemote {
+				closers++
+			}
+		case trace.KindFleet:
+			if n, ok := e.NumAttr("session"); ok && e.Sub == trace.SubFleet {
 				planeKeys[trace.SessionKey(e.Subject, n)] = true
 			}
 		}
 	}
+	a.Spans = make([]Span, 0, closers)
 
 	var open []openSpan // in-flight loads, attest requests, IPC sends
 	closeOne := func(class, subject string, end uint64) (openSpan, bool) {

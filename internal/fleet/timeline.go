@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"io"
-	"slices"
 
 	"repro/internal/trace"
 )
@@ -116,6 +115,17 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		}
 	}
 
+	// Every attr slice the timeline makes comes from one slab, each
+	// piece capacity-clipped: the plane events' attrs plus "seq", a
+	// copy of those for the plane's bars, and at most three per device
+	// bar.
+	var slabLen int
+	for i := range plane {
+		slabLen += 2*len(plane[i].Attrs) + 1
+	}
+	slab := make([]trace.Attr, 0, slabLen+3*len(t.Sessions))
+	cut := func(lo int) []trace.Attr { return slab[lo:len(slab):len(slab)] }
+
 	// Lane 0: the verifier plane. The first plane decision about a
 	// session is its Plane. Each decision keeps its own sequence
 	// ordinal as a "seq" attr and is re-anchored to the correlated
@@ -128,7 +138,9 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		e := &plane[i]
 		anchored := &vp.Events[i]
 		*anchored = *e
-		anchored.Attrs = append(slices.Clip(e.Attrs), trace.Num("seq", e.Cycle))
+		lo := len(slab)
+		slab = append(append(slab, e.Attrs...), trace.Num("seq", e.Cycle))
+		anchored.Attrs = cut(lo)
 		n, ok := e.NumAttr("session")
 		if !ok {
 			continue
@@ -151,9 +163,11 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		if !s.Correlated() {
 			continue
 		}
+		lo := len(slab)
+		slab = append(slab, s.Plane.Attrs...)
 		vp.Spans = append(vp.Spans, trace.ChromeSpan{
 			Name: s.Key, Subject: s.Device, Start: s.Start, Dur: s.End - s.Start,
-			Attrs: slices.Clone(s.Plane.Attrs),
+			Attrs: cut(lo),
 		})
 	}
 	t.Lanes = append(t.Lanes, vp)
@@ -168,15 +182,15 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 			if !s.Closed() {
 				continue
 			}
-			attrs := make([]trace.Attr, 0, 3)
-			attrs = append(attrs, trace.Str("phase", s.Outcome))
+			lo := len(slab)
+			slab = append(slab, trace.Str("phase", s.Outcome))
 			if s.Result != "" {
-				attrs = append(attrs, trace.Str("result", s.Result))
+				slab = append(slab, trace.Str("result", s.Result))
 			}
-			attrs = append(attrs, trace.Num("session", s.Ordinal))
+			slab = append(slab, trace.Num("session", s.Ordinal))
 			lane.Spans = append(lane.Spans, trace.ChromeSpan{
 				Name: s.Key, Subject: s.Device, Start: s.Start, Dur: s.End - s.Start,
-				Attrs: attrs,
+				Attrs: cut(lo),
 			})
 		}
 		t.Lanes = append(t.Lanes, lane)
