@@ -142,7 +142,7 @@ func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 	m.syncMPUGen()
 	pc := m.eip
 	if m.sbcache == nil {
-		m.sbcache = make([]sbEntry, sbSize)
+		m.sbcache = getTable[sbEntry](&sbcachePool, sbSize)
 	}
 	e := &m.sbcache[(pc>>2)*hashMul>>(32-sbBits)]
 	if e.gen != m.gen || e.pc != pc {
