@@ -382,8 +382,9 @@ irq_latency p99 <= 100c
 }
 
 // TestSample: the one event-to-duration rule. Each self-timed class
-// reads its own attribute; an attest request, a component-side quote
-// and a failed load carry no duration and are no samples.
+// reads its own attribute; an attest request, a component-side quote,
+// a session hello, a session close without e2e and a failed load carry
+// no duration and are no samples.
 func TestSample(t *testing.T) {
 	for _, tc := range []struct {
 		e      trace.Event
@@ -396,6 +397,12 @@ func TestSample(t *testing.T) {
 		{ev(10, trace.SubRemote, trace.KindAttest, "oem", trace.Str("phase", "request")), ClassAttest, 0, false},
 		{ev(10, trace.SubRemote, trace.KindAttest, "oem", trace.Str("phase", "reply"), trace.Num("rtt", 8)), ClassAttest, 8, true},
 		{ev(10, trace.SubAttest, trace.KindAttest, "oem", trace.Num("rtt", 8)), "", 0, false},
+		{ev(10, trace.SubRemote, trace.KindSession, "dev-0001", trace.Num("session", 3), trace.Str("phase", "hello"),
+			trace.Str("provider", "oem")), ClassSession, 0, false},
+		{ev(30, trace.SubRemote, trace.KindSession, "dev-0001", trace.Num("session", 3), trace.Str("phase", "verdict"),
+			trace.Str("result", "pass"), trace.Num("e2e", 20)), ClassSession, 20, true},
+		{ev(30, trace.SubRemote, trace.KindSession, "dev-0001", trace.Num("session", 3), trace.Str("phase", "error")),
+			ClassSession, 0, false},
 		{ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "done"),
 			trace.Num("total", 5), trace.Num("latency", 6)), ClassLoad, 6, true},
 		{ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "failed")), "", 0, false},

@@ -17,7 +17,10 @@
 package analyze
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -146,17 +149,13 @@ func (a *Analysis) Unclosed() []Span {
 // Durations returns the sorted durations of every *closed* span whose
 // class is one of the given classes.
 func (a *Analysis) Durations(classes ...string) []uint64 {
-	want := make(map[string]bool, len(classes))
-	for _, c := range classes {
-		want[c] = true
-	}
 	var out []uint64
 	for _, s := range a.Spans {
-		if !s.Unclosed && want[s.Class] {
+		if !s.Unclosed && slices.Contains(classes, s.Class) {
 			out = append(out, s.Duration())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -181,9 +180,13 @@ func (a *Analysis) Classes() []string {
 //	attest     a SubRemote attest reply, "rtt" (request → reply)
 //	load       a load's "done" event, "latency" (first phase event →
 //	           schedulable, the same window the offline load span covers)
+//	session    a KindSession close, "e2e" (hello → verdict, refusal or
+//	           error); Analyze upgrades the span to fleet_e2e when the
+//	           stream also holds the plane's decision, Sample cannot
 //
 // class is set for every event of those kinds and ok only when the
-// event carries the duration: an attest request does not. A failed
+// event carries the duration: an attest request and a session hello do
+// not. A failed
 // load closes its load span offline but carries no latency attribute,
 // so it is no sample; online consumers (Monitor, the platform's
 // histograms) see completed loads only.
@@ -199,6 +202,8 @@ func Sample(e trace.Event) (class string, cycles uint64, ok bool) {
 			return "", 0, false
 		}
 		class, key = ClassAttest, "rtt"
+	case trace.KindSession:
+		class, key = ClassSession, "e2e"
 	case trace.KindLoadPhase:
 		if ph, _ := e.Attr("phase"); ph.Str != "done" {
 			return "", 0, false
@@ -407,15 +412,8 @@ func Analyze(events []trace.Event) *Analysis {
 		a.Spans = append(a.Spans, Span{Class: o.class, Subject: o.subject, Start: o.start, End: a.LastCycle, Unclosed: true})
 	}
 
-	sort.SliceStable(a.Spans, func(i, j int) bool {
-		si, sj := a.Spans[i], a.Spans[j]
-		if si.Start != sj.Start {
-			return si.Start < sj.Start
-		}
-		if si.Class != sj.Class {
-			return si.Class < sj.Class
-		}
-		return si.Subject < sj.Subject
+	slices.SortStableFunc(a.Spans, func(x, y Span) int {
+		return cmp.Or(cmp.Compare(x.Start, y.Start), strings.Compare(x.Class, y.Class), strings.Compare(x.Subject, y.Subject))
 	})
 	return a
 }

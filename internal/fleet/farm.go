@@ -153,6 +153,7 @@ type deviceResult struct {
 	e2e       []uint64      // session end-to-end spans (hello→verdict), device cycles
 	buf       *trace.Buffer // the device's event buffer (Observe only), until collected
 	events    []trace.Event // the device's stream, a sub-slice of the collected one
+	brackets  []bracket     // the stream's session brackets (timeline or metrics only)
 	recorder  *Recorder     // flight recorder (Telemetry.FlightSize only)
 	err       error         // fatal setup failure
 }
@@ -262,10 +263,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Plane: plane}
+	sessions := cfg.Telemetry.Timeline || cfg.Telemetry.Metrics
 	var planeEvents []trace.Event
 	if planeBuf != nil {
 		var all []trace.Event
-		all, planeEvents = collect(cfg.Shards, results, planeBuf)
+		all, planeEvents = collect(cfg.Shards, results, planeBuf, sessions)
 		if cfg.CollectEvents {
 			res.Events = all
 		}
@@ -273,12 +275,14 @@ func Run(cfg Config) (*Result, error) {
 	res.Report = buildReport(cfg, plane, results)
 	if cfg.Telemetry.enabled() {
 		tel := &Telemetry{}
-		if cfg.Telemetry.Timeline || cfg.Telemetry.Metrics {
-			streams := make([]NamedEvents, 0, len(results))
+		if sessions {
+			streams := make([]NamedEvents, len(results))
+			brackets := make([][]bracket, len(results))
 			for i := range results {
-				streams = append(streams, NamedEvents{Name: results[i].name, Events: results[i].events})
+				streams[i] = NamedEvents{Name: results[i].name, Events: results[i].events}
+				brackets[i] = results[i].brackets
 			}
-			tl := BuildTimeline(streams, planeEvents)
+			tl := assemble(streams, brackets, planeEvents)
 			if cfg.Telemetry.Timeline {
 				tel.Timeline = tl
 			}
@@ -385,31 +389,65 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 }
 
 // collect copies every device's stream, then the plane's, into one
-// slice: the only copy each stream gets. Each device's sub-slice is
-// analyzed on the shard workers for its attest and session spans. The
-// plane's tail is sorted by device and session ordinal. It returns the
-// whole stream and the plane's tail.
-func collect(shards int, results []deviceResult, planeBuf *trace.Buffer) (all, plane []trace.Event) {
+// slice: the only copy each stream gets. The shard workers scan each
+// device's sub-slice once, for its samples and, when brackets is set,
+// its session brackets; one of them sorts the plane's tail by device
+// and session ordinal meanwhile. It returns the whole stream and the
+// plane's tail.
+func collect(shards int, results []deviceResult, planeBuf *trace.Buffer, brackets bool) (all, plane []trace.Event) {
 	offs := make([]int, len(results)+1)
 	for i := range results {
 		offs[i+1] = offs[i] + results[i].buf.Len()
 	}
 	n := offs[len(results)]
 	all = make([]trace.Event, n+planeBuf.Len())
-	parallel(shards, len(results), func(i int) {
+	// Job 0 is the plane's tail, handed out first so its sort overlaps
+	// the device scans.
+	parallel(shards, len(results)+1, func(job int) {
+		if job == 0 {
+			plane = planeBuf.AppendEvents(all[n:n])
+			slices.SortStableFunc(plane, func(a, b trace.Event) int {
+				return cmp.Or(strings.Compare(a.Subject, b.Subject), cmp.Compare(a.Cycle, b.Cycle))
+			})
+			return
+		}
+		i := job - 1
 		r := &results[i]
-		lo, hi := offs[i], offs[i+1]
-		r.events = r.buf.AppendEvents(all[lo:lo:hi])
+		r.events = r.buf.AppendEvents(all[offs[i]:offs[i]:offs[i+1]])
 		r.buf = nil
-		a := analyze.Analyze(r.events)
-		r.durations = a.Durations(analyze.ClassAttest)
-		r.e2e = a.Durations(analyze.ClassSession)
-	})
-	plane = planeBuf.AppendEvents(all[n:n])
-	slices.SortStableFunc(plane, func(a, b trace.Event) int {
-		return cmp.Or(strings.Compare(a.Subject, b.Subject), cmp.Compare(a.Cycle, b.Cycle))
+		r.scan(brackets)
 	})
 	return all, plane
+}
+
+// scan reads the device's stream once: every attest round-trip and
+// session end-to-end sample, each off its closing event through
+// analyze.Sample, and, when brackets is set, the session brackets. The
+// samples stay unsorted; buildReport sorts the pooled lists.
+func (r *deviceResult) scan(brackets bool) {
+	// Each session the device ran emits one attest reply and one
+	// bracket pair at most.
+	sessions := r.ok + r.denied + r.refused + r.errored
+	r.durations = make([]uint64, 0, sessions)
+	r.e2e = make([]uint64, 0, sessions)
+	if brackets {
+		r.brackets = make([]bracket, 0, 2*sessions)
+	}
+	for i := range r.events {
+		e := &r.events[i]
+		switch class, cycles, ok := analyze.Sample(*e); {
+		case !ok:
+		case class == analyze.ClassAttest:
+			r.durations = append(r.durations, cycles)
+		case class == analyze.ClassSession:
+			r.e2e = append(r.e2e, cycles)
+		}
+		if brackets {
+			if b, ok := bracketOf(e); ok {
+				r.brackets = append(r.brackets, b)
+			}
+		}
+	}
 }
 
 // parallel runs fn(i) for every i in [0, n) on a pool of shards

@@ -31,6 +31,8 @@ type Plane struct {
 	listeners  int
 	autoEnroll bool
 	obs        trace.Sink
+	attrMu     sync.Mutex  // guards attrs: acceptors emit concurrently
+	attrs      trace.Arena // every emitted event's attrs
 
 	nonce uint64 // last issued nonce (atomic)
 
@@ -146,15 +148,7 @@ func (p *Plane) emitRefusal(d Device, session uint64, reason string) {
 	if p.obs == nil {
 		return
 	}
-	p.obs.Emit(trace.Event{
-		Cycle: seq(d), Sub: trace.SubFleet, Kind: trace.KindFleet,
-		Subject: d.Name,
-		Attrs: []trace.Attr{
-			trace.Str("what", "refused"),
-			trace.Str("reason", reason),
-			trace.Num("session", session),
-		},
-	})
+	p.emit(d, trace.Str("what", "refused"), trace.Str("reason", reason), trace.Num("session", session))
 }
 
 // emitVerdict stamps a typed appraisal-verdict event. Which session
@@ -169,10 +163,8 @@ func (p *Plane) emitVerdict(d Device, session uint64, pass bool, reason string) 
 	if !pass {
 		result = "fail"
 	}
-	// One allocation holds all five attrs: what, result, state, the
-	// optional reason and the session.
-	attrs := make([]trace.Attr, 0, 5)
-	attrs = append(attrs,
+	var buf [5]trace.Attr
+	attrs := append(buf[:0],
 		trace.Str("what", "verdict"),
 		trace.Str("result", result),
 		trace.Str("state", d.State.String()),
@@ -180,10 +172,18 @@ func (p *Plane) emitVerdict(d Device, session uint64, pass bool, reason string) 
 	if reason != "" {
 		attrs = append(attrs, trace.Str("reason", reason))
 	}
-	attrs = append(attrs, trace.Num("session", session))
+	p.emit(d, append(attrs, trace.Num("session", session))...)
+}
+
+// emit stamps a decision event about d, its attrs copied into the
+// plane's arena so the callers' attrs stay on their stacks.
+func (p *Plane) emit(d Device, attrs ...trace.Attr) {
+	p.attrMu.Lock()
+	kept := p.attrs.Copy(attrs...)
+	p.attrMu.Unlock()
 	p.obs.Emit(trace.Event{
 		Cycle: seq(d), Sub: trace.SubFleet, Kind: trace.KindFleet,
-		Subject: d.Name, Attrs: attrs,
+		Subject: d.Name, Attrs: kept,
 	})
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,9 +97,9 @@ func buildReport(cfg Config, plane *Plane, results []deviceResult) Report {
 	sort.Slice(rep.Anomalies, func(i, j int) bool {
 		return rep.Anomalies[i].Name < rep.Anomalies[j].Name
 	})
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
+	slices.Sort(pooled)
 	rep.AttestRTT = analyze.Summarize(pooled)
-	sort.Slice(pooledE2E, func(i, j int) bool { return pooledE2E[i] < pooledE2E[j] })
+	slices.Sort(pooledE2E)
 	rep.SessionE2E = analyze.Summarize(pooledE2E)
 	return rep
 }

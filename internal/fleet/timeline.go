@@ -57,71 +57,161 @@ type Timeline struct {
 	Sessions []Session
 }
 
-// sessionID is a session's correlation key before it is rendered as
-// trace.SessionKey.
-type sessionID struct {
-	device  string
-	ordinal uint64
-}
-
 // BuildTimeline reconstructs sessions from the device streams,
 // correlates them with the plane's decisions, and lays out the lanes.
 // Inputs are not mutated; the output is a pure function of them, so a
-// deterministic fleet run yields a byte-identical timeline. Every step
-// is linear in the events: sessions are found by key in a map, and
-// each device lane reads its own sessions from a per-device index.
+// deterministic fleet run yields a byte-identical timeline. It reduces
+// each stream to its session brackets and hands them to assemble, the
+// reconstruction fleet.Run reaches with the brackets its shard workers
+// already extracted.
 func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
-	// The plane rules on each session about once, so its stream's length
-	// is a good first guess at the session count.
-	t := &Timeline{Sessions: make([]Session, 0, len(plane))}
-	byKey := make(map[sessionID]int, len(plane)) // session key → index into t.Sessions
-	byDevice := make(map[string][]int)           // device → its indices into t.Sessions, ascending
-
-	// Reconstruct the device-side brackets.
+	var n int
 	for _, d := range devices {
-		for i := range d.Events {
-			e := &d.Events[i]
-			if e.Kind != trace.KindSession {
-				continue
+		for j := range d.Events {
+			if d.Events[j].Kind == trace.KindSession {
+				n++
 			}
-			n, ok := e.NumAttr("session")
-			if !ok {
-				continue
+		}
+	}
+	slab := make([]bracket, 0, n)
+	brackets := make([][]bracket, len(devices))
+	for i, d := range devices {
+		lo := len(slab)
+		for j := range d.Events {
+			if b, ok := bracketOf(&d.Events[j]); ok {
+				slab = append(slab, b)
 			}
-			phase, ok := e.Attr("phase")
-			if !ok {
-				continue
+		}
+		brackets[i] = slab[lo:len(slab):len(slab)]
+	}
+	return assemble(devices, brackets, plane)
+}
+
+// bracket is one device-side KindSession event, reduced to what session
+// reconstruction reads.
+type bracket struct {
+	subject string
+	ordinal uint64 // the "session" attr
+	cycle   uint64
+	phase   string // "hello", or the closing phase
+	result  string // the "result" attr ("" when absent)
+}
+
+// bracketOf reduces a KindSession event that carries both a session
+// ordinal and a phase; any other event is no bracket.
+func bracketOf(e *trace.Event) (bracket, bool) {
+	if e.Kind != trace.KindSession {
+		return bracket{}, false
+	}
+	n, ok := e.NumAttr("session")
+	if !ok {
+		return bracket{}, false
+	}
+	phase, ok := e.Attr("phase")
+	if !ok {
+		return bracket{}, false
+	}
+	result, _ := e.Attr("result")
+	return bracket{subject: e.Subject, ordinal: n, cycle: e.Cycle, phase: phase.Str, result: result.Str}, true
+}
+
+// deviceSessions indexes one device's sessions (by Session.Device) in
+// creation order. A session whose ordinal is its position in list —
+// every session of a device whose stream runs its ordinals in order —
+// is found there by position; only the others go into stray. Nothing
+// is sized by an ordinal's value.
+type deviceSessions struct {
+	list  []int          // indices into Timeline.Sessions, in creation order
+	stray map[uint64]int // ordinal → index, for sessions off their position
+}
+
+func (d *deviceSessions) add(idx int, ordinal uint64) {
+	if ordinal != uint64(len(d.list)) {
+		if d.stray == nil {
+			d.stray = make(map[uint64]int)
+		}
+		d.stray[ordinal] = idx
+	}
+	d.list = append(d.list, idx)
+}
+
+func (d *deviceSessions) find(sessions []Session, ordinal uint64) (int, bool) {
+	if ordinal < uint64(len(d.list)) {
+		if idx := d.list[ordinal]; sessions[idx].Ordinal == ordinal {
+			return idx, true
+		}
+	}
+	idx, ok := d.stray[ordinal]
+	return idx, ok
+}
+
+// assemble is the timeline reconstruction behind BuildTimeline and
+// fleet.Run: brackets[i] are devices[i]'s session brackets in stream
+// order. A device name is looked up once per stream, per run of plane
+// events about one device and per bracket about another stream's
+// device; a session is then found by position within its device, so
+// the work is linear in the brackets and the plane's events.
+func assemble(devices []NamedEvents, brackets [][]bracket, plane []trace.Event) *Timeline {
+	slot := make(map[string]int, len(devices)) // device → index into bySlot
+	bySlot := make([]deviceSessions, 0, len(devices))
+	slotOf := func(device string) int {
+		k, ok := slot[device]
+		if !ok {
+			k = len(bySlot)
+			slot[device] = k
+			bySlot = append(bySlot, deviceSessions{})
+		}
+		return k
+	}
+
+	// Reconstruct the sessions: the first hello of a (device, ordinal)
+	// opens it, the first later non-hello bracket closes it. The plane
+	// rules on each session about once, so its stream's length is a
+	// good first guess at the session count.
+	t := &Timeline{Sessions: make([]Session, 0, len(plane))}
+	for i, d := range devices {
+		own := slotOf(d.Name)
+		for j := range brackets[i] {
+			b := &brackets[i][j]
+			k := own
+			if b.subject != d.Name {
+				k = slotOf(b.subject)
 			}
-			id := sessionID{e.Subject, n}
-			idx, found := byKey[id]
-			if phase.Str == "hello" {
+			ds := &bySlot[k]
+			idx, found := ds.find(t.Sessions, b.ordinal)
+			if b.phase == "hello" {
 				if !found {
-					byKey[id] = len(t.Sessions)
-					byDevice[e.Subject] = append(byDevice[e.Subject], len(t.Sessions))
-					t.Sessions = append(t.Sessions, Session{
-						Key: trace.SessionKey(e.Subject, n), Device: e.Subject, Ordinal: n, Start: e.Cycle,
-					})
+					ds.add(len(t.Sessions), b.ordinal)
+					t.Sessions = append(t.Sessions, Session{Device: b.subject, Ordinal: b.ordinal, Start: b.cycle})
 				}
 				continue
 			}
 			if found && !t.Sessions[idx].Closed() {
 				s := &t.Sessions[idx]
-				s.End = e.Cycle
-				s.Outcome = phase.Str
-				if r, ok := e.Attr("result"); ok {
-					s.Result = r.Str
-				}
+				s.End, s.Outcome, s.Result = b.cycle, b.phase, b.result
 			}
 		}
 	}
 
+	// Every session key is a substring of one string.
+	ends := make([]int, len(t.Sessions))
+	var kb []byte
+	for i := range t.Sessions {
+		kb = trace.AppendSessionKey(kb, t.Sessions[i].Device, t.Sessions[i].Ordinal)
+		ends[i] = len(kb)
+	}
+	keys, lo := string(kb), 0
+	for i, hi := range ends {
+		t.Sessions[i].Key, lo = keys[lo:hi], hi
+	}
+
 	// Every attr slice the timeline makes comes from one slab, each
-	// piece capacity-clipped: the plane events' attrs plus "seq", a
-	// copy of those for the plane's bars, and at most three per device
-	// bar.
+	// piece capacity-clipped: the plane events' attrs plus "seq", and
+	// at most three per device bar. A plane bar aliases the leading
+	// attrs of its decision's lane event.
 	var slabLen int
 	for i := range plane {
-		slabLen += 2*len(plane[i].Attrs) + 1
+		slabLen += len(plane[i].Attrs) + 1
 	}
 	slab := make([]trace.Attr, 0, slabLen+3*len(t.Sessions))
 	cut := func(lo int) []trace.Attr { return slab[lo:len(slab):len(slab)] }
@@ -134,6 +224,10 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 	// ordinal as the timestamp (there is no cycle to anchor to).
 	t.Lanes = make([]trace.Lane, 0, 1+len(devices))
 	vp := trace.Lane{Name: "verifier-plane", Events: make([]trace.Event, len(plane))}
+	decided := make([]int, len(t.Sessions)) // session → index of its Plane in plane
+	var subject string
+	var resolved bool      // subject has been looked up
+	var ds *deviceSessions // subject's sessions (nil = none)
 	for i := range plane {
 		e := &plane[i]
 		anchored := &vp.Events[i]
@@ -145,13 +239,23 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		if !ok {
 			continue
 		}
-		idx, found := byKey[sessionID{e.Subject, n}]
+		if !resolved || e.Subject != subject {
+			subject, resolved, ds = e.Subject, true, nil
+			if k, ok := slot[subject]; ok {
+				ds = &bySlot[k]
+			}
+		}
+		if ds == nil {
+			continue
+		}
+		idx, found := ds.find(t.Sessions, n)
 		if !found {
 			continue
 		}
 		s := &t.Sessions[idx]
 		if e.Kind == trace.KindFleet && s.Plane == nil {
 			s.Plane = e
+			decided[idx] = i
 		}
 		if s.Closed() {
 			anchored.Cycle = s.End
@@ -163,37 +267,42 @@ func BuildTimeline(devices []NamedEvents, plane []trace.Event) *Timeline {
 		if !s.Correlated() {
 			continue
 		}
-		lo := len(slab)
-		slab = append(slab, s.Plane.Attrs...)
+		n := len(s.Plane.Attrs)
 		vp.Spans = append(vp.Spans, trace.ChromeSpan{
 			Name: s.Key, Subject: s.Device, Start: s.Start, Dur: s.End - s.Start,
-			Attrs: cut(lo),
+			Attrs: vp.Events[decided[i]].Attrs[:n:n],
 		})
 	}
 	t.Lanes = append(t.Lanes, vp)
 
 	// One lane per device: the full event stream plus a bar per closed
 	// session, named by the session key it shares with the plane's bar.
+	// The device bars come from one slab too.
+	var nbars int
 	for _, d := range devices {
-		own := byDevice[d.Name]
-		lane := trace.Lane{Name: "device/" + d.Name, Events: d.Events, Spans: make([]trace.ChromeSpan, 0, len(own))}
+		nbars += len(bySlot[slot[d.Name]].list)
+	}
+	bars := make([]trace.ChromeSpan, 0, nbars)
+	for _, d := range devices {
+		own := bySlot[slot[d.Name]].list
+		lo := len(bars)
 		for _, idx := range own {
 			s := &t.Sessions[idx]
 			if !s.Closed() {
 				continue
 			}
-			lo := len(slab)
+			alo := len(slab)
 			slab = append(slab, trace.Str("phase", s.Outcome))
 			if s.Result != "" {
 				slab = append(slab, trace.Str("result", s.Result))
 			}
 			slab = append(slab, trace.Num("session", s.Ordinal))
-			lane.Spans = append(lane.Spans, trace.ChromeSpan{
+			bars = append(bars, trace.ChromeSpan{
 				Name: s.Key, Subject: s.Device, Start: s.Start, Dur: s.End - s.Start,
-				Attrs: cut(lo),
+				Attrs: cut(alo),
 			})
 		}
-		t.Lanes = append(t.Lanes, lane)
+		t.Lanes = append(t.Lanes, trace.Lane{Name: "device/" + d.Name, Events: d.Events, Spans: bars[lo:len(bars):len(bars)]})
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/contract"
@@ -117,19 +118,59 @@ func TestTimelineEdges(t *testing.T) {
 	}})
 }
 
+// TestTimelineOrdinalsOffPosition: sessions whose ordinals do not run
+// 0, 1, 2, … in their device's stream — reversed, gapped, the largest
+// ordinal — are still found by every later bracket and decision.
+func TestTimelineOrdinalsOffPosition(t *testing.T) {
+	const huge = ^uint64(0)
+	devices := []NamedEvents{{Name: "dev-a", Events: []trace.Event{
+		hello(10, "dev-a", 1), hello(11, "dev-a", 0), hello(12, "dev-a", huge), hello(13, "dev-a", 2),
+		closing(20, "dev-a", 0, "verdict", "pass"), closing(21, "dev-a", huge, "verdict", "fail"),
+		closing(22, "dev-a", 1, "refused", ""), closing(23, "dev-a", 2, "verdict", "pass"),
+	}}}
+	plane := []trace.Event{
+		decision(0, "dev-a", "pass", 2), decision(1, "dev-a", "fail", huge),
+		decision(2, "dev-a", "pass", 0), decision(3, "dev-a", "fail", 1),
+	}
+	tl := BuildTimeline(devices, plane)
+	want := []struct {
+		ordinal    uint64
+		start, end uint64
+		planeSeq   uint64
+	}{{1, 10, 22, 3}, {0, 11, 20, 2}, {huge, 12, 21, 1}, {2, 13, 23, 0}}
+	if len(tl.Sessions) != len(want) {
+		t.Fatalf("%d sessions, want %d", len(tl.Sessions), len(want))
+	}
+	for i, w := range want {
+		s := tl.Sessions[i]
+		if s.Ordinal != w.ordinal || s.Start != w.start || s.End != w.end || s.Plane == nil || s.Plane.Cycle != w.planeSeq {
+			t.Errorf("session %d = %+v, want ordinal %d, %d→%d, plane decision %d", i, s, w.ordinal, w.start, w.end, w.planeSeq)
+		}
+		if key := trace.SessionKey("dev-a", w.ordinal); s.Key != key {
+			t.Errorf("session %d key %q, want %q", i, s.Key, key)
+		}
+	}
+}
+
 // fleetStreams runs the fleet with events collected and cuts the
 // combined stream back into per-device streams and the plane's stream.
-// Each device stream ends at the closing bracket of its final round.
 func fleetStreams(tb testing.TB, cfg Config) ([]NamedEvents, []trace.Event) {
 	cfg.CollectEvents = true
 	res, err := Run(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return cutStreams(tb, cfg, res.Events)
+}
+
+// cutStreams cuts a run's combined stream into per-device streams and
+// the plane's stream. Each device stream ends at the closing bracket of
+// its final round.
+func cutStreams(tb testing.TB, cfg Config, events []trace.Event) ([]NamedEvents, []trace.Event) {
 	cfg, _ = cfg.withDefaults()
 	streams := make([]NamedEvents, 0, cfg.Devices)
 	start := 0
-	for i, e := range res.Events {
+	for i, e := range events {
 		if len(streams) == cfg.Devices {
 			break
 		}
@@ -139,14 +180,42 @@ func fleetStreams(tb testing.TB, cfg Config) ([]NamedEvents, []trace.Event) {
 		}
 		n, _ := e.NumAttr("session")
 		if ph, _ := e.Attr("phase"); n == uint64(cfg.Rounds-1) && ph.Str != "hello" {
-			streams = append(streams, NamedEvents{Name: name, Events: res.Events[start : i+1]})
+			streams = append(streams, NamedEvents{Name: name, Events: events[start : i+1]})
 			start = i + 1
 		}
 	}
 	if len(streams) != cfg.Devices {
 		tb.Fatalf("found %d of %d device streams", len(streams), cfg.Devices)
 	}
-	return streams, res.Events[start:]
+	return streams, events[start:]
+}
+
+// TestOneTimeline: the timeline fleet.Run assembles from the brackets
+// its shard workers extracted equals BuildTimeline over the same run's
+// streams — sessions, lanes, spans and attrs.
+func TestOneTimeline(t *testing.T) {
+	for _, seed := range []uint64{5, 23} {
+		cfg := Config{
+			Devices: 16, Rounds: 5, Seed: seed, Variants: 2, Faulty: 2, MaxFailures: 2,
+			Telemetry: TelemetryConfig{Timeline: true},
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Telemetry.Timeline
+		want := BuildTimeline(cutStreams(t, cfg, res.Events))
+		if len(got.Sessions) != int(res.Report.Sessions) || got.CorrelatedCount() == 0 {
+			t.Fatalf("seed %d: %d sessions (%d correlated), report has %d",
+				seed, len(got.Sessions), got.CorrelatedCount(), res.Report.Sessions)
+		}
+		if !reflect.DeepEqual(got.Sessions, want.Sessions) {
+			t.Errorf("seed %d: sessions differ", seed)
+		}
+		if !reflect.DeepEqual(got.Lanes, want.Lanes) {
+			t.Errorf("seed %d: lanes differ", seed)
+		}
+	}
 }
 
 // BenchmarkBuildTimeline assembles the timeline of a 256-device,

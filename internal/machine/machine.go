@@ -225,9 +225,9 @@ type Machine struct {
 	// kernel, the trusted components and the loader all report through
 	// Emit. Emission charges no cycles and must not mutate state.
 	Obs trace.Sink
-	// attrs is the current attr arena chunk: Emit copies each event's
-	// attrs into it, so callers' variadic slices never escape.
-	attrs []trace.Attr
+	// attrs is Emit's arena: each event's attrs are copied into it, so
+	// callers' variadic slices never escape.
+	attrs trace.Arena
 }
 
 // New creates a machine with the given amount of RAM (0 selects
@@ -299,13 +299,6 @@ func (m *Machine) RAMEnd() uint32 { return RAMBase + uint32(len(m.ram)) }
 // Cycles returns the current cycle counter.
 func (m *Machine) Cycles() uint64 { return m.cycles }
 
-// Attr arena chunk sizes: the first chunk holds firstAttrChunk attrs,
-// each next one twice the last, up to maxAttrChunk.
-const (
-	firstAttrChunk = 64
-	maxAttrChunk   = 1024
-)
-
 // Emit sends one typed event, stamped with the cycle counter, to Obs; a
 // nil Obs drops it. Call sites on frequent paths guard with m.Obs != nil
 // themselves so attribute construction is skipped when nothing listens.
@@ -315,20 +308,7 @@ func (m *Machine) Emit(sub trace.Subsystem, kind trace.Kind, subject string, att
 	if m.Obs == nil {
 		return
 	}
-	var kept []trace.Attr
-	if n := len(attrs); n > 0 {
-		if n > cap(m.attrs)-len(m.attrs) {
-			size := firstAttrChunk
-			if cap(m.attrs) > 0 {
-				size = min(2*cap(m.attrs), maxAttrChunk)
-			}
-			m.attrs = make([]trace.Attr, 0, max(size, n))
-		}
-		lo := len(m.attrs)
-		m.attrs = append(m.attrs, attrs...)
-		kept = m.attrs[lo : lo+n : lo+n]
-	}
-	m.Obs.Emit(trace.Event{Cycle: m.cycles, Sub: sub, Kind: kind, Subject: subject, Attrs: kept})
+	m.Obs.Emit(trace.Event{Cycle: m.cycles, Sub: sub, Kind: kind, Subject: subject, Attrs: m.attrs.Copy(attrs...)})
 }
 
 // Charge advances the cycle counter by n and polls interrupt sources so

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -61,6 +62,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type Server struct {
 	att Attestor
 	opt ServerOptions
+
+	mu    sync.Mutex  // guards attrs
+	attrs trace.Arena // every emitted event's attrs
 }
 
 // NewServer builds a device-side server around att.
@@ -224,38 +228,33 @@ func (s *Server) now() uint64 {
 	return s.opt.Cycles()
 }
 
-// emitAttest emits one quote round-trip event when Obs is wired. The
-// event's attrs are allocated once, at their final length.
+// emitAttest emits one quote round-trip event when Obs is wired.
 func (s *Server) emitAttest(ch Challenge, cycle uint64, phase string, attrs ...trace.Attr) {
 	if s.opt.Obs == nil {
 		return
 	}
-	all := make([]trace.Attr, 0, 2+len(attrs))
-	all = append(all, trace.Str("phase", phase), trace.Hex("trunc", ch.TruncID))
-	s.opt.Obs.Emit(trace.Event{
-		Cycle:   cycle,
-		Sub:     trace.SubRemote,
-		Kind:    trace.KindAttest,
-		Subject: ch.Provider,
-		Attrs:   append(all, attrs...),
-	})
+	var buf [4]trace.Attr
+	all := append(append(buf[:0], trace.Str("phase", phase), trace.Hex("trunc", ch.TruncID)), attrs...)
+	s.emit(trace.Event{Cycle: cycle, Sub: trace.SubRemote, Kind: trace.KindAttest, Subject: ch.Provider}, all)
 }
 
-// emitSession emits one session-lifecycle event when Obs is wired. The
-// event's attrs are allocated once, at their final length.
+// emitSession emits one session-lifecycle event when Obs is wired.
 func (s *Server) emitSession(h Hello, cycle uint64, attrs ...trace.Attr) {
 	if s.opt.Obs == nil {
 		return
 	}
-	all := make([]trace.Attr, 0, 1+len(attrs))
-	all = append(all, trace.Num("session", h.Session))
-	s.opt.Obs.Emit(trace.Event{
-		Cycle:   cycle,
-		Sub:     trace.SubRemote,
-		Kind:    trace.KindSession,
-		Subject: h.Device,
-		Attrs:   append(all, attrs...),
-	})
+	var buf [4]trace.Attr
+	all := append(append(buf[:0], trace.Num("session", h.Session)), attrs...)
+	s.emit(trace.Event{Cycle: cycle, Sub: trace.SubRemote, Kind: trace.KindSession, Subject: h.Device}, all)
+}
+
+// emit sends e to Obs with attrs copied into the server's arena, so
+// the callers' attrs stay on their stacks.
+func (s *Server) emit(e trace.Event, attrs []trace.Attr) {
+	s.mu.Lock()
+	e.Attrs = s.attrs.Copy(attrs...)
+	s.mu.Unlock()
+	s.opt.Obs.Emit(e)
 }
 
 // awaitVerdict reads the session-closing verdict frame.

@@ -161,8 +161,12 @@ func ParseKind(s string) (Kind, error) {
 // this key, which is what joins the two time domains.
 func SessionKey(device string, ordinal uint64) string {
 	var buf [64]byte
-	b := append(append(buf[:0], device...), '#')
-	return string(strconv.AppendUint(b, ordinal, 10))
+	return string(AppendSessionKey(buf[:0], device, ordinal))
+}
+
+// AppendSessionKey appends SessionKey(device, ordinal) to dst.
+func AppendSessionKey(dst []byte, device string, ordinal uint64) []byte {
+	return strconv.AppendUint(append(append(dst, device...), '#'), ordinal, 10)
 }
 
 // Attr is one structured event attribute: a key with either a string or
