@@ -181,15 +181,14 @@ func (a *Analysis) Classes() []string {
 //	load       a load's "done" event, "latency" (first phase event →
 //	           schedulable, the same window the offline load span covers)
 //	session    a KindSession close, "e2e" (hello → verdict, refusal or
-//	           error); Analyze upgrades the span to fleet_e2e when the
-//	           stream also holds the plane's decision, Sample cannot
+//	           error; Analyze files the span as fleet_e2e instead when
+//	           the stream also holds the plane's decision)
 //
 // class is set for every event of those kinds and ok only when the
 // event carries the duration: an attest request and a session hello do
-// not. A failed
-// load closes its load span offline but carries no latency attribute,
-// so it is no sample; online consumers (Monitor, the platform's
-// histograms) see completed loads only.
+// not. A failed load closes its load span offline but carries no
+// latency attribute, so it is no sample; online consumers (Monitor, the
+// platform's histograms) see completed loads only.
 func Sample(e trace.Event) (class string, cycles uint64, ok bool) {
 	key := "latency"
 	switch e.Kind {
