@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -437,6 +438,56 @@ func TestMonitorLoadTotalElapsed(t *testing.T) {
 	v := m.Verdict()
 	if v.Pass || v.Results[0].Measured != 1_386_448 {
 		t.Errorf("offline verdict = %+v, want a failure measuring 1386448", v.Results)
+	}
+}
+
+// TestMonitorSessionClose: online, span:session samples every session
+// close that carries e2e, while offline a session the stream's plane
+// decided on is a fleet_e2e span, not a session span. On a device-only
+// stream the two agree; with the plane's decision in the stream the
+// online rule fires and the offline verdict has no session sample.
+func TestMonitorSessionClose(t *testing.T) {
+	spec, err := ParseSpecString("span:session max <= 250c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	device := []trace.Event{
+		ev(100, trace.SubRemote, trace.KindSession, "d", trace.Num("session", 7), trace.Str("phase", "hello")),
+		ev(400, trace.SubRemote, trace.KindSession, "d", trace.Num("session", 7), trace.Str("phase", "verdict"),
+			trace.Str("result", "pass"), trace.Num("e2e", 300)),
+	}
+	decision := ev(8, trace.SubFleet, trace.KindFleet, "d", trace.Str("what", "verdict"), trace.Num("session", 7))
+	for _, tc := range []struct {
+		name    string
+		events  []trace.Event
+		samples int
+	}{
+		{"device", device, 1},
+		{"device+plane", append(slices.Clip(device), decision), 0},
+	} {
+		var out trace.Buffer
+		m := NewMonitor(spec, &out)
+		for _, e := range tc.events[:1] {
+			m.Emit(e)
+		}
+		if m.Violations() != 0 {
+			t.Errorf("%s: hello fired %v", tc.name, m.FiredRules())
+		}
+		for _, e := range tc.events[1:] {
+			m.Emit(e)
+		}
+		if m.Violations() != 1 {
+			t.Errorf("%s: fired online = %v, want the span:session rule", tc.name, m.FiredRules())
+		}
+		if evs := out.Events(); len(evs) != 1 || evs[0].Cycle != 400 {
+			t.Errorf("%s: violation events = %+v, want one at the close", tc.name, evs)
+		} else if n, _ := evs[0].NumAttr("measured"); n != 300 {
+			t.Errorf("%s: measured = %d, want 300", tc.name, n)
+		}
+		v := m.Verdict()
+		if r := v.Results[0]; r.Samples != tc.samples || v.Pass != (tc.samples == 0) {
+			t.Errorf("%s: offline verdict = %+v, want %d session samples", tc.name, v.Results, tc.samples)
+		}
 	}
 }
 

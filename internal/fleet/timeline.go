@@ -147,10 +147,10 @@ func (d *deviceSessions) find(sessions []Session, ordinal uint64) (int, bool) {
 
 // assemble is the timeline reconstruction behind BuildTimeline and
 // fleet.Run: brackets[i] are devices[i]'s session brackets in stream
-// order. A device name is looked up once per stream, per run of plane
-// events about one device and per bracket about another stream's
-// device; a session is then found by position within its device, so
-// the work is linear in the brackets and the plane's events.
+// order. A device name is looked up once per stream, per plane event
+// and per bracket about another stream's device; a session is then
+// found by position within its device, so the work is linear in the
+// brackets and the plane's events.
 func assemble(devices []NamedEvents, brackets [][]bracket, plane []trace.Event) *Timeline {
 	slot := make(map[string]int, len(devices)) // device → index into bySlot
 	bySlot := make([]deviceSessions, 0, len(devices))
@@ -225,9 +225,6 @@ func assemble(devices []NamedEvents, brackets [][]bracket, plane []trace.Event) 
 	t.Lanes = make([]trace.Lane, 0, 1+len(devices))
 	vp := trace.Lane{Name: "verifier-plane", Events: make([]trace.Event, len(plane))}
 	decided := make([]int, len(t.Sessions)) // session → index of its Plane in plane
-	var subject string
-	var resolved bool      // subject has been looked up
-	var ds *deviceSessions // subject's sessions (nil = none)
 	for i := range plane {
 		e := &plane[i]
 		anchored := &vp.Events[i]
@@ -239,15 +236,11 @@ func assemble(devices []NamedEvents, brackets [][]bracket, plane []trace.Event) 
 		if !ok {
 			continue
 		}
-		if !resolved || e.Subject != subject {
-			subject, resolved, ds = e.Subject, true, nil
-			if k, ok := slot[subject]; ok {
-				ds = &bySlot[k]
-			}
-		}
-		if ds == nil {
+		k, ok := slot[e.Subject]
+		if !ok {
 			continue
 		}
+		ds := &bySlot[k]
 		idx, found := ds.find(t.Sessions, n)
 		if !found {
 			continue

@@ -3,7 +3,9 @@ package trace
 // arenaChunk is how many attrs one Arena chunk holds (3 KiB). Chunks
 // have one fixed size: an emitter that stops after a few events wastes
 // at most one partly filled chunk, where doubling chunks would waste up
-// to half of what it allocated.
+// to half of what it allocated. A long-lived emitter pays for that with
+// one small allocation per chunk (~10% of BenchmarkEmit/buffer's time
+// per event against chunks doubling to 1024 attrs).
 const arenaChunk = 64
 
 // Arena is an emitter's attr store. Copy places each event's attrs in
