@@ -46,8 +46,10 @@ examples:
 # equivalence, observability and fleet telemetry zero impact, fleet
 # shard independence, the tytan-sim and tytan-analyze exports and the
 # resource bounds — each pinned to a SHA-256 line in its package's
-# testdata/contract.sum. Run one gate with e.g. `go test -race -run
-# TestFleetCheck ./internal/fleet`. Host-clock timing lives in bench/.
+# testdata/contract.sum. The race leg also holds the fleet telemetry
+# run to its bytes-per-session budget (TestTelemetryAllocBudget). Run
+# one gate with e.g. `go test -race -run TestFleetCheck
+# ./internal/fleet`. Host-clock timing lives in bench/.
 check: build vet lint race examples
 
 # fuzz runs each of the repo's six fuzzers for 30 s in turn. It is a

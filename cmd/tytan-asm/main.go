@@ -1,13 +1,12 @@
 // Command tytan-asm is the task tool chain's assembler: it translates
 // assembly source (see internal/asm for the syntax) into relocatable
 // TELF images that the platform's loader can place anywhere in task
-// memory.
+// memory. Static verification of a source is tytan-lint task.s.
 //
 // Usage:
 //
 //	tytan-asm task.s              # assemble to task.telf
 //	tytan-asm -o out.telf task.s  # explicit output
-//	tytan-asm -lint task.s        # assemble + static verification
 //	tytan-asm -d task.telf        # disassemble an image
 //	tytan-asm -id task.telf       # print the image's expected identity
 package main
@@ -20,7 +19,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/sverify"
 	"repro/internal/telf"
 	"repro/internal/trusted"
 )
@@ -29,20 +27,19 @@ func main() {
 	out := flag.String("o", "", "output file (default: input with .telf extension)")
 	disasm := flag.Bool("d", false, "disassemble a TELF image instead of assembling")
 	printID := flag.Bool("id", false, "print the expected task identity of a TELF image")
-	lint := flag.Bool("lint", false, "statically verify the assembled image (see tytan-lint) and fail on error findings")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tytan-asm [-o out.telf] [-lint] [-d|-id] <file>")
+		fmt.Fprintln(os.Stderr, "usage: tytan-asm [-o out.telf] [-d|-id] <file>")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-	if err := run(in, *out, *disasm, *printID, *lint); err != nil {
+	if err := run(in, *out, *disasm, *printID); err != nil {
 		fmt.Fprintln(os.Stderr, "tytan-asm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out string, disasm, printID, lint bool) error {
+func run(in, out string, disasm, printID bool) error {
 	data, err := os.ReadFile(in)
 	if err != nil {
 		return err
@@ -69,15 +66,6 @@ func run(in, out string, disasm, printID, lint bool) error {
 	im, err := asm.Assemble(string(data))
 	if err != nil {
 		return err
-	}
-	if lint {
-		rep := sverify.Verify(im, sverify.Config{})
-		if err := rep.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		if rep.HasErrors() {
-			return fmt.Errorf("%s: static verification failed", in)
-		}
 	}
 	blob, err := im.Encode()
 	if err != nil {

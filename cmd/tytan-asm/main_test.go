@@ -27,16 +27,16 @@ func TestAssembleAndDisassemble(t *testing.T) {
 	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(in, out, false, false, false); err != nil {
+	if err := run(in, out, false, false); err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	if _, err := os.Stat(out); err != nil {
 		t.Fatalf("output missing: %v", err)
 	}
-	if err := run(out, "", true, false, false); err != nil {
+	if err := run(out, "", true, false); err != nil {
 		t.Fatalf("disassemble: %v", err)
 	}
-	if err := run(out, "", false, true, false); err != nil {
+	if err := run(out, "", false, true); err != nil {
 		t.Fatalf("identity: %v", err)
 	}
 }
@@ -47,7 +47,7 @@ func TestDefaultOutputName(t *testing.T) {
 	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(in, "", false, false, false); err != nil {
+	if err := run(in, "", false, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "task.telf")); err != nil {
@@ -57,17 +57,17 @@ func TestDefaultOutputName(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(filepath.Join(dir, "missing.s"), "", false, false, false); err == nil {
+	if err := run(filepath.Join(dir, "missing.s"), "", false, false); err == nil {
 		t.Error("missing input accepted")
 	}
 	bad := filepath.Join(dir, "bad.s")
 	os.WriteFile(bad, []byte(".text\nfrob\n"), 0o644)
-	if err := run(bad, "", false, false, false); err == nil {
+	if err := run(bad, "", false, false); err == nil {
 		t.Error("bad source assembled")
 	}
 	notTelf := filepath.Join(dir, "x.telf")
 	os.WriteFile(notTelf, []byte("garbage"), 0o644)
-	if err := run(notTelf, "", true, false, false); err == nil {
+	if err := run(notTelf, "", true, false); err == nil {
 		t.Error("garbage disassembled")
 	}
 }
@@ -80,11 +80,10 @@ func TestShippedTaskSources(t *testing.T) {
 			t.Fatalf("missing shipped source %s: %v", src, err)
 		}
 		out := filepath.Join(t.TempDir(), "out.telf")
-		// -lint on: the shipped sources must also verify clean.
-		if err := run(in, out, false, false, true); err != nil {
+		if err := run(in, out, false, false); err != nil {
 			t.Errorf("%s: %v", src, err)
 		}
-		if err := run(out, "", true, false, false); err != nil {
+		if err := run(out, "", true, false); err != nil {
 			t.Errorf("%s disassembly: %v", src, err)
 		}
 	}

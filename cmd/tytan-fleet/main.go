@@ -52,7 +52,7 @@ func main() {
 	flag.IntVar(&cfg.Faulty, "faulty", 0, "devices running an unpublished build")
 	flag.IntVar(&cfg.MaxFailures, "max-failures", 0, "appraisal failures before quarantine (0 = default)")
 	flag.IntVar(&cfg.Listeners, "listeners", 0, "plane acceptor-pool size (0 = default)")
-	flag.BoolVar(&cfg.Observe, "observe", true, "measure attestation round trips in device cycles")
+	flag.BoolVar(&cfg.CollectEvents, "observe", true, "measure attestation round trips in device cycles")
 	flag.StringVar(&cfg.outPath, "o", "-", `write the text report to this file ("-" = stdout)`)
 	flag.StringVar(&cfg.tracePath, "trace", "", `write the correlated fleet timeline as multi-lane Chrome trace JSON to this file ("-" = stdout)`)
 	flag.StringVar(&cfg.metricsPath, "metrics", "", `write the fleet Prometheus exposition to this file ("-" = stdout)`)

@@ -412,7 +412,7 @@ func (p *Platform) Describe() string {
 	}
 	s := fmt.Sprintf("configuration: %s\nRAM: %d KiB at %#x\ntick: %d cycles (%.1f kHz at %d MHz)\n",
 		cfg, p.M.RAMSize()>>10, machine.RAMBase,
-		p.K.Cfg.TickPeriod, float64(machine.ClockHz)/float64(p.K.Cfg.TickPeriod)/1000, machine.ClockHz/1_000_000)
+		DefaultTickPeriod, float64(machine.ClockHz)/DefaultTickPeriod/1000, machine.ClockHz/1_000_000)
 	if p.C != nil {
 		s += fmt.Sprintf("trusted components: EA-MPU driver, Int Mux, IPC proxy, RTM, Remote Attest, Secure Storage\n"+
 			"boot report: %x\nEA-MPU slots in use: %d/%d\n",

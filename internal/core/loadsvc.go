@@ -168,11 +168,9 @@ func (s *loaderService) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uin
 	req := s.queue[0]
 	if s.quantum >= atomicThreshold {
 		// Atomic loading: hold the CPU until the load completes, exactly
-		// what a non-interruptible measurement forces. Cycles are charged
-		// phase by phase so the request's timestamps stay truthful.
-		for !req.Done() {
-			k.M.Charge(s.advance(req, 1<<40))
-		}
+		// what a non-interruptible measurement forces. A failure stays on
+		// the request.
+		s.runSync(req)
 		s.queue = s.queue[1:]
 		if len(s.queue) == 0 {
 			return 0, rtos.NativeIdle
@@ -192,9 +190,10 @@ func (s *loaderService) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uin
 	return used, rtos.NativeReady
 }
 
-// runSync drives a request to completion outside the scheduler (the
-// non-interruptible path used by LoadTaskSync and the creation
-// benchmarks).
+// runSync drives a request to completion without yielding the CPU (the
+// non-interruptible path used by LoadTaskSync, the creation benchmarks
+// and atomic loading). Cycles are charged phase by phase so the
+// request's timestamps stay truthful.
 func (s *loaderService) runSync(req *LoadRequest) error {
 	for !req.Done() {
 		used := s.advance(req, 1<<30)

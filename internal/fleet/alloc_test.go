@@ -25,13 +25,8 @@ func allocTestConfig() Config {
 // TestTelemetryAllocBudget: a telemetry run stays within its
 // bytes-per-session budget, read from runtime.MemStats.TotalAlloc
 // around the second of two identical runs (the first fills the
-// machine pools). The race detector makes sync.Pool drop a share of
-// what it is given, so every dropped RAM buffer is 2 MiB allocated
-// again; the budget is not checked there.
+// machine pools).
 func TestTelemetryAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled RAM at random under the race detector")
-	}
 	cfg := allocTestConfig()
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)

@@ -58,16 +58,10 @@ type Config struct {
 	Listeners int
 	// Provider is the attestation-key context (empty = "oem").
 	Provider string
-	// RAMSize is each device's RAM in bytes (0 = 2 MiB, the smallest
-	// layout that fits the task pool — fleet devices are tiny, and the
-	// platform pool keeps peak memory O(Shards)).
-	RAMSize uint32
-	// Observe attaches per-device observability so attestation
-	// round-trip spans (in simulated cycles) are measured.
-	Observe bool
-	// CollectEvents additionally returns the deterministic event stream
-	// (device events in device order, then plane events) in the Result.
-	// Implies Observe.
+	// CollectEvents attaches per-device and plane observability, so
+	// attestation round-trip and session spans (in simulated cycles)
+	// are measured, and returns the deterministic event stream (device
+	// events in device order, then plane events) in the Result.
 	CollectEvents bool
 	// Clock, when non-nil, is a host-ns clock the plane uses to time
 	// its verification path for throughput benchmarks. Host timings
@@ -99,6 +93,11 @@ func (t TelemetryConfig) enabled() bool {
 	return t.Timeline || t.Metrics || t.FlightSize > 0
 }
 
+// deviceRAM is each device's RAM in bytes: the smallest layout that
+// fits the task pool. Fleet devices are tiny, and the machine's memory
+// recycling keeps peak memory O(Shards).
+const deviceRAM = 2 << 20
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Devices <= 0 {
 		return c, errors.New("fleet: Config.Devices must be positive")
@@ -124,14 +123,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Provider == "" {
 		c.Provider = "oem"
 	}
-	if c.RAMSize == 0 {
-		c.RAMSize = 2 << 20
-	}
 	if c.Telemetry.enabled() {
 		c.CollectEvents = true
-	}
-	if c.CollectEvents {
-		c.Observe = true
 	}
 	return c, nil
 }
@@ -151,9 +144,9 @@ type deviceResult struct {
 	errored   int           // transport/protocol failures
 	durations []uint64      // attest round-trip spans, device cycles
 	e2e       []uint64      // session end-to-end spans (hello→verdict), device cycles
-	buf       *trace.Buffer // the device's event buffer (Observe only), until collected
+	buf       *trace.Buffer // the device's event buffer (CollectEvents only), until collected
 	events    []trace.Event // the device's stream, a sub-slice of the collected one
-	brackets  []bracket     // the stream's session brackets (timeline or metrics only)
+	brackets  []bracket     // the stream's session brackets (Telemetry.Timeline only)
 	recorder  *Recorder     // flight recorder (Telemetry.FlightSize only)
 	err       error         // fatal setup failure
 }
@@ -228,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var planeBuf *trace.Buffer
 	var planeSink trace.Sink
-	if cfg.Observe {
+	if cfg.CollectEvents {
 		planeBuf = new(trace.Buffer)
 		planeSink = planeBuf
 	}
@@ -263,36 +256,30 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Plane: plane}
-	sessions := cfg.Telemetry.Timeline || cfg.Telemetry.Metrics
 	var planeEvents []trace.Event
 	if planeBuf != nil {
-		var all []trace.Event
-		all, planeEvents = collect(cfg.Shards, results, planeBuf, sessions)
-		if cfg.CollectEvents {
-			res.Events = all
-		}
+		res.Events, planeEvents = collect(cfg.Shards, results, planeBuf, cfg.Telemetry.Timeline)
 	}
 	res.Report = buildReport(cfg, plane, results)
 	if cfg.Telemetry.enabled() {
 		tel := &Telemetry{}
-		if sessions {
+		if cfg.Telemetry.Timeline {
 			streams := make([]NamedEvents, len(results))
 			brackets := make([][]bracket, len(results))
 			for i := range results {
 				streams[i] = NamedEvents{Name: results[i].name, Events: results[i].events}
 				brackets[i] = results[i].brackets
 			}
-			tl := assemble(streams, brackets, planeEvents)
-			if cfg.Telemetry.Timeline {
-				tel.Timeline = tl
+			tel.Timeline = assemble(streams, brackets, planeEvents)
+		}
+		if cfg.Telemetry.Metrics {
+			// Feed the deterministic session-duration histogram from the
+			// device-side samples behind Report.SessionE2E; histograms
+			// never feed back into the report or the event stream.
+			for i := range results {
+				plane.ObserveSessionCycles(results[i].e2e)
 			}
-			if cfg.Telemetry.Metrics {
-				// Feed the deterministic session-duration histogram from
-				// the device-side telemetry; histograms never feed back
-				// into the report or the event stream.
-				plane.ObserveSessionCycles(tl.E2E())
-				tel.Metrics = plane.Metrics()
-			}
+			tel.Metrics = plane.Metrics()
 		}
 		for i := range results {
 			if results[i].recorder == nil {
@@ -312,7 +299,7 @@ func Run(cfg Config) (*Result, error) {
 func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) deviceResult {
 	res := deviceResult{name: DeviceName(idx), variant: variant, faulty: faulty}
 
-	p, err := core.NewPlatform(core.Options{Provider: cfg.Provider, RAMSize: cfg.RAMSize})
+	p, err := core.NewPlatform(core.Options{Provider: cfg.Provider, RAMSize: deviceRAM})
 	if err != nil {
 		res.err = err
 		return res
@@ -321,7 +308,7 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 
 	var obs *core.Obs
 	var srvOpts remote.ServerOptions
-	if cfg.Observe {
+	if cfg.CollectEvents {
 		var extra []trace.Sink
 		if cfg.Telemetry.FlightSize > 0 {
 			res.recorder = NewRecorder(res.name, cfg.Telemetry.FlightSize)

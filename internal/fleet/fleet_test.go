@@ -552,7 +552,7 @@ func taskWindows(a *analyze.Analysis) []analyze.Span {
 func TestFarmQuarantinesFaultyDevice(t *testing.T) {
 	cfg := Config{
 		Devices: 8, Rounds: 5, Shards: 4, Seed: 7,
-		Variants: 2, Faulty: 1, MaxFailures: 2, Observe: true,
+		Variants: 2, Faulty: 1, MaxFailures: 2, CollectEvents: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -644,7 +644,7 @@ func TestFleetCheck(t *testing.T) {
 	cfg := Config{
 		Devices: 24, Rounds: 4, Seed: 42,
 		Variants: 3, Faulty: 2, MaxFailures: 2,
-		Observe: true, CollectEvents: true,
+		CollectEvents: true,
 	}
 	contract.Check(t, fleetRow("fleet", cfg,
 		contract.Engine, contract.Over("shards/listeners", "3/2", "8/6"), contract.Toggle("telemetry")))

@@ -50,12 +50,13 @@ type Report struct {
 	Anomalies []DeviceOutcome
 
 	// AttestRTT summarizes attestation round-trip spans in device
-	// cycles, pooled across the fleet (zero unless Config.Observe).
+	// cycles, pooled across the fleet (zero unless Config.CollectEvents).
 	AttestRTT analyze.Stats
 
 	// SessionE2E summarizes whole-session latency in device cycles —
 	// hello sent to verdict received, the device-side KindSession
-	// bracket — pooled across the fleet (zero unless Config.Observe).
+	// bracket — pooled across the fleet (zero unless
+	// Config.CollectEvents).
 	// Derived from the event stream, so it is identical whether the
 	// telemetry products are assembled or not.
 	SessionE2E analyze.Stats

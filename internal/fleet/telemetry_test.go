@@ -279,10 +279,29 @@ func TestFleetMetricsEndToEnd(t *testing.T) {
 		"tytan_fleet_sessions{outcome=\"refused\"} " + uitoa(rep.Refused),
 		"tytan_fleet_devices{state=\"quarantined\"} 1",
 		"tytan_fleet_session_cycles_count " + uitoa(uint64(rep.SessionE2E.Count)),
+		"tytan_fleet_session_cycles_sum " + uitoa(rep.SessionE2E.Sum),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The histogram reads the report's samples, not the timeline: a
+	// metrics-only run of the same seed exports the same lines.
+	cfg := telemetryConfig()
+	cfg.Telemetry = TelemetryConfig{Metrics: true}
+	alone, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Telemetry.Timeline != nil {
+		t.Error("metrics-only run assembled a timeline")
+	}
+	var aloneBuf bytes.Buffer
+	if err := alone.Telemetry.Metrics.WritePrometheus(&aloneBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sessionCycleLines(aloneBuf.String()), sessionCycleLines(out); got != want || want == "" {
+		t.Errorf("metrics-only histogram:\n%s\nwant (timeline on):\n%s", got, want)
 	}
 	// The per-acceptor split is nondeterministic; the sum is the session
 	// total.
@@ -296,3 +315,15 @@ func TestFleetMetricsEndToEnd(t *testing.T) {
 }
 
 func uitoa(n uint64) string { return strconv.FormatUint(n, 10) }
+
+// sessionCycleLines returns the exposition's session-duration histogram
+// lines.
+func sessionCycleLines(exposition string) string {
+	var out strings.Builder
+	for _, line := range strings.SplitAfter(exposition, "\n") {
+		if strings.Contains(line, "tytan_fleet_session_cycles") {
+			out.WriteString(line)
+		}
+	}
+	return out.String()
+}

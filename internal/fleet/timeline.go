@@ -312,8 +312,8 @@ func (t *Timeline) CorrelatedCount() int {
 }
 
 // E2E returns the end-to-end device-cycle durations of the closed
-// sessions, in session order — the feed for the plane's
-// session-duration histogram.
+// sessions, in session order: the samples behind Report.SessionE2E,
+// read from the brackets instead of the closing events.
 func (t *Timeline) E2E() []uint64 {
 	var out []uint64
 	for i := range t.Sessions {

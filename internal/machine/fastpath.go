@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/eampu"
@@ -84,33 +85,66 @@ const (
 // through noteRAMWrite, which maintains the watermark), so a recycled
 // machine is bit-for-bit indistinguishable from a freshly allocated
 // one. Buffers enter the pool only through an explicit Release call.
-var ramPool sync.Pool
+var ramPool recycler[byte]
 
 // icachePool and sbcachePool recycle the default-size predecode table
 // and the compiled-block table. Their entries are tagged with a
 // generation, and every machine starts at generation 1, so a table
 // must be cleared before it is pooled: a stale entry would otherwise
 // match in the next machine.
-var icachePool, sbcachePool sync.Pool
+var (
+	icachePool  recycler[icEntry]
+	sbcachePool recycler[sbEntry]
+)
+
+// recyclerCap bounds each recycler. A buffer parks only after its
+// machine was live, so what a recycler holds never exceeds the peak of
+// machines live at once; the bound stops it from holding on to more.
+const recyclerCap = 16
+
+// recycler parks released buffers of one element type where every
+// goroutine sees them: a bounded stack under a mutex. A sync.Pool
+// parks a buffer in the releasing processor's private slot, where a
+// worker on another processor does not look, empties itself across
+// garbage collections and drops entries at random under the race
+// detector, so a fleet shard worker would now and then miss the pooled
+// RAM and allocate a fresh buffer.
+type recycler[T any] struct {
+	mu   sync.Mutex
+	free [][]T // most recently released last
+}
 
 // getTable returns a zeroed slice of n elements (a RAM buffer or a
-// table), recycled from pool when one of that size is available.
-func getTable[T any](pool *sync.Pool, n int) []T {
-	if v := pool.Get(); v != nil {
-		if t := *(v.(*[]T)); len(t) == n {
+// table): the most recently pooled one of that size, else a new one.
+func getTable[T any](pool *recycler[T], n int) []T {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for i := len(pool.free) - 1; i >= 0; i-- {
+		if t := pool.free[i]; len(t) == n {
+			pool.free = slices.Delete(pool.free, i, i+1)
 			return t
 		}
-		pool.Put(v) // another size was asked for: keep the pooled one
 	}
 	return make([]T, n)
 }
 
 // putTable clears t and returns it to pool if it has n entries.
-func putTable[T any](pool *sync.Pool, t []T, n int) {
+func putTable[T any](pool *recycler[T], t []T, n int) {
 	if len(t) == n {
 		clear(t)
-		pool.Put(&t)
+		pool.put(t)
 	}
+}
+
+// put parks the zeroed slice t, dropping the oldest parked slice when
+// the pool is full.
+func (r *recycler[T]) put(t []T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.free) == recyclerCap {
+		r.free = slices.Delete(r.free, 0, 1)
+	}
+	r.free = append(r.free, t)
 }
 
 // Release returns the machine's RAM buffer to the pool, zeroed up to
@@ -156,7 +190,7 @@ func (m *Machine) Release() {
 		}
 	}
 	m.dirty = [dirtyWords]uint64{}
-	ramPool.Put(&b)
+	ramPool.put(b)
 }
 
 // icEntry is one predecoded instruction. Valid iff gen matches the

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -15,12 +14,9 @@ import (
 // program B, the same loop with different constants at the same
 // addresses, then runs on new machines, and the production engine must
 // agree with the reference oracle on registers, cycles and faults.
-// sync.Pool may drop a table (it does so at random under the race
-// detector), so the pair is retried until program B's machine has
-// reused both of program A's tables.
+// The pools hand out the most recently released table of a size, so
+// program B's machine reuses both of program A's tables.
 func TestReleasedTablesCleared(t *testing.T) {
-	// One P, so the table Release puts is the one the next machine gets.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const base, entry = 0x2000, 0x2000 + 4*4
 	kernel := kernelProgram()
 	progA := kernel.Bytes()
@@ -42,24 +38,21 @@ func TestReleasedTablesCleared(t *testing.T) {
 		return r
 	}
 
-	for attempt := 0; attempt < 20; attempt++ {
-		a := run(progA)
-		if a.prod.Stats().SBCompiles == 0 || len(a.prod.icache) != 1<<icacheBits {
-			t.Fatalf("program A left no tables to pool: %+v", a.prod.Stats())
-		}
-		icA, sbA := &a.prod.icache[0], &a.prod.sbcache[0]
-		a.each(func(m *Machine) { m.Release() })
-
-		b := run(progB) // compares the two engines after every slice
-		reused := &b.prod.icache[0] == icA && &b.prod.sbcache[0] == sbA
-		sumB := b.prod.Reg(isa.R2)
-		b.each(func(m *Machine) { m.Release() })
-		if sumB == a.prod.Reg(isa.R2) {
-			t.Fatal("programs A and B compute the same sum; B cannot tell a stale table")
-		}
-		if reused {
-			return
-		}
+	a := run(progA)
+	if a.prod.Stats().SBCompiles == 0 || len(a.prod.icache) != 1<<icacheBits {
+		t.Fatalf("program A left no tables to pool: %+v", a.prod.Stats())
 	}
-	t.Fatal("program B never reused program A's tables")
+	icA, sbA := &a.prod.icache[0], &a.prod.sbcache[0]
+	a.each(func(m *Machine) { m.Release() })
+
+	b := run(progB) // compares the two engines after every slice
+	reused := &b.prod.icache[0] == icA && &b.prod.sbcache[0] == sbA
+	sumB := b.prod.Reg(isa.R2)
+	b.each(func(m *Machine) { m.Release() })
+	if sumB == a.prod.Reg(isa.R2) {
+		t.Fatal("programs A and B compute the same sum; B cannot tell a stale table")
+	}
+	if !reused {
+		t.Fatal("program B did not reuse program A's tables")
+	}
 }

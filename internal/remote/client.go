@@ -21,12 +21,6 @@ type ClientOptions struct {
 	// Backoff is AttestRetry's delay before the second attempt; it
 	// doubles per attempt (0 = 10ms).
 	Backoff time.Duration
-	// WallBudget bounds the total time AttestRetry may spend in backoff
-	// sleeps across all attempts (0 = unbounded). The budget is
-	// accounted from the backoff schedule itself, never from a host
-	// clock read, so retry behaviour stays deterministic under test
-	// fakes and inside the simulator's determinism vet.
-	WallBudget time.Duration
 	// Sleep is injectable for tests (nil = time.Sleep).
 	Sleep func(time.Duration)
 }
@@ -75,10 +69,10 @@ func (c *Client) exchange(conn net.Conn, trunc, nonce uint64) (trusted.Quote, er
 	if err != nil {
 		return trusted.Quote{}, err
 	}
-	if err := writeFrame(conn, DefaultMaxFrame, MsgChallenge, payload); err != nil {
+	if err := writeFrame(conn, MsgChallenge, payload); err != nil {
 		return trusted.Quote{}, err
 	}
-	typ, resp, err := readFrame(conn, DefaultMaxFrame)
+	typ, resp, err := readFrame(conn)
 	if err != nil {
 		return trusted.Quote{}, err
 	}
@@ -139,7 +133,7 @@ func (c *Client) Challenge(conn net.Conn, trunc, nonce uint64) (trusted.Quote, e
 func (c *Client) AwaitHello(conn net.Conn) (Hello, error) {
 	var h Hello
 	err := withDeadline(conn, c.opt.Timeout, func() error {
-		typ, payload, err := readFrame(conn, DefaultMaxFrame)
+		typ, payload, err := readFrame(conn)
 		if err != nil {
 			return err
 		}
@@ -157,7 +151,7 @@ func (c *Client) AwaitHello(conn net.Conn) (Hello, error) {
 // plane will not attest this device. The device sees ErrRefused.
 func (c *Client) Refuse(conn net.Conn, reason string) error {
 	return withDeadline(conn, c.opt.Timeout, func() error {
-		return writeFrame(conn, DefaultMaxFrame, MsgError, []byte(reason))
+		return writeFrame(conn, MsgError, []byte(reason))
 	})
 }
 
@@ -175,7 +169,7 @@ func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
 		}
 		payload = append(payload, p)
 		payload = append(payload, reason...)
-		return writeFrame(conn, DefaultMaxFrame, MsgVerdict, payload)
+		return writeFrame(conn, MsgVerdict, payload)
 	})
 }
 
@@ -185,23 +179,14 @@ func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
 // satisfy a later one), and bounds its I/O with a deadline. Transport
 // and protocol failures are retried with exponential backoff; an
 // authoritative device answer — a verified quote or an explicit device
-// error (ErrRemote) — ends the loop immediately. When WallBudget is
-// set, the loop additionally refuses to start a backoff sleep that
-// would push the accumulated backoff past the budget, failing with
-// ErrRetryBudget instead. Returns the quote, the number of attempts
-// used, and the final error.
+// error (ErrRemote) — ends the loop immediately. Returns the quote, the
+// number of attempts used, and the final error.
 func (c *Client) AttestRetry(dial func() (net.Conn, error), expected sha1.Digest, nonce uint64) (trusted.Quote, int, error) {
 	var lastErr error
-	var slept time.Duration
 	backoff := c.opt.Backoff
 	for attempt := 0; attempt < c.opt.Attempts; attempt++ {
 		if attempt > 0 {
-			if c.opt.WallBudget > 0 && slept+backoff > c.opt.WallBudget {
-				return trusted.Quote{}, attempt, fmt.Errorf("%w after %d of %d attempts (%v backoff spent, %v budget): %w",
-					ErrRetryBudget, attempt, c.opt.Attempts, slept, c.opt.WallBudget, lastErr)
-			}
 			c.opt.Sleep(backoff)
-			slept += backoff
 			backoff *= 2
 		}
 		conn, err := dial()

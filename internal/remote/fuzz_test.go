@@ -32,7 +32,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(10, []byte{MsgError, 'x'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data), DefaultMaxFrame)
+		typ, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -42,10 +42,10 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("accepted frame of %d bytes (> DefaultMaxFrame)", len(payload)+1)
 		}
 		var buf bytes.Buffer
-		if werr := writeFrame(&buf, DefaultMaxFrame, typ, payload); werr != nil {
+		if werr := writeFrame(&buf, typ, payload); werr != nil {
 			t.Fatalf("accepted frame cannot be re-written: %v", werr)
 		}
-		typ2, payload2, rerr := readFrame(&buf, DefaultMaxFrame)
+		typ2, payload2, rerr := readFrame(&buf)
 		if rerr != nil || typ2 != typ || !bytes.Equal(payload2, payload) {
 			t.Fatal("frame round-trip mismatch")
 		}

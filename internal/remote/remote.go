@@ -67,10 +67,9 @@ const (
 	MsgVerdict   byte = 5
 )
 
-// DefaultMaxFrame bounds frame sizes against malformed peers: always on
-// the Client, and on a Server whose options do not say otherwise.
-// Fleet-sized quotes and future certificate chains can raise the limit
-// per Server instead of editing the package.
+// DefaultMaxFrame bounds frame sizes in both directions, type byte
+// included, against malformed peers; oversize frames are rejected with
+// ErrFrameTooLarge.
 const DefaultMaxFrame = 4096
 
 // Protocol errors.
@@ -87,14 +86,10 @@ var (
 	ErrDenied = errors.New("remote: verifier denied attestation")
 )
 
-// writeFrame sends one framed message no larger than max bytes
-// (type byte included; max <= 0 means DefaultMaxFrame) with a single
-// Write of header and payload.
-func writeFrame(w io.Writer, max int, typ byte, payload []byte) error {
-	if max <= 0 {
-		max = DefaultMaxFrame
-	}
-	if len(payload)+1 > max {
+// writeFrame sends one framed message no larger than DefaultMaxFrame
+// with a single Write of header and payload.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	if len(payload)+1 > DefaultMaxFrame {
 		return ErrFrameTooLarge
 	}
 	frame := make([]byte, 5, 5+len(payload))
@@ -105,17 +100,14 @@ func writeFrame(w io.Writer, max int, typ byte, payload []byte) error {
 }
 
 // readFrame receives one framed message, rejecting frames larger than
-// max bytes before allocating (max <= 0 means DefaultMaxFrame).
-func readFrame(r io.Reader, max int) (typ byte, payload []byte, err error) {
-	if max <= 0 {
-		max = DefaultMaxFrame
-	}
+// DefaultMaxFrame before allocating.
+func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > uint32(max) {
+	if n == 0 || n > DefaultMaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
 	buf := make([]byte, n)

@@ -1,7 +1,9 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -418,10 +420,10 @@ func TestMalformedFrames(t *testing.T) {
 		done <- srv.ServeOne(devConn)
 	}()
 	// Send a non-challenge frame.
-	if err := writeFrame(verConn, DefaultMaxFrame, MsgQuote, []byte("junk")); err != nil {
+	if err := writeFrame(verConn, MsgQuote, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(verConn, DefaultMaxFrame)
+	typ, payload, err := readFrame(verConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,55 +437,45 @@ func TestMalformedFrames(t *testing.T) {
 }
 
 func TestFrameLimits(t *testing.T) {
-	if err := writeFrame(discard{}, DefaultMaxFrame, MsgQuote, make([]byte, DefaultMaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeFrame(discard{}, MsgQuote, make([]byte, DefaultMaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write = %v", err)
 	}
 	// Oversized length prefix on read.
 	r := strings.NewReader("\xff\xff\xff\xff")
-	if _, _, err := readFrame(r, DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := readFrame(r); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized read = %v", err)
 	}
 	// Zero-length frame.
 	r = strings.NewReader("\x00\x00\x00\x00")
-	if _, _, err := readFrame(r, DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := readFrame(r); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("zero frame = %v", err)
 	}
 }
 
-// TestMaxFrameOption: the frame limit is per Server, not a package
-// constant. A server with a small limit rejects frames a default client
-// would send; the frame codec with a raised limit accepts frames beyond
-// DefaultMaxFrame.
-func TestMaxFrameOption(t *testing.T) {
-	p, e := devicePlatform(t)
-	// Server limited to 16-byte frames: the client's challenge (> 16
-	// bytes with the provider string) is rejected on read and answered
-	// with nothing — the client sees the pipe close.
+// TestServerFrameLimit: a server reads a frame whose length prefix
+// exceeds DefaultMaxFrame no further than the prefix and fails the
+// exchange with ErrFrameTooLarge, answering nothing.
+func TestServerFrameLimit(t *testing.T) {
+	p, _ := devicePlatform(t)
 	devConn, verConn := net.Pipe()
 	done := make(chan error, 1)
-	small := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{MaxFrame: 16})
+	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
 	go func() {
 		defer devConn.Close()
-		done <- small.ServeOne(devConn)
+		done <- srv.ServeOne(devConn)
 	}()
-	c := oemClient(p, ClientOptions{})
-	if _, err := c.Attest(verConn, e.ID, 1); err == nil {
-		t.Error("attest succeeded against a server that cannot read the challenge")
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], DefaultMaxFrame+1)
+	if _, err := verConn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
 	}
-	verConn.Close()
 	if err := <-done; !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("server err = %v, want ErrFrameTooLarge", err)
 	}
-
-	// A raised limit carries payloads DefaultMaxFrame would reject —
-	// same writer, bigger budget.
-	big := make([]byte, DefaultMaxFrame+100)
-	if err := writeFrame(discard{}, DefaultMaxFrame, MsgQuote, big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("default limit accepted oversize frame: %v", err)
+	if _, _, err := readFrame(verConn); !errors.Is(err, io.EOF) {
+		t.Errorf("server answered an oversize frame: %v", err)
 	}
-	if err := writeFrame(discard{}, 2*DefaultMaxFrame, MsgQuote, big); err != nil {
-		t.Errorf("raised limit rejected in-budget frame: %v", err)
-	}
+	verConn.Close()
 }
 
 type discard struct{}

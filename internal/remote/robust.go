@@ -25,10 +25,6 @@ var (
 	// ErrErrorBudget means a connection produced more protocol errors
 	// than the server tolerates and was dropped.
 	ErrErrorBudget = errors.New("remote: connection error budget exhausted")
-	// ErrRetryBudget means AttestRetry's wall budget would be exceeded
-	// by the next backoff sleep, so the loop gave up before using its
-	// full attempt count. The last transport error is wrapped alongside.
-	ErrRetryBudget = errors.New("remote: retry wall budget exhausted")
 )
 
 // wrapTimeout rewraps network timeout errors in ErrTimeout, leaving

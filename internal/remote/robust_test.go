@@ -71,16 +71,16 @@ func TestServeConnErrorBudget(t *testing.T) {
 	p, _ := devicePlatform(t)
 	devConn, verConn := net.Pipe()
 	done := make(chan error, 1)
-	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{ErrorBudget: 3})
+	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
 	go func() {
 		done <- srv.ServeConn(devConn)
 	}()
 	for i := 0; i < 3; i++ {
-		if err := writeFrame(verConn, DefaultMaxFrame, MsgQuote, []byte("junk")); err != nil {
+		if err := writeFrame(verConn, MsgQuote, []byte("junk")); err != nil {
 			t.Fatal(err)
 		}
 		// Drain the error reply so the pipe does not block.
-		if typ, _, err := readFrame(verConn, DefaultMaxFrame); err != nil || typ != MsgError {
+		if typ, _, err := readFrame(verConn); err != nil || typ != MsgError {
 			t.Fatalf("reply %d: type %d err %v", i, typ, err)
 		}
 	}
@@ -185,68 +185,5 @@ func TestAttestRetryExhausts(t *testing.T) {
 	}
 	if attempts != 3 || *dials != 3 {
 		t.Errorf("attempts = %d, dials = %d, want 3", attempts, *dials)
-	}
-}
-
-// TestAttestRetryWallBudget: against a dead network the loop stops as
-// soon as the next backoff sleep would exceed the wall budget —
-// typed as ErrRetryBudget, still wrapping the transport cause, and
-// never oversleeping the budget.
-func TestAttestRetryWallBudget(t *testing.T) {
-	p, e := devicePlatform(t)
-	errDown := errors.New("network down")
-	dials := 0
-	dial := func() (net.Conn, error) {
-		dials++
-		return nil, errDown
-	}
-	var sleeps []time.Duration
-	// Backoff schedule 1,2,4,8… ms: 1ms and 2ms fit in the 4ms budget,
-	// the 4ms third sleep would total 7ms — refused.
-	c := oemClient(p, ClientOptions{
-		Attempts:   8,
-		Backoff:    time.Millisecond,
-		WallBudget: 4 * time.Millisecond,
-		Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
-	})
-	_, attempts, err := c.AttestRetry(dial, e.ID, 1)
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("err = %v, want ErrRetryBudget", err)
-	}
-	if !errors.Is(err, errDown) {
-		t.Errorf("budget error %v does not wrap the transport cause", err)
-	}
-	if attempts != 3 || dials != 3 {
-		t.Errorf("attempts = %d, dials = %d, want 3 (1ms+2ms spent, 4ms refused)", attempts, dials)
-	}
-	var total time.Duration
-	for _, d := range sleeps {
-		total += d
-	}
-	if total > 4*time.Millisecond {
-		t.Errorf("slept %v, more than the %v budget", total, 4*time.Millisecond)
-	}
-}
-
-// TestAttestRetryWallBudgetGenerous: a budget that covers the whole
-// schedule changes nothing — flaky dials still recover.
-func TestAttestRetryWallBudgetGenerous(t *testing.T) {
-	p, e := devicePlatform(t)
-	dial, dials := pipeDialer(ComponentsAttestor{C: p.C}, 2)
-	c := oemClient(p, ClientOptions{
-		Attempts:   4,
-		Backoff:    time.Millisecond,
-		WallBudget: time.Second,
-		Sleep:      func(time.Duration) {},
-	})
-	q, attempts, err := c.AttestRetry(dial, e.ID, 50)
-	if err != nil {
-		t.Fatalf("retry failed under a generous budget: %v", err)
-	}
-	if attempts != 3 || *dials != 3 {
-		t.Errorf("attempts = %d, dials = %d, want 3", attempts, *dials)
-	}
-	if q.Nonce != 52 {
-		t.Errorf("nonce = %d, want 52", q.Nonce)
 	}
 }

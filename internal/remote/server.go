@@ -12,19 +12,11 @@ import (
 )
 
 // ServerOptions parameterizes the device side of the protocol. The zero
-// value is ready: default deadline, default error budget, default frame
-// limit, no events.
+// value is ready: default deadline, no events. Frames are bounded by
+// DefaultMaxFrame.
 type ServerOptions struct {
 	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
 	Timeout time.Duration
-	// ErrorBudget is how many protocol errors (malformed frames, bad
-	// challenges) one persistent connection may produce before it is
-	// dropped (0 = 3).
-	ErrorBudget int
-	// MaxFrame bounds frame sizes in both directions, type byte
-	// included (0 = DefaultMaxFrame). Oversize frames are rejected with
-	// ErrFrameTooLarge.
-	MaxFrame int
 	// Obs, when non-nil, receives every device-side event of a wire
 	// exchange; the server is their only emitter. Each answered
 	// challenge emits a request/reply pair (SubRemote / KindAttest)
@@ -45,12 +37,6 @@ type ServerOptions struct {
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultIOTimeout
-	}
-	if o.ErrorBudget == 0 {
-		o.ErrorBudget = 3
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	return o
 }
@@ -81,17 +67,17 @@ func (s *Server) ServeOne(conn net.Conn) error {
 // serveExchange is one challenge/response exchange (no deadline
 // handling; the callers wrap it).
 func (s *Server) serveExchange(conn net.Conn) error {
-	typ, payload, err := readFrame(conn, s.opt.MaxFrame)
+	typ, payload, err := readFrame(conn)
 	if err != nil {
 		return err
 	}
 	if typ != MsgChallenge {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("expected challenge"))
+		writeFrame(conn, MsgError, []byte("expected challenge"))
 		return fmt.Errorf("%w: type %d", ErrBadMessage, typ)
 	}
 	ch, err := unmarshalChallenge(payload)
 	if err != nil {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("bad challenge"))
+		writeFrame(conn, MsgError, []byte("bad challenge"))
 		return err
 	}
 	return s.answer(conn, ch)
@@ -114,11 +100,16 @@ func (s *Server) answer(conn net.Conn, ch Challenge) error {
 	end := s.now()
 	s.emitAttest(ch, end, "reply", trace.Str("result", result), trace.Num("rtt", end-start))
 	if err != nil {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte(err.Error()))
+		writeFrame(conn, MsgError, []byte(err.Error()))
 		return nil // the protocol handled it; not a server failure
 	}
-	return writeFrame(conn, s.opt.MaxFrame, MsgQuote, q.Marshal())
+	return writeFrame(conn, MsgQuote, q.Marshal())
 }
+
+// connErrorBudget is how many protocol errors (malformed frames, bad
+// challenges) one persistent connection may produce before ServeConn
+// drops it.
+const connErrorBudget = 3
 
 // ServeConn answers challenges on a persistent connection until the
 // peer closes it, an exchange times out, a transport error occurs, or
@@ -137,7 +128,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			return err
 		case errors.Is(err, ErrBadMessage), errors.Is(err, ErrFrameTooLarge):
 			protoErrs++
-			if protoErrs >= s.opt.ErrorBudget {
+			if protoErrs >= connErrorBudget {
 				return fmt.Errorf("%w: %d protocol errors", ErrErrorBudget, protoErrs)
 			}
 		default:
@@ -177,10 +168,10 @@ func (s *Server) AttestTo(conn net.Conn, h Hello) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFrame(conn, s.opt.MaxFrame, MsgHello, payload); err != nil {
+		if err := writeFrame(conn, MsgHello, payload); err != nil {
 			return err
 		}
-		typ, resp, err := readFrame(conn, s.opt.MaxFrame)
+		typ, resp, err := readFrame(conn)
 		if err != nil {
 			return err
 		}
@@ -188,7 +179,7 @@ func (s *Server) AttestTo(conn net.Conn, h Hello) error {
 		case MsgChallenge:
 			ch, err := unmarshalChallenge(resp)
 			if err != nil {
-				writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("bad challenge"))
+				writeFrame(conn, MsgError, []byte("bad challenge"))
 				return err
 			}
 			if err := s.answer(conn, ch); err != nil {
@@ -259,7 +250,7 @@ func (s *Server) emit(e trace.Event, attrs []trace.Attr) {
 
 // awaitVerdict reads the session-closing verdict frame.
 func (s *Server) awaitVerdict(conn net.Conn) error {
-	typ, v, err := readFrame(conn, s.opt.MaxFrame)
+	typ, v, err := readFrame(conn)
 	if err != nil {
 		return err
 	}

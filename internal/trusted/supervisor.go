@@ -51,10 +51,8 @@ type SupervisorPolicy struct {
 }
 
 // withDefaults fills zero fields from the tick period.
-func (p SupervisorPolicy) withDefaults(tick uint64) SupervisorPolicy {
-	if tick == 0 {
-		tick = rtos.DefaultTickPeriod
-	}
+func (p SupervisorPolicy) withDefaults() SupervisorPolicy {
+	const tick = rtos.DefaultTickPeriod
 	if p.MaxRestarts == 0 {
 		p.MaxRestarts = 2
 	}
@@ -203,7 +201,7 @@ func NewSupervisor(k *rtos.Kernel, att *Attest, reload Reloader, pol SupervisorP
 		k:      k,
 		att:    att,
 		reload: reload,
-		pol:    pol.withDefaults(k.Cfg.TickPeriod),
+		pol:    pol.withDefaults(),
 		byID:   make(map[rtos.TaskID]*watch),
 		byName: make(map[string]*watch),
 	}
