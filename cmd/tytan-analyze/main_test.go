@@ -129,7 +129,7 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "empty.trace.json")
 	var buf bytes.Buffer
-	if err := trace.WriteChromeTrace(&buf, nil); err != nil {
+	if err := trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

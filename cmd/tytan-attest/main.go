@@ -206,7 +206,7 @@ func runPlane(addr, provider string, autoEnroll bool, maxFailures, listeners int
 }
 
 // serveMetrics serves the plane's Prometheus exposition at /metrics
-// until the listener closes. Gauges are sampled per scrape, so a
+// until the listener closes. The registry is built per scrape, so a
 // scrape costs the attestation path nothing.
 func serveMetrics(l net.Listener, plane *fleet.Plane) {
 	mux := http.NewServeMux()

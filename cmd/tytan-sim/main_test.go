@@ -122,7 +122,7 @@ func TestTraceCheck(t *testing.T) {
 	contract.Check(t,
 		contract.Row{Name: "sim-exports", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, _ contract.Point) []byte {
 			stdout, chrome, profile, _ := export(t)
-			events, err := trace.ReadChromeTrace(bytes.NewReader(chrome))
+			events, err := trace.ReadTraceEvents(bytes.NewReader(chrome))
 			if err != nil {
 				t.Fatalf("Chrome trace does not parse: %v", err)
 			}

@@ -223,7 +223,7 @@ type openSpan struct {
 }
 
 // Analyze runs the span engine over an event stream (emission order, as
-// produced by trace.Buffer or ReadChromeTrace). It is tolerant of
+// produced by trace.Buffer or trace.ReadTraceEvents). It is tolerant of
 // truncated traces: whatever is still open when the stream ends is
 // reported as an unclosed span cut at the last observed cycle.
 func Analyze(events []trace.Event) *Analysis {

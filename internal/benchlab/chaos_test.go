@@ -155,7 +155,7 @@ func TestChaosObserved(t *testing.T) {
 	if err := observed.Obs.WriteChromeTrace(&tr); err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.ReadChromeTrace(bytes.NewReader(tr.Bytes()))
+	events, err := trace.ReadTraceEvents(bytes.NewReader(tr.Bytes()))
 	if err != nil {
 		t.Fatalf("Chrome trace does not parse: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // The adaptive cruise control use case (Figure 2 / Table 1): task t1
@@ -118,62 +117,63 @@ func RunUseCase(atomicLoading bool) (UseCaseResult, error) {
 	}
 	e3 := p.Cycles()
 
-	// Convert the engine command log into per-task activation traces.
-	// Tag values map to static names; formatting one per command showed
-	// up in benchmark profiles.
-	taskName := func(v uint32) string {
-		switch v {
-		case tagT0:
-			return "t0"
-		case tagT1:
-			return "t1"
-		case tagT2:
-			return "t2"
-		}
-		return fmt.Sprintf("t%d", v-1)
-	}
-	log := new(trace.Buffer)
-	for _, c := range p.Engine.Commands() {
-		log.Emit(trace.Event{
-			Cycle: c.Cycle, Sub: trace.SubHarness,
-			Kind: trace.KindActivation, Subject: taskName(c.Value),
-		})
-	}
-	rate := func(task string, from, to uint64) float64 {
-		return log.RateKHz(trace.KindActivation, task, from, to, machine.ClockHz)
-	}
-	windows := [3][2]uint64{{s1, e1}, {s2, e2}, {s3, e3}}
-	for i, w := range windows {
-		res.RateT0[i] = rate("t0", w[0], w[1])
-		res.RateT1[i] = rate("t1", w[0], w[1])
-		res.RateT2[i] = rate("t2", w[0], w[1])
-	}
-
 	res.LoadWorkCycles = req.Breakdown.Total()
 	res.LoadElapsedCycles = req.EndCycle - req.StartCycle
-	// Jitter during loading: t0's worst inter-activation gap around
-	// phase 2. The window extends slightly past the load so that a
-	// stall spanning the whole load (the atomic ablation) shows up as
-	// one giant gap between the last pre-load and first post-load
-	// activation rather than as an empty window.
+
+	// One pass over the engine command log: every command is one
+	// activation of the task whose tag it carries. Count each task's
+	// activations per phase window [from, to), and collect t0's
+	// inter-activation gaps around phase 2 for the jitter figures. That
+	// window extends slightly past the load so that a stall spanning
+	// the whole load (the atomic ablation) shows up as one giant gap
+	// between the last pre-load and first post-load activation rather
+	// than as an empty window.
+	windows := [3][2]uint64{{s1, e1}, {s2, e2}, {s3, e3}}
 	jFrom := s2 - 2*useCasePeriod
 	jTo := e2 + 3*useCasePeriod
 	if jTo > e3 {
 		jTo = e3
 	}
-	sub := new(trace.Buffer)
-	for _, e := range log.Events() {
-		if e.Subject == "t0" && e.Cycle >= jFrom && e.Cycle < jTo {
-			sub.Emit(e)
+	var counts [3][3]int // [task][phase]
+	var prev uint64
+	havePrev := false
+	for _, c := range p.Engine.Commands() {
+		task := int(c.Value) - tagT0
+		if task < 0 || task > 2 {
+			continue
 		}
+		for i, w := range windows {
+			if c.Cycle >= w[0] && c.Cycle < w[1] {
+				counts[task][i]++
+			}
+		}
+		if task != 0 || c.Cycle < jFrom || c.Cycle >= jTo {
+			continue
+		}
+		if havePrev {
+			g := c.Cycle - prev
+			res.MaxGapDuringLoad = max(res.MaxGapDuringLoad, g)
+			// Missed deadlines: every inter-activation gap beyond 1.5
+			// periods hides floor(gap/period)-1 lost activations.
+			if g > useCasePeriod*3/2 {
+				res.Missed += int(g/useCasePeriod) - 1
+			}
+		}
+		prev = c.Cycle
+		havePrev = true
 	}
-	res.MaxGapDuringLoad = sub.MaxGap(trace.KindActivation, "t0")
-	// Missed deadlines: every inter-activation gap beyond 1.5 periods
-	// hides floor(gap/period)-1 lost activations.
-	for _, g := range sub.Gaps(trace.KindActivation, "t0") {
-		if g > useCasePeriod*3/2 {
-			res.Missed += int(g/useCasePeriod) - 1
+	// Activation rate in kHz at the platform clock.
+	rate := func(n int, w [2]uint64) float64 {
+		if w[1] <= w[0] {
+			return 0
 		}
+		seconds := float64(w[1]-w[0]) / float64(machine.ClockHz)
+		return float64(n) / seconds / 1000
+	}
+	for i, w := range windows {
+		res.RateT0[i] = rate(counts[0][i], w)
+		res.RateT1[i] = rate(counts[1][i], w)
+		res.RateT2[i] = rate(counts[2][i], w)
 	}
 	res.Instructions = p.M.InsnRetired()
 	res.TotalCycles = p.Cycles()

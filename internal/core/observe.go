@@ -100,78 +100,61 @@ func (o *Obs) metrics() *trace.Registry {
 }
 
 // registerGauges exposes every subsystem's monotonic counters as
-// export-time-sampled gauges.
+// gauges holding the counts read at export.
 func (o *Obs) registerGauges(r *trace.Registry) {
 	p := o.p
 
-	r.Gauge("tytan_cycles", "Platform cycle counter.", p.M.Cycles)
+	r.Gauge("tytan_cycles", "Platform cycle counter.", p.M.Cycles())
 
 	// Machine / interpreter fast path.
-	r.Gauge("tytan_machine_insn_retired", "Instructions retired.",
-		func() uint64 { return p.M.Stats().InsnRetired })
-	r.Gauge("tytan_machine_decode_misses", "Instruction-cache decode misses.",
-		func() uint64 { return p.M.Stats().DecodeMisses })
-	r.Gauge("tytan_machine_exec_span_fills", "EA-MPU execute-span cache fills.",
-		func() uint64 { return p.M.Stats().ExecSpanFills })
-	r.Gauge("tytan_machine_data_span_fills", "EA-MPU data-span cache fills.",
-		func() uint64 { return p.M.Stats().DataSpanFills })
-	r.Gauge("tytan_machine_gen_bumps", "EA-MPU generation bumps (cache invalidations).",
-		func() uint64 { return p.M.Stats().GenBumps })
+	st := p.M.Stats()
+	r.Gauge("tytan_machine_insn_retired", "Instructions retired.", st.InsnRetired)
+	r.Gauge("tytan_machine_decode_misses", "Instruction-cache decode misses.", st.DecodeMisses)
+	r.Gauge("tytan_machine_exec_span_fills", "EA-MPU execute-span cache fills.", st.ExecSpanFills)
+	r.Gauge("tytan_machine_data_span_fills", "EA-MPU data-span cache fills.", st.DataSpanFills)
+	r.Gauge("tytan_machine_gen_bumps", "EA-MPU generation bumps (cache invalidations).", st.GenBumps)
 
 	// Superblock engine.
-	r.Gauge("tytan_machine_sb_compiles", "Superblocks compiled (incl. recompiles).",
-		func() uint64 { return p.M.Stats().SBCompiles })
-	r.Gauge("tytan_machine_sb_hits", "Superblock cache hits (blocks dispatched).",
-		func() uint64 { return p.M.Stats().SBHits })
-	r.Gauge("tytan_machine_sb_bails", "Superblock mid-block bails to the interpreter.",
-		func() uint64 { return p.M.Stats().SBBails })
-	r.Gauge("tytan_machine_sb_fallbacks", "Superblock dispatches declined (guards).",
-		func() uint64 { return p.M.Stats().SBFallbacks })
-	r.Gauge("tytan_machine_sb_invalidations", "Superblock invalidations from code writes.",
-		func() uint64 { return p.M.Stats().SBInvalidations })
+	r.Gauge("tytan_machine_sb_compiles", "Superblocks compiled (incl. recompiles).", st.SBCompiles)
+	r.Gauge("tytan_machine_sb_hits", "Superblock cache hits (blocks dispatched).", st.SBHits)
+	r.Gauge("tytan_machine_sb_bails", "Superblock mid-block bails to the interpreter.", st.SBBails)
+	r.Gauge("tytan_machine_sb_fallbacks", "Superblock dispatches declined (guards).", st.SBFallbacks)
+	r.Gauge("tytan_machine_sb_invalidations", "Superblock invalidations from code writes.", st.SBInvalidations)
 
 	// Kernel.
-	r.Gauge("tytan_kernel_ticks", "Timer ticks serviced.", p.K.Ticks)
-	r.Gauge("tytan_kernel_switches", "Context switches (dispatches).", p.K.Switches)
-	r.Gauge("tytan_kernel_preemptions", "Preemptive task switches.", p.K.Preempted)
-	r.Gauge("tytan_kernel_idle_cycles", "Cycles spent with no runnable task.", p.K.IdleCycles)
-	r.Gauge("tytan_kernel_deadline_misses", "Missed periodic-deadline windows.", p.K.DeadlineMisses)
+	r.Gauge("tytan_kernel_ticks", "Timer ticks serviced.", p.K.Ticks())
+	r.Gauge("tytan_kernel_switches", "Context switches (dispatches).", p.K.Switches())
+	r.Gauge("tytan_kernel_preemptions", "Preemptive task switches.", p.K.Preempted())
+	r.Gauge("tytan_kernel_idle_cycles", "Cycles spent with no runnable task.", p.K.IdleCycles())
+	r.Gauge("tytan_kernel_deadline_misses", "Missed periodic-deadline windows.", p.K.DeadlineMisses())
 
 	// EA-MPU.
-	r.Gauge("tytan_eampu_violations", "Access-control violations raised.", p.M.MPU.Violations)
-	r.Gauge("tytan_eampu_generation", "EA-MPU configuration generation.", p.M.MPU.Generation)
-	r.Gauge("tytan_eampu_slots_used", "EA-MPU region slots in use.",
-		func() uint64 { return uint64(p.M.MPU.UsedSlots()) })
+	r.Gauge("tytan_eampu_violations", "Access-control violations raised.", p.M.MPU.Violations())
+	r.Gauge("tytan_eampu_generation", "EA-MPU configuration generation.", p.M.MPU.Generation())
+	r.Gauge("tytan_eampu_slots_used", "EA-MPU region slots in use.", uint64(p.M.MPU.UsedSlots()))
 
 	// Trusted components (TyTAN configuration only).
 	if p.C != nil {
-		r.Gauge("tytan_attest_quotes", "Attestation quotes issued.",
-			func() uint64 { issued, _ := p.C.Attest.QuoteCounts(); return issued })
-		r.Gauge("tytan_attest_denials", "Attestation quote requests denied.",
-			func() uint64 { _, denied := p.C.Attest.QuoteCounts(); return denied })
+		issued, denied := p.C.Attest.QuoteCounts()
+		r.Gauge("tytan_attest_quotes", "Attestation quotes issued.", issued)
+		r.Gauge("tytan_attest_denials", "Attestation quote requests denied.", denied)
 	}
 
 	// Supervisor counters read through the platform so enabling
 	// supervision after observability still reports.
-	r.Gauge("tytan_sup_faults", "Task faults seen by the supervisor.",
-		func() uint64 { return p.supCounts().Faults })
-	r.Gauge("tytan_sup_restarts", "Supervisor restarts issued.",
-		func() uint64 { return p.supCounts().Restarts })
-	r.Gauge("tytan_sup_restart_failures", "Supervisor restarts that failed.",
-		func() uint64 { return p.supCounts().RestartFailures })
-	r.Gauge("tytan_sup_quarantines", "Task identities quarantined.",
-		func() uint64 { return p.supCounts().Quarantines })
-	r.Gauge("tytan_sup_watchdog_kills", "Watchdog kills (hangs and quota).",
-		func() uint64 { return p.supCounts().WatchdogKills })
+	sup := p.supCounts()
+	r.Gauge("tytan_sup_faults", "Task faults seen by the supervisor.", sup.Faults)
+	r.Gauge("tytan_sup_restarts", "Supervisor restarts issued.", sup.Restarts)
+	r.Gauge("tytan_sup_restart_failures", "Supervisor restarts that failed.", sup.RestartFailures)
+	r.Gauge("tytan_sup_quarantines", "Task identities quarantined.", sup.Quarantines)
+	r.Gauge("tytan_sup_watchdog_kills", "Watchdog kills (hangs and quota).", sup.WatchdogKills)
 
 	// Secure update decisions, read through the platform so enabling the
 	// update service after observability still reports.
-	r.Gauge("tytan_update_accepted", "Secure updates accepted and committed.",
-		func() uint64 { return p.updateCounts().Accepted })
-	r.Gauge("tytan_update_denied", "Secure updates refused before any state change.",
-		func() uint64 { return p.updateCounts().Denied })
-	r.Gauge("tytan_update_rolled_back", "Secure updates unwound after a mid-swap fault.",
-		func() uint64 { return p.updateCounts().RolledBack })
+	up := p.updateCounts()
+	r.Gauge("tytan_update_accepted", "Secure updates accepted and committed.", up.Accepted)
+	r.Gauge("tytan_update_denied", "Secure updates refused before any state change.", up.Denied)
+	r.Gauge("tytan_update_rolled_back", "Secure updates unwound after a mid-swap fault.", up.RolledBack)
 }
 
 // supCounts reads the supervisor counters, zero when supervision is
@@ -198,7 +181,7 @@ func (o *Obs) Events() []trace.Event { return o.Buf.Events() }
 // WriteChromeTrace exports the event stream in Chrome trace_event JSON
 // (load into chrome://tracing or Perfetto; 1 µs displayed = 1 cycle).
 func (o *Obs) WriteChromeTrace(w io.Writer) error {
-	return trace.WriteChromeTrace(w, o.Buf.Events())
+	return trace.WriteChromeTrace(w, trace.Lane{Events: o.Buf.Events()})
 }
 
 // WriteMetrics builds the platform metrics from the counters and the

@@ -247,7 +247,7 @@ func TestObsExportRoundTrips(t *testing.T) {
 	if err := obs.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := trace.ReadChromeTrace(bytes.NewReader(buf.Bytes()))
+	decoded, err := trace.ReadTraceEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Chrome trace does not parse: %v", err)
 	}

@@ -8,15 +8,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Flight recorder: a bounded trace.Ring attached to a device's event
-// stream that freezes its window when something goes wrong, so the last
-// N events before an incident survive even though full event collection
-// may be off or long since wrapped. The trigger set is the fleet's
-// "something a human will ask about" list: a session refused because
-// the device is quarantined, an online SLO violation, and a secure
-// update unwound by rollback. Only the first trigger freezes the
-// window — the recorder keeps recording afterwards, but the incident
-// snapshot stays the one taken at the moment of the trip.
+// Flight recorder: a bounded window over a device's event stream that
+// keeps the most recent events, overwriting the oldest once full, and
+// freezes its contents when something goes wrong, so the last N events
+// before an incident survive even though full event collection may be
+// off or long since wrapped. Dumping the window is O(capacity)
+// regardless of run length, and recording never allocates after
+// construction: a mutex and a slot write per event. The trigger set is
+// the fleet's "something a human will ask about" list: a session
+// refused because the device is quarantined, an online SLO violation,
+// and a secure update unwound by rollback. Only the first trigger
+// freezes the window — the recorder keeps recording afterwards, but
+// the incident snapshot stays the one taken at the moment of the trip.
 
 // Flight-recorder trigger names.
 const (
@@ -27,28 +30,33 @@ const (
 
 // Recorder is one device's flight recorder: a bounded event window
 // with auto-trip. It is a trace.Sink — attach it as an extra sink next
-// to the device's buffer.
+// to the device's buffer — and safe for concurrent emission.
 type Recorder struct {
 	device string
-	ring   *trace.Ring
 
 	mu      sync.Mutex
-	trigger string // "" until tripped
+	buf     []trace.Event // the window, a ring of fixed capacity
+	next    int           // slot the next event lands in
+	wrapped bool          // true once an event has been overwritten
+	trigger string        // "" until tripped
 	cycle   uint64
 	window  []trace.Event
 }
 
 // NewRecorder builds a flight recorder for the named device with a
-// bounded window of capacity events.
+// bounded window of capacity events. Capacity must be positive.
 func NewRecorder(device string, capacity int) *Recorder {
-	return &Recorder{device: device, ring: trace.NewRing(capacity)}
+	if capacity <= 0 {
+		panic("fleet: NewRecorder capacity must be positive")
+	}
+	return &Recorder{device: device, buf: make([]trace.Event, capacity)}
 }
 
-// Emit records the event and trips the recorder when the event matches
-// a trigger. The first trip freezes the incident window; later
-// triggers are recorded as ordinary events but do not re-freeze.
+// Emit records the event, overwriting the oldest when the window is
+// full, and trips the recorder when the event matches a trigger. The
+// first trip freezes the incident window; later triggers are recorded
+// as ordinary events but do not re-freeze.
 func (r *Recorder) Emit(e trace.Event) {
-	r.ring.Emit(e)
 	trigger := ""
 	switch e.Kind {
 	case trace.KindSession:
@@ -60,16 +68,30 @@ func (r *Recorder) Emit(e trace.Event) {
 	case trace.KindUpdateRolledBack:
 		trigger = TriggerUpdateRollback
 	}
-	if trigger == "" {
-		return
-	}
 	r.mu.Lock()
-	if r.trigger == "" {
+	r.buf[r.next] = e
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.wrapped = true
+	}
+	if trigger != "" && r.trigger == "" {
 		r.trigger = trigger
 		r.cycle = e.Cycle
-		r.window = r.ring.Snapshot()
+		r.window = r.snapshot()
 	}
 	r.mu.Unlock()
+}
+
+// snapshot returns a copy of the window's events, oldest first. The
+// caller holds r.mu.
+func (r *Recorder) snapshot() []trace.Event {
+	if !r.wrapped {
+		return append([]trace.Event(nil), r.buf[:r.next]...)
+	}
+	out := make([]trace.Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // Tripped reports whether an incident froze the window.

@@ -53,9 +53,6 @@ type Plane struct {
 	// times (fed per session when Clock is set, benchmark-only).
 	sessionCycles *trace.Histogram
 	sessionHostNS *trace.Histogram
-
-	metricsOnce sync.Once
-	metrics     *trace.Registry
 }
 
 // PlaneConfig parameterizes a verifier plane.

@@ -88,12 +88,12 @@ func TestTelemetryTimelineCorrelation(t *testing.T) {
 		t.Fatalf("correlated pairs = %d, want %d", pairs, decided)
 	}
 
-	// The export round-trips through the multi-lane Chrome reader.
+	// The export round-trips through the Chrome reader.
 	var buf bytes.Buffer
 	if err := tl.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lanes, err := trace.ReadChromeTraceLanes(bytes.NewReader(buf.Bytes()))
+	lanes, err := trace.ReadChromeTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,8 @@ func TestRecorderTriggers(t *testing.T) {
 // TestFleetMetricsExposition builds a plane over a registry holding an
 // adversarial device name and an adversarial provider, feeds it a
 // session, and asserts the Prometheus exposition stays well-formed:
-// label values escaped, one header per family, histogram present.
+// label values escaped, one header per family, histogram present. A
+// device registered after the first export appears in the next.
 func TestFleetMetricsExposition(t *testing.T) {
 	const evilDevice = "dev\"quote\\back\nline"
 	const evilProvider = "oem\"prov\n"
@@ -254,6 +255,21 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE tytan_fleet_device_state "); n != 1 {
 		t.Errorf("TYPE tytan_fleet_device_state appears %d times, want 1", n)
+	}
+
+	// A device enrolled after an export gets its row in the next one.
+	reg.Register("dev-late")
+	buf.Reset()
+	if err := p.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`tytan_fleet_device_state{device="dev-late"} 0`,
+		`tytan_fleet_devices{state="healthy"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("export after late enrollment missing %q\n%s", want, buf.String())
+		}
 	}
 }
 

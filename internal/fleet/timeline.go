@@ -327,5 +327,5 @@ func (t *Timeline) E2E() []uint64 {
 // WriteChromeTrace exports the timeline as multi-lane Chrome
 // trace_event JSON.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	return trace.WriteChromeTraceLanes(w, t.Lanes)
+	return trace.WriteChromeTrace(w, t.Lanes...)
 }

@@ -7,11 +7,17 @@ import (
 	"strconv"
 )
 
-// Chrome trace_event export. Events become "instant" records (ph "i")
-// on the chrome://tracing / Perfetto timeline: ts carries the simulated
+// Chrome trace_event export. A trace is a list of lanes; lane i
+// becomes process i+1 on the chrome://tracing / Perfetto timeline.
+// Events become "instant" records (ph "i"): ts carries the simulated
 // cycle (the viewer displays it as microseconds — one display-µs per
-// cycle), pid is always 1 (one platform), and tid is the subsystem so
-// each layer gets its own timeline row.
+// cycle) and tid is the subsystem, so each layer gets its own row.
+// Completed spans (attestation sessions) become complete-duration
+// records (ph "X") on thread 0, so the viewer draws one bar per
+// session. A single platform is one unnamed lane (pid 1). A fleet
+// timeline names every lane — one per device plus the verifier plane —
+// and each named lane gets a process_name metadata record; the
+// metadata key layout=fleet-lanes marks a trace with named lanes.
 //
 // The args payload is designed for lossless round-trips: attributes are
 // [key, tag, value] triples with tag "n" (uint64, encoded as a decimal
@@ -20,6 +26,30 @@ import (
 // and as the exact decimal string args.cycle — any tool that funnels
 // ts through a float64 silently rounds cycles above 2^53, so the read
 // path prefers the string form when present.
+
+// Lane is one process row of a Chrome trace: a name (empty for a
+// single platform), the instant events on it, and the completed spans
+// drawn as bars.
+type Lane struct {
+	Name   string
+	Events []Event
+	Spans  []ChromeSpan
+}
+
+// ChromeSpan is one complete-duration record (ph "X") on a lane: a
+// named bar from Start for Dur cycles.
+type ChromeSpan struct {
+	Name    string // bar label (the session key)
+	Subject string
+	Start   uint64
+	Dur     uint64
+	Attrs   []Attr
+}
+
+// spanThread is the tid complete-duration and process_name records
+// land on — below the per-subsystem instant threads so sessions render
+// as their own row.
+const spanThread = 0
 
 // chromeEvent is one trace_event record. TS is a json.Number so writes
 // stay exact decimal integers while reads tolerate float-mangled
@@ -53,15 +83,37 @@ type chromeFile struct {
 	Metadata        map[string]string `json:"metadata,omitempty"`
 }
 
-// WriteChromeTrace encodes events as Chrome trace_event JSON.
-func WriteChromeTrace(w io.Writer, events []Event) error {
+// WriteChromeTrace encodes lanes as Chrome trace_event JSON, lane i as
+// process i+1. It is the only Chrome trace writer: a platform exports
+// one unnamed lane, a fleet timeline one named lane per process.
+func WriteChromeTrace(w io.Writer, lanes ...Lane) error {
+	n := 0
+	for _, lane := range lanes {
+		n += 1 + len(lane.Events) + len(lane.Spans)
+	}
 	file := chromeFile{
-		TraceEvents:     make([]chromeEvent, 0, len(events)),
+		TraceEvents:     make([]chromeEvent, 0, n),
 		DisplayTimeUnit: "ns",
 		Metadata:        map[string]string{"clock": "simulated-cycles"},
 	}
-	for _, e := range events {
-		file.TraceEvents = append(file.TraceEvents, instantRecord(1, e))
+	for li, lane := range lanes {
+		pid := li + 1
+		if lane.Name != "" {
+			file.Metadata["layout"] = "fleet-lanes"
+			file.TraceEvents = append(file.TraceEvents, chromeEvent{
+				Name: "process_name",
+				Ph:   "M",
+				PID:  pid,
+				TID:  spanThread,
+				Args: chromeArgs{Name: lane.Name},
+			})
+		}
+		for _, e := range lane.Events {
+			file.TraceEvents = append(file.TraceEvents, instantRecord(pid, e))
+		}
+		for _, s := range lane.Spans {
+			file.TraceEvents = append(file.TraceEvents, spanRecord(pid, s))
+		}
 	}
 	return json.NewEncoder(w).Encode(file)
 }
@@ -78,6 +130,22 @@ func instantRecord(pid int, e Event) chromeEvent {
 		TID:  int(e.Sub) + 1,
 		S:    "t",
 		Args: chromeArgs{Sub: e.Sub.String(), Subject: e.Subject, Cycle: cycle, Attrs: encodeAttrs(e.Attrs)},
+	}
+}
+
+// spanRecord encodes one span as a complete-duration record (ph "X")
+// on process pid.
+func spanRecord(pid int, s ChromeSpan) chromeEvent {
+	start := strconv.FormatUint(s.Start, 10)
+	dur := strconv.FormatUint(s.Dur, 10)
+	return chromeEvent{
+		Name: s.Name,
+		Ph:   "X",
+		TS:   json.Number(start),
+		Dur:  json.Number(dur),
+		PID:  pid,
+		TID:  spanThread,
+		Args: chromeArgs{Subject: s.Subject, Cycle: start, Dur: dur, Attrs: encodeAttrs(s.Attrs)},
 	}
 }
 
@@ -117,17 +185,11 @@ func eventCycle(ce chromeEvent) (uint64, error) {
 	return uint64(f), nil
 }
 
-// ReadChromeTrace decodes a trace produced by WriteChromeTrace back
-// into events, validating the trace_event structure as it goes.
-func ReadChromeTrace(r io.Reader) ([]Event, error) {
-	lanes, err := decodeChrome(r, false)
-	return flatten(lanes), err
-}
-
-// decodeChrome is the decode loop behind every reader: it rebuilds the
-// lanes of a trace, in pid order of first appearance. Metadata and span
-// records are accepted only in the lanes layout.
-func decodeChrome(r io.Reader, lanesLayout bool) ([]Lane, error) {
+// ReadChromeTrace decodes a trace written by WriteChromeTrace back
+// into its lanes, in pid order of first appearance, validating the
+// trace_event structure as it goes. It is the only decode loop; every
+// error it returns carries the "chrome trace:" prefix.
+func ReadChromeTrace(r io.Reader) ([]Lane, error) {
 	var file chromeFile
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("chrome trace: %w", err)
@@ -145,17 +207,17 @@ func decodeChrome(r io.Reader, lanesLayout bool) ([]Lane, error) {
 	for i, ce := range file.TraceEvents {
 		lane := laneFor(ce.PID)
 		var err error
-		switch {
-		case ce.Ph == "i":
+		switch ce.Ph {
+		case "i":
 			var e Event
 			e, err = parseInstant(ce)
 			lane.Events = append(lane.Events, e)
-		case ce.Ph == "M" && lanesLayout:
+		case "M":
 			if ce.Name != "process_name" {
 				err = fmt.Errorf("unknown metadata %q", ce.Name)
 			}
 			lane.Name = ce.Args.Name
-		case ce.Ph == "X" && lanesLayout:
+		case "X":
 			var s ChromeSpan
 			s, err = parseSpan(ce)
 			lane.Spans = append(lane.Spans, s)
@@ -169,6 +231,14 @@ func decodeChrome(r io.Reader, lanesLayout bool) ([]Lane, error) {
 	return lanes, nil
 }
 
+// ReadTraceEvents reads a Chrome trace and flattens its lanes' instant
+// events into one stream, lane after lane; span and metadata records
+// are validated and dropped. Analysis tools read traces through it.
+func ReadTraceEvents(r io.Reader) ([]Event, error) {
+	lanes, err := ReadChromeTrace(r)
+	return flatten(lanes), err
+}
+
 // flatten concatenates the lanes' instant events.
 func flatten(lanes []Lane) []Event {
 	var events []Event
@@ -176,6 +246,24 @@ func flatten(lanes []Lane) []Event {
 		events = append(events, l.Events...)
 	}
 	return events
+}
+
+// parseSpan decodes one complete-duration record (ph "X").
+func parseSpan(ce chromeEvent) (ChromeSpan, error) {
+	s := ChromeSpan{Name: ce.Name, Subject: ce.Args.Subject}
+	var err error
+	if s.Start, err = eventCycle(ce); err != nil {
+		return s, err
+	}
+	durStr := ce.Args.Dur
+	if durStr == "" {
+		durStr = ce.Dur.String()
+	}
+	if s.Dur, err = strconv.ParseUint(durStr, 10, 64); err != nil {
+		return s, fmt.Errorf("bad dur %q: %w", durStr, err)
+	}
+	s.Attrs, err = parseAttrs(ce.Args.Attrs)
+	return s, err
 }
 
 // parseAttrs decodes the [key, tag, value] attribute triples of one

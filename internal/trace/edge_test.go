@@ -21,10 +21,10 @@ func TestChromeRoundTripUint64Extremes(t *testing.T) {
 			Attrs: []Attr{Num("latency", math.MaxUint64)}},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeTrace(&buf, Lane{Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChromeTrace(bytes.NewReader(buf.Bytes()))
+	got, err := ReadTraceEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +33,17 @@ func TestChromeRoundTripUint64Extremes(t *testing.T) {
 	}
 }
 
-// TestChromeReadsFloatMangledTS: a trace whose ts was re-encoded
-// through a float64 by an external tool (and whose cycle arg was
-// stripped) must still read, with the expected rounding.
+// floatMangledTrace is a trace whose ts was re-encoded through a
+// float64 by an external tool, with the cycle arg stripped.
+const floatMangledTrace = `{"traceEvents":[
+	{"name":"tick","ph":"i","ts":1.8446744073709552e+19,"pid":1,"tid":2,"s":"t","args":{"sub":"kernel"}},
+	{"name":"tick","ph":"i","ts":42,"pid":1,"tid":2,"s":"t","args":{"sub":"kernel"}}
+],"displayTimeUnit":"ns"}`
+
+// TestChromeReadsFloatMangledTS: a float-mangled trace must still
+// read, with the expected rounding.
 func TestChromeReadsFloatMangledTS(t *testing.T) {
-	mangled := `{"traceEvents":[
-		{"name":"tick","ph":"i","ts":1.8446744073709552e+19,"pid":1,"tid":2,"s":"t","args":{"sub":"kernel"}},
-		{"name":"tick","ph":"i","ts":42,"pid":1,"tid":2,"s":"t","args":{"sub":"kernel"}}
-	],"displayTimeUnit":"ns"}`
-	got, err := ReadChromeTrace(strings.NewReader(mangled))
+	got, err := ReadTraceEvents(strings.NewReader(floatMangledTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestChromeReadsFloatMangledTS(t *testing.T) {
 		{"name":"tick","ph":"i","ts":1.8446744073709552e+19,"pid":1,"tid":2,"s":"t",
 		 "args":{"sub":"kernel","cycle":"18446744073709551615"}}
 	]}`
-	got, err = ReadChromeTrace(strings.NewReader(exact))
+	got, err = ReadTraceEvents(strings.NewReader(exact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestChromeReadsFloatMangledTS(t *testing.T) {
 func TestPrometheusAdversarialHelp(t *testing.T) {
 	help := "line one\nline two \\ backslash \"quoted\" \\n literal"
 	r := NewRegistry()
-	r.Gauge("tytan_adversarial", help, func() uint64 { return 7 })
+	r.Gauge("tytan_adversarial", help, 7)
 	h := r.Histogram("tytan_adversarial_cycles", "bounds\nwith \\ tricks", 10)
 	h.Observe(5)
 

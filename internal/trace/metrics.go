@@ -88,7 +88,7 @@ type metric struct {
 	help   string
 	kind   string
 
-	gauge func() uint64
+	value uint64 // gauges: the value read when the registry was built
 	hist  *Histogram
 }
 
@@ -148,17 +148,12 @@ func (r *Registry) register(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Gauge registers a gauge whose value is sampled from fn at export
-// time — zero cost on the simulation path.
-func (r *Registry) Gauge(name, help string, fn func() uint64) {
-	r.GaugeWith(name, help, fn)
-}
-
-// GaugeWith registers a labelled gauge sampled from fn at export time.
-// Metrics sharing a name form one family; registering the same (name,
-// labels) pair twice panics.
-func (r *Registry) GaugeWith(name, help string, fn func() uint64, labels ...Label) {
-	r.register(&metric{name: name, labels: labels, help: help, kind: metricGauge, gauge: fn})
+// Gauge registers a gauge holding v. A registry is built when it is
+// exported, so a gauge is the value its source read at that moment and
+// costs the simulation path nothing. Metrics sharing a name form one
+// family; registering the same (name, labels) pair twice panics.
+func (r *Registry) Gauge(name, help string, v uint64, labels ...Label) {
+	r.register(&metric{name: name, labels: labels, help: help, kind: metricGauge, value: v})
 }
 
 // GaugeFloat is not supported: the platform is cycle-exact and all

@@ -64,7 +64,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		switch m.kind {
 		case metricGauge:
-			fmt.Fprintf(bw, "%s %d\n", m.sample(), m.gauge())
+			fmt.Fprintf(bw, "%s %d\n", m.sample(), m.value)
 		case metricHistogram:
 			bounds, cum, sum, total := m.hist.snapshot()
 			withLE := func(le string) string {

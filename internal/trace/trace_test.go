@@ -141,10 +141,10 @@ func TestChromeRoundTrip(t *testing.T) {
 		{Cycle: 30, Sub: SubLoader, Kind: KindLoadPhase, Subject: "img"},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeTrace(&buf, Lane{Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChromeTrace(bytes.NewReader(buf.Bytes()))
+	got, err := ReadTraceEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,118 @@ func TestChromeRejectsJunk(t *testing.T) {
 	}
 }
 
+func TestChromeLanesRoundTrip(t *testing.T) {
+	lanes := []Lane{
+		{
+			Name: "verifier-plane",
+			Events: []Event{
+				{Cycle: 3, Sub: SubFleet, Kind: KindFleet, Subject: "dev-0001",
+					Attrs: []Attr{Str("what", "verdict"), Num("session", 2)}},
+			},
+			Spans: []ChromeSpan{
+				{Name: "dev-0001#2", Subject: "dev-0001", Start: 100, Dur: 250,
+					Attrs: []Attr{Str("result", "pass"), Num("seq", 3)}},
+			},
+		},
+		{
+			Name: "device/dev-0001",
+			Events: []Event{
+				{Cycle: 100, Sub: SubRemote, Kind: KindSession, Subject: "dev-0001",
+					Attrs: []Attr{Num("session", 2), Str("phase", "hello")}},
+				{Cycle: 350, Sub: SubRemote, Kind: KindSession, Subject: "dev-0001",
+					Attrs: []Attr{Num("session", 2), Str("phase", "verdict"), Str("result", "pass"), Num("e2e", 250)}},
+			},
+			Spans: []ChromeSpan{
+				{Name: "dev-0001#2", Subject: "dev-0001", Start: 100, Dur: 250},
+			},
+		},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, lanes...); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadChromeTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(lanes) {
+		t.Fatalf("lanes = %d, want %d", len(got), len(lanes))
+	}
+	for i := range lanes {
+		if got[i].Name != lanes[i].Name {
+			t.Fatalf("lane %d name = %q, want %q", i, got[i].Name, lanes[i].Name)
+		}
+		if len(got[i].Events) != len(lanes[i].Events) {
+			t.Fatalf("lane %d events = %d, want %d", i, len(got[i].Events), len(lanes[i].Events))
+		}
+		for j, e := range lanes[i].Events {
+			if got[i].Events[j].String() != e.String() {
+				t.Fatalf("lane %d event %d = %q, want %q", i, j, got[i].Events[j], e)
+			}
+		}
+		if len(got[i].Spans) != len(lanes[i].Spans) {
+			t.Fatalf("lane %d spans = %d, want %d", i, len(got[i].Spans), len(lanes[i].Spans))
+		}
+		for j, s := range lanes[i].Spans {
+			g := got[i].Spans[j]
+			if g.Name != s.Name || g.Subject != s.Subject || g.Start != s.Start || g.Dur != s.Dur {
+				t.Fatalf("lane %d span %d = %+v, want %+v", i, j, g, s)
+			}
+		}
+	}
+}
+
+func TestReadTraceEventsBothLayouts(t *testing.T) {
+	events := []Event{
+		{Cycle: 10, Sub: SubKernel, Kind: KindTick},
+		{Cycle: 20, Sub: SubRemote, Kind: KindSession, Subject: "dev-0000",
+			Attrs: []Attr{Num("session", 0), Str("phase", "hello")}},
+	}
+
+	// One unnamed lane: the single-platform layout.
+	var single bytes.Buffer
+	if err := WriteChromeTrace(&single, Lane{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTraceEvents(bytes.NewReader(single.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(events) || got[1].String() != events[1].String() {
+		t.Fatalf("single-lane flatten = %v, want %v", got, events)
+	}
+
+	// Named lanes: metadata and span records are skipped, lanes
+	// concatenate in file order.
+	lanes := []Lane{
+		{Name: "a", Events: events[:1], Spans: []ChromeSpan{{Name: "k", Start: 1, Dur: 2}}},
+		{Name: "b", Events: events[1:]},
+	}
+	var multi bytes.Buffer
+	if err := WriteChromeTrace(&multi, lanes...); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadTraceEvents(bytes.NewReader(multi.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].String() != events[0].String() || got[1].String() != events[1].String() {
+		t.Fatalf("multi-lane flatten = %v, want %v", got, events)
+	}
+
+	// Only named lanes carry lane metadata.
+	if s := single.String(); strings.Contains(s, "process_name") || strings.Contains(s, `"layout"`) {
+		t.Fatalf("unnamed lane wrote lane metadata: %s", s)
+	}
+	if s := multi.String(); strings.Count(s, "process_name") != 2 || !strings.Contains(s, `"layout":"fleet-lanes"`) {
+		t.Fatalf("named lanes lack lane metadata: %s", s)
+	}
+}
+
 func TestRegistryPrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("tytan_restarts", "Supervisor restarts.", func() uint64 { return 3 })
-	r.Gauge("tytan_tasks", "Live tasks.", func() uint64 { return 5 })
+	r.Gauge("tytan_restarts", "Supervisor restarts.", 3)
+	r.Gauge("tytan_tasks", "Live tasks.", 5)
 	h := r.Histogram("tytan_irq_latency_cycles", "IRQ dispatch latency.", 10, 100)
 	h.Observe(5)
 	h.Observe(50)
@@ -216,13 +324,59 @@ func TestScrapePrometheusRejects(t *testing.T) {
 
 func TestDuplicateMetricPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("dup", "", func() uint64 { return 0 })
+	r.Gauge("dup", "", 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on duplicate registration")
 		}
 	}()
-	r.Gauge("dup", "", func() uint64 { return 0 })
+	r.Gauge("dup", "", 0)
+}
+
+func TestLabeledMetricsExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("fleet_sessions", "sessions by outcome", 7, Label{Key: "outcome", Value: "attested"})
+	r.Gauge("fleet_sessions", "sessions by outcome", 2, Label{Key: "outcome", Value: "rejected"})
+	r.Gauge("fleet_device_state", "per-device registry state", 1,
+		Label{Key: "device", Value: "evil\"dev\\\nname"})
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	// One HELP/TYPE header per family, not per label set.
+	if n := strings.Count(text, "# TYPE fleet_sessions gauge"); n != 1 {
+		t.Fatalf("TYPE header count = %d in:\n%s", n, text)
+	}
+	s, err := ScrapePrometheus(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("scrape: %v\n%s", err, text)
+	}
+	if v := s.Samples[`fleet_sessions{outcome="attested"}`]; v != 7 {
+		t.Fatalf("attested = %v, want 7 in %v", v, s.Samples)
+	}
+	if v := s.Samples[`fleet_sessions{outcome="rejected"}`]; v != 2 {
+		t.Fatalf("rejected = %v, want 2", v)
+	}
+	// Adversarial label value round-trips in its canonical escaped form.
+	want := `fleet_device_state{device="evil\"dev\\\nname"}`
+	if v, ok := s.Samples[want]; !ok || v != 1 {
+		t.Fatalf("escaped sample %q missing (got %v)", want, s.Samples)
+	}
+}
+
+func TestDuplicateLabeledMetricPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("dup", "h", 0, Label{Key: "a", Value: "x"})
+	// Same family, different labels: fine.
+	r.Gauge("dup", "h", 0, Label{Key: "a", Value: "y"})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate (name, labels) registration did not panic")
+		}
+	}()
+	r.Gauge("dup", "h", 0, Label{Key: "a", Value: "x"})
 }
 
 // keep makes the allocation tests' strings escape, as they do when an
