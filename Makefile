@@ -52,7 +52,7 @@ examples:
 # ./internal/fleet`. Host-clock timing lives in bench/.
 check: build vet lint race examples
 
-# fuzz runs each of the repo's seven fuzzers for 30 s in turn. It is a
+# fuzz runs each of the repo's eight fuzzers for 30 s in turn. It is a
 # manual target, not part of check. A crasher is written to the
 # fuzzer's testdata/fuzz/ directory, where the plain test suite replays
 # it; fix the code, then check the input in as a regression test.
@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/faultinject
 	$(GO) test -run '^$$' -fuzz '^FuzzMemConn$$' -fuzztime 30s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChromeTrace$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSHA1$$' -fuzztime 30s ./internal/sha1
 
 # bench runs the root benchmarks and every in-package benchmark under
 # internal/ (telf, sverify, trusted, fleet, ...), ten iterations each

@@ -16,6 +16,11 @@
 // The cipher is HMAC-SHA1 in counter mode with an encrypt-then-MAC tag —
 // deliberately built from the single primitive (SHA-1) the platform
 // carries, as a 2015-era deeply-embedded device would.
+//
+// A key's padded blocks are absorbed once per Key, so a holder of a
+// long-lived key such as Ka pays only the message's compressions per
+// MAC. This is a host-side cache: the guest-cycle charges for a MAC
+// live with the trusted components and do not depend on it.
 package hcrypto
 
 import (
@@ -28,29 +33,53 @@ import (
 // MACSize is the length of authentication tags in bytes.
 const MACSize = sha1.Size
 
-// HMAC computes HMAC-SHA1(key, msg).
-func HMAC(key, msg []byte) sha1.Digest {
-	const blockSize = sha1.BlockSize
-	var k [blockSize]byte
-	if len(key) > blockSize {
+// Key is an HMAC-SHA1 key with its two padded blocks already absorbed:
+// inner and outer are the SHA-1 states after key⊕ipad and key⊕opad, the
+// precomputed midstates of RFC 2104 §4. A MAC under a Key then costs
+// the compressions of the message alone. MAC never mutates the Key, so
+// one Key can be shared by concurrent verifiers.
+type Key struct {
+	inner, outer sha1.State
+}
+
+// NewKey absorbs key's padded blocks. A key longer than the block size
+// is hashed first, as RFC 2104 requires.
+func NewKey(key []byte) Key {
+	var k [sha1.BlockSize]byte
+	if len(key) > sha1.BlockSize {
 		d := sha1.Sum1(key)
 		copy(k[:], d[:])
 	} else {
 		copy(k[:], key)
 	}
-	var ipad, opad [blockSize]byte
+	var pad [sha1.BlockSize]byte
+	hk := Key{inner: sha1.New(), outer: sha1.New()}
 	for i := range k {
-		ipad[i] = k[i] ^ 0x36
-		opad[i] = k[i] ^ 0x5C
+		pad[i] = k[i] ^ 0x36
 	}
-	inner := sha1.New()
-	inner.Write(ipad[:])
+	hk.inner.WriteBlock(pad[:])
+	for i := range k {
+		pad[i] = k[i] ^ 0x5C
+	}
+	hk.outer.WriteBlock(pad[:])
+	return hk
+}
+
+// MAC computes HMAC-SHA1 of msg under k, resuming copies of the two
+// midstates.
+func (k *Key) MAC(msg []byte) sha1.Digest {
+	inner := k.inner
 	inner.Write(msg)
 	id := inner.Sum()
-	outer := sha1.New()
-	outer.Write(opad[:])
+	outer := k.outer
 	outer.Write(id[:])
 	return outer.Sum()
+}
+
+// HMAC computes HMAC-SHA1(key, msg) for a key used once.
+func HMAC(key, msg []byte) sha1.Digest {
+	k := NewKey(key)
+	return k.MAC(msg)
 }
 
 // DeriveKey derives a purpose-specific key from the platform key Kp:
@@ -80,12 +109,12 @@ func TaskKey(kp []byte, id sha1.Digest) []byte {
 
 // keystream fills out with HMAC-CTR bytes: block i is
 // HMAC(key, nonce ‖ i).
-func keystream(key []byte, nonce uint64, out []byte) {
+func keystream(key *Key, nonce uint64, out []byte) {
 	var in [16]byte
 	binary.LittleEndian.PutUint64(in[:8], nonce)
 	for i := 0; len(out) > 0; i++ {
 		binary.LittleEndian.PutUint64(in[8:], uint64(i))
-		block := HMAC(key, in[:])
+		block := key.MAC(in[:])
 		n := copy(out, block[:])
 		out = out[n:]
 	}
@@ -105,11 +134,12 @@ const sealOverhead = 8 + MACSize
 func Seal(key []byte, nonce uint64, plaintext []byte) []byte {
 	out := make([]byte, 8+len(plaintext), 8+len(plaintext)+MACSize)
 	binary.LittleEndian.PutUint64(out, nonce)
-	keystream(key, nonce, out[8:])
+	k := NewKey(key)
+	keystream(&k, nonce, out[8:])
 	for i, p := range plaintext {
 		out[8+i] ^= p
 	}
-	tag := HMAC(key, out)
+	tag := k.MAC(out)
 	return append(out, tag[:]...)
 }
 
@@ -120,13 +150,14 @@ func Unseal(key []byte, blob []byte) ([]byte, error) {
 		return nil, ErrAuth
 	}
 	body, tag := blob[:len(blob)-MACSize], blob[len(blob)-MACSize:]
-	want := HMAC(key, body)
+	k := NewKey(key)
+	want := k.MAC(body)
 	if !constantTimeEqual(want[:], tag) {
 		return nil, ErrAuth
 	}
 	nonce := binary.LittleEndian.Uint64(body)
 	pt := make([]byte, len(body)-8)
-	keystream(key, nonce, pt)
+	keystream(&k, nonce, pt)
 	for i := range pt {
 		pt[i] ^= body[8+i]
 	}

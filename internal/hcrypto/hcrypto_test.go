@@ -25,6 +25,42 @@ func TestHMACMatchesStdlibQuick(t *testing.T) {
 	}
 }
 
+// TestKeyMatchesStdlibQuick reuses one Key across many messages, as a
+// verifier does, and checks every MAC against crypto/hmac: MAC must not
+// disturb the midstates. Keys run past the block size and messages
+// cover the lengths around the padding boundaries.
+func TestKeyMatchesStdlibQuick(t *testing.T) {
+	lengths := []int{0, 55, 56, 63, 64, 65}
+	f := func(key []byte, extra uint8, seed []byte) bool {
+		key = append(key, bytes.Repeat([]byte{0x5A}, int(extra))...) // up to 255 more: past the block size
+		k := NewKey(key)
+		std := stdhmac.New(stdsha1.New, key)
+		msg := bytes.Repeat(append(seed, 1), 65)
+		for _, n := range append(lengths, len(seed)) {
+			std.Reset()
+			std.Write(msg[:n])
+			if got := k.MAC(msg[:n]); !bytes.Equal(got[:], std.Sum(nil)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeyMACAllocs: a MAC under a prepared Key allocates nothing.
+func TestKeyMACAllocs(t *testing.T) {
+	k := NewKey([]byte("attestation key"))
+	msg := make([]byte, 28)
+	if n := testing.AllocsPerRun(100, func() { sinkDigest = k.MAC(msg) }); n != 0 {
+		t.Errorf("Key.MAC allocates %v times per call, want 0", n)
+	}
+}
+
+var sinkDigest sha1.Digest
+
 func TestHMACLongKey(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, 200) // forces key hashing
 	ours := HMAC(key, []byte("m"))
@@ -135,8 +171,9 @@ func TestCiphertextsDifferPerNonce(t *testing.T) {
 func TestKeystreamDeterministicAndLong(t *testing.T) {
 	a := make([]byte, 100)
 	b := make([]byte, 100)
-	keystream([]byte("k"), 7, a)
-	keystream([]byte("k"), 7, b)
+	k := NewKey([]byte("k"))
+	keystream(&k, 7, a)
+	keystream(&k, 7, b)
 	if !bytes.Equal(a, b) {
 		t.Error("keystream not deterministic")
 	}

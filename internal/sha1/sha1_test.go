@@ -163,3 +163,54 @@ func TestPaddingBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSHA1 differentially checks every way the platform feeds the
+// state against crypto/sha1: Writes split at two arbitrary points,
+// WriteBlock over the block-aligned prefix (the RTM's path) followed by
+// a Write of the tail, and a mid-stream copy that is resumed after the
+// original has moved on. Each digest must equal crypto/sha1.Sum.
+func FuzzSHA1(f *testing.F) {
+	f.Add([]byte(""), uint16(0), uint16(0))
+	f.Add([]byte("abc"), uint16(1), uint16(2))
+	f.Add(bytes.Repeat([]byte{0xA5}, 55), uint16(55), uint16(0))
+	f.Add(bytes.Repeat([]byte{0x5A}, 64), uint16(63), uint16(64))
+	f.Add(bytes.Repeat([]byte{0x3C}, 200), uint16(64), uint16(129))
+	f.Fuzz(func(t *testing.T, data []byte, i, j uint16) {
+		want := Digest(stdsha1.Sum(data))
+		a, b := int(i)%(len(data)+1), int(j)%(len(data)+1)
+		if a > b {
+			a, b = b, a
+		}
+
+		split := New()
+		split.Write(data[:a])
+		split.Write(data[a:b])
+		split.Write(data[b:])
+		if got := split.Sum(); got != want {
+			t.Fatalf("split writes at %d, %d: %x, want %x", a, b, got, want)
+		}
+
+		blocks := New()
+		aligned := len(data) &^ (BlockSize - 1)
+		for off := 0; off < aligned; off += BlockSize {
+			blocks.WriteBlock(data[off : off+BlockSize])
+		}
+		blocks.Write(data[aligned:])
+		if got := blocks.Sum(); got != want {
+			t.Fatalf("WriteBlock over %d aligned bytes: %x, want %x", aligned, got, want)
+		}
+
+		orig := New()
+		orig.Write(data[:a])
+		snapshot := orig
+		orig.Write([]byte("diverged"))
+		snapshot.Write(data[a:])
+		if got := snapshot.Sum(); got != want {
+			t.Fatalf("snapshot at %d resumed: %x, want %x", a, got, want)
+		}
+		diverged := append(append([]byte(nil), data[:a]...), "diverged"...)
+		if got := orig.Sum(); got != Digest(stdsha1.Sum(diverged)) {
+			t.Fatalf("original after snapshot at %d: %x, want %x", a, got, stdsha1.Sum(diverged))
+		}
+	})
+}

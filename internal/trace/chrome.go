@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -165,7 +166,9 @@ func encodeAttrs(attrs []Attr) [][3]string {
 // eventCycle recovers the exact cycle of one record: the decimal
 // args.cycle string when present (lossless even after a float64-based
 // tool rewrote ts), falling back to ts — parsed as uint64 first, then
-// as a float for traces whose ts was already rounded.
+// as a float for traces whose ts was already rounded. A float of
+// exactly 2^64 reads as MaxUint64, since every uint64 near the top
+// rounds to it; anything larger is not a cycle.
 func eventCycle(ce chromeEvent) (uint64, error) {
 	if ce.Args.Cycle != "" {
 		n, err := strconv.ParseUint(ce.Args.Cycle, 10, 64)
@@ -179,8 +182,11 @@ func eventCycle(ce chromeEvent) (uint64, error) {
 		return n, nil
 	}
 	f, err := ce.TS.Float64()
-	if err != nil || f < 0 {
+	switch {
+	case err != nil || f < 0 || f > 1<<64:
 		return 0, fmt.Errorf("bad ts %q", ts)
+	case f == 1<<64:
+		return math.MaxUint64, nil
 	}
 	return uint64(f), nil
 }

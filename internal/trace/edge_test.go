@@ -41,7 +41,8 @@ const floatMangledTrace = `{"traceEvents":[
 ],"displayTimeUnit":"ns"}`
 
 // TestChromeReadsFloatMangledTS: a float-mangled trace must still
-// read, with the expected rounding.
+// read, with the expected rounding: 2^64, where every uint64 near the
+// top lands, reads as MaxUint64, and a larger ts is an error.
 func TestChromeReadsFloatMangledTS(t *testing.T) {
 	got, err := ReadTraceEvents(strings.NewReader(floatMangledTrace))
 	if err != nil {
@@ -50,8 +51,15 @@ func TestChromeReadsFloatMangledTS(t *testing.T) {
 	if len(got) != 2 || got[1].Cycle != 42 {
 		t.Fatalf("events = %+v", got)
 	}
-	if got[0].Cycle < 1<<63 {
-		t.Errorf("mangled ts read as %d", got[0].Cycle)
+	if got[0].Cycle != math.MaxUint64 {
+		t.Errorf("mangled ts read as %d, want MaxUint64", got[0].Cycle)
+	}
+	for _, ts := range []string{"1e300", "3e19"} {
+		huge := `{"traceEvents":[{"name":"tick","ph":"i","ts":` + ts +
+			`,"pid":1,"tid":2,"s":"t","args":{"sub":"kernel"}}]}`
+		if got, err := ReadTraceEvents(strings.NewReader(huge)); err == nil {
+			t.Errorf("ts %s read as %+v, want an error", ts, got)
+		}
 	}
 	// The exact cycle arg wins over a disagreeing ts.
 	exact := `{"traceEvents":[

@@ -29,12 +29,12 @@ type Attest struct {
 	m        *machine.Machine
 	rtm      *RTM
 	kp       []byte
-	ka       []byte // default provider's attestation key
-	provider string // default provider name (event labeling)
+	ka       hcrypto.Key // default provider's attestation key
+	provider string      // default provider name (event labeling)
 	// perProvider caches per-provider keys ("a key derivation scheme
 	// which allows the creation of individual attestation keys per P",
 	// §3 footnote 2, citing SANCUS).
-	perProvider map[string][]byte
+	perProvider map[string]*hcrypto.Key
 	// quarantined holds identities the supervisor has condemned; the
 	// platform will not attest them, locally or remotely, even if the
 	// binary is somehow loaded again.
@@ -113,28 +113,41 @@ func NewAttest(m *machine.Machine, rtm *RTM, provider string) (*Attest, error) {
 		m:           m,
 		rtm:         rtm,
 		kp:          kp,
-		ka:          hcrypto.DeriveKey(kp, AttestLabel, []byte(provider)),
+		ka:          attestKey(kp, provider),
 		provider:    provider,
-		perProvider: make(map[string][]byte),
+		perProvider: make(map[string]*hcrypto.Key),
 	}, nil
+}
+
+// attestKey derives a provider's attestation key Ka from the platform
+// key and absorbs it into HMAC midstates.
+func attestKey(kp []byte, provider string) hcrypto.Key {
+	return hcrypto.NewKey(hcrypto.DeriveKey(kp, AttestLabel, []byte(provider)))
 }
 
 // providerKey returns (deriving and caching on first use) the
 // attestation key of a task provider.
-func (a *Attest) providerKey(provider string) []byte {
+func (a *Attest) providerKey(provider string) *hcrypto.Key {
 	if k, ok := a.perProvider[provider]; ok {
 		return k
 	}
 	a.m.Charge(machine.CostStorageKeyDerive)
-	k := hcrypto.DeriveKey(a.kp, AttestLabel, []byte(provider))
-	a.perProvider[provider] = k
-	return k
+	k := attestKey(a.kp, provider)
+	a.perProvider[provider] = &k
+	return &k
 }
 
 // QuoteTaskForProvider produces a quote MACed under the given
 // provider's individual attestation key, so mutually distrusting
 // stakeholders verify their own tasks without sharing keys.
 func (a *Attest) QuoteTaskForProvider(provider string, id rtos.TaskID, nonce uint64) (Quote, error) {
+	return a.quote(provider, nil, id, nonce)
+}
+
+// quote is the one quote path. key is the MAC key, or nil for the
+// provider's cached key, which is derived (and charged for) on the
+// provider's first successful quote.
+func (a *Attest) quote(provider string, key *hcrypto.Key, id rtos.TaskID, nonce uint64) (Quote, error) {
 	e, ok := a.rtm.LookupByTask(id)
 	if !ok {
 		a.noteQuote(provider, id, ErrUnknownIdentity)
@@ -144,12 +157,16 @@ func (a *Attest) QuoteTaskForProvider(provider string, id rtos.TaskID, nonce uin
 		a.noteQuote(provider, id, ErrQuarantined)
 		return Quote{}, ErrQuarantined
 	}
+	// Two SHA-1 passes over a short message.
 	a.m.Charge(2 * machine.CostMeasurePerBlock)
 	a.noteQuote(provider, id, nil)
+	if key == nil {
+		key = a.providerKey(provider)
+	}
 	return Quote{
 		ID:    e.ID,
 		Nonce: nonce,
-		MAC:   hcrypto.HMAC(a.providerKey(provider), quoteMessage(e.ID, nonce)),
+		MAC:   key.MAC(quoteMessage(e.ID, nonce)),
 	}, nil
 }
 
@@ -206,25 +223,10 @@ func UnmarshalQuote(b []byte) (Quote, error) {
 	return q, nil
 }
 
-// QuoteTask produces a remote attestation report for a loaded task.
+// QuoteTask produces a remote attestation report for a loaded task
+// under the default provider's boot-derived key Ka.
 func (a *Attest) QuoteTask(id rtos.TaskID, nonce uint64) (Quote, error) {
-	e, ok := a.rtm.LookupByTask(id)
-	if !ok {
-		a.noteQuote(a.provider, id, ErrUnknownIdentity)
-		return Quote{}, ErrUnknownIdentity
-	}
-	if a.quarantined[e.ID] {
-		a.noteQuote(a.provider, id, ErrQuarantined)
-		return Quote{}, ErrQuarantined
-	}
-	// Two SHA-1 passes over a short message.
-	a.m.Charge(2 * machine.CostMeasurePerBlock)
-	a.noteQuote(a.provider, id, nil)
-	return Quote{
-		ID:    e.ID,
-		Nonce: nonce,
-		MAC:   hcrypto.HMAC(a.ka, quoteMessage(e.ID, nonce)),
-	}, nil
+	return a.quote(a.provider, &a.ka, id, nonce)
 }
 
 // LocalAttest answers whether a task with the given truncated identity
@@ -240,13 +242,13 @@ func (a *Attest) LocalAttest(trunc uint64) bool {
 // deployment, the derived Ka provisioned out of band) and the published
 // task binaries.
 type Verifier struct {
-	ka []byte
+	ka hcrypto.Key
 }
 
 // NewVerifier creates a verifier for the platform with key kp and the
 // given provider context.
 func NewVerifier(kp []byte, provider string) *Verifier {
-	return &Verifier{ka: hcrypto.DeriveKey(kp, AttestLabel, []byte(provider))}
+	return &Verifier{ka: attestKey(kp, provider)}
 }
 
 // Verify checks a quote against the expected identity and the nonce the
@@ -269,7 +271,7 @@ func (v *Verifier) VerifyMAC(q Quote, nonce uint64) error {
 	if q.Nonce != nonce {
 		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid)
 	}
-	want := hcrypto.HMAC(v.ka, quoteMessage(q.ID, q.Nonce))
+	want := v.ka.MAC(quoteMessage(q.ID, q.Nonce))
 	if !bytes.Equal(want[:], q.MAC[:]) {
 		return fmt.Errorf("%w: bad MAC", ErrQuoteInvalid)
 	}

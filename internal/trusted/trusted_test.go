@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -552,7 +553,7 @@ main:
 func TestVerifyCheckOrder(t *testing.T) {
 	v := NewVerifier(testKey, "test-provider")
 	id, other := sha1.Sum1([]byte("task")), sha1.Sum1([]byte("other"))
-	good := Quote{ID: id, Nonce: 7, MAC: hcrypto.HMAC(v.ka, quoteMessage(id, 7))}
+	good := Quote{ID: id, Nonce: 7, MAC: v.ka.MAC(quoteMessage(id, 7))}
 	forged := good
 	forged.MAC[0] ^= 1
 	cases := []struct {
@@ -577,6 +578,61 @@ func TestVerifyCheckOrder(t *testing.T) {
 		if !errors.Is(err, ErrQuoteInvalid) || err.Error() != ErrQuoteInvalid.Error()+": "+c.want {
 			t.Errorf("err = %v, want %q", err, c.want)
 		}
+	}
+}
+
+// TestVerifierConcurrentMAC: the plane's acceptors share one Verifier,
+// so VerifyMAC must leave its key's midstates untouched. Four
+// goroutines verify genuine and forged quotes through one Verifier,
+// each MAC computed independently with the one-shot HMAC; run it under
+// -race.
+func TestVerifierConcurrentMAC(t *testing.T) {
+	v := NewVerifier(testKey, "test-provider")
+	ka := hcrypto.DeriveKey(testKey, AttestLabel, []byte("test-provider"))
+	const workers, perWorker = 4, 64
+	quotes := make([]Quote, workers*perWorker)
+	for i := range quotes {
+		id := sha1.Sum1([]byte(fmt.Sprintf("task %d", i)))
+		quotes[i] = Quote{ID: id, Nonce: uint64(i), MAC: hcrypto.HMAC(ka, quoteMessage(id, uint64(i)))}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(qs []Quote) {
+			defer wg.Done()
+			for _, q := range qs {
+				if err := v.VerifyMAC(q, q.Nonce); err != nil {
+					errs <- fmt.Errorf("genuine quote %d rejected: %w", q.Nonce, err)
+					return
+				}
+				forged := q
+				forged.MAC[q.Nonce%sha1.Size] ^= 1
+				if err := v.VerifyMAC(forged, q.Nonce); !errors.Is(err, ErrQuoteInvalid) {
+					errs <- fmt.Errorf("forged quote %d: err = %v", q.Nonce, err)
+					return
+				}
+			}
+		}(quotes[w*perWorker : (w+1)*perWorker])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestVerifyMACAllocs: checking a genuine quote allocates nothing.
+func TestVerifyMACAllocs(t *testing.T) {
+	v := NewVerifier(testKey, "test-provider")
+	id := sha1.Sum1([]byte("task"))
+	q := Quote{ID: id, Nonce: 7, MAC: v.ka.MAC(quoteMessage(id, 7))}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := v.VerifyMAC(q, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("VerifyMAC allocates %v times per call, want 0", n)
 	}
 }
 
