@@ -48,8 +48,9 @@ func Toggle(name string) Axis { return Over(name, "off", "on") }
 
 // Engine runs each point on the production engine and on the reference
 // oracle by flipping machine.FastPathDefault, so a producer sees it in
-// every machine it builds. No test in this repo calls t.Parallel, which
-// keeps the flip race-free.
+// every machine it builds. It is the repo's only writer of that
+// variable, and no test calls t.Parallel, which keeps the flip
+// race-free; TestOneEngineSwitch holds both premises.
 var Engine = Axis{
 	Name:   "engine",
 	Values: []string{"production", "reference"},
@@ -58,6 +59,19 @@ var Engine = Axis{
 		machine.FastPathDefault = value == "production"
 		return func() { machine.FastPathDefault = prev }
 	},
+}
+
+// EachEngine renders produce once on each Engine value, each output
+// under a "# engine=<value>" line: the producer of a row whose output
+// legitimately differs by engine, such as the engine's own counters.
+func EachEngine(produce func() []byte) []byte {
+	var out []byte
+	for _, v := range Engine.Values {
+		undo := Engine.set(v)
+		out = append(append(out, "# engine="+v+"\n"...), produce()...)
+		undo()
+	}
+	return out
 }
 
 // Point is one combination of axis values: axis name to value.

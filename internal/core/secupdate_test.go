@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/machine"
 	"repro/internal/rtos"
 	"repro/internal/trace"
@@ -269,19 +271,13 @@ loop:
 // bit-identically on the reference interpreter and the production
 // engine (decode caches plus superblock compiler).
 func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
-	type outcome struct {
-		out    string
-		cycles uint64
-	}
-	var results []outcome
-	prev := machine.FastPathDefault
-	defer func() { machine.FastPathDefault = prev }()
-	for _, fast := range []bool{false, true} {
-		machine.FastPathDefault = fast
+	contract.Check(t, contract.Row{Name: "update-abort", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
+		fast := machine.FastPathDefault
 		p, err := NewPlatform(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer p.Close()
 		app, _, err := p.LoadTaskSync(mustImage(t, meterV1), Secure, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -341,18 +337,11 @@ func TestUpdateAbortInvalidatesCompiledCode(t *testing.T) {
 		// The old app survived the abort and the late task runs.
 		out := p.Output()
 		if !strings.Contains(out, "g") {
-			t.Errorf("fast=%v: late task never ran: %q", fast, out)
+			t.Errorf("%v: late task never ran: %q", at, out)
 		}
 		if !strings.Contains(out[len(out)/2:], "1") {
-			t.Errorf("fast=%v: app not running after rollback: %q", fast, out)
+			t.Errorf("%v: app not running after rollback: %q", at, out)
 		}
-		results = append(results, outcome{out: out, cycles: p.Cycles()})
-		p.Close()
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Errorf("engine %d diverged: %d cycles vs %d, output %q vs %q",
-				i, results[i].cycles, results[0].cycles, results[i].out, results[0].out)
-		}
-	}
+		return fmt.Appendf(nil, "cycles=%d output=%q\n", p.Cycles(), out)
+	}})
 }

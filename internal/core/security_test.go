@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/eampu"
 	"repro/internal/machine"
 	"repro/internal/rtos"
@@ -443,14 +444,11 @@ func TestAttackForgedStackPointer(t *testing.T) {
 		{"tick", ""},
 		{"svc", "    ldi r0, 100\n    svc 2"},
 	}
-	prev := machine.FastPathDefault
-	defer func() { machine.FastPathDefault = prev }()
 	for _, tg := range targets {
 		for _, path := range paths {
 			t.Run(tg.name+"/"+path.name, func(t *testing.T) {
-				var runs [2]string
-				for i, fast := range []bool{true, false} {
-					machine.FastPathDefault = fast
+				row := "forged-sp-" + tg.name + "-" + path.name
+				contract.Check(t, contract.Row{Name: row, Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
 					p := newTyTAN(t)
 					victim, _, err := p.LoadTaskSync(mustImage(t, sleeperTask), Secure, 2)
 					if err != nil {
@@ -469,24 +467,21 @@ func TestAttackForgedStackPointer(t *testing.T) {
 						t.Fatalf("target span not in RAM: %v", err)
 					}
 					if err := p.Run(10 * DefaultTickPeriod); err != nil {
-						t.Fatalf("fast=%v: run failed: %v", fast, err)
+						t.Fatalf("%v: run failed: %v", at, err)
 					}
 					if after, _ := p.M.ReadBytes(sp-frame, frame); !bytes.Equal(before, after) {
-						t.Errorf("fast=%v: frame span [%#x,%#x) changed:\n% x\n% x", fast, sp-frame, sp, before, after)
+						t.Errorf("%v: frame span [%#x,%#x) changed:\n% x\n% x", at, sp-frame, sp, before, after)
 					}
 					ex := forger.Exit
 					if ex == nil || ex.Cause != rtos.ExitStackOverflow || ex.FaultAddr != sp-frame {
-						t.Fatalf("fast=%v: forger exit = %+v, want stack-overflow at %#x", fast, ex, sp-frame)
+						t.Fatalf("%v: forger exit = %+v, want stack-overflow at %#x", at, ex, sp-frame)
 					}
 					if out := p.Output(); out == "" || strings.Trim(out, "V") != "" {
-						t.Errorf("fast=%v: output %q, want only the sleeper's Vs", fast, out)
+						t.Errorf("%v: output %q, want only the sleeper's Vs", at, out)
 					}
-					runs[i] = fmt.Sprintf("cycles=%d violations=%d exit=%+v",
+					return fmt.Appendf(nil, "cycles=%d violations=%d exit=%+v\n",
 						p.M.Cycles(), p.M.MPU.Violations(), *ex)
-				}
-				if runs[0] != runs[1] {
-					t.Errorf("engines differ:\nprod %s\nref  %s", runs[0], runs[1])
-				}
+				}})
 			})
 		}
 	}
@@ -521,11 +516,7 @@ sleep:
 // the first two assertions. Both engines, identical cycles.
 func TestAttackSelfRewriteAfterMeasurement(t *testing.T) {
 	const rewritten, osWord = 0x41414141, 0x42424242
-	prev := machine.FastPathDefault
-	defer func() { machine.FastPathDefault = prev }()
-	var runs [2]string
-	for i, fast := range []bool{true, false} {
-		machine.FastPathDefault = fast
+	contract.Check(t, contract.Row{Name: "self-rewrite", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
 		p := newTyTAN(t)
 		im := mustImage(t, selfRewriteTask)
 		task, _, err := p.LoadTaskSync(im, Secure, 3)
@@ -537,18 +528,18 @@ func TestAttackSelfRewriteAfterMeasurement(t *testing.T) {
 			t.Fatalf("entry %#x is not the first text word %#x", task.EntryAddr, text)
 		}
 		if err := p.Run(10 * DefaultTickPeriod); err != nil {
-			t.Fatalf("fast=%v: run failed: %v", fast, err)
+			t.Fatalf("%v: run failed: %v", at, err)
 		}
 
 		// Today's outcome: the store lands and the task runs on.
 		if got, _ := p.M.RawRead32(text); got != rewritten {
-			t.Errorf("fast=%v: first text word = %#x, want the task's own store %#x", fast, got, uint32(rewritten))
+			t.Errorf("%v: first text word = %#x, want the task's own store %#x", at, got, uint32(rewritten))
 		}
 		if _, ok := p.K.Task(task.ID); !ok || task.Exit != nil {
-			t.Fatalf("fast=%v: self-rewriting task did not survive: exit %+v", fast, task.Exit)
+			t.Fatalf("%v: self-rewriting task did not survive: exit %+v", at, task.Exit)
 		}
 		if out := p.Output(); !strings.HasPrefix(out, "W") {
-			t.Errorf("fast=%v: output %q, want the post-store 'W'", fast, out)
+			t.Errorf("%v: output %q, want the post-store 'W'", at, out)
 		}
 		// The quote vouches for the code as loaded, not as it now is.
 		q, err := p.Provider("").Quote(task.ID, 7)
@@ -556,23 +547,20 @@ func TestAttackSelfRewriteAfterMeasurement(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := p.Provider("").Verifier().Verify(q, trusted.IdentityOfImage(im), 7); err != nil {
-			t.Errorf("fast=%v: quote no longer carries the load-time identity: %v", fast, err)
+			t.Errorf("%v: quote no longer carries the load-time identity: %v", at, err)
 		}
 
 		// The OS context holds no rule over a secure task: refused.
 		var osErr error
 		p.M.WithExecContext(trusted.OSBase, func() { osErr = p.M.Write32(text, osWord) })
 		if osErr == nil {
-			t.Errorf("fast=%v: OS store over a secure task's text succeeded", fast)
+			t.Errorf("%v: OS store over a secure task's text succeeded", at)
 		}
 		if got, _ := p.M.RawRead32(text); got != rewritten {
-			t.Errorf("fast=%v: first text word = %#x after the refused OS store", fast, got)
+			t.Errorf("%v: first text word = %#x after the refused OS store", at, got)
 		}
-		runs[i] = fmt.Sprintf("cycles=%d violations=%d output=%q", p.M.Cycles(), p.M.MPU.Violations(), p.Output())
-	}
-	if runs[0] != runs[1] {
-		t.Errorf("engines differ:\nprod %s\nref  %s", runs[0], runs[1])
-	}
+		return fmt.Appendf(nil, "cycles=%d violations=%d output=%q\n", p.M.Cycles(), p.M.MPU.Violations(), p.Output())
+	}})
 }
 
 // GenTestImage builds a small distinct secure-task image (the name is

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/contract"
 	"repro/internal/eampu"
 	"repro/internal/hcrypto"
 	"repro/internal/isa"
@@ -290,10 +291,7 @@ func liveTask(t testing.TB, r *rig) *rtos.TCB {
 // top words must land, the save must fault at the third word, and the
 // cycle and violation counts must agree.
 func TestIntMuxSaveFaultEngines(t *testing.T) {
-	run := func(fast bool) string {
-		prev := machine.FastPathDefault
-		machine.FastPathDefault = fast
-		defer func() { machine.FastPathDefault = prev }()
+	contract.Check(t, contract.Row{Name: "intmux-save-fault", Axes: []contract.Axis{contract.Engine}, Produce: func(t *testing.T, at contract.Point) []byte {
 		r := newRig(t)
 		tcb := liveTask(t, r)
 		if err := r.c.Mux.Save(r.k, tcb); err != nil {
@@ -305,16 +303,13 @@ func TestIntMuxSaveFaultEngines(t *testing.T) {
 		r.m.SetReg(isa.SP, machine.RAMBase+8)
 		err := r.c.Mux.Save(r.k, tcb)
 		top, _ := r.m.ReadBytes(machine.RAMBase, 8)
-		return fmt.Sprintf("err=%v cycles=%d violations=%d top=%x",
+		out := fmt.Sprintf("err=%v cycles=%d violations=%d top=%x\n",
 			err, r.m.Cycles(), r.m.MPU.Violations(), top)
-	}
-	prod, ref := run(true), run(false)
-	if !strings.Contains(prod, "bus error at 0xffc") {
-		t.Fatalf("save below RAM: %s", prod)
-	}
-	if prod != ref {
-		t.Fatalf("engines differ:\nprod %s\nref  %s", prod, ref)
-	}
+		if !strings.Contains(out, "bus error at 0xffc") {
+			t.Fatalf("%v: save below RAM: %s", at, out)
+		}
+		return []byte(out)
+	}})
 }
 
 // BenchmarkContextFrame times one Int Mux context save plus restore on
