@@ -147,7 +147,6 @@ func (o *Obs) registerGauges(r *trace.Registry) {
 	r.Gauge("tytan_sup_restarts", "Supervisor restarts issued.", sup.Restarts)
 	r.Gauge("tytan_sup_restart_failures", "Supervisor restarts that failed.", sup.RestartFailures)
 	r.Gauge("tytan_sup_quarantines", "Task identities quarantined.", sup.Quarantines)
-	r.Gauge("tytan_sup_watchdog_kills", "Watchdog kills (hangs and quota).", sup.WatchdogKills)
 
 	// Secure update decisions, read through the platform so enabling the
 	// update service after observability still reports.

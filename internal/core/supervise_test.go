@@ -32,32 +32,6 @@ loop:
     svc 1
 `
 
-// sleeperSrc sleeps effectively forever — the hang the watchdog exists
-// to catch.
-const sleeperSrc = `
-.task "sleeper"
-.entry main
-.stack 128
-.bss 28
-.text
-main:
-    ldi32 r0, 900000000
-    svc 2
-    jmp main
-`
-
-// spinnerSrc burns CPU without ever yielding — the runaway the CPU
-// quota exists to catch.
-const spinnerSrc = `
-.task "spinner"
-.entry main
-.stack 128
-.bss 28
-.text
-main:
-    jmp main
-`
-
 func supervisedPlatform(t *testing.T, pol trusted.SupervisorPolicy) *Platform {
 	t.Helper()
 	p := newTyTAN(t)
@@ -184,63 +158,6 @@ func TestSupervisorQuarantineAfterBudget(t *testing.T) {
 	}
 	if _, err := p.Provider("").Quote(tcb2.ID, 7); !errors.Is(err, trusted.ErrQuarantined) {
 		t.Errorf("quote of reloaded quarantined binary = %v, want ErrQuarantined", err)
-	}
-}
-
-// TestWatchdogKillsHungTask: a task that stops making CPU progress is
-// put down with a watchdog verdict and goes through the restart policy.
-func TestWatchdogKillsHungTask(t *testing.T) {
-	p := supervisedPlatform(t, trusted.SupervisorPolicy{
-		MaxRestarts:  1,
-		RestartDelay: 10_000,
-		CheckPeriod:  2 * DefaultTickPeriod,
-		HangTimeout:  2 * DefaultTickPeriod,
-	})
-	tcb, _, err := p.LoadTaskSync(mustImage(t, sleeperSrc), Secure, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Watch(tcb.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	quarantined := func() bool {
-		st, ok := p.Sup.Status("sleeper")
-		return ok && st.State == trusted.WatchQuarantined
-	}
-	if !runUntil(t, p, 20_000_000, quarantined) {
-		st, _ := p.Sup.Status("sleeper")
-		t.Fatalf("hung task never quarantined; status %+v, events %+v", st, p.Sup.Events())
-	}
-	if countEvents(p.Sup, "watchdog-hang") < 2 {
-		t.Errorf("watchdog-hang events = %d, want ≥2", countEvents(p.Sup, "watchdog-hang"))
-	}
-	st, _ := p.Sup.Status("sleeper")
-	if st.LastExit.Cause != rtos.ExitWatchdog {
-		t.Errorf("last exit cause = %v, want watchdog", st.LastExit.Cause)
-	}
-}
-
-// TestWatchdogKillsRunawayTask: a spinner blowing its CPU quota is
-// killed at the next watchdog sweep.
-func TestWatchdogKillsRunawayTask(t *testing.T) {
-	p := supervisedPlatform(t, trusted.SupervisorPolicy{
-		MaxRestarts:  1,
-		RestartDelay: 10_000,
-		CheckPeriod:  2 * DefaultTickPeriod,
-		CPUQuota:     DefaultTickPeriod / 2,
-	})
-	tcb, _, err := p.LoadTaskSync(mustImage(t, spinnerSrc), Secure, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Watch(tcb.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	killed := func() bool { return countEvents(p.Sup, "watchdog-quota") >= 1 }
-	if !runUntil(t, p, 10_000_000, killed) {
-		t.Fatalf("runaway never killed; events %+v", p.Sup.Events())
 	}
 }
 

@@ -38,9 +38,6 @@ const (
 	ExitRestoreFault
 	// ExitKilled: removed administratively (Unload).
 	ExitKilled
-	// ExitWatchdog: killed by the supervisor's watchdog (hung or over
-	// CPU budget).
-	ExitWatchdog
 	// ExitDone: a native service task reported completion.
 	ExitDone
 )
@@ -64,8 +61,6 @@ func (c ExitCause) String() string {
 		return "restore-fault"
 	case ExitKilled:
 		return "killed"
-	case ExitWatchdog:
-		return "watchdog"
 	case ExitDone:
 		return "done"
 	default:
@@ -78,7 +73,7 @@ func (c ExitCause) String() string {
 // than a voluntary exit or administrative removal.
 func (c ExitCause) IsFault() bool {
 	switch c {
-	case ExitFault, ExitBadSyscall, ExitStackOverflow, ExitRestoreFault, ExitWatchdog:
+	case ExitFault, ExitBadSyscall, ExitStackOverflow, ExitRestoreFault:
 		return true
 	}
 	return false
@@ -97,8 +92,8 @@ type ExitReason struct {
 	SVC uint16
 	// Cycle is the simulated time of the exit.
 	Cycle uint64
-	// Detail is a human-readable elaboration (violation text, watchdog
-	// verdict).
+	// Detail is a human-readable elaboration (violation text, the
+	// killer's reason).
 	Detail string
 }
 
@@ -189,9 +184,9 @@ func (k *Kernel) Exits() []ExitRecord {
 	return out
 }
 
-// Kill terminates a task with an explicit cause — the supervisor's
-// watchdog uses it to put down hung or over-budget tasks with a reason
-// the policy engine can act on.
+// Kill terminates a task with an explicit cause and reason, which the
+// exit record carries to the supervisor's policy (fault injection uses
+// it to crash a task on demand).
 func (k *Kernel) Kill(id TaskID, cause ExitCause, detail string) error {
 	t, ok := k.tasks[id]
 	if !ok {

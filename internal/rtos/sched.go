@@ -235,8 +235,8 @@ func (k *Kernel) dispatch(limit uint64) {
 				k.current = nil
 				t.State = StateBlocked
 				// A service that wants a periodic wakeup (the trusted
-				// supervisor's watchdog) publishes the next cycle it needs
-				// to run at; the scheduler treats it like a delayed task.
+				// supervisor's check) publishes the next cycle it needs to
+				// run at; the scheduler treats it like a delayed task.
 				if w, ok := t.Service.(interface{ NextWake() uint64 }); ok {
 					t.wakeAt = w.NextWake()
 				}

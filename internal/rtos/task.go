@@ -141,7 +141,7 @@ func (k *Kernel) removeTaskWith(t *TCB, reason ExitReason) {
 	}
 	rec := k.recordExit(t, reason)
 	// Every exit path funnels through here, so one typed event covers
-	// halt, self-exit, faults, kills and watchdog verdicts alike.
+	// halt, self-exit, faults and kills alike.
 	if k.M.Obs != nil {
 		attrs := []trace.Attr{
 			trace.Num("id", uint64(t.ID)),

@@ -19,14 +19,16 @@ import (
 // Policy, per watched task:
 //
 //   - a fault exit (EA-MPU violation, bad syscall, stack overflow,
-//     watchdog verdict) triggers a restart: the image is re-loaded
+//     restore fault) triggers a restart: the image is re-loaded
 //     through the full loading sequence, so the new incarnation gets a
 //     fresh EA-MPU region and a fresh RTM measurement;
 //   - after MaxRestarts restarts, the next fault condemns the identity:
 //     the task stays dead and Attest refuses to quote it (quarantine);
-//   - a watchdog kills watched tasks that stop making CPU progress
-//     (hung) or exceed a CPU quota per check window (runaway);
 //   - a voluntary exit (halt, exit syscall, unload) ends supervision.
+//
+// A periodic check, every CheckPeriod cycles while any task is
+// supervised, inspects each healthy watched task and is charged like
+// any other trusted work.
 //
 // Everything is driven by the simulated cycle counter, so supervised
 // runs are exactly as deterministic as unsupervised ones.
@@ -39,15 +41,9 @@ type SupervisorPolicy struct {
 	// RestartDelay is the cycle delay before the first restart; it
 	// doubles per restart of the same task (default 2 * tick).
 	RestartDelay uint64
-	// CheckPeriod is the watchdog inspection period in cycles
+	// CheckPeriod is the period of the supervisor's check in cycles
 	// (default 8 * tick).
 	CheckPeriod uint64
-	// HangTimeout: a watched task making no CPU progress for this many
-	// cycles is killed as hung. 0 disables hang detection.
-	HangTimeout uint64
-	// CPUQuota: a watched task using more than this many CPU cycles
-	// within one check window is killed as runaway. 0 disables.
-	CPUQuota uint64
 }
 
 // withDefaults fills zero fields from the tick period.
@@ -110,7 +106,7 @@ func (s WatchState) String() string {
 type SupEvent struct {
 	Cycle  uint64
 	Task   string
-	What   string // "fault", "restart", "restarted", "restart-failed", "quarantine", "watchdog-hang", "watchdog-quota", "ended"
+	What   string // "fault", "restart", "restarted", "restart-failed", "quarantine", "ended"
 	Detail string
 }
 
@@ -134,12 +130,6 @@ type watch struct {
 	// restart machinery
 	restartAt uint64
 	ticket    ReloadTicket
-
-	// watchdog baselines
-	lastCPU      uint64 // task CPUCycles at last progress
-	lastProgress uint64 // cycle of last observed progress
-	windowCPU    uint64 // task CPUCycles at window start
-	windowStart  uint64
 }
 
 // WatchStatus is the queryable snapshot of one supervised task.
@@ -179,7 +169,6 @@ type SupCounts struct {
 	Restarts        uint64 // restart attempts initiated
 	RestartFailures uint64 // reloads that failed
 	Quarantines     uint64 // identities condemned
-	WatchdogKills   uint64 // hang + quota kills
 	Ended           uint64 // supervisions ended by voluntary exit
 }
 
@@ -189,7 +178,7 @@ func (s *Supervisor) Counts() SupCounts { return s.counts }
 // Supervision cycle costs (simulated): the bookkeeping is cheap trusted
 // code, but it is not free.
 const (
-	supCheckBase    = 60  // per watchdog sweep
+	supCheckBase    = 60  // per check
 	supCheckPerTask = 25  // per watched task inspected
 	supRestartInit  = 150 // per restart initiation
 )
@@ -233,17 +222,13 @@ func (s *Supervisor) Attach(prio int) (*rtos.TCB, error) {
 func (s *Supervisor) Watch(t *rtos.TCB, im *telf.Image, identity sha1.Digest) {
 	now := s.k.M.Cycles()
 	w := &watch{
-		name:         t.Name,
-		im:           im,
-		kind:         t.Kind,
-		prio:         t.Priority,
-		identity:     identity,
-		id:           t.ID,
-		state:        WatchHealthy,
-		lastCPU:      t.CPUCycles,
-		lastProgress: now,
-		windowCPU:    t.CPUCycles,
-		windowStart:  now,
+		name:     t.Name,
+		im:       im,
+		kind:     t.Kind,
+		prio:     t.Priority,
+		identity: identity,
+		id:       t.ID,
+		state:    WatchHealthy,
 	}
 	s.byID[t.ID] = w
 	s.byName[w.name] = w
@@ -294,8 +279,6 @@ func (s *Supervisor) logEvent(task, what, detail string) {
 		s.counts.RestartFailures++
 	case "quarantine":
 		s.counts.Quarantines++
-	case "watchdog-hang", "watchdog-quota":
-		s.counts.WatchdogKills++
 	case "ended":
 		s.counts.Ended++
 	}
@@ -377,7 +360,7 @@ func (s *Supervisor) HasWork() bool {
 }
 
 // NextWake tells the scheduler when the supervisor needs the CPU again:
-// the earliest of the watchdog check, a due restart, or a reload poll.
+// the earliest of the periodic check, a due restart, or a reload poll.
 func (s *Supervisor) NextWake() uint64 {
 	var next uint64
 	consider := func(c uint64) {
@@ -412,7 +395,7 @@ func (s *Supervisor) watching() bool {
 	return false
 }
 
-// Step implements rtos.Service: run restarts and the watchdog.
+// Step implements rtos.Service: run restarts and the periodic check.
 func (s *Supervisor) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uint64, rtos.NativeStatus) {
 	s.tcb = self
 	var used uint64
@@ -455,7 +438,7 @@ func (s *Supervisor) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uint64
 	}
 
 	if s.nextCheck != 0 && now >= s.nextCheck {
-		used += s.watchdogSweep(now)
+		used += s.check()
 		s.nextCheck = now + s.pol.CheckPeriod
 	}
 
@@ -470,53 +453,21 @@ func (s *Supervisor) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uint64
 
 // adopt rebinds a watch to the freshly-reloaded incarnation.
 func (s *Supervisor) adopt(w *watch, t *rtos.TCB) {
-	now := s.k.M.Cycles()
 	w.id = t.ID
 	w.state = WatchHealthy
 	w.ticket = nil
-	w.lastCPU = t.CPUCycles
-	w.lastProgress = now
-	w.windowCPU = t.CPUCycles
-	w.windowStart = now
 	s.byID[t.ID] = w
 	s.logEvent(w.name, "restarted", fmt.Sprintf("task id %d", t.ID))
 }
 
-// watchdogSweep inspects every healthy watched task for hangs and CPU
-// quota violations, killing offenders through the kernel (which routes
-// the exit straight back into TaskExited → restart or quarantine).
-func (s *Supervisor) watchdogSweep(now uint64) uint64 {
+// check is the periodic inspection: it charges supCheckBase plus
+// supCheckPerTask for every healthy watched task.
+func (s *Supervisor) check() uint64 {
 	used := uint64(supCheckBase)
 	for _, w := range s.order {
-		if w.state != WatchHealthy {
-			continue
+		if w.state == WatchHealthy {
+			used += supCheckPerTask
 		}
-		used += supCheckPerTask
-		t, ok := s.k.Task(w.id)
-		if !ok {
-			continue // exit hook will have run; nothing to inspect
-		}
-		cpu := t.CPUCycles
-		if cpu > w.lastCPU {
-			w.lastCPU = cpu
-			w.lastProgress = now
-		}
-		if s.pol.CPUQuota != 0 && cpu-w.windowCPU > s.pol.CPUQuota {
-			s.logEvent(w.name, "watchdog-quota",
-				fmt.Sprintf("%d cycles in window, quota %d", cpu-w.windowCPU, s.pol.CPUQuota))
-			s.k.Kill(w.id, rtos.ExitWatchdog,
-				fmt.Sprintf("cpu quota exceeded: %d > %d", cpu-w.windowCPU, s.pol.CPUQuota))
-			continue
-		}
-		if s.pol.HangTimeout != 0 && now-w.lastProgress >= s.pol.HangTimeout {
-			s.logEvent(w.name, "watchdog-hang",
-				fmt.Sprintf("no progress for %d cycles", now-w.lastProgress))
-			s.k.Kill(w.id, rtos.ExitWatchdog,
-				fmt.Sprintf("hung: no progress for %d cycles", now-w.lastProgress))
-			continue
-		}
-		w.windowCPU = cpu
-		w.windowStart = now
 	}
 	return used
 }
