@@ -81,7 +81,6 @@ func AblationStaticMPU() (Table, error) {
 			{Image: GenImage("fixed-a", 256, nil), Kind: rtos.KindSecure, Prio: 3},
 			{Image: GenImage("fixed-b", 256, nil), Kind: rtos.KindSecure, Prio: 3},
 		},
-		StaticOnly: true,
 	})
 	_, _, loadErr := static.LoadTaskSync(GenImage("late", 256, nil), core.Secure, 3)
 	staticLoad := "refused"

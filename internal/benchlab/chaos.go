@@ -316,12 +316,7 @@ func runChaos(e *ScenarioEnv, classes faultinject.Class) error {
 		faulty: classes&faultinject.ConnFaults != 0,
 	}
 	oem := p.Provider("oem")
-	client := remote.NewClient(oem.Verifier(), oem.Name(), remote.ClientOptions{
-		Attempts: 8,
-		Backoff:  time.Millisecond,
-		Timeout:  chaosIOTimeout,
-		Sleep:    func(time.Duration) {},
-	})
+	client := remote.NewClient(oem.Verifier(), oem.Name(), remote.ClientOptions{Timeout: chaosIOTimeout})
 	var retryCalls, retryAttempts, retryRefusals int
 	attest := func(identity sha1.Digest, nonce uint64) (int, error) {
 		_, attempts, err := client.AttestRetry(cnet.dial, identity, nonce)

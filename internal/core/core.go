@@ -61,13 +61,12 @@ type Options struct {
 	// ablation sets it very high to reproduce the SMART/SPM-style
 	// non-interruptible loading the paper argues against.
 	LoaderQuantum uint64
-	// Static lists tasks fixed at boot time. With StaticOnly set, the
-	// platform refuses all runtime task management afterwards — the
+	// Static lists tasks fixed at boot time. A platform booted with
+	// static tasks refuses all runtime task management afterwards — the
 	// TrustLite configuration model the paper contrasts against
 	// ("TrustLite requires all software components to be loaded and
 	// their isolation to be configured at boot time", §7).
-	Static     []StaticTask
-	StaticOnly bool
+	Static []StaticTask
 	// StrictVerify arms the static pre-load verification gate at boot:
 	// every load — sync, async, static — is verified before memory is
 	// allocated or measured, and images with Error findings fail with
@@ -204,14 +203,14 @@ func NewPlatform(opt Options) (*Platform, error) {
 	}
 	p.loaderTCB = tcb
 
-	// Boot-time tasks (both configurations may use them; the static
-	// configuration *only* has them).
+	// Boot-time tasks (both configurations may use them); once they are
+	// loaded the platform is static-only.
 	for i, st := range opt.Static {
 		if _, _, err := p.LoadTaskSync(st.Image, st.Kind, st.Prio); err != nil {
 			return nil, fmt.Errorf("core: static task %d: %w", i, err)
 		}
 	}
-	p.staticOnly = opt.StaticOnly
+	p.staticOnly = len(opt.Static) > 0
 
 	k.StartTick()
 	return p, nil

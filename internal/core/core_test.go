@@ -474,14 +474,13 @@ func TestShareMemSyscall(t *testing.T) {
 func TestStaticConfiguration(t *testing.T) {
 	im := mustImage(t, helloSrc)
 	p, err := NewPlatform(Options{
-		Static:     []StaticTask{{Image: im, Kind: Secure, Prio: 3}},
-		StaticOnly: true,
+		Static: []StaticTask{{Image: im, Kind: Secure, Prio: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.StaticOnly() {
-		t.Fatal("StaticOnly not set")
+		t.Fatal("a platform booted with static tasks is not static-only")
 	}
 	// The boot-time task runs normally.
 	if err := p.Run(500_000); err != nil {

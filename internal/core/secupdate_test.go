@@ -94,8 +94,7 @@ func TestSecureUpdateConfigurationGates(t *testing.T) {
 	}
 
 	sp, err := NewPlatform(Options{
-		Static:     []StaticTask{{Image: mustImage(t, meterV1), Kind: Secure, Prio: 3}},
-		StaticOnly: true,
+		Static: []StaticTask{{Image: mustImage(t, meterV1), Kind: Secure, Prio: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,32 +11,16 @@ import (
 )
 
 // ClientOptions parameterizes the verifier side of the protocol. The
-// zero value is ready: default deadline and retry schedule. Frames are
-// bounded by DefaultMaxFrame.
+// zero value is ready: the default deadline. Frames are bounded by
+// DefaultMaxFrame.
 type ClientOptions struct {
 	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
 	Timeout time.Duration
-	// Attempts is AttestRetry's total number of tries (0 = 3).
-	Attempts int
-	// Backoff is AttestRetry's delay before the second attempt; it
-	// doubles per attempt (0 = 10ms).
-	Backoff time.Duration
-	// Sleep is injectable for tests (nil = time.Sleep).
-	Sleep func(time.Duration)
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultIOTimeout
-	}
-	if o.Attempts == 0 {
-		o.Attempts = 3
-	}
-	if o.Backoff == 0 {
-		o.Backoff = 10 * time.Millisecond
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
 	}
 	return o
 }
@@ -173,22 +157,21 @@ func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
 	})
 }
 
-// AttestRetry runs the verifier side with bounded retry: each attempt
-// dials a fresh connection, uses a fresh nonce (base nonce + attempt
-// index, so a replayed or delayed quote from a failed attempt can never
-// satisfy a later one), and bounds its I/O with a deadline. Transport
-// and protocol failures are retried with exponential backoff; an
-// authoritative device answer — a verified quote or an explicit device
-// error (ErrRemote) — ends the loop immediately. Returns the quote, the
-// number of attempts used, and the final error.
+// retryAttempts is AttestRetry's number of tries.
+const retryAttempts = 8
+
+// AttestRetry runs the verifier side with bounded retry: up to
+// retryAttempts attempts, each of which dials a fresh connection, uses
+// a fresh nonce (base nonce + attempt index, so a replayed or delayed
+// quote from a failed attempt can never satisfy a later one), and
+// bounds its I/O with a deadline. Transport and protocol failures are
+// retried at once, without a pause; an authoritative device answer — a
+// verified quote or an explicit device error (ErrRemote) — ends the
+// loop immediately. Returns the quote, the number of attempts used,
+// and the final error.
 func (c *Client) AttestRetry(dial func() (net.Conn, error), expected sha1.Digest, nonce uint64) (trusted.Quote, int, error) {
 	var lastErr error
-	backoff := c.opt.Backoff
-	for attempt := 0; attempt < c.opt.Attempts; attempt++ {
-		if attempt > 0 {
-			c.opt.Sleep(backoff)
-			backoff *= 2
-		}
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		conn, err := dial()
 		if err != nil {
 			lastErr = err
@@ -206,5 +189,5 @@ func (c *Client) AttestRetry(dial func() (net.Conn, error), expected sha1.Digest
 			return trusted.Quote{}, attempt + 1, err
 		}
 	}
-	return trusted.Quote{}, c.opt.Attempts, fmt.Errorf("remote: attestation failed after %d attempts: %w", c.opt.Attempts, lastErr)
+	return trusted.Quote{}, retryAttempts, fmt.Errorf("remote: attestation failed after %d attempts: %w", retryAttempts, lastErr)
 }

@@ -38,13 +38,14 @@
 // # API
 //
 // The package surface is two types. Server is the device side: it owns
-// an Attestor and answers challenges (ServeOne, ServeConn, Serve) or
-// initiates a session toward a verifier plane (AttestTo). Client is the
-// verifier side: it owns a trusted.Verifier and drives exchanges
-// (Attest, AttestRetry) or answers device-initiated sessions
-// (AwaitHello, Challenge, Refuse). Deadlines, retry policy and frame
-// limits live in ServerOptions/ClientOptions. Server is the one
-// device-side event emitter for a wire exchange: with
+// an Attestor and answers challenges (ServeOne on one connection, Serve
+// on a listener, one exchange per connection) or initiates a session
+// toward a verifier plane (AttestTo). Client is the verifier side: it
+// owns a trusted.Verifier and drives exchanges (Attest, AttestRetry) or
+// answers device-initiated sessions (AwaitHello, Challenge, Refuse,
+// Verdict). Each side's I/O deadline is its Timeout option; frames are
+// bounded by DefaultMaxFrame and AttestRetry by a fixed attempt count.
+// Server is the one device-side event emitter for a wire exchange: with
 // ServerOptions.Obs wired it emits the quote round-trip (KindAttest
 // request/reply) and the session bracket (KindSession).
 package remote

@@ -7,25 +7,20 @@ import (
 	"time"
 )
 
-// Robustness layer: deadlines on every exchange, bounded retry with
-// exponential backoff on the verifier side (Client.AttestRetry), and a
-// per-connection error budget on the device side (Server.ServeConn). A
-// flaky or hostile network can delay an attestation verdict but can
-// never hang either endpoint or wedge the server on one bad peer.
+// Robustness layer: deadlines on every exchange, bounded retry with a
+// fresh nonce per attempt on the verifier side (Client.AttestRetry),
+// and one exchange per accepted connection on the device side
+// (Server.Serve drops a bad peer after its one exchange). A flaky or
+// hostile network can delay an attestation verdict but can never hang
+// either endpoint or wedge the server on one bad peer.
 
 // DefaultIOTimeout bounds one exchange's network I/O when the caller
 // does not specify a deadline.
 const DefaultIOTimeout = 2 * time.Second
 
-// Robustness errors.
-var (
-	// ErrTimeout wraps network timeouts so callers can match them
-	// without digging for net.Error.
-	ErrTimeout = errors.New("remote: i/o timeout")
-	// ErrErrorBudget means a connection produced more protocol errors
-	// than the server tolerates and was dropped.
-	ErrErrorBudget = errors.New("remote: connection error budget exhausted")
-)
+// ErrTimeout wraps network timeouts so callers can match them without
+// digging for net.Error.
+var ErrTimeout = errors.New("remote: i/o timeout")
 
 // wrapTimeout rewraps network timeout errors in ErrTimeout, leaving
 // everything else (including io.EOF) untouched.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,58 +40,6 @@ func TestServeOneTimesOutOnSilentClient(t *testing.T) {
 	}
 }
 
-// TestServeConnPersistent: several exchanges on one connection, then a
-// clean shutdown.
-func TestServeConnPersistent(t *testing.T) {
-	p, e := devicePlatform(t)
-	c := oemClient(p, ClientOptions{})
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
-	go func() {
-		done <- srv.ServeConn(devConn)
-	}()
-	for nonce := uint64(1); nonce <= 3; nonce++ {
-		q, err := c.Attest(verConn, e.ID, nonce)
-		if err != nil {
-			t.Fatalf("nonce %d: %v", nonce, err)
-		}
-		if q.Nonce != nonce {
-			t.Errorf("echoed nonce %d, want %d", q.Nonce, nonce)
-		}
-	}
-	verConn.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server exit = %v, want nil on clean close", err)
-	}
-}
-
-// TestServeConnErrorBudget: a peer spewing malformed frames gets
-// dropped after the budget, not served forever.
-func TestServeConnErrorBudget(t *testing.T) {
-	p, _ := devicePlatform(t)
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
-	go func() {
-		done <- srv.ServeConn(devConn)
-	}()
-	for i := 0; i < 3; i++ {
-		if err := writeFrame(verConn, MsgQuote, []byte("junk")); err != nil {
-			t.Fatal(err)
-		}
-		// Drain the error reply so the pipe does not block.
-		if typ, _, err := readFrame(verConn); err != nil || typ != MsgError {
-			t.Fatalf("reply %d: type %d err %v", i, typ, err)
-		}
-	}
-	err := <-done
-	if !errors.Is(err, ErrErrorBudget) {
-		t.Fatalf("server exit = %v, want ErrErrorBudget", err)
-	}
-	verConn.Close()
-}
-
 // pipeDialer dials a fresh in-memory connection to a ServeOne instance,
 // failing the first failures dials.
 func pipeDialer(att Attestor, failures int) (func() (net.Conn, error), *int) {
@@ -112,17 +61,11 @@ func pipeDialer(att Attestor, failures int) (func() (net.Conn, error), *int) {
 }
 
 // TestAttestRetryRecoversFromFlakyDials: two dial failures, then
-// success; backoff doubles and the succeeding attempt used a fresh
-// nonce.
+// success; the succeeding attempt used a fresh nonce.
 func TestAttestRetryRecoversFromFlakyDials(t *testing.T) {
 	p, e := devicePlatform(t)
 	dial, dials := pipeDialer(ComponentsAttestor{C: p.C}, 2)
-	var sleeps []time.Duration
-	c := oemClient(p, ClientOptions{
-		Attempts: 4,
-		Backoff:  time.Millisecond,
-		Sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
-	})
+	c := oemClient(p, ClientOptions{})
 	q, attempts, err := c.AttestRetry(dial, e.ID, 100)
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
@@ -133,15 +76,6 @@ func TestAttestRetryRecoversFromFlakyDials(t *testing.T) {
 	// Fresh nonce per attempt: base 100, third attempt → 102.
 	if q.Nonce != 102 {
 		t.Errorf("nonce = %d, want 102", q.Nonce)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if len(sleeps) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", sleeps, want)
-	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v (exponential backoff)", i, sleeps[i], want[i])
-		}
 	}
 }
 
@@ -155,11 +89,7 @@ func TestAttestRetryStopsOnAuthoritativeRefusal(t *testing.T) {
 		t.Fatal(err2)
 	}
 	ghost := trusted.IdentityOfImage(im)
-	c := oemClient(p, ClientOptions{
-		Attempts: 5,
-		Backoff:  time.Millisecond,
-		Sleep:    func(time.Duration) {},
-	})
+	c := oemClient(p, ClientOptions{})
 	_, attempts, err := c.AttestRetry(dial, ghost, 1)
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
@@ -170,20 +100,19 @@ func TestAttestRetryStopsOnAuthoritativeRefusal(t *testing.T) {
 }
 
 // TestAttestRetryExhausts: if every attempt fails on transport, the
-// error reports the bounded attempt count.
+// loop stops at retryAttempts and the error reports that count.
 func TestAttestRetryExhausts(t *testing.T) {
 	p, e := devicePlatform(t)
 	dial, dials := pipeDialer(ComponentsAttestor{C: p.C}, 100) // always refuse
-	c := oemClient(p, ClientOptions{
-		Attempts: 3,
-		Backoff:  time.Millisecond,
-		Sleep:    func(time.Duration) {},
-	})
+	c := oemClient(p, ClientOptions{})
 	_, attempts, err := c.AttestRetry(dial, e.ID, 1)
 	if err == nil {
 		t.Fatal("retry succeeded against a dead network")
 	}
-	if attempts != 3 || *dials != 3 {
-		t.Errorf("attempts = %d, dials = %d, want 3", attempts, *dials)
+	if attempts != retryAttempts || *dials != retryAttempts {
+		t.Errorf("attempts = %d, dials = %d, want %d", attempts, *dials, retryAttempts)
+	}
+	if want := fmt.Sprintf("after %d attempts", retryAttempts); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to report %q", err, want)
 	}
 }

@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -104,37 +103,6 @@ func (s *Server) answer(conn net.Conn, ch Challenge) error {
 		return nil // the protocol handled it; not a server failure
 	}
 	return writeFrame(conn, MsgQuote, q.Marshal())
-}
-
-// connErrorBudget is how many protocol errors (malformed frames, bad
-// challenges) one persistent connection may produce before ServeConn
-// drops it.
-const connErrorBudget = 3
-
-// ServeConn answers challenges on a persistent connection until the
-// peer closes it, an exchange times out, a transport error occurs, or
-// the connection exhausts its protocol-error budget. It returns nil on
-// clean shutdown (EOF).
-func (s *Server) ServeConn(conn net.Conn) error {
-	protoErrs := 0
-	for {
-		err := s.ServeOne(conn)
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-			return nil
-		case errors.Is(err, ErrTimeout):
-			return err
-		case errors.Is(err, ErrBadMessage), errors.Is(err, ErrFrameTooLarge):
-			protoErrs++
-			if protoErrs >= connErrorBudget {
-				return fmt.Errorf("%w: %d protocol errors", ErrErrorBudget, protoErrs)
-			}
-		default:
-			return err
-		}
-	}
 }
 
 // Serve accepts connections on l and answers one challenge per
