@@ -89,19 +89,24 @@ func (s *State) WriteBlock(block []byte) {
 	s.compress(block)
 }
 
-// Sum finalizes a copy of the state and returns the digest. The state
-// itself remains usable for further writes (finalization does not
-// mutate it).
+// Sum finalizes the computation and returns the digest, leaving the
+// state itself unchanged and usable for further writes. The buffered
+// tail, the 0x80 terminator and the bit length are laid out in one
+// block, or two when fewer than 9 bytes of the tail's block are free,
+// and compressed into a copy of the chaining value only.
 func (s *State) Sum() Digest {
-	c := *s // finalize a copy
-	var pad [BlockSize + 8]byte
-	pad[0] = 0x80
-	padLen := BlockSize - int((c.len+9)%BlockSize) + 1
-	if padLen == BlockSize+1 {
-		padLen = 1
+	var tail [2 * BlockSize]byte
+	copy(tail[:], s.buf[:s.n])
+	tail[s.n] = 0x80
+	end := BlockSize
+	if s.n >= BlockSize-8 {
+		end = 2 * BlockSize
 	}
-	binary.BigEndian.PutUint64(pad[padLen:], c.len*8)
-	c.Write(pad[:padLen+8])
+	binary.BigEndian.PutUint64(tail[end-8:end], s.len*8)
+	c := State{h: s.h}
+	for off := 0; off < end; off += BlockSize {
+		c.compress(tail[off : off+BlockSize])
+	}
 	var d Digest
 	for i, v := range c.h {
 		binary.BigEndian.PutUint32(d[i*4:], v)

@@ -119,7 +119,11 @@ func TestStateSnapshotResume(t *testing.T) {
 func TestSumDoesNotMutate(t *testing.T) {
 	s := New()
 	s.Write([]byte("hello "))
+	before := s
 	mid := s.Sum()
+	if s != before {
+		t.Error("Sum changed the state")
+	}
 	if s.Sum() != mid {
 		t.Error("repeated Sum differs")
 	}
