@@ -280,9 +280,10 @@ const (
 	maxChunk   = 4096
 )
 
-// Buffer is an append-only in-memory Sink with the query helpers the
-// evaluation harness uses (the kilohertz columns of Table 1). The zero
-// value is ready to use. Buffer is safe for concurrent emission; the
+// Buffer is an append-only in-memory Sink with query helpers (Count,
+// RateKHz, First, Last, Gaps) for tests and for the benchmark's traced
+// use-case replay, which reads its activation rates and t0 gaps through
+// them. The zero value is ready to use. Buffer is safe for concurrent emission; the
 // simulated platform is single-threaded, but the attestation link
 // serves exchanges from a host goroutine.
 //
