@@ -185,8 +185,8 @@ func (k *Kernel) Exits() []ExitRecord {
 }
 
 // Kill terminates a task with an explicit cause and reason, which the
-// exit record carries to the supervisor's policy (fault injection uses
-// it to crash a task on demand).
+// exit record carries to the supervisor's policy; the scenario matrix
+// uses it to inject a fault.
 func (k *Kernel) Kill(id TaskID, cause ExitCause, detail string) error {
 	t, ok := k.tasks[id]
 	if !ok {

@@ -26,9 +26,9 @@ import (
 //     the task stays dead and Attest refuses to quote it (quarantine);
 //   - a voluntary exit (halt, exit syscall, unload) ends supervision.
 //
-// A periodic check, every CheckPeriod cycles while any task is
-// supervised, inspects each healthy watched task and is charged like
-// any other trusted work.
+// While any task is supervised, a periodic check runs every
+// CheckPeriod cycles and is charged like any other trusted work:
+// supCheckBase plus supCheckPerTask per healthy watched task.
 //
 // Everything is driven by the simulated cycle counter, so supervised
 // runs are exactly as deterministic as unsupervised ones.
@@ -179,7 +179,7 @@ func (s *Supervisor) Counts() SupCounts { return s.counts }
 // code, but it is not free.
 const (
 	supCheckBase    = 60  // per check
-	supCheckPerTask = 25  // per watched task inspected
+	supCheckPerTask = 25  // per healthy watched task
 	supRestartInit  = 150 // per restart initiation
 )
 
@@ -460,8 +460,7 @@ func (s *Supervisor) adopt(w *watch, t *rtos.TCB) {
 	s.logEvent(w.name, "restarted", fmt.Sprintf("task id %d", t.ID))
 }
 
-// check is the periodic inspection: it charges supCheckBase plus
-// supCheckPerTask for every healthy watched task.
+// check is the periodic check; it returns its cost.
 func (s *Supervisor) check() uint64 {
 	used := uint64(supCheckBase)
 	for _, w := range s.order {
