@@ -26,8 +26,13 @@ lint:
 test:
 	$(GO) test ./...
 
+# race runs the suite under the race detector, then runs the memPipe
+# tests and the silent and hostile plane peers ten more times: they
+# move, extend and clear read deadlines and Close conns while Reads wait
+# on the per-direction read timer, whose races show only now and then.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestMemPipe|TestPlaneSilentPeers|TestPlaneHostilePeers' ./internal/fleet
 
 # examples runs every program under examples/ (directories without Go
 # files, such as examples/tasks, hold task sources and are skipped); a
@@ -47,7 +52,9 @@ examples:
 # shard independence, the tytan-sim and tytan-analyze exports and the
 # resource bounds — each pinned to a SHA-256 line in its package's
 # testdata/contract.sum. The race leg also holds the fleet telemetry
-# run to its bytes-per-session budget (TestTelemetryAllocBudget). Run
+# run to its bytes-per-session budget (TestTelemetryAllocBudget) and
+# stresses memPipe's read timer with ten repeated runs of its deadline
+# tests. Run
 # one gate with e.g. `go test -race -run TestFleetCheck
 # ./internal/fleet`. Host-clock timing lives in bench/.
 check: build vet lint race examples

@@ -30,6 +30,32 @@ func waitReaders(t *testing.T, n int) {
 	t.Fatalf("fewer than %d goroutines reached memConn.Read", n)
 }
 
+// waitParked waits until n Reads are parked on c's read side, so a
+// test can act on Reads that wait (and, under a deadline, have armed
+// the read timer).
+func waitParked(t *testing.T, c net.Conn, n int32) {
+	t.Helper()
+	rx := c.(*memConn).rx
+	for i := 0; i < 1000; i++ {
+		rx.mu.Lock()
+		parked := rx.waiting
+		rx.mu.Unlock()
+		if parked >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("fewer than %d Reads parked", n)
+}
+
+// timerArmed reports whether b's read timer is armed or still pending.
+// It leaves the timer stopped.
+func timerArmed(b *memBuf) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return !b.timerAt.IsZero() || (b.timer != nil && b.timer.Stop())
+}
+
 // readResult is one Read's outcome, handed back from a reading goroutine.
 type readResult struct {
 	data []byte
@@ -231,6 +257,175 @@ func TestMemPipe(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("deadline-moved-earlier", func(t *testing.T) {
+		a, b := memPipe()
+		defer a.Close()
+		defer b.Close()
+		b.SetReadDeadline(time.Now().Add(time.Hour))
+		blocked := goRead(b, 8)
+		waitParked(t, b, 1)
+		dl := time.Now().Add(20 * time.Millisecond)
+		b.SetReadDeadline(dl)
+		select {
+		case r := <-blocked:
+			if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+				t.Fatalf("Read under a deadline moved earlier = %q, %v; want os.ErrDeadlineExceeded", r.data, r.err)
+			}
+			if early := dl.Sub(time.Now()); early > 0 {
+				t.Fatalf("Read ended %v before its deadline", early)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Read still waits 10 s after its deadline was moved 20 ms ahead")
+		}
+	})
+
+	t.Run("deadline-extended", func(t *testing.T) {
+		a, b := memPipe()
+		defer a.Close()
+		defer b.Close()
+		first := time.Now().Add(20 * time.Millisecond)
+		b.SetReadDeadline(first)
+		blocked := goRead(b, 8)
+		waitParked(t, b, 1)
+		b.SetReadDeadline(time.Now().Add(time.Hour))
+		time.Sleep(time.Until(first) + 30*time.Millisecond)
+		select {
+		case r := <-blocked:
+			t.Fatalf("Read ended at its first deadline after it was extended: %q, %v", r.data, r.err)
+		default:
+		}
+		a.Write([]byte("late"))
+		if r := <-blocked; r.err != nil || string(r.data) != "late" {
+			t.Fatalf("Read under an extended deadline = %q, %v; want \"late\", nil", r.data, r.err)
+		}
+
+		// With nothing written, the Read ends at the extended deadline:
+		// the timer that fired at the first one re-armed for it.
+		first = time.Now().Add(20 * time.Millisecond)
+		b.SetReadDeadline(first)
+		blocked = goRead(b, 8)
+		waitParked(t, b, 1)
+		second := first.Add(60 * time.Millisecond)
+		b.SetReadDeadline(second)
+		select {
+		case r := <-blocked:
+			if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+				t.Fatalf("Read under an extended deadline = %q, %v; want os.ErrDeadlineExceeded", r.data, r.err)
+			}
+			if early := second.Sub(time.Now()); early > 0 {
+				t.Fatalf("Read ended %v before its extended deadline", early)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Read still waits 10 s after its extended deadline")
+		}
+	})
+
+	t.Run("close-stops-timer", func(t *testing.T) {
+		a, b := memPipe()
+		defer a.Close()
+		rx := b.(*memConn).rx
+		b.SetReadDeadline(time.Now().Add(time.Hour))
+		blocked := goRead(b, 8)
+		waitParked(t, b, 1)
+		b.Close()
+		if r := <-blocked; !errors.Is(r.err, io.ErrClosedPipe) {
+			t.Fatalf("Read under a deadline after Close = %v, want io.ErrClosedPipe", r.err)
+		}
+		// A callback run that was already due when Close stopped the
+		// timer, and that takes the lock before the Reads Close woke
+		// have left, must not re-arm it; nor may a Read after Close.
+		rx.mu.Lock()
+		rx.waiting++
+		rx.mu.Unlock()
+		rx.fire()
+		rx.mu.Lock()
+		rx.waiting--
+		rx.mu.Unlock()
+		if _, err := b.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("Read after Close = %v, want io.ErrClosedPipe", err)
+		}
+		if timerArmed(rx) {
+			t.Fatal("read timer armed after Close")
+		}
+
+		// The peer's Close stops it too: no Read waits on a direction
+		// whose writer has closed.
+		a, b = memPipe()
+		defer b.Close()
+		b.SetReadDeadline(time.Now().Add(time.Hour))
+		blocked = goRead(b, 8)
+		waitParked(t, b, 1)
+		a.Close()
+		if r := <-blocked; r.err != io.EOF {
+			t.Fatalf("Read under a deadline after the peer's Close = %v, want io.EOF", r.err)
+		}
+		if timerArmed(b.(*memConn).rx) {
+			t.Fatal("read timer armed after the peer's Close")
+		}
+	})
+
+	t.Run("concurrent-deadlines-close", func(t *testing.T) {
+		a, b := memPipe()
+		const workers = 4
+		var readers, others sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				buf := make([]byte, 8)
+				for {
+					_, err := b.Read(buf)
+					if errors.Is(err, io.ErrClosedPipe) {
+						return
+					}
+					// io.EOF: a closed before b.
+					if err != nil && err != io.EOF && !errors.Is(err, os.ErrDeadlineExceeded) {
+						t.Errorf("Read = %v", err)
+						return
+					}
+				}
+			}()
+			others.Add(1)
+			go func(g int) {
+				defer others.Done()
+				for i := 0; i < 50; i++ {
+					// A mix of no deadline, past, near and far deadlines.
+					var dl time.Time
+					if k := (i + g) % 4; k > 0 {
+						dl = time.Now().Add(time.Duration(k-2) * time.Millisecond)
+					}
+					b.SetReadDeadline(dl)
+					if i%8 == g {
+						a.Write([]byte{byte(i)})
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}(g)
+		}
+		others.Wait()
+		for _, c := range []net.Conn{a, b, b} {
+			others.Add(1)
+			go func(c net.Conn) {
+				defer others.Done()
+				c.Close()
+			}(c)
+		}
+		done := make(chan struct{})
+		go func() {
+			readers.Wait()
+			others.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Reads still wait 10 s after Close")
+		}
+		if timerArmed(a.(*memConn).rx) || timerArmed(b.(*memConn).rx) {
+			t.Fatal("read timer armed after Close")
+		}
+	})
 }
 
 // FuzzMemConn drives one memPipe with fuzz-chosen writes, reads and an
@@ -243,7 +438,9 @@ func TestMemPipe(t *testing.T) {
 // The reader must see exactly the accepted writes, in order, and then
 // io.EOF (writer closed) or io.ErrClosedPipe (reader closed). Every
 // read either has bytes buffered or a close or an expired deadline to
-// return on, so nothing waits. The seed corpus is checked in under
+// return on, so nothing waits. As no Read waits, none arms the read
+// timer, and an expired deadline fails on the Read's own clock check
+// instead of parking until a due timer's callback runs. The seed corpus is checked in under
 // testdata/fuzz/FuzzMemConn.
 func FuzzMemConn(f *testing.F) {
 	// pattern[i] == byte(i): a write starting at byte value v is

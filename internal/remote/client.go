@@ -45,7 +45,7 @@ func (c *Client) Provider() string { return c.provider }
 // exchange sends one challenge and reads the device's reply (no
 // deadline handling and no verification; the callers wrap it).
 func (c *Client) exchange(conn net.Conn, trunc, nonce uint64) (trusted.Quote, error) {
-	payload, err := marshalChallenge(Challenge{
+	frame, err := challengeFrame(Challenge{
 		Provider: c.provider,
 		TruncID:  trunc,
 		Nonce:    nonce,
@@ -53,7 +53,7 @@ func (c *Client) exchange(conn net.Conn, trunc, nonce uint64) (trusted.Quote, er
 	if err != nil {
 		return trusted.Quote{}, err
 	}
-	if err := writeFrame(conn, MsgChallenge, payload); err != nil {
+	if err := sendFrame(conn, frame); err != nil {
 		return trusted.Quote{}, err
 	}
 	typ, resp, err := readFrame(conn)
@@ -146,14 +146,12 @@ func (c *Client) Refuse(conn net.Conn, reason string) error {
 // failed verdict surfaces on the device as ErrDenied wrapping reason.
 func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
 	return withDeadline(conn, c.opt.Timeout, func() error {
-		payload := make([]byte, 0, 1+len(reason))
 		var p byte
 		if pass {
 			p = 1
 		}
-		payload = append(payload, p)
-		payload = append(payload, reason...)
-		return writeFrame(conn, MsgVerdict, payload)
+		frame := append(newFrame(MsgVerdict, 1+len(reason)), p)
+		return sendFrame(conn, append(frame, reason...))
 	})
 }
 

@@ -27,6 +27,12 @@ func FuzzReadFrame(f *testing.F) {
 	// Declared huge, body tiny (must not allocate per the prefix and
 	// must not hang).
 	f.Add(frame(0xFFFFFFFF, []byte{1, 2, 3}))
+	// Frames just below, at and just above frameInline: the first two
+	// read their body into the header's allocation, the third allocates
+	// its own.
+	for _, n := range []int{frameInline - 1, frameInline, frameInline + 1} {
+		f.Add(frame(uint32(n), append([]byte{MsgQuote}, make([]byte, n-1)...)))
+	}
 	// Truncated header and truncated body.
 	f.Add([]byte{5, 0})
 	f.Add(frame(10, []byte{MsgError, 'x'}))
@@ -54,16 +60,16 @@ func FuzzReadFrame(f *testing.F) {
 
 func FuzzUnmarshalChallenge(f *testing.F) {
 	// Valid challenge.
-	if b, err := marshalChallenge(Challenge{Provider: "oem", TruncID: 1, Nonce: 2}); err == nil {
-		f.Add(b)
+	if b, err := challengeFrame(Challenge{Provider: "oem", TruncID: 1, Nonce: 2}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// Empty provider.
-	if b, err := marshalChallenge(Challenge{}); err == nil {
-		f.Add(b)
+	if b, err := challengeFrame(Challenge{}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// Maximum provider length.
-	if b, err := marshalChallenge(Challenge{Provider: string(make([]byte, 255))}); err == nil {
-		f.Add(b)
+	if b, err := challengeFrame(Challenge{Provider: string(make([]byte, 255))}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// Length byte promising more than the buffer holds.
 	f.Add([]byte{255, 'a', 'b'})
@@ -76,11 +82,11 @@ func FuzzUnmarshalChallenge(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, merr := marshalChallenge(c)
+		b, merr := challengeFrame(c)
 		if merr != nil {
 			t.Fatalf("accepted challenge cannot be re-marshaled: %v", merr)
 		}
-		if !bytes.Equal(b, data) {
+		if b = b[frameHeader:]; !bytes.Equal(b, data) {
 			t.Fatalf("challenge round-trip mismatch: %x != %x", b, data)
 		}
 	})
@@ -88,21 +94,21 @@ func FuzzUnmarshalChallenge(f *testing.F) {
 
 func FuzzUnmarshalHello(f *testing.F) {
 	// Valid hello.
-	if b, err := marshalHello(Hello{Device: "dev-1", Provider: "oem", TruncID: 7, Session: 3}); err == nil {
-		f.Add(b)
+	if b, err := helloFrame(Hello{Device: "dev-1", Provider: "oem", TruncID: 7, Session: 3}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// A trailer that is exactly one session-ordinal short — the
 	// pre-session wire form, which the current decoder must reject.
-	if b, err := marshalHello(Hello{Device: "dev-1", Provider: "oem", TruncID: 7}); err == nil {
-		f.Add(b[:len(b)-8])
+	if b, err := helloFrame(Hello{Device: "dev-1", Provider: "oem", TruncID: 7}); err == nil {
+		f.Add(b[frameHeader : len(b)-8])
 	}
 	// Empty fields.
-	if b, err := marshalHello(Hello{}); err == nil {
-		f.Add(b)
+	if b, err := helloFrame(Hello{}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// Maximum field lengths.
-	if b, err := marshalHello(Hello{Device: string(make([]byte, 255)), Provider: string(make([]byte, 255))}); err == nil {
-		f.Add(b)
+	if b, err := helloFrame(Hello{Device: string(make([]byte, 255)), Provider: string(make([]byte, 255))}); err == nil {
+		f.Add(b[frameHeader:])
 	}
 	// Length bytes promising more than the buffer holds.
 	f.Add([]byte{255, 'a'})
@@ -116,11 +122,11 @@ func FuzzUnmarshalHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, merr := marshalHello(h)
+		b, merr := helloFrame(h)
 		if merr != nil {
 			t.Fatalf("accepted hello cannot be re-marshaled: %v", merr)
 		}
-		if !bytes.Equal(b, data) {
+		if b = b[frameHeader:]; !bytes.Equal(b, data) {
 			t.Fatalf("hello round-trip mismatch: %x != %x", b, data)
 		}
 	})

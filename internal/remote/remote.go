@@ -87,31 +87,61 @@ var (
 	ErrDenied = errors.New("remote: verifier denied attestation")
 )
 
+// frameHeader is a frame's bytes before its payload: the 4-byte length
+// and the type byte.
+const frameHeader = 5
+
+// frameInline is the largest frame length, type byte included, whose
+// body readFrame reads into the allocation that holds its header. It
+// covers every frame of a session; the largest, a quote, is 49 bytes,
+// and 4+frameInline fills a 64-byte allocation.
+const frameInline = 60
+
+// newFrame starts a frame of type typ with room for a size-byte
+// payload: append the payload, then send it with sendFrame.
+func newFrame(typ byte, size int) []byte {
+	frame := make([]byte, frameHeader, frameHeader+size)
+	frame[4] = typ
+	return frame
+}
+
+// sendFrame fills in the length of a frame started by newFrame and sends
+// it with a single Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	if len(frame)-4 > DefaultMaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
+	return err
+}
+
 // writeFrame sends one framed message no larger than DefaultMaxFrame
 // with a single Write of header and payload.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > DefaultMaxFrame {
 		return ErrFrameTooLarge
 	}
-	frame := make([]byte, 5, 5+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)+1))
-	frame[4] = typ
-	_, err := w.Write(append(frame, payload...))
-	return err
+	return sendFrame(w, append(newFrame(typ, len(payload)), payload...))
 }
 
 // readFrame receives one framed message, rejecting frames larger than
-// DefaultMaxFrame before allocating.
+// DefaultMaxFrame before allocating for their body. A frame of up to
+// frameInline bytes costs one allocation: its header and body share it.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := make([]byte, 4+frameInline)
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n == 0 || n > DefaultMaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
+	if n <= frameInline {
+		buf = buf[4 : 4+n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
@@ -130,12 +160,13 @@ type Challenge struct {
 	Nonce uint64
 }
 
-// marshalChallenge encodes a challenge payload.
-func marshalChallenge(c Challenge) ([]byte, error) {
+// challengeFrame encodes c as a MsgChallenge frame for sendFrame; its
+// payload is frame[frameHeader:].
+func challengeFrame(c Challenge) ([]byte, error) {
 	if len(c.Provider) > 255 {
 		return nil, fmt.Errorf("%w: provider name too long", ErrBadMessage)
 	}
-	out := make([]byte, 0, 1+len(c.Provider)+16)
+	out := newFrame(MsgChallenge, 1+len(c.Provider)+16)
 	out = append(out, byte(len(c.Provider)))
 	out = append(out, c.Provider...)
 	out = binary.LittleEndian.AppendUint64(out, c.TruncID)
@@ -180,12 +211,13 @@ type Hello struct {
 	Session uint64
 }
 
-// marshalHello encodes a hello payload.
-func marshalHello(h Hello) ([]byte, error) {
+// helloFrame encodes h as a MsgHello frame for sendFrame; its payload
+// is frame[frameHeader:].
+func helloFrame(h Hello) ([]byte, error) {
 	if len(h.Device) > 255 || len(h.Provider) > 255 {
 		return nil, fmt.Errorf("%w: hello field too long", ErrBadMessage)
 	}
-	out := make([]byte, 0, 2+len(h.Device)+len(h.Provider)+16)
+	out := newFrame(MsgHello, 2+len(h.Device)+len(h.Provider)+16)
 	out = append(out, byte(len(h.Device)))
 	out = append(out, h.Device...)
 	out = append(out, byte(len(h.Provider)))

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -229,18 +230,32 @@ func TestServeOverTCP(t *testing.T) {
 	}
 }
 
+// sendAndRead sends an encoded frame through sendFrame and reads it
+// back with readFrame; ok is false if either step fails.
+func sendAndRead(frame []byte, err error) (typ byte, payload []byte, ok bool) {
+	if err != nil {
+		return 0, nil, false
+	}
+	var wire bytes.Buffer
+	if err := sendFrame(&wire, frame); err != nil {
+		return 0, nil, false
+	}
+	typ, payload, err = readFrame(&wire)
+	return typ, payload, err == nil && wire.Len() == 0
+}
+
 func TestChallengeRoundTripQuick(t *testing.T) {
 	f := func(provider string, trunc, nonce uint64) bool {
 		if len(provider) > 255 {
 			provider = provider[:255]
 		}
 		c := Challenge{Provider: provider, TruncID: trunc, Nonce: nonce}
-		b, err := marshalChallenge(c)
-		if err != nil {
+		typ, payload, ok := sendAndRead(challengeFrame(c))
+		if !ok {
 			return false
 		}
-		out, err := unmarshalChallenge(b)
-		return err == nil && out == c
+		out, err := unmarshalChallenge(payload)
+		return err == nil && typ == MsgChallenge && out == c
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -256,12 +271,12 @@ func TestHelloRoundTripQuick(t *testing.T) {
 			provider = provider[:255]
 		}
 		h := Hello{Device: device, Provider: provider, TruncID: trunc, Session: session}
-		b, err := marshalHello(h)
-		if err != nil {
+		typ, payload, ok := sendAndRead(helloFrame(h))
+		if !ok {
 			return false
 		}
-		out, err := unmarshalHello(b)
-		return err == nil && out == h
+		out, err := unmarshalHello(payload)
+		return err == nil && typ == MsgHello && out == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,13 @@ const DefaultIOTimeout = 2 * time.Second
 var ErrTimeout = errors.New("remote: i/o timeout")
 
 // wrapTimeout rewraps network timeout errors in ErrTimeout, leaving
-// everything else (including io.EOF) untouched.
+// everything else (including io.EOF) untouched. A nil error returns
+// before errors.As, whose target escapes: an exchange that succeeds
+// allocates nothing here.
 func wrapTimeout(err error) error {
+	if err == nil {
+		return nil
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return fmt.Errorf("%w: %w", ErrTimeout, err)

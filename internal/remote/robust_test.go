@@ -3,7 +3,9 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,22 @@ func TestAttestTimesOutOnSilentPeer(t *testing.T) {
 	_, err := c.Attest(verConn, e.ID, 1)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+}
+
+// TestWrapTimeout: a nil error passes through without allocating, a
+// network timeout is wrapped in ErrTimeout and keeps its cause, and any
+// other error is returned as it is.
+func TestWrapTimeout(t *testing.T) {
+	var sink error
+	if n := testing.AllocsPerRun(100, func() { sink = wrapTimeout(nil) }); n != 0 || sink != nil {
+		t.Fatalf("wrapTimeout(nil) = %v with %v allocations, want nil with 0", sink, n)
+	}
+	if err := wrapTimeout(os.ErrDeadlineExceeded); !errors.Is(err, ErrTimeout) || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("wrapTimeout(os.ErrDeadlineExceeded) = %v, want ErrTimeout wrapping it", err)
+	}
+	if err := wrapTimeout(io.EOF); err != io.EOF {
+		t.Fatalf("wrapTimeout(io.EOF) = %v, want io.EOF", err)
 	}
 }
 

@@ -132,11 +132,11 @@ func (s *Server) AttestTo(conn net.Conn, h Hello) error {
 	start := s.now()
 	s.emitSession(h, start, trace.Str("phase", "hello"), trace.Str("provider", h.Provider))
 	err := withDeadline(conn, s.opt.Timeout, func() error {
-		payload, err := marshalHello(h)
+		frame, err := helloFrame(h)
 		if err != nil {
 			return err
 		}
-		if err := writeFrame(conn, MsgHello, payload); err != nil {
+		if err := sendFrame(conn, frame); err != nil {
 			return err
 		}
 		typ, resp, err := readFrame(conn)
