@@ -83,8 +83,7 @@ type faultLoad struct {
 }
 
 // bootFaultLoad boots the cell under supervision (2 restarts, 20,000
-// cycles apart, checked every 2 ticks), loads the task src, then the
-// watched patsy.
+// cycles apart), loads the task src, then the watched patsy.
 func (e *ScenarioEnv) bootFaultLoad(src string) (*faultLoad, error) {
 	if err := e.boot(core.Options{}); err != nil {
 		return nil, err
@@ -92,7 +91,6 @@ func (e *ScenarioEnv) bootFaultLoad(src string) (*faultLoad, error) {
 	if _, err := e.P.EnableSupervision(trusted.SupervisorPolicy{
 		MaxRestarts:  2,
 		RestartDelay: 20_000,
-		CheckPeriod:  2 * core.DefaultTickPeriod,
 	}); err != nil {
 		return nil, err
 	}

@@ -683,7 +683,6 @@ func scenarioQuarantinedRefused(e *ScenarioEnv) error {
 	if _, err := e.P.EnableSupervision(trusted.SupervisorPolicy{
 		MaxRestarts:  1,
 		RestartDelay: 10_000,
-		CheckPeriod:  2 * core.DefaultTickPeriod,
 	}); err != nil {
 		return err
 	}

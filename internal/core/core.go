@@ -284,10 +284,18 @@ func (p *Platform) LoadTaskSync(im *telf.Image, kind rtos.TaskKind, prio int) (*
 // control tasks of Table 1 on deadline while a 27.8 ms load is in
 // flight. Observe completion through the returned request.
 func (p *Platform) LoadTaskAsync(im *telf.Image, kind rtos.TaskKind, prio int) *LoadRequest {
+	return p.loadAsync(im, kind, prio, nil)
+}
+
+// loadAsync is LoadTaskAsync with a done callback (nil for none), called
+// once when the load ends.
+func (p *Platform) loadAsync(im *telf.Image, kind rtos.TaskKind, prio int, done func(*rtos.TCB, error)) *LoadRequest {
 	req := newLoadRequest(im, kind, prio)
+	req.done = done
 	if p.staticOnly {
 		req.phase = LoadFailed
 		req.err = ErrStaticConfig
+		req.end()
 		return req
 	}
 	p.loader.enqueue(req)

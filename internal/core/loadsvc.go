@@ -107,6 +107,7 @@ type LoadRequest struct {
 	identity sha1.Digest
 	report   *sverify.Report // verification report (strict gate only)
 	err      error
+	done     func(*rtos.TCB, error) // called once when the load ends (may be nil)
 
 	// StartCycle is when the loader began work; EndCycle when the task
 	// became schedulable.
@@ -134,6 +135,14 @@ func (r *LoadRequest) Task() *rtos.TCB { return r.tcb }
 
 // Identity returns the measured identity (secure tasks only).
 func (r *LoadRequest) Identity() sha1.Digest { return r.identity }
+
+// end hands the load's outcome to its done callback, if any: the new
+// task, schedulable but not yet run, or the error that ended the load.
+func (r *LoadRequest) end() {
+	if r.done != nil {
+		r.done(r.tcb, r.err)
+	}
+}
 
 // loaderService is the OS's background loading task.
 type loaderService struct {
@@ -242,6 +251,7 @@ func (s *loaderService) fail(req *LoadRequest, err error) uint64 {
 	} else if req.base != 0 {
 		s.p.K.Alloc.Free(req.base)
 	}
+	req.end()
 	return used
 }
 
@@ -391,6 +401,7 @@ func (s *loaderService) advance(req *LoadRequest, budget uint64) uint64 {
 				trace.Num("total", b.Total()),
 				trace.Num("latency", req.EndCycle-req.StartCycle))
 		}
+		req.end()
 		return 0
 	}
 	return 0

@@ -22,9 +22,9 @@ const supervisorPriority = 6
 var ErrNoSupervisor = errors.New("core: supervision not enabled")
 
 // Reload implements trusted.Reloader: a supervisor restart is a normal
-// asynchronous load.
-func (p *Platform) Reload(im *telf.Image, kind rtos.TaskKind, prio int) trusted.ReloadTicket {
-	return p.LoadTaskAsync(im, kind, prio)
+// asynchronous load that calls done when it ends.
+func (p *Platform) Reload(im *telf.Image, kind rtos.TaskKind, prio int, done func(*rtos.TCB, error)) {
+	p.loadAsync(im, kind, prio, done)
 }
 
 // EnableSupervision boots the trusted supervisor as a service task and
@@ -36,8 +36,8 @@ func (p *Platform) EnableSupervision(pol trusted.SupervisorPolicy) (*trusted.Sup
 	if p.Sup != nil {
 		return p.Sup, nil
 	}
-	sup := trusted.NewSupervisor(p.K, p.C.Attest, p, pol)
-	if _, err := sup.Attach(supervisorPriority); err != nil {
+	sup, err := trusted.NewSupervisor(p.K, p.C.Attest, p, pol, supervisorPriority)
+	if err != nil {
 		return nil, err
 	}
 	p.Sup = sup

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/rtos"
@@ -236,5 +237,136 @@ func TestExitInfoQueryAPI(t *testing.T) {
 	}
 	if hrec.Reason.Cause.IsFault() {
 		t.Error("voluntary exit classified as fault")
+	}
+}
+
+// TestSupervisorIdleNeverRuns: watching a healthy task is free. The
+// supervisor runs only on a fault exit, a due restart or a finished
+// reload, so over 100 ticks of a healthy watched task it is never
+// dispatched and charges no cycle.
+func TestSupervisorIdleNeverRuns(t *testing.T) {
+	p := supervisedPlatform(t, trusted.SupervisorPolicy{})
+	tcb, _, err := p.LoadTaskSync(mustImage(t, monitorTaskSrc), Secure, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Watch(tcb.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(100 * DefaultTickPeriod); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := p.Sup.Status("monitor"); st.State != trusted.WatchHealthy || tcb.Activations < 100 {
+		t.Fatalf("monitor: status %+v, %d activations; want healthy and running every tick", st, tcb.Activations)
+	}
+	for _, task := range p.K.Tasks() {
+		if task.Name != "supervisor" {
+			continue
+		}
+		if task.Activations != 0 || task.CPUCycles != 0 {
+			t.Errorf("idle supervisor: %d activations, %d cycles; want 0, 0", task.Activations, task.CPUCycles)
+		}
+		return
+	}
+	t.Fatal("no supervisor task")
+}
+
+// instantSrc faults on its first store, so each incarnation dies in its
+// first dispatch after the load makes it schedulable.
+const instantSrc = `
+.task "instant"
+.entry main
+.stack 128
+.bss 28
+.text
+main:
+    ldi32 r1, 0x6000      ; Int Mux base: trusted, never writable
+    st [r1+0], r1
+    svc 1
+`
+
+// TestSupervisorAdoptsInstantCrash: an incarnation that outranks the
+// supervisor and crashes before the supervisor next runs is still
+// adopted. Every restart is bound to its new task when the reload ends,
+// so each "restart" is followed by "restarted" before the next "fault",
+// and the quarantined status names the last incarnation.
+func TestSupervisorAdoptsInstantCrash(t *testing.T) {
+	p := supervisedPlatform(t, trusted.SupervisorPolicy{MaxRestarts: 2, RestartDelay: 10_000})
+	tcb, _, err := p.LoadTaskSync(mustImage(t, instantSrc), Secure, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Watch(tcb.ID); err != nil {
+		t.Fatal(err)
+	}
+	quarantined := func() bool {
+		st, _ := p.Sup.Status("instant")
+		return st.State == trusted.WatchQuarantined
+	}
+	if !runUntil(t, p, 5_000_000, quarantined) {
+		t.Fatalf("never quarantined; events %+v", p.Sup.Events())
+	}
+
+	var whats []string
+	for _, e := range p.Sup.Events() {
+		whats = append(whats, e.What)
+	}
+	want := []string{"fault", "restart", "restarted", "fault", "restart", "restarted", "fault", "quarantine"}
+	if !slices.Equal(whats, want) {
+		t.Errorf("audit log = %v, want %v", whats, want)
+	}
+
+	var last rtos.ExitRecord
+	for _, rec := range p.K.Exits() {
+		if rec.Name == "instant" {
+			last = rec
+		}
+	}
+	if st, _ := p.Sup.Status("instant"); st.TaskID != last.ID || st.TaskID == tcb.ID {
+		t.Errorf("quarantined status names task %d; the last incarnation is %d (first %d)", st.TaskID, last.ID, tcb.ID)
+	}
+}
+
+// TestSupervisorFailedReloads: on a statically configured platform
+// every reload fails at once, inside the supervisor's own step. Each
+// failure schedules the next attempt until the budget is spent, then
+// the identity is quarantined.
+func TestSupervisorFailedReloads(t *testing.T) {
+	p, err := NewPlatform(Options{Static: []StaticTask{{Image: mustImage(t, instantSrc), Kind: Secure, Prio: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableSupervision(trusted.SupervisorPolicy{MaxRestarts: 2, RestartDelay: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+	var static *rtos.TCB
+	for _, task := range p.K.Tasks() {
+		if task.Name == "instant" {
+			static = task
+		}
+	}
+	if err := p.Watch(static.ID); err != nil {
+		t.Fatal(err)
+	}
+	quarantined := func() bool {
+		st, _ := p.Sup.Status("instant")
+		return st.State == trusted.WatchQuarantined
+	}
+	if !runUntil(t, p, 5_000_000, quarantined) {
+		t.Fatalf("never quarantined; events %+v", p.Sup.Events())
+	}
+	var whats []string
+	for _, e := range p.Sup.Events() {
+		whats = append(whats, e.What)
+		if e.What == "restart-failed" && e.Detail != ErrStaticConfig.Error() {
+			t.Errorf("restart-failed detail = %q, want %q", e.Detail, ErrStaticConfig)
+		}
+	}
+	want := []string{"fault", "restart", "restart-failed", "restart", "restart-failed", "quarantine"}
+	if !slices.Equal(whats, want) {
+		t.Errorf("audit log = %v, want %v", whats, want)
+	}
+	if c := p.Sup.Counts(); c.Restarts != 2 || c.RestartFailures != 2 || c.Quarantines != 1 {
+		t.Errorf("counts = %+v, want 2 restarts, 2 failures, 1 quarantine", c)
 	}
 }

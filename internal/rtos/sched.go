@@ -234,9 +234,9 @@ func (k *Kernel) dispatch(limit uint64) {
 			if k.current == t {
 				k.current = nil
 				t.State = StateBlocked
-				// A service that wants a periodic wakeup (the trusted
-				// supervisor's check) publishes the next cycle it needs to
-				// run at; the scheduler treats it like a delayed task.
+				// A service with timed work (the trusted supervisor's
+				// due restarts) publishes the next cycle it needs to run
+				// at; the scheduler treats it like a delayed task.
 				if w, ok := t.Service.(interface{ NextWake() uint64 }); ok {
 					t.wakeAt = w.NextWake()
 				}
