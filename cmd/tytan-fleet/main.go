@@ -7,7 +7,9 @@
 // of the flags, so the same invocation renders byte-identical output
 // no matter how the shards and acceptors are scheduled. The telemetry
 // flags are observational only — they never change the report or the
-// event stream (the TestFleetTraceCheck contract).
+// event stream (the TestFleetTraceCheck contract) — and their exports
+// are deterministic too: -trace, -metrics and -flight write the same
+// bytes for the same flags.
 //
 // Usage:
 //

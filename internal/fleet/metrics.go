@@ -1,17 +1,13 @@
 package fleet
 
-import (
-	"strconv"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Metrics builds the plane's Prometheus registry, a fresh one on every
 // call: session-outcome and appraisal-cache counters, registry census
-// gauges per device state, one state gauge per registered device,
-// per-acceptor utilization, and the two session-duration histograms
-// (device cycles — deterministic, fed via ObserveSessionCycles — and
-// host ns, fed live when a Clock is set).
+// gauges per device state, one state gauge per registered device, and
+// the two session-duration histograms (device cycles — deterministic,
+// fed via ObserveSessionCycles — and host ns, fed live when a Clock is
+// set).
 //
 // Gauges are the counts read at the call, so serving /metrics costs the
 // attestation path nothing and every device registered by then has its
@@ -51,12 +47,6 @@ func (p *Plane) Metrics() *trace.Registry {
 	r.Gauge("tytan_fleet_provider_info",
 		"constant 1; the provider label names the plane's verification key",
 		1, trace.Label{Key: "provider", Value: p.client.Provider()})
-
-	for i, n := range p.AcceptorSessions() {
-		r.Gauge("tytan_fleet_acceptor_sessions",
-			"sessions served per acceptor slot (pool utilization)",
-			n, trace.Label{Key: "acceptor", Value: strconv.Itoa(i)})
-	}
 
 	r.AttachHistogram("tytan_fleet_session_cycles",
 		"end-to-end session duration in device cycles (hello to verdict, device side)",

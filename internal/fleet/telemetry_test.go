@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -231,7 +232,6 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`tytan_fleet_sessions{outcome="attested"} 0`,
 		`tytan_fleet_cache{result="miss"} 0`,
 		`tytan_fleet_devices{state="healthy"} 1`,
-		`tytan_fleet_acceptor_sessions{acceptor="1"} 0`,
 		`tytan_fleet_session_cycles_bucket{le="25000"} 1`,
 		`tytan_fleet_session_cycles_bucket{le="+Inf"} 2`,
 		`tytan_fleet_session_cycles_count 2`,
@@ -319,15 +319,25 @@ func TestFleetMetricsEndToEnd(t *testing.T) {
 	if got, want := sessionCycleLines(aloneBuf.String()), sessionCycleLines(out); got != want || want == "" {
 		t.Errorf("metrics-only histogram:\n%s\nwant (timeline on):\n%s", got, want)
 	}
-	// The per-acceptor split is nondeterministic; the sum is the session
-	// total.
-	var acceptorSum uint64
-	for _, n := range res.Plane.AcceptorSessions() {
-		acceptorSum += n
-	}
-	if acceptorSum != rep.Sessions {
-		t.Errorf("acceptor sessions sum = %d, want %d", acceptorSum, rep.Sessions)
-	}
+}
+
+// TestFleetMetricsCheck pins the metrics exposition: like the report,
+// it is a function of the config alone, the same bytes however the
+// shards and acceptors are scheduled.
+func TestFleetMetricsCheck(t *testing.T) {
+	contract.Check(t, contract.Row{Name: "fleet-metrics", Axes: []contract.Axis{contract.Over("shards/listeners", "3/2", "8/6")}, Produce: func(t *testing.T, at contract.Point) []byte {
+		cfg := telemetryConfig()
+		fmt.Sscanf(at["shards/listeners"], "%d/%d", &cfg.Shards, &cfg.Listeners)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := res.Telemetry.Metrics.WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}})
 }
 
 func uitoa(n uint64) string { return strconv.FormatUint(n, 10) }
