@@ -49,14 +49,18 @@ examples:
 # The suite carries every byte-identity contract as a row of
 # internal/contract — chaos and scenario determinism, engine
 # equivalence, observability and fleet telemetry zero impact, fleet
-# shard independence, the tytan-sim and tytan-analyze exports and the
+# shard independence, the fleet metrics exposition at every pool size
+# (fleet-metrics), the tytan-sim and tytan-analyze exports and the
 # resource bounds — each pinned to a SHA-256 line in its package's
-# testdata/contract.sum. The race leg also holds the fleet telemetry
-# run to its bytes-per-session budget (TestTelemetryAllocBudget) and
-# stresses memPipe's read timer with ten repeated runs of its deadline
-# tests. Run
-# one gate with e.g. `go test -race -run TestFleetCheck
-# ./internal/fleet`. Host-clock timing lives in bench/.
+# testdata/contract.sum. The suite also holds the supervisor to running
+# on events only: never while its tasks are healthy
+# (TestSupervisorIdleNeverRuns) and binding each restart before the new
+# task runs (TestSupervisorAdoptsInstantCrash). The race leg also holds
+# the fleet telemetry run to its bytes-per-session budget
+# (TestTelemetryAllocBudget) and stresses memPipe's read timer with ten
+# repeated runs of its deadline tests. Run one gate with e.g.
+# `go test -race -run TestFleetCheck ./internal/fleet`. Host-clock
+# timing lives in bench/.
 check: build vet lint race examples
 
 # fuzz runs each of the repo's eight fuzzers for 30 s in turn. It is a

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -202,10 +203,12 @@ func TestPlaneQuarantinedRefusal(t *testing.T) {
 	if d, _ := reg.Lookup("dev-0000"); d.Refusals != 1 {
 		t.Fatalf("registry refusals = %d, want 1", d.Refusals)
 	}
-	ev, ok := buf.First(trace.KindFleet, "dev-0000")
-	if !ok {
+	emitted := buf.Events()
+	i := slices.IndexFunc(emitted, func(e trace.Event) bool { return e.Kind == trace.KindFleet && e.Subject == "dev-0000" })
+	if i < 0 {
 		t.Fatalf("no KindFleet event for dev-0000; buffer:\n%s", buf.String())
 	}
+	ev := emitted[i]
 	if ev.Sub != trace.SubFleet {
 		t.Fatalf("event subsystem = %v, want SubFleet", ev.Sub)
 	}

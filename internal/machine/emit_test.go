@@ -83,7 +83,8 @@ func TestEmitAllocs(t *testing.T) {
 	if got := buf.Len(); got != events {
 		t.Fatalf("buffer holds %d events, want %d", got, events)
 	}
-	if e, _ := buf.Last(trace.KindTaskSwitch, "task"); len(e.Attrs) != 2 || e.Attrs[0].Num != events-1 {
-		t.Errorf("last event attrs = %v, want id=%d prio=3", e.Attrs, events-1)
+	got := buf.Events()
+	if last := got[len(got)-1]; len(last.Attrs) != 2 || last.Attrs[0].Num != events-1 {
+		t.Errorf("last event attrs = %v, want id=%d prio=3", last.Attrs, events-1)
 	}
 }

@@ -28,24 +28,6 @@ func (r refBuffer) rateKHz(kind Kind, subject string, from, to, clockHz uint64) 
 	return float64(r.count(kind, subject, from, to)) / (float64(to-from) / float64(clockHz)) / 1000
 }
 
-func (r refBuffer) first(kind Kind, subject string) (Event, bool) {
-	for _, e := range r {
-		if e.Kind == kind && e.Subject == subject {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-func (r refBuffer) last(kind Kind, subject string) (Event, bool) {
-	for i := len(r) - 1; i >= 0; i-- {
-		if r[i].Kind == kind && r[i].Subject == subject {
-			return r[i], true
-		}
-	}
-	return Event{}, false
-}
-
 func (r refBuffer) gaps(kind Kind, subject string) []uint64 {
 	var out []uint64
 	var prev uint64
@@ -136,16 +118,6 @@ func TestBufferChunkBoundaries(t *testing.T) {
 				if got, want := b.RateKHz(q.kind, q.subject, w[0], w[1], 1_000_000), ref.rateKHz(q.kind, q.subject, w[0], w[1], 1_000_000); got != want {
 					t.Errorf("n=%d: RateKHz(%v, %q, %d, %d) = %v, want %v", n, q.kind, q.subject, w[0], w[1], got, want)
 				}
-			}
-			gotE, gotOK := b.First(q.kind, q.subject)
-			wantE, wantOK := ref.first(q.kind, q.subject)
-			if gotOK != wantOK || !reflect.DeepEqual(gotE, wantE) {
-				t.Errorf("n=%d: First(%v, %q) = %v %v, want %v %v", n, q.kind, q.subject, gotE, gotOK, wantE, wantOK)
-			}
-			gotE, gotOK = b.Last(q.kind, q.subject)
-			wantE, wantOK = ref.last(q.kind, q.subject)
-			if gotOK != wantOK || !reflect.DeepEqual(gotE, wantE) {
-				t.Errorf("n=%d: Last(%v, %q) = %v %v, want %v %v", n, q.kind, q.subject, gotE, gotOK, wantE, wantOK)
 			}
 			gaps := ref.gaps(q.kind, q.subject)
 			if got := b.Gaps(q.kind, q.subject); !slices.Equal(got, gaps) {

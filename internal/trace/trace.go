@@ -281,7 +281,7 @@ const (
 )
 
 // Buffer is an append-only in-memory Sink with query helpers (Count,
-// RateKHz, First, Last, Gaps) for tests and for the benchmark's traced
+// RateKHz, Gaps, MaxGap) for tests and for the benchmark's traced
 // use-case replay, which reads its activation rates and t0 gaps through
 // them. The zero value is ready to use. Buffer is safe for concurrent emission; the
 // simulated platform is single-threaded, but the attestation link
@@ -381,35 +381,6 @@ func (b *Buffer) RateKHz(kind Kind, subject string, from, to uint64, clockHz uin
 	n := b.Count(kind, subject, from, to)
 	seconds := float64(to-from) / float64(clockHz)
 	return float64(n) / seconds / 1000
-}
-
-// First returns the first (kind, subject) event, if any.
-func (b *Buffer) First(kind Kind, subject string) (Event, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, c := range b.chunks {
-		for i := range c {
-			if match(&c[i], kind, subject) {
-				return c[i], true
-			}
-		}
-	}
-	return Event{}, false
-}
-
-// Last returns the last (kind, subject) event, if any.
-func (b *Buffer) Last(kind Kind, subject string) (Event, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for ci := len(b.chunks) - 1; ci >= 0; ci-- {
-		c := b.chunks[ci]
-		for i := len(c) - 1; i >= 0; i-- {
-			if match(&c[i], kind, subject) {
-				return c[i], true
-			}
-		}
-	}
-	return Event{}, false
 }
 
 // Gaps returns the cycle distances between consecutive (kind, subject)

@@ -45,19 +45,6 @@ func TestRateKHz(t *testing.T) {
 	}
 }
 
-func TestFirstLast(t *testing.T) {
-	b := sample()
-	if e, ok := b.First(KindLoadPhase, "img"); !ok || e.Cycle != 250 {
-		t.Errorf("First = %+v, %v", e, ok)
-	}
-	if e, ok := b.Last(KindTick, ""); !ok || e.Cycle != 900 {
-		t.Errorf("Last = %+v, %v", e, ok)
-	}
-	if _, ok := b.First(KindIRQ, ""); ok {
-		t.Error("First of absent event")
-	}
-}
-
 func TestGaps(t *testing.T) {
 	b := &Buffer{}
 	for _, c := range []uint64{0, 100, 350, 400} {
@@ -97,7 +84,7 @@ func TestEventsCopy(t *testing.T) {
 	b.Emit(Event{Cycle: 1, Kind: KindCustom, Subject: "a"})
 	ev := b.Events()
 	ev[0].Subject = "mutated"
-	if e, _ := b.First(KindCustom, "a"); e.Subject != "a" {
+	if b.Events()[0].Subject != "a" {
 		t.Error("Events returned aliasing slice")
 	}
 }
