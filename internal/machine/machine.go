@@ -169,7 +169,7 @@ type Machine struct {
 	// generation under which compiled code covers the granule, with
 	// sbLo/sbHi bounding the covered address range so ordinary data
 	// writes cost one range check. sbOff is per-op scratch: the RAM
-	// offset a pre-check validated for the op body that follows it.
+	// offset sbCheckData validated for the op's effect that follows it.
 	sbcache    []sbEntry
 	sbPages    []uint32
 	sbLo, sbHi uint32
@@ -473,9 +473,6 @@ func (m *Machine) SetEIP(v uint32) {
 
 // EFLAGS returns the flags register.
 func (m *Machine) EFLAGS() uint32 { return m.eflags }
-
-// SetEFLAGS sets the flags register.
-func (m *Machine) SetEFLAGS(v uint32) { m.eflags = v }
 
 // SaveContext captures the CPU register state.
 func (m *Machine) SaveContext() Context {

@@ -411,7 +411,7 @@ func TestEnterReturnInterrupt(t *testing.T) {
 	m.SetIDTHandler(3, 0x7000)
 	m.SetReg(isa.SP, 0x3000)
 	m.SetEIP(0x2000)
-	m.SetEFLAGS(isa.FlagZ)
+	m.eflags = isa.FlagZ
 	m.SetInterruptsEnabled(true)
 
 	h, err := m.EnterInterrupt(3)
@@ -429,7 +429,7 @@ func TestEnterReturnInterrupt(t *testing.T) {
 	}
 	// Clobber and restore.
 	m.SetEIP(0x7000)
-	m.SetEFLAGS(0)
+	m.eflags = 0
 	if err := m.ReturnFromInterrupt(); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestContextSaveLoadRoundTrip(t *testing.T) {
 		m.SetReg(isa.Reg(i), uint32(i*11+1))
 	}
 	m.SetEIP(0x1234)
-	m.SetEFLAGS(isa.FlagC)
+	m.eflags = isa.FlagC
 	ctx := m.SaveContext()
 	m.WipeRegisters()
 	for i := 0; i < isa.NumRegs; i++ {

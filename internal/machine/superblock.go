@@ -7,15 +7,17 @@ import (
 	"repro/internal/isa"
 )
 
-// The superblock compiler: threaded-code execution for Run.
+// The superblock compiler: block-at-a-time execution for Run.
 //
 // Once a dispatch PC is hot (sbCompileThreshold), compileBlock walks the
 // straight-line instruction run starting at the dispatch PC — the same
 // block discipline internal/sverify uses, over the loaded bytes instead
-// of the image — and fuses it into a chain of Go closures. Cycle costs
-// are summed at compile time and charged in one add; every load and
-// store keeps a per-op pre-check that can refuse, sending execution
-// back to the interpreter.
+// of the image — and lowers each instruction to an sbOp of plain
+// operands, decoded and with its immediate or branch target worked out
+// once. execBlock runs the op array under a single switch on the
+// opcode. Cycle costs are summed at compile time and charged in one
+// add; every memory op keeps a per-op pre-check that can refuse,
+// sending execution back to the interpreter.
 //
 // The interpreter is the only EA-MPU client. A block reads the
 // interpreter's caches and never asks the unit itself: it dispatches
@@ -30,11 +32,11 @@ import (
 // rows): compilation may only
 // short-circuit host work. The rules that keep it:
 //
-//   - A compiled op never faults. Every memory op carries a
-//     side-effect-free pre-check; if the caches do not already allow
-//     the access, the block bails *before* the op and the interpreter
-//     performs it, reproducing any fault exactly (same PC, same cycle,
-//     same counters).
+//   - A compiled op never faults. Every memory op runs a
+//     side-effect-free pre-check (sbCheckData) before its effect; if
+//     the caches do not already allow the access, the block bails
+//     *before* the op and the interpreter performs it, reproducing any
+//     fault exactly (same PC, same cycle, same counters).
 //   - A block is dispatched only when neither the cycle budget nor the
 //     interrupt-poll watermark can trip at any instruction boundary
 //     inside it (guards on maxCost), so the bulk cycle charge cannot
@@ -73,36 +75,24 @@ const (
 	sbPageBits = 8
 )
 
-// sbStatus is a compiled op's outcome.
-type sbStatus uint8
-
-const (
-	sbNext   sbStatus = iota // fall through to the next fused op
-	sbFall                   // terminator, branch not taken (eip set)
-	sbTaken                  // terminator, branch taken (eip set, +branchTakenExtra)
-	sbBranch                 // terminator, unconditional transfer (eip set)
-)
-
-// sbOp is one fused instruction. pre, when set, validates the op's
-// memory access against the decision cache without side effects
-// visible to the guest (it stashes the validated RAM offset in
-// m.sbOff); returning false bails to the interpreter before the op. fn
-// executes the op and cannot fail.
+// sbOp is one compiled instruction, lowered to plain operands: in
+// supplies the opcode and rd/rs (and is what an OnStep hook observes),
+// imm the one operand worked out at compile time (the sign-extended
+// immediate, LUI/LDI32's constant, or a direct branch or call target),
+// next the fall-through PC (CALL's return address), and cost the base
+// cycle cost.
 type sbOp struct {
-	pc     uint32
-	cost   uint32
-	writes bool
-	term   bool
-	in     isa.Instruction
-	pre    func(m *Machine) bool
-	fn     func(m *Machine) sbStatus
+	in   isa.Instruction
+	pc   uint32
+	next uint32
+	imm  uint32
+	cost uint32
 }
 
 // superblock is one compiled basic block.
 type superblock struct {
 	start   uint32 // PC of the first instruction
 	end     uint32 // last byte of the last fused instruction
-	nextPC  uint32 // resume PC when the block ends without a terminator
 	maxCost uint64 // upper bound on cycles one dispatch can charge
 	ops     []sbOp
 }
@@ -121,8 +111,8 @@ type sbEntry struct {
 
 // sbCompileThreshold is the warm-up gate: a PC is interpreted this many
 // times within a generation before its block is compiled. Compiling
-// costs tens of interpreted instructions and a few closure allocations
-// per op, so it pays only for code that then runs hundreds of times.
+// costs tens of interpreted instructions and a few allocations per
+// block, so it pays only for code that then runs hundreds of times.
 // The EA-MPU is keyed on the executing code region, so context switches
 // do not reprogram it: the generation moves only when rules are
 // installed or cleared (task load and unload, IPC shared-memory
@@ -187,34 +177,32 @@ func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 	return m.execBlock(sb, e.gen)
 }
 
-// execBlock runs a compiled block. When an instruction-trace hook is
-// attached it downshifts to per-op bookkeeping so the hook observes the
-// same (pc, insn, state) sequence Step would give it; otherwise retire
-// and cycle counts are applied in bulk at block exit (the dispatch
-// guards guarantee no poll or budget boundary lies inside).
+// execBlock runs a compiled block: one switch on each op's opcode.
+// When an instruction-trace hook is attached it downshifts to per-op
+// bookkeeping so the hook observes the same (pc, insn, state) sequence
+// Step would give it; otherwise retire and cycle counts are applied in
+// bulk at block exit (the dispatch guards guarantee no poll or budget
+// boundary lies inside).
+//
+// Every load, store, push, pop, call and return checks its access
+// with sbCheckData before its effect. A hooked run checks ahead of the
+// hook (sbPre), so a refused op is observed once, by the interpreter's
+// Step; the switch's own check is then skipped.
 func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 	hooked := m.OnStep != nil
 	ops := sb.ops
-	var n, cost uint64
+	r := &m.regs
+	var cost uint64 // cycles retired ops have not yet charged
 	for i := range ops {
 		op := &ops[i]
-		if op.pre != nil && !op.pre(m) {
-			m.sbBails++
-			if i == 0 {
-				return 0, false // nothing happened; interpreter takes over
-			}
-			prev := ops[i-1].pc
-			m.eip = op.pc
-			m.lastPC = prev
-			m.execPC = prev
-			m.branched = false
-			if !hooked {
-				m.insnRetired += n
-				m.cycles += cost
-			}
-			return n, true
-		}
+		rd, rs := op.in.Rd, op.in.Rs
+		n := uint64(i) + 1
 		if hooked {
+			if !m.sbPre(op) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			m.cycles += cost
+			cost = 0
 			m.eip = op.pc
 			m.insnRetired++
 			if m.OnStep != nil { // the hook may detach itself mid-run
@@ -224,55 +212,183 @@ func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 			m.lastPC = op.pc
 			m.branched = false
 		}
-		st := op.fn(m)
 		c := uint64(op.cost)
-		if st == sbTaken {
-			c += branchTakenExtra
-		}
-		n++
-		if hooked {
-			m.cycles += c
-		} else {
-			cost += c
-		}
-		if st == sbNext {
-			if op.writes && m.gen != gen {
-				// The store landed in compiled code (self-modifying):
-				// every op after it is stale. Split the block here; the
-				// interpreter refetches the next instruction from the
-				// freshly written bytes.
-				m.sbBails++
-				m.eip = op.pc + op.in.Width()
-				m.lastPC = op.pc
-				m.execPC = op.pc
-				m.branched = false
-				if !hooked {
-					m.insnRetired += n
-					m.cycles += cost
-				}
-				return n, true
+		switch op.in.Op {
+		case isa.OpNOP:
+		case isa.OpMOV:
+			r[rd] = r[rs]
+		case isa.OpLDI, isa.OpLUI, isa.OpLDI32:
+			r[rd] = op.imm
+		case isa.OpADD:
+			r[rd] += r[rs]
+		case isa.OpSUB:
+			r[rd] -= r[rs]
+		case isa.OpAND:
+			r[rd] &= r[rs]
+		case isa.OpOR:
+			r[rd] |= r[rs]
+		case isa.OpXOR:
+			r[rd] ^= r[rs]
+		case isa.OpSHL:
+			r[rd] <<= r[rs] & 31
+		case isa.OpSHR:
+			r[rd] >>= r[rs] & 31
+		case isa.OpADDI:
+			r[rd] += op.imm
+		case isa.OpMUL:
+			r[rd] *= r[rs]
+		case isa.OpCMP:
+			m.setFlags(r[rd], r[rs])
+		case isa.OpCMPI:
+			m.setFlags(r[rd], op.imm)
+		case isa.OpLD:
+			if !hooked && !m.sbCheckData(eampu.AccessRead, op.pc, r[rs]+op.imm, 4) {
+				return m.sbBail(ops, i, hooked, cost)
 			}
-			continue
+			r[rd] = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
+		case isa.OpLDB:
+			if !hooked && !m.sbCheckData(eampu.AccessRead, op.pc, r[rs]+op.imm, 1) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			r[rd] = uint32(m.ram[m.sbOff])
+		case isa.OpST:
+			if !hooked && !m.sbCheckData(eampu.AccessWrite, op.pc, r[rd]+op.imm, 4) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			m.noteRAMWrite(int(m.sbOff), 4)
+			binary.LittleEndian.PutUint32(m.ram[m.sbOff:], r[rs])
+			if m.gen != gen {
+				return m.sbSplit(op, n, hooked, cost+c)
+			}
+		case isa.OpSTB:
+			if !hooked && !m.sbCheckData(eampu.AccessWrite, op.pc, r[rd]+op.imm, 1) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			m.noteRAMWrite(int(m.sbOff), 1)
+			m.ram[m.sbOff] = byte(r[rs])
+			if m.gen != gen {
+				return m.sbSplit(op, n, hooked, cost+c)
+			}
+		case isa.OpPUSH:
+			if !hooked && !m.sbCheckData(eampu.AccessWrite, op.pc, r[isa.SP]-4, 4) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			m.noteRAMWrite(int(m.sbOff), 4)
+			binary.LittleEndian.PutUint32(m.ram[m.sbOff:], r[rs])
+			r[isa.SP] -= 4
+			if m.gen != gen {
+				return m.sbSplit(op, n, hooked, cost+c)
+			}
+		case isa.OpPOP:
+			if !hooked && !m.sbCheckData(eampu.AccessRead, op.pc, r[isa.SP], 4) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			r[rd] = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
+			r[isa.SP] += 4
+		case isa.OpJMP:
+			return m.sbExit(op.imm, op.pc, true, hooked, n, cost+c+branchTakenExtra)
+		case isa.OpBEQ:
+			return m.sbBranch(op, m.eflags&isa.FlagZ != 0, hooked, n, cost+c)
+		case isa.OpBNE:
+			return m.sbBranch(op, m.eflags&isa.FlagZ == 0, hooked, n, cost+c)
+		case isa.OpBLT:
+			return m.sbBranch(op, m.eflags&isa.FlagN != 0, hooked, n, cost+c)
+		case isa.OpBGE:
+			return m.sbBranch(op, m.eflags&isa.FlagN == 0, hooked, n, cost+c)
+		case isa.OpBLTU:
+			return m.sbBranch(op, m.eflags&isa.FlagC != 0, hooked, n, cost+c)
+		case isa.OpBGEU:
+			return m.sbBranch(op, m.eflags&isa.FlagC == 0, hooked, n, cost+c)
+		case isa.OpJR:
+			return m.sbExit(r[rs], op.pc, true, hooked, n, cost+c)
+		case isa.OpCALL, isa.OpCALLR:
+			if !hooked && !m.sbCheckData(eampu.AccessWrite, op.pc, r[isa.SP]-4, 4) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			m.noteRAMWrite(int(m.sbOff), 4)
+			binary.LittleEndian.PutUint32(m.ram[m.sbOff:], op.next)
+			r[isa.SP] -= 4
+			target := op.imm
+			if op.in.Op == isa.OpCALLR {
+				target = r[rs]
+			}
+			return m.sbExit(target, op.pc, true, hooked, n, cost+c)
+		case isa.OpRET:
+			if !hooked && !m.sbCheckData(eampu.AccessRead, op.pc, r[isa.SP], 4) {
+				return m.sbBail(ops, i, hooked, cost)
+			}
+			target := binary.LittleEndian.Uint32(m.ram[m.sbOff:])
+			r[isa.SP] += 4
+			return m.sbExit(target, op.pc, true, hooked, n, cost+c)
 		}
-		// Terminator: fn already set eip to the target.
-		m.lastPC = op.pc
-		m.execPC = op.pc
-		m.branched = st != sbFall
-		if !hooked {
-			m.insnRetired += n
-			m.cycles += cost
-		}
-		return n, true
+		cost += c
 	}
 	// Capped block: chain into the next dispatch at the fall-through PC.
-	last := ops[len(ops)-1].pc
-	m.eip = sb.nextPC
+	last := &ops[len(ops)-1]
+	return m.sbExit(last.next, last.pc, false, hooked, uint64(len(ops)), cost)
+}
+
+// sbPre is a hooked run's pre-check: it validates op's memory access,
+// if op has one, exactly as the switch in execBlock would.
+func (m *Machine) sbPre(op *sbOp) bool {
+	r := &m.regs
+	switch op.in.Op {
+	case isa.OpLD:
+		return m.sbCheckData(eampu.AccessRead, op.pc, r[op.in.Rs]+op.imm, 4)
+	case isa.OpLDB:
+		return m.sbCheckData(eampu.AccessRead, op.pc, r[op.in.Rs]+op.imm, 1)
+	case isa.OpST:
+		return m.sbCheckData(eampu.AccessWrite, op.pc, r[op.in.Rd]+op.imm, 4)
+	case isa.OpSTB:
+		return m.sbCheckData(eampu.AccessWrite, op.pc, r[op.in.Rd]+op.imm, 1)
+	case isa.OpPUSH, isa.OpCALL, isa.OpCALLR:
+		return m.sbCheckData(eampu.AccessWrite, op.pc, r[isa.SP]-4, 4)
+	case isa.OpPOP, isa.OpRET:
+		return m.sbCheckData(eampu.AccessRead, op.pc, r[isa.SP], 4)
+	}
+	return true
+}
+
+// sbBail ends a block run before ops[i], whose pre-check refused. At
+// op 0 nothing happened and the interpreter takes over; mid-block the
+// retired prefix (cost cycles still to charge) is flushed and the
+// interpreter resumes at the refused op.
+func (m *Machine) sbBail(ops []sbOp, i int, hooked bool, cost uint64) (uint64, bool) {
+	m.sbBails++
+	if i == 0 {
+		return 0, false
+	}
+	return m.sbExit(ops[i].pc, ops[i-1].pc, false, hooked, uint64(i), cost)
+}
+
+// sbSplit ends a block run after op, a store that landed in compiled
+// code (self-modifying): every op after it is stale, so the interpreter
+// refetches the next instruction from the freshly written bytes.
+func (m *Machine) sbSplit(op *sbOp, n uint64, hooked bool, cost uint64) (uint64, bool) {
+	m.sbBails++
+	return m.sbExit(op.next, op.pc, false, hooked, n, cost)
+}
+
+// sbBranch ends a block run at a conditional branch; a taken branch
+// pays branchTakenExtra.
+func (m *Machine) sbBranch(op *sbOp, taken, hooked bool, n, cost uint64) (uint64, bool) {
+	if taken {
+		return m.sbExit(op.imm, op.pc, true, hooked, n, cost+branchTakenExtra)
+	}
+	return m.sbExit(op.next, op.pc, false, hooked, n, cost)
+}
+
+// sbExit ends a block run at eip, with last the PC of the last retired
+// op. It charges cost, the cycles not yet charged, and, unless a hooked
+// run already counted them one by one, the n retired ops.
+func (m *Machine) sbExit(eip, last uint32, branched, hooked bool, n, cost uint64) (uint64, bool) {
+	m.eip = eip
 	m.lastPC = last
 	m.execPC = last
-	m.branched = false
+	m.branched = branched
+	m.cycles += cost
 	if !hooked {
 		m.insnRetired += n
-		m.cycles += cost
 	}
 	return n, true
 }
@@ -283,7 +399,7 @@ func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 // zero-op result is a negative entry meaning "always interpret here".
 func (m *Machine) compileBlock(start uint32) *superblock {
 	m.sbCompiles++
-	sb := &superblock{start: start, end: start, nextPC: start}
+	sb := &superblock{start: start, end: start}
 	// Never fuse across an exec-verdict boundary: the dispatch span
 	// check could then never pass, and entry enforcement on the next
 	// region must fire per-instruction.
@@ -294,20 +410,19 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 		if fault != nil {
 			break
 		}
-		w := in.Width()
-		if pc+w-1 > spanHi {
+		next := pc + in.Width()
+		if next-1 > spanHi {
 			break
 		}
-		op := sbOp{pc: pc, in: in, cost: uint32(InstructionCost(in.Op))}
-		if !compileOp(&op, in, pc, pc+w) {
+		op, term, ok := lowerOp(in, pc, next)
+		if !ok {
 			break
 		}
 		sb.ops = append(sb.ops, op)
 		sb.maxCost += uint64(op.cost)
-		sb.end = pc + w - 1
-		sb.nextPC = pc + w
-		pc += w
-		if op.term {
+		sb.end = next - 1
+		pc = next
+		if term {
 			// Conservative: assume the branch is taken when bounding.
 			sb.maxCost += branchTakenExtra
 			break
@@ -338,207 +453,32 @@ func (m *Machine) markCompiled(lo, hi uint32) {
 	}
 }
 
-func sbNop(*Machine) sbStatus { return sbNext }
-
-// compileOp lowers one instruction into op. Returning false ends the
-// block before the instruction.
-func compileOp(op *sbOp, in isa.Instruction, pc, next uint32) bool {
+// lowerOp lowers the instruction at pc, whose successor is at next,
+// into an sbOp. term reports a transfer of control, which ends the
+// block; ok=false ends the block before the instruction.
+func lowerOp(in isa.Instruction, pc, next uint32) (op sbOp, term, ok bool) {
+	op = sbOp{in: in, pc: pc, next: next, imm: uint32(int32(in.Imm)), cost: uint32(InstructionCost(in.Op))}
 	switch in.Op {
-	case isa.OpNOP:
-		op.fn = sbNop
-	case isa.OpMOV:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] = m.regs[rs]; return sbNext }
-	case isa.OpLDI:
-		rd, v := in.Rd, uint32(int32(in.Imm))
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] = v; return sbNext }
+	case isa.OpNOP, isa.OpMOV, isa.OpLDI, isa.OpADD, isa.OpSUB, isa.OpAND,
+		isa.OpOR, isa.OpXOR, isa.OpSHL, isa.OpSHR, isa.OpADDI, isa.OpMUL,
+		isa.OpCMP, isa.OpCMPI, isa.OpLD, isa.OpLDB, isa.OpST, isa.OpSTB,
+		isa.OpPUSH, isa.OpPOP:
 	case isa.OpLUI:
-		rd, v := in.Rd, uint32(uint16(in.Imm))<<16
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] = v; return sbNext }
+		op.imm = uint32(uint16(in.Imm)) << 16
 	case isa.OpLDI32:
-		rd, v := in.Rd, in.Imm32
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] = v; return sbNext }
-	case isa.OpADD:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] += m.regs[rs]; return sbNext }
-	case isa.OpSUB:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] -= m.regs[rs]; return sbNext }
-	case isa.OpAND:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] &= m.regs[rs]; return sbNext }
-	case isa.OpOR:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] |= m.regs[rs]; return sbNext }
-	case isa.OpXOR:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] ^= m.regs[rs]; return sbNext }
-	case isa.OpSHL:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] <<= m.regs[rs] & 31; return sbNext }
-	case isa.OpSHR:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] >>= m.regs[rs] & 31; return sbNext }
-	case isa.OpADDI:
-		rd, v := in.Rd, uint32(int32(in.Imm))
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] += v; return sbNext }
-	case isa.OpMUL:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.regs[rd] *= m.regs[rs]; return sbNext }
-	case isa.OpCMP:
-		rd, rs := in.Rd, in.Rs
-		op.fn = func(m *Machine) sbStatus { m.setFlags(m.regs[rd], m.regs[rs]); return sbNext }
-	case isa.OpCMPI:
-		rd, v := in.Rd, uint32(int32(in.Imm))
-		op.fn = func(m *Machine) sbStatus { m.setFlags(m.regs[rd], v); return sbNext }
-	case isa.OpLD:
-		compileLoad(op, in, pc, 4)
-	case isa.OpLDB:
-		compileLoad(op, in, pc, 1)
-	case isa.OpST:
-		compileStore(op, in, pc, 4)
-	case isa.OpSTB:
-		compileStore(op, in, pc, 1)
-	case isa.OpJMP:
-		t := next + uint32(int32(in.Imm))*4
-		op.term = true
-		op.fn = func(m *Machine) sbStatus { m.eip = t; return sbTaken }
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		var mask uint32
-		var want bool
-		switch in.Op {
-		case isa.OpBEQ:
-			mask, want = isa.FlagZ, true
-		case isa.OpBNE:
-			mask, want = isa.FlagZ, false
-		case isa.OpBLT:
-			mask, want = isa.FlagN, true
-		case isa.OpBGE:
-			mask, want = isa.FlagN, false
-		case isa.OpBLTU:
-			mask, want = isa.FlagC, true
-		case isa.OpBGEU:
-			mask, want = isa.FlagC, false
-		}
-		t, fall := next+uint32(int32(in.Imm))*4, next
-		op.term = true
-		op.fn = func(m *Machine) sbStatus {
-			if (m.eflags&mask != 0) == want {
-				m.eip = t
-				return sbTaken
-			}
-			m.eip = fall
-			return sbFall
-		}
-	case isa.OpJR:
-		rs := in.Rs
-		op.term = true
-		op.fn = func(m *Machine) sbStatus { m.eip = m.regs[rs]; return sbBranch }
-	case isa.OpCALL, isa.OpCALLR:
-		rs := in.Rs
-		t := next + uint32(int32(in.Imm))*4
-		indirect := in.Op == isa.OpCALLR
-		op.term = true
-		op.writes = true
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessWrite, pc, m.regs[isa.SP]-4, 4)
-		}
-		op.fn = func(m *Machine) sbStatus {
-			off := m.sbOff
-			m.noteRAMWrite(int(off), 4)
-			binary.LittleEndian.PutUint32(m.ram[off:], next)
-			m.regs[isa.SP] -= 4
-			if indirect {
-				m.eip = m.regs[rs]
-			} else {
-				m.eip = t
-			}
-			return sbBranch
-		}
-	case isa.OpRET:
-		op.term = true
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessRead, pc, m.regs[isa.SP], 4)
-		}
-		op.fn = func(m *Machine) sbStatus {
-			m.eip = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
-			m.regs[isa.SP] += 4
-			return sbBranch
-		}
-	case isa.OpPUSH:
-		rs := in.Rs
-		op.writes = true
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessWrite, pc, m.regs[isa.SP]-4, 4)
-		}
-		op.fn = func(m *Machine) sbStatus {
-			off := m.sbOff
-			m.noteRAMWrite(int(off), 4)
-			binary.LittleEndian.PutUint32(m.ram[off:], m.regs[rs])
-			m.regs[isa.SP] -= 4
-			return sbNext
-		}
-	case isa.OpPOP:
-		rd := in.Rd
-		op.pre = func(m *Machine) bool {
-			return m.sbCheckData(eampu.AccessRead, pc, m.regs[isa.SP], 4)
-		}
-		op.fn = func(m *Machine) sbStatus {
-			m.regs[rd] = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
-			m.regs[isa.SP] += 4
-			return sbNext
-		}
+		op.imm = in.Imm32
+	case isa.OpJMP, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU,
+		isa.OpBGEU, isa.OpCALL:
+		op.imm = next + uint32(int32(in.Imm))*4
+		term = true
+	case isa.OpJR, isa.OpCALLR, isa.OpRET:
+		term = true
 	default:
 		// SVC, HLT, RDCYC: traps and cycle reads need the interpreter's
 		// per-instruction charging and stop handling.
-		return false
+		return op, false, false
 	}
-	return true
-}
-
-// compileLoad lowers LD/LDB behind a decision-cache pre-check.
-func compileLoad(op *sbOp, in isa.Instruction, pc, size uint32) {
-	rd, rs := in.Rd, in.Rs
-	imm := uint32(int32(in.Imm))
-	op.pre = func(m *Machine) bool {
-		return m.sbCheckData(eampu.AccessRead, pc, m.regs[rs]+imm, size)
-	}
-	if size == 4 {
-		op.fn = func(m *Machine) sbStatus {
-			m.regs[rd] = binary.LittleEndian.Uint32(m.ram[m.sbOff:])
-			return sbNext
-		}
-	} else {
-		op.fn = func(m *Machine) sbStatus {
-			m.regs[rd] = uint32(m.ram[m.sbOff])
-			return sbNext
-		}
-	}
-}
-
-// compileStore lowers ST/STB (the base register is Rd, the value Rs).
-func compileStore(op *sbOp, in isa.Instruction, pc, size uint32) {
-	rd, rs := in.Rd, in.Rs
-	imm := uint32(int32(in.Imm))
-	op.writes = true
-	op.pre = func(m *Machine) bool {
-		return m.sbCheckData(eampu.AccessWrite, pc, m.regs[rd]+imm, size)
-	}
-	if size == 4 {
-		op.fn = func(m *Machine) sbStatus {
-			off := m.sbOff
-			m.noteRAMWrite(int(off), 4)
-			binary.LittleEndian.PutUint32(m.ram[off:], m.regs[rs])
-			return sbNext
-		}
-	} else {
-		op.fn = func(m *Machine) sbStatus {
-			off := m.sbOff
-			m.noteRAMWrite(int(off), 1)
-			m.ram[off] = byte(m.regs[rs])
-			return sbNext
-		}
-	}
+	return op, term, true
 }
 
 // sbCheckData is a memory op's pre-check: RAM bounds, alignment, then

@@ -1,10 +1,15 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/eampu"
 	"repro/internal/isa"
 )
@@ -92,7 +97,8 @@ func (r *pairRig) compare(t *testing.T, tag string, rr, rp RunResult) {
 }
 
 // runSlices drives both machines through Run slices of the given
-// budgets (cycled) until a non-budget, non-IRQ stop or maxSlices.
+// budgets (cycled) until a non-budget, non-IRQ stop or maxSlices, then
+// compares their RAM.
 func (r *pairRig) runSlices(t *testing.T, budgets []uint64, maxSlices int) {
 	t.Helper()
 	for i := 0; i < maxSlices; i++ {
@@ -101,9 +107,10 @@ func (r *pairRig) runSlices(t *testing.T, budgets []uint64, maxSlices int) {
 		rp := r.prod.Run(budget)
 		r.compare(t, fmt.Sprintf("slice %d (budget %d)", i, budget), rr, rp)
 		if rr.Reason != StopBudget && rr.Reason != StopIRQ {
-			return
+			break
 		}
 	}
+	r.compareRAM(t, "after the last slice")
 }
 
 // kernelIters is kernelProgram's loop count: twice the warm-up gate, so
@@ -533,3 +540,307 @@ func TestICacheGrowth(t *testing.T) {
 }
 
 func icacheSizeDefault() uint64 { return 1 << icacheBits }
+
+// newKernelMachine stages kernelProgram on a production machine under
+// an enforcing EA-MPU rule covering its text, data and stack, as the
+// benchmark's kernel workload runs it, and warms it up so every block
+// of the loop is compiled.
+func newKernelMachine(tb testing.TB) *Machine {
+	tb.Helper()
+	m := New(64 << 10)
+	m.FastPath = true
+	p := kernelProgram()
+	if err := m.LoadBytes(0x2000, p.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.MPU.Install(0, eampu.Rule{
+		Code:  eampu.Region{Start: 0x2000, Size: 0x1000},
+		Data:  eampu.Region{Start: 0x4000, Size: 0x6000},
+		Perm:  eampu.PermRW,
+		Owner: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	m.MPU.Enable()
+	for i := 0; i < 2; i++ {
+		kernelPass(tb, m)
+	}
+	if st := m.Stats(); st.SBHits == 0 {
+		tb.Fatalf("kernel never ran compiled: %+v", st)
+	}
+	return m
+}
+
+// kernelPass runs kernelProgram once to HLT and returns the
+// instructions it retired.
+func kernelPass(tb testing.TB, m *Machine) uint64 {
+	m.SetReg(isa.SP, 0x8000)
+	m.SetEIP(0x2000 + 4*4)
+	before := m.InsnRetired()
+	if res := m.Run(1 << 30); res.Reason != StopHalt {
+		tb.Fatalf("kernel pass stopped with %v (fault %v)", res.Reason, res.Fault)
+	}
+	return m.InsnRetired() - before
+}
+
+// BenchmarkRunCompiled times warmed kernelProgram passes on the
+// production engine and reports host ns per guest instruction.
+func BenchmarkRunCompiled(b *testing.B) {
+	m := newKernelMachine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insns uint64
+	for i := 0; i < b.N; i++ {
+		insns += kernelPass(b, m)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insns), "ns/insn")
+}
+
+// TestCompiledRunAllocs pins a warmed compiled kernel pass at zero
+// allocations: compiled blocks run without touching the heap.
+func TestCompiledRunAllocs(t *testing.T) {
+	m := newKernelMachine(t)
+	if n := testing.AllocsPerRun(20, func() { kernelPass(t, m) }); n != 0 {
+		t.Fatalf("warmed kernel pass allocated %.1f times, want 0", n)
+	}
+}
+
+// assembleAt assembles src for loading at base: the text and data
+// sections back to back, with every relocation applied for base.
+func assembleAt(t *testing.T, base uint32, src string) []byte {
+	t.Helper()
+	im, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	b := append(append([]byte(nil), im.Text...), im.Data...)
+	for _, rel := range im.Relocs {
+		w := b[rel.Offset:]
+		binary.LittleEndian.PutUint32(w, binary.LittleEndian.Uint32(w)+base)
+	}
+	return b
+}
+
+// compareRAM checks that the two machines' memories are identical.
+func (r *pairRig) compareRAM(t *testing.T, tag string) {
+	t.Helper()
+	if bytes.Equal(r.prod.ram, r.ref.ram) {
+		return
+	}
+	for i := range r.ref.ram {
+		if a, b := r.prod.ram[i], r.ref.ram[i]; a != b {
+			t.Fatalf("%s: ram[%#x] prod=%#x ref=%#x", tag, RAMBase+uint32(i), a, b)
+		}
+	}
+}
+
+// traceCompiled attaches trace hooks to both machines; the production
+// hook also marks, in ran, each opcode it observed from inside a
+// compiled block (called from execBlock rather than Step).
+func (r *pairRig) traceCompiled(ran *[256]bool) {
+	r.ref.OnStep = r.rtr.hook()
+	record := r.ptr.hook()
+	r.prod.OnStep = func(pc uint32, in isa.Instruction) {
+		record(pc, in)
+		var caller [1]uintptr
+		runtime.Callers(2, caller[:])
+		if f, _ := runtime.CallersFrames(caller[:]).Next(); strings.HasSuffix(f.Function, ".execBlock") {
+			ran[in.Op] = true
+		}
+	}
+}
+
+// everyOpSource is a hot loop that runs every opcode the compiler
+// lowers. x = i*0x9E3779B1 spreads over all 32-bit values, so against
+// 0x40000000 each conditional branch goes both ways and the signed and
+// unsigned flags disagree whenever x has its top bit set; the shifts
+// count i&63, so half of them shift by 32 or more; i&3 drives the
+// equality tests; callr/jr form a call that returns through a
+// register. Every dispatch PC is visited at least a quarter of 2,048
+// iterations, so all of them compile and then run compiled.
+const everyOpSource = `
+.text
+entry:
+    ldi r1, 0
+    ldi32 r6, buf
+loop:
+    mov r0, r1
+    ldi32 r2, 0x9E3779B1
+    mul r0, r2
+    lui r2, 0x4000
+    cmp r0, r2
+    bltu l1
+    addi r3, 1
+l1: cmp r0, r2
+    bgeu l2
+    addi r3, 2
+l2: cmp r0, r2
+    blt l3
+    addi r3, 4
+l3: cmp r0, r2
+    bge l4
+    addi r3, 8
+l4: mov r5, r1
+    ldi r4, 63
+    and r5, r4
+    mov r4, r0
+    shl r4, r5
+    add r3, r4
+    mov r4, r0
+    shr r4, r5
+    xor r3, r4
+    ldi r4, 3
+    and r4, r1
+    ldi r5, 0
+    cmp r4, r5
+    beq l5
+    sub r3, r1
+l5: cmpi r4, 2
+    bne l6
+    or r3, r4
+l6: nop
+    st [r6+0], r3
+    ld r4, [r6+0]
+    stb [r6+4], r1
+    ldb r5, [r6+4]
+    add r3, r5
+    push r4
+    call leaf
+    pop r4
+    ldi32 r4, viareg
+    callr r4
+    jmp l7
+    hlt
+l7: addi r1, 1
+    cmpi r1, 2048
+    bne loop
+    hlt
+leaf:
+    addi r3, 5
+    ret
+viareg:
+    pop r5
+    jr r5
+.data
+buf:
+    .space 8
+`
+
+// refusalGuard is a data region an EA-MPU rule claims for other code,
+// so every access the test programs make to it is denied.
+const refusalGuard = 0xA000
+
+// refusalLoops are the memory-op kinds with, for each, the loop body
+// around the op (mem) and the register that walks its address, from
+// start, one access per iteration into refusalGuard after refusalIters
+// iterations. jmp loop ends each pass, so the op is op 0 of its block;
+// with a leading addi it sits mid-block.
+var refusalLoops = []struct {
+	name      string
+	mem, tail string
+	walk      isa.Reg
+	start     uint32
+}{
+	{"ld", "ld r5, [r3+0]", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters},
+	{"ldb", "ldb r5, [r3+0]", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters},
+	{"st", "st [r3+0], r2", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters},
+	{"stb", "stb [r3+0], r2", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters},
+	{"push", "push r2", "addi r2, 1\n jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
+	{"pop", "pop r5", "addi r2, 1\n jmp loop", isa.SP, refusalGuard - 4*refusalIters},
+	{"call", "call fn", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
+	{"callr", "callr r4", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
+	{"ret", "ret", "", isa.SP, refusalGuard - 4*refusalIters},
+}
+
+// refusalIters is how many iterations each refusal loop runs before its
+// access reaches refusalGuard: past the warm-up gate, so the refused op
+// runs compiled.
+const refusalIters = 2*sbCompileThreshold + 40
+
+// TestSuperblockDifferentialEveryOp runs every opcode the compiler
+// lowers inside compiled blocks, in lockstep with the reference engine,
+// traced and untraced. everyOpSource covers the ALU, branch and call
+// ops; refusalLoops make the compiled pre-check refuse each memory-op
+// kind on a late iteration, at op 0 and mid-block, where the
+// interpreter then denies the access. Registers, flags, cycles, traces
+// and all of RAM must match after every slice, and in the traced runs
+// every lowered opcode must have been observed from a compiled block.
+func TestSuperblockDifferentialEveryOp(t *testing.T) {
+	var ran [256]bool
+	everyOp := assembleAt(t, 0x2000, everyOpSource)
+	for _, traced := range []bool{false, true} {
+		for _, budgets := range [][]uint64{{1 << 20}, {7, 100, 1000}} {
+			t.Run(fmt.Sprintf("every-op/traced=%v/budgets=%v", traced, budgets), func(t *testing.T) {
+				r := newPairRig(64 << 10)
+				if traced {
+					r.traceCompiled(&ran)
+				}
+				r.each(func(m *Machine) {
+					if err := m.LoadBytes(0x2000, everyOp); err != nil {
+						t.Fatal(err)
+					}
+					m.SetEIP(0x2000)
+					m.SetReg(isa.SP, 0x8000)
+				})
+				r.runSlices(t, budgets, 1<<20)
+				if r.ref.Reg(isa.R1) != 2048 {
+					t.Fatalf("loop did not finish: eip=%#x r1=%d", r.ref.EIP(), r.ref.Reg(isa.R1))
+				}
+			})
+		}
+		for _, k := range refusalLoops {
+			for _, mid := range []bool{false, true} {
+				t.Run(fmt.Sprintf("refuse-%s/mid=%v/traced=%v", k.name, mid, traced), func(t *testing.T) {
+					head := ""
+					if mid {
+						head = "addi r2, 1"
+					}
+					src := fmt.Sprintf(".text\nloop:\n %s\n %s\n %s\nfn:\n jmp loop\n", head, k.mem, k.tail)
+					prog := assembleAt(t, 0x2000, src)
+					fn := 0x2000 + uint32(len(prog)) - 4
+					r := newPairRig(64 << 10)
+					if traced {
+						r.traceCompiled(&ran)
+					}
+					r.each(func(m *Machine) {
+						if err := m.LoadBytes(0x2000, prog); err != nil {
+							t.Fatal(err)
+						}
+						// Below the guard, a stack of return addresses
+						// back to the loop, for ret to walk.
+						for a := uint32(refusalGuard - 4*refusalIters); a < refusalGuard; a += 4 {
+							if err := m.RawWrite32(a, 0x2000); err != nil {
+								t.Fatal(err)
+							}
+						}
+						m.SetReg(k.walk, k.start)
+						m.SetReg(isa.R4, fn)
+						if err := m.MPU.Install(0, eampu.Rule{
+							Code:  eampu.Region{Start: 0x4000, Size: 0x100},
+							Data:  eampu.Region{Start: refusalGuard, Size: 0x100},
+							Perm:  eampu.PermRW,
+							Owner: 1,
+						}); err != nil {
+							t.Fatal(err)
+						}
+						m.MPU.Enable()
+						m.SetEIP(0x2000)
+					})
+					r.runSlices(t, []uint64{1 << 20}, 100)
+					if v := r.ref.MPU.Violations(); v != 1 {
+						t.Fatalf("%d violations, want the one refused access", v)
+					}
+					if st := r.prod.Stats(); st.SBBails == 0 {
+						t.Fatalf("the compiled pre-check never refused: %+v", st)
+					}
+				})
+			}
+		}
+	}
+	for op := isa.Op(0); op.Valid(); op++ {
+		lowered := op != isa.OpHLT && op != isa.OpSVC && op != isa.OpRDCYC
+		if lowered != ran[op] {
+			t.Errorf("%v: lowered=%v but ran compiled=%v", op, lowered, ran[op])
+		}
+	}
+}
