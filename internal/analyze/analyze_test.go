@@ -352,7 +352,7 @@ irq_latency p99 <= 100c
 	if m.Violations() != 2 {
 		t.Errorf("violations = %d, want 2", m.Violations())
 	}
-	if got := m.FiredRules(); len(got) != 2 || !strings.Contains(got[0], "max") {
+	if got := firedRules(m); len(got) != 2 || !strings.Contains(got[0], "max") {
 		t.Errorf("fired = %v", got)
 	}
 
@@ -432,7 +432,7 @@ func TestMonitorLoadTotalElapsed(t *testing.T) {
 	m.Emit(ev(c, trace.SubLoader, trace.KindLoadPhase, "t2", trace.Str("phase", "alloc")))
 	m.Emit(ev(c+1_386_448, trace.SubLoader, trace.KindLoadPhase, "t2", trace.Str("phase", "done"),
 		trace.Num("total", 1_311_002), trace.Num("latency", 1_386_448)))
-	if got := m.FiredRules(); len(got) != 1 {
+	if got := firedRules(m); len(got) != 1 {
 		t.Errorf("fired online = %v, want the load_total rule", got)
 	}
 	v := m.Verdict()
@@ -471,13 +471,13 @@ func TestMonitorSessionClose(t *testing.T) {
 			m.Emit(e)
 		}
 		if m.Violations() != 0 {
-			t.Errorf("%s: hello fired %v", tc.name, m.FiredRules())
+			t.Errorf("%s: hello fired %v", tc.name, firedRules(m))
 		}
 		for _, e := range tc.events[1:] {
 			m.Emit(e)
 		}
 		if m.Violations() != 1 {
-			t.Errorf("%s: fired online = %v, want the span:session rule", tc.name, m.FiredRules())
+			t.Errorf("%s: fired online = %v, want the span:session rule", tc.name, firedRules(m))
 		}
 		if evs := out.Events(); len(evs) != 1 || evs[0].Cycle != 400 {
 			t.Errorf("%s: violation events = %+v, want one at the close", tc.name, evs)
@@ -598,4 +598,18 @@ func TestAnalyzeBurstsAndCrossCheck(t *testing.T) {
 	if viol := a.CrossCheckBounds(map[string]uint64{"t0": 90}); len(viol) != 0 {
 		t.Errorf("bound met exactly but reported: %+v", viol)
 	}
+}
+
+// firedRules returns the canonical text of the rules m fired online,
+// in spec order.
+func firedRules(m *Monitor) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for i, r := range m.spec.Rules {
+		if m.fired[i] {
+			out = append(out, r.String())
+		}
+	}
+	return out
 }

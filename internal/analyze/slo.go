@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,23 +413,6 @@ func (m *Monitor) Violations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.fired)
-}
-
-// FiredRules returns the canonical text of the rules that fired
-// online, in spec order.
-func (m *Monitor) FiredRules() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := make([]int, 0, len(m.fired))
-	for i := range m.fired {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	out := make([]string, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, m.spec.Rules[i].String())
-	}
-	return out
 }
 
 // Verdict runs the full offline evaluation over every event the

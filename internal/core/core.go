@@ -225,9 +225,6 @@ func (p *Platform) BoundsAdmission() bool {
 	return p.C != nil && p.C.Gate != nil && p.C.Gate.Bounds
 }
 
-// StaticOnly reports whether runtime task management is disabled.
-func (p *Platform) StaticOnly() bool { return p.staticOnly }
-
 // Close releases the platform's simulation resources (recycling the
 // machine's RAM buffer for future platforms). The platform must not be
 // used afterwards. Closing is optional; an un-closed platform is

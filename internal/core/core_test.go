@@ -479,7 +479,7 @@ func TestStaticConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.StaticOnly() {
+	if !p.staticOnly {
 		t.Fatal("a platform booted with static tasks is not static-only")
 	}
 	// The boot-time task runs normally.

@@ -25,7 +25,10 @@ func allocTestConfig() Config {
 // TestTelemetryAllocBudget: a telemetry run stays within its
 // bytes-per-session budget, read from runtime.MemStats.TotalAlloc
 // around the second of two identical runs (the first fills the
-// machine pools).
+// machine pools). A failure also reports the run's mallocs per session
+// and how many collections ran during it: a fresh 2 MiB machine RAM
+// buffer adds ~13 KB per session but a single malloc, while garbage
+// from something else running in the process shows as extra mallocs.
 func TestTelemetryAllocBudget(t *testing.T) {
 	cfg := allocTestConfig()
 	if _, err := Run(cfg); err != nil {
@@ -38,8 +41,11 @@ func TestTelemetryAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perSession := (after.TotalAlloc - before.TotalAlloc) / res.Report.Sessions
+	sessions := res.Report.Sessions
+	perSession := (after.TotalAlloc - before.TotalAlloc) / sessions
 	if perSession > telemetryBytesPerSession {
-		t.Errorf("telemetry run allocated %d B per session, budget %d B", perSession, telemetryBytesPerSession)
+		t.Errorf("telemetry run allocated %d B per session, budget %d B (%.1f mallocs per session, %d GCs during the run)",
+			perSession, telemetryBytesPerSession,
+			float64(after.Mallocs-before.Mallocs)/float64(sessions), after.NumGC-before.NumGC)
 	}
 }

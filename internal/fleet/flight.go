@@ -94,13 +94,6 @@ func (r *Recorder) snapshot() []trace.Event {
 	return append(out, r.buf[:r.next]...)
 }
 
-// Tripped reports whether an incident froze the window.
-func (r *Recorder) Tripped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trigger != ""
-}
-
 // Incident is one frozen flight window, correlated with the plane's
 // decisions about the same device.
 type Incident struct {

@@ -181,11 +181,11 @@ func TestRecorderTriggers(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		r.Emit(trace.Event{Cycle: i, Kind: trace.KindTick, Subject: "dev-x"})
 	}
-	if r.Tripped() {
+	if _, ok := r.Incident(nil); ok {
 		t.Fatal("tripped before any trigger")
 	}
 	r.Emit(trace.Event{Cycle: 10, Kind: trace.KindUpdateRolledBack, Subject: "dev-x"})
-	if !r.Tripped() {
+	if _, ok := r.Incident(nil); !ok {
 		t.Fatal("rollback did not trip")
 	}
 	// A later, different trigger must not replace the frozen window.

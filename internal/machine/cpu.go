@@ -219,8 +219,11 @@ func (m *Machine) Run(budget uint64) RunResult {
 			return RunResult{Reason: StopBudget, Steps: steps}
 		}
 		if m.FastPath {
-			if n, ok := m.stepBlock(start, budget); ok {
-				steps += n
+			// ok=false after chained blocks (n>0) means the last one
+			// refused at op 0; their guards imply the two tests above.
+			n, ok := m.stepBlock(start, budget)
+			steps += n
+			if ok {
 				continue
 			}
 		}

@@ -219,9 +219,11 @@ const (
 
 // superblockFuzzProgram decodes fuzz input into a program, a budget
 // cycle and whether to trace. data[0] picks tracing (bit 0) and extra
-// iterations; data[1:4] give three budgets of 1..256 cycles (a missing
-// byte gives a large budget); every further 4 bytes become one body
-// instruction. The program is
+// iterations; data[1:4] give three budgets, the first two of 1..256
+// cycles and the third of 256..65,536 cycles in steps of 256, long
+// enough that a chain of compiled blocks ends on the budget guard
+// (a missing byte gives a large budget); every further 4 bytes become
+// one body instruction. The program is
 //
 //	entry: ldi32 r1, iterations; ldi32 r6, fuzzBuf; ldi32 r5, leaf
 //	loop:  ldi32 sp, fuzzStack
@@ -241,6 +243,9 @@ func superblockFuzzProgram(data []byte) (isa.Program, []uint64, bool) {
 	}
 	for i := 1; i < 4 && i < len(data); i++ {
 		budgets[i-1] = uint64(data[i]) + 1
+	}
+	if len(data) > 3 {
+		budgets[2] <<= 8
 	}
 	iters := uint32(sbCompileThreshold + 1 + int(flags>>1))
 

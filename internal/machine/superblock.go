@@ -17,7 +17,10 @@ import (
 // once. execBlock runs the op array under a single switch on the
 // opcode. Cycle costs are summed at compile time and charged in one
 // add; every memory op keeps a per-op pre-check that can refuse,
-// sending execution back to the interpreter.
+// sending execution back to the interpreter. Blocks chain: when one
+// exits, stepBlock dispatches the next compiled block straight away,
+// through a one-entry successor link on the block, for as long as the
+// dispatch guards hold, instead of returning to Run between blocks.
 //
 // The interpreter is the only EA-MPU client. A block reads the
 // interpreter's caches and never asks the unit itself: it dispatches
@@ -37,12 +40,13 @@ import (
 //     the caches do not already allow the access, the block bails
 //     *before* the op and the interpreter performs it, reproducing any
 //     fault exactly (same PC, same cycle, same counters).
-//   - A block is dispatched only when neither the cycle budget nor the
-//     interrupt-poll watermark can trip at any instruction boundary
-//     inside it (guards on maxCost), so the bulk cycle charge cannot
-//     skip a poll or a budget stop the interpreter would have taken.
-//     Blocks contain no MMIO, SVC or HLT, so no device, interrupt or
-//     kernel state can change mid-block.
+//   - A block, first or chained, is dispatched only when neither the
+//     cycle budget nor the interrupt-poll watermark can trip at any
+//     instruction boundary inside it (guards on maxCost), so the bulk
+//     cycle charge cannot skip a poll or a budget stop the interpreter
+//     would have taken. Blocks contain no MMIO, SVC or HLT, so no
+//     device, interrupt or kernel state can change mid-block or
+//     mid-chain.
 //   - Blocks never cross an exec-verdict span boundary, and the entry
 //     check is exactly the interpreter's cached fetch check; interior
 //     fetch checks are subsumed by the span, as on the fast path.
@@ -66,7 +70,8 @@ const (
 	// sbMaxOps caps the instructions fused into one block: long enough
 	// to swallow any straight-line run the paper's tasks contain, short
 	// enough that maxCost stays far below typical budgets and poll
-	// periods (a capped block chains into the next one).
+	// periods. A capped block falls through into the block at its next
+	// PC, which stepBlock's chain dispatches directly.
 	sbMaxOps = 64
 
 	// sbPageBits is the write-protection granule for compiled code
@@ -89,12 +94,17 @@ type sbOp struct {
 	cost uint32
 }
 
-// superblock is one compiled basic block.
+// superblock is one compiled basic block. succ is its one-entry
+// successor link: the block that starts at succPC, the first exit PC at
+// which the table held a compiled, non-empty block passing the
+// exec-span test (see stepBlock).
 type superblock struct {
 	start   uint32 // PC of the first instruction
 	end     uint32 // last byte of the last fused instruction
 	maxCost uint64 // upper bound on cycles one dispatch can charge
 	ops     []sbOp
+	succPC  uint32
+	succ    *superblock
 }
 
 // sbEntry is one gen-tagged slot of the compiled-block table. A block
@@ -125,16 +135,45 @@ type sbEntry struct {
 // alternating 5 s runs on a 2-vCPU host), and the kernel did not move.
 const sbCompileThreshold = 256
 
-// stepBlock tries to execute one compiled block at EIP. ok=false means
-// the interpreter must run this instruction; machine state is untouched
-// in that case.
+// stepBlock runs compiled blocks from EIP: the first through the
+// block table, then a chain of successors, each dispatched straight
+// from the block before while every check the next Run iteration would
+// make still passes. It returns the instructions the blocks retired,
+// and ok=false when the interpreter must run the instruction at EIP
+// next: either the first block could not be dispatched (n=0, machine
+// state untouched) or a chained block refused at op 0, which Run then
+// steps without dispatching that block a second time.
+//
+// Inside a chain, Run's and stepBlock's per-block checks reduce to the
+// poll and budget guards on each block's maxCost:
+//
+//   - InterruptDeliverable was false when the chain began and stays
+//     false: compiled ops touch no MMIO, no pending line and no enable
+//     bit, and the guards keep m.cycles below pollAt, so no source
+//     comes due. The budget guard implies Run's budget test.
+//   - The EA-MPU is reconfigured only between Run calls (a hooked run
+//     stops after one block), and Run folds that into m.gen before the
+//     first block. A block belongs to exactly one generation, and a
+//     store that bumps m.gen splits its block, so the chain ends as
+//     soon as m.gen leaves the generation it started in.
+//   - A link holds for its whole generation: its block was compiled
+//     from this generation's bytes and lies in the exec span of the
+//     exit that filled it. Following it runs the block the table
+//     lookup and execHit would dispatch, without the hash or the span
+//     test. (Only if the successor's table or span slot was evicted
+//     since would the table path have interpreted it instead.)
+//
+// Any miss — no link and no compiled block at the exit PC, a failing
+// guard, a generation change — returns to Run, whose next stepBlock
+// makes the full checks and counts the fallback, so the Stats counters
+// read what one block per Run iteration gives.
 func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 	m.syncMPUGen()
 	pc := m.eip
 	if m.sbcache == nil {
 		m.sbcache = getTable[sbEntry](&sbcachePool, sbSize)
 	}
-	e := &m.sbcache[(pc>>2)*hashMul>>(32-sbBits)]
+	e := m.sbSlot(pc)
 	if e.gen != m.gen || e.pc != pc {
 		*e = sbEntry{pc: pc, gen: m.gen, seen: 1}
 		m.sbFallbacks++
@@ -149,32 +188,73 @@ func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 		e.sb = m.compileBlock(pc)
 	}
 	sb := e.sb
-	if len(sb.ops) == 0 {
-		m.sbFallbacks++
-		return 0, false
-	}
 	// Neither the poll watermark nor the budget may trip at any
 	// boundary inside the block; otherwise the interpreter must run so
 	// its per-instruction checks fire at the exact cycle the reference
 	// engine's would. pollAt==0 (poll now / unscheduled source) always
 	// falls back, and the interpreter's Charge re-establishes it.
-	if m.cycles+sb.maxCost >= m.pollAt || m.cycles-start+sb.maxCost >= budget {
+	if len(sb.ops) == 0 || !m.sbFits(sb, start, budget) || !m.sbInSpan(sb) {
 		m.sbFallbacks++
 		return 0, false
 	}
-	// Entry fetch check: fetchFast's span-cache hit test. A miss falls
-	// back so the interpreter decides the fetch, raising the identical
-	// fault or filling the span. The whole block must also lie inside
-	// the constant-verdict span; then every interior sequential fetch is
-	// allowed, as on the fast path. (compileBlock clamps blocks to the
-	// span, so this only fails when the span cache holds a different,
-	// narrower span for this slot.)
-	if ex, ok := m.execHit(pc); !ok || ex.lo > sb.start || sb.end > ex.hi {
-		m.sbFallbacks++
-		return 0, false
+	gen := m.gen
+	var steps uint64
+	for {
+		m.sbHits++
+		n, ok := m.execBlock(sb, gen)
+		steps += n
+		if !ok || m.OnStep != nil || m.gen != gen {
+			return steps, ok
+		}
+		next := sb.succ
+		if next == nil || sb.succPC != m.eip {
+			if next = m.sbLookup(); next == nil {
+				return steps, true
+			}
+			if sb.succ == nil {
+				sb.succPC, sb.succ = m.eip, next
+			}
+		}
+		if !m.sbFits(next, start, budget) {
+			return steps, true
+		}
+		sb = next
 	}
-	m.sbHits++
-	return m.execBlock(sb, e.gen)
+}
+
+// sbFits reports whether sb can run to its end without crossing the
+// poll watermark or the budget of the Run call that began at start.
+func (m *Machine) sbFits(sb *superblock, start, budget uint64) bool {
+	return m.cycles+sb.maxCost < m.pollAt && m.cycles-start+sb.maxCost < budget
+}
+
+// sbInSpan is the entry fetch check: fetchFast's span-cache hit test
+// at EIP. A miss falls back so the interpreter decides the fetch,
+// raising the identical fault or filling the span. The whole block
+// must also lie inside the constant-verdict span; then every interior
+// sequential fetch is allowed, as on the fast path. (compileBlock
+// clamps blocks to the span, so this only fails when the span cache
+// holds a different, narrower span for this slot.)
+func (m *Machine) sbInSpan(sb *superblock) bool {
+	ex, ok := m.execHit(m.eip)
+	return ok && ex.lo <= sb.start && sb.end <= ex.hi
+}
+
+// sbLookup is a chain's table lookup at EIP: the compiled, non-empty
+// block of this generation starting there, if it passes the exec-span
+// test, else nil. Unlike stepBlock it changes no entry and counts
+// nothing; Run's next stepBlock does both.
+func (m *Machine) sbLookup() *superblock {
+	e := m.sbSlot(m.eip)
+	if e.gen != m.gen || e.pc != m.eip || e.sb == nil || len(e.sb.ops) == 0 || !m.sbInSpan(e.sb) {
+		return nil
+	}
+	return e.sb
+}
+
+// sbSlot is pc's slot in the compiled-block table.
+func (m *Machine) sbSlot(pc uint32) *sbEntry {
+	return &m.sbcache[(pc>>2)*hashMul>>(32-sbBits)]
 }
 
 // execBlock runs a compiled block: one switch on each op's opcode.

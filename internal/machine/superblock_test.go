@@ -340,6 +340,193 @@ func TestSuperblockDifferentialEntryEnforcement(t *testing.T) {
 	}
 }
 
+// linked reports whether m's compiled block at from, of the current
+// generation, holds a successor link to the block at to.
+func linked(m *Machine, from, to uint32) bool {
+	if m.sbcache == nil {
+		return false
+	}
+	e := m.sbSlot(from)
+	return e.pc == from && e.gen == m.gen && e.sb != nil && e.sb.succ != nil && e.sb.succPC == to
+}
+
+// TestSuperblockChainSelfModify: block A is 63 NOPs and a store, so
+// the op cap ends it at the store and it falls through into B, to which
+// it links. On the hot pass the compiled store rewrites B's first
+// instruction: A splits right at B's PC, where the link points, and the
+// production engine must run B's new bytes, not the linked block
+// compiled from the old ones. The warm passes store to a scratch page
+// whose write-cache slot, for that store, is the one B's page maps to,
+// so the slot already allows the hot pass's store and it runs compiled
+// instead of bailing to the interpreter.
+func TestSuperblockChainSelfModify(t *testing.T) {
+	const base, b = 0x2000, 0x2000 + 4*sbMaxOps
+	const storePC = b - 4
+	slot := func(addr uint32) uint32 { return (storePC ^ addr>>8) * hashMul >> (32 - dcacheBits) }
+	scratch := uint32(0x9000)
+	for slot(scratch) != slot(b) {
+		scratch += 0x100
+	}
+	var p isa.Program
+	for i := 0; i < sbMaxOps-1; i++ {
+		p.Emit(isa.Instruction{Op: isa.OpNOP})
+	}
+	p.Emit(isa.Instruction{Op: isa.OpST, Rd: isa.R2, Rs: isa.R3, Imm: 0})
+	p.Emit(isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111}) // b: overwritten
+	p.Emit(isa.Instruction{Op: isa.OpHLT})
+
+	r := newPairRig(64 << 10)
+	r.each(func(m *Machine) {
+		m.LoadBytes(base, p.Bytes())
+		m.SetReg(isa.SP, 0x8000)
+		m.SetReg(isa.R3, patchedWord())
+	})
+	pass := func(target, want uint32) {
+		t.Helper()
+		r.each(func(m *Machine) {
+			m.SetEIP(base)
+			m.SetReg(isa.R2, target)
+			m.SetReg(isa.R1, 0)
+		})
+		r.runSlices(t, []uint64{1 << 20}, 10)
+		if got := r.prod.Reg(isa.R1); got != want {
+			t.Fatalf("store to %#x: r1 = %d, want %d", target, got, want)
+		}
+	}
+	// Warm passes store to scratch data: A and B compile, A links to B.
+	for i := 0; i < sbCompileThreshold+2; i++ {
+		pass(scratch, 111)
+	}
+	if !linked(r.prod, base, b) {
+		t.Fatalf("A never linked to B: %+v", r.prod.Stats())
+	}
+	warm := r.prod.Stats()
+	pass(b, 222)
+	hot := r.prod.Stats()
+	if hot.SBInvalidations == warm.SBInvalidations || hot.DataSpanFills != warm.DataSpanFills {
+		t.Fatalf("the store into B did not run compiled:\nwarm %+v\nhot  %+v", warm, hot)
+	}
+}
+
+// TestSuperblockChainMPURevoke links block A to block B in the next
+// 256-byte page, then, between two Run slices, claims B's page for
+// other code without execute permission: the second slice must fault
+// on the first fetch from B on both engines, and the linked B must not
+// run.
+func TestSuperblockChainMPURevoke(t *testing.T) {
+	const base, b = 0x2000, 0x2100
+	prog := assembleAt(t, base, `
+.text
+a:
+    addi r1, 1
+    jmp b
+.align 256
+b:
+    addi r2, 1
+    cmpi r1, 30000
+    bne a
+    hlt
+`)
+	r := newPairRig(64 << 10)
+	r.each(func(m *Machine) {
+		if err := m.LoadBytes(base, prog); err != nil {
+			t.Fatal(err)
+		}
+		m.SetEIP(base)
+		m.SetReg(isa.SP, 0x8000)
+	})
+	rr, rp := r.ref.Run(8000), r.prod.Run(8000)
+	r.compare(t, "warm slice", rr, rp)
+	if rr.Reason != StopBudget || !linked(r.prod, base, b) {
+		t.Fatalf("warm slice: %v, A linked to B = %v", rr.Reason, linked(r.prod, base, b))
+	}
+	r.each(func(m *Machine) {
+		if err := m.MPU.Install(0, eampu.Rule{
+			Code:  eampu.Region{Start: 0x4000, Size: 0x100},
+			Data:  eampu.Region{Start: b, Size: 0x100},
+			Perm:  eampu.PermRW,
+			Owner: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.MPU.Enable()
+	})
+	rr, rp = r.ref.Run(1<<20), r.prod.Run(1<<20)
+	r.compare(t, "revoked slice", rr, rp)
+	if rr.Reason != StopFault || r.prod.EIP() != b {
+		t.Fatalf("revoked slice: %v at %#x, want a fault at B", rr.Reason, r.prod.EIP())
+	}
+	r.compareRAM(t, "after the revoked slice")
+}
+
+// TestSuperblockChainExecSpan: block A jumps into an entry-enforcing
+// task region, once at its entry point and once past it. A compiled
+// block at the target does not share A's exec span, so the chain must
+// stop there without linking, and the interpreter must decide the
+// entry: the legal entry runs, the illegal one faults on every pass,
+// identically on both engines.
+func TestSuperblockChainExecSpan(t *testing.T) {
+	const base, task = 0x2000, 0x4000
+	caller := assembleAt(t, base, `
+.text
+a:
+    cmpi r1, 600
+    beq done
+    addi r1, 1
+    jr r5
+done:
+    hlt
+`)
+	body := assembleAt(t, task, `
+.text
+    nop
+    addi r2, 1
+    addi r2, 1
+    jr r6
+`)
+	for _, target := range []uint32{task, task + 4} {
+		r := newPairRig(64 << 10)
+		r.each(func(m *Machine) {
+			if err := m.LoadBytes(base, caller); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadBytes(task, body); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.MPU.Install(0, eampu.Rule{
+				Code:         eampu.Region{Start: task, Size: 0x100},
+				Data:         eampu.Region{Start: task, Size: 0x100},
+				Perm:         eampu.PermR | eampu.PermX,
+				EnforceEntry: true,
+				Entry:        task,
+				Owner:        1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			m.MPU.Enable()
+			m.SetReg(isa.R6, base)
+			m.SetReg(isa.R5, target)
+			m.SetReg(isa.SP, 0x8000)
+		})
+		for pass := 0; pass < sbCompileThreshold+2; pass++ {
+			r.each(func(m *Machine) {
+				m.SetEIP(base)
+				m.SetReg(isa.R1, 0)
+			})
+			r.runSlices(t, []uint64{1 << 20}, 10)
+			if target != task && r.prod.EIP() != target {
+				t.Fatalf("target %#x, pass %d: eip=%#x, want the entry fault", target, pass, r.prod.EIP())
+			}
+		}
+		if st := r.prod.Stats(); st.SBHits == 0 {
+			t.Fatalf("target %#x: nothing ran compiled: %+v", target, st)
+		}
+		if linked(r.prod, base+8, target) {
+			t.Fatalf("target %#x: the caller's block linked across exec spans", target)
+		}
+	}
+}
+
 // TestSuperblockDifferentialIRQSweep arranges for the timer to assert
 // at every possible offset within the compiled kernel blocks (48
 // consecutive periods sweep every intra-block instruction boundary, as
@@ -449,7 +636,10 @@ func TestSuperblockHookedTrace(t *testing.T) {
 	}
 }
 
-// TestSuperblockStats sanity-checks the engine counters on a plain run.
+// TestSuperblockStats pins the engine counters of one plain kernel
+// run: 8,196 instructions, the loop's three blocks compiled halfway
+// through and then dispatched 768 times, every other dispatch PC
+// interpreted. Chaining blocks inside Run must not move any of them.
 func TestSuperblockStats(t *testing.T) {
 	m := New(64 << 10)
 	m.FastPath = true
@@ -463,12 +653,11 @@ func TestSuperblockStats(t *testing.T) {
 	if res.Reason != StopHalt {
 		t.Fatalf("stop = %v", res.Reason)
 	}
-	st := m.Stats()
-	if st.SBCompiles == 0 || st.SBHits == 0 {
-		t.Fatalf("engine never engaged: %+v", st)
-	}
-	if st.SBHits < st.SBCompiles {
-		t.Fatalf("hits (%d) < compiles (%d): cache not reused", st.SBHits, st.SBCompiles)
+	got := m.Stats()
+	want := Stats{InsnRetired: 8196, DecodeMisses: 20, ExecSpanFills: 1, DataSpanFills: 8,
+		SBCompiles: 3, SBHits: 768, SBFallbacks: 4100}
+	if got != want {
+		t.Fatalf("stats\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -734,22 +923,35 @@ const refusalGuard = 0xA000
 // around the op (mem) and the register that walks its address, from
 // start, one access per iteration into refusalGuard after refusalIters
 // iterations. jmp loop ends each pass, so the op is op 0 of its block;
-// with a leading addi it sits mid-block.
+// with a leading addi it sits mid-block. stats holds the production
+// engine's SBHits, SBBails and SBFallbacks at the end of the run, op 0
+// first, then mid-block: the counts one block dispatch per Run
+// iteration gives, traced or not.
 var refusalLoops = []struct {
 	name      string
 	mem, tail string
 	walk      isa.Reg
 	start     uint32
+	stats     [2][3]uint64
 }{
-	{"ld", "ld r5, [r3+0]", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters},
-	{"ldb", "ldb r5, [r3+0]", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters},
-	{"st", "st [r3+0], r2", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters},
-	{"stb", "stb [r3+0], r2", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters},
-	{"push", "push r2", "addi r2, 1\n jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
-	{"pop", "pop r5", "addi r2, 1\n jmp loop", isa.SP, refusalGuard - 4*refusalIters},
-	{"call", "call fn", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
-	{"callr", "callr r4", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters},
-	{"ret", "ret", "", isa.SP, refusalGuard - 4*refusalIters},
+	{"ld", "ld r5, [r3+0]", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters,
+		[2][3]uint64{{301, 5, 1024}, {306, 10, 1280}}},
+	{"ldb", "ldb r5, [r3+0]", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters,
+		[2][3]uint64{{298, 2, 1024}, {300, 4, 1280}}},
+	{"st", "st [r3+0], r2", "addi r3, 4\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - 4*refusalIters,
+		[2][3]uint64{{301, 5, 1024}, {306, 10, 1280}}},
+	{"stb", "stb [r3+0], r2", "addi r3, 1\n addi r2, 1\n jmp loop", isa.R3, refusalGuard - refusalIters,
+		[2][3]uint64{{298, 2, 1024}, {300, 4, 1280}}},
+	{"push", "push r2", "addi r2, 1\n jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters,
+		[2][3]uint64{{301, 5, 768}, {306, 10, 1024}}},
+	{"pop", "pop r5", "addi r2, 1\n jmp loop", isa.SP, refusalGuard - 4*refusalIters,
+		[2][3]uint64{{301, 5, 768}, {306, 10, 1024}}},
+	{"call", "call fn", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters,
+		[2][3]uint64{{593, 5, 512}, {598, 10, 768}}},
+	{"callr", "callr r4", "jmp loop", isa.SP, refusalGuard + 0x100 + 4*refusalIters,
+		[2][3]uint64{{593, 5, 512}, {598, 10, 768}}},
+	{"ret", "ret", "", isa.SP, refusalGuard - 4*refusalIters,
+		[2][3]uint64{{297, 5, 256}, {302, 10, 512}}},
 }
 
 // refusalIters is how many iterations each refusal loop runs before its
@@ -789,7 +991,7 @@ func TestSuperblockDifferentialEveryOp(t *testing.T) {
 			})
 		}
 		for _, k := range refusalLoops {
-			for _, mid := range []bool{false, true} {
+			for at, mid := range []bool{false, true} {
 				t.Run(fmt.Sprintf("refuse-%s/mid=%v/traced=%v", k.name, mid, traced), func(t *testing.T) {
 					head := ""
 					if mid {
@@ -830,8 +1032,9 @@ func TestSuperblockDifferentialEveryOp(t *testing.T) {
 					if v := r.ref.MPU.Violations(); v != 1 {
 						t.Fatalf("%d violations, want the one refused access", v)
 					}
-					if st := r.prod.Stats(); st.SBBails == 0 {
-						t.Fatalf("the compiled pre-check never refused: %+v", st)
+					st := r.prod.Stats()
+					if got := [3]uint64{st.SBHits, st.SBBails, st.SBFallbacks}; got != k.stats[at] {
+						t.Fatalf("SBHits, SBBails, SBFallbacks = %v, want %v", got, k.stats[at])
 					}
 				})
 			}

@@ -62,14 +62,6 @@ func (k *Kernel) DeadlineMisses() uint64 {
 	return n + k.deadlineMissesRetired
 }
 
-// TaskDeadlineMisses returns the miss count of one monitored task.
-func (k *Kernel) TaskDeadlineMisses(id TaskID) uint64 {
-	if w, ok := k.deadlines[id]; ok {
-		return w.misses
-	}
-	return 0
-}
-
 // noteDispatch marks the dispatched task as having run in its current
 // deadline window. Called from dispatch(); the nil-map guard keeps the
 // unmonitored hot path to one comparison.

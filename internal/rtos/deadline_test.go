@@ -154,8 +154,8 @@ main:
 	if _, ok := k.Task(tcb.ID); ok {
 		t.Fatal("sleepy task still registered after exit")
 	}
-	if got := k.TaskDeadlineMisses(tcb.ID); got != 0 {
-		t.Errorf("TaskDeadlineMisses after retire = %d, want 0", got)
+	if w, ok := k.deadlines[tcb.ID]; ok {
+		t.Errorf("deadline watch not retired: %d misses still counted", w.misses)
 	}
 	if got := k.DeadlineMisses(); got != misses {
 		t.Errorf("DeadlineMisses after retire = %d, want %d", got, misses)
