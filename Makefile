@@ -54,8 +54,9 @@ examples:
 # resource bounds — each pinned to a SHA-256 line in its package's
 # testdata/contract.sum. The suite also holds the supervisor to running
 # on events only: never while its tasks are healthy
-# (TestSupervisorIdleNeverRuns) and binding each restart before the new
-# task runs (TestSupervisorAdoptsInstantCrash). The race leg also holds
+# (TestSupervisorIdleNeverRuns), and binding each restart before the
+# new task runs with one supervisor dispatch per restart, 2 activations
+# for 2 restarts (TestSupervisorAdoptsInstantCrash). The race leg also holds
 # the fleet telemetry run to its bytes-per-session budget
 # (TestTelemetryAllocBudget) and stresses memPipe's read timer with ten
 # repeated runs of its deadline tests. Run one gate with e.g.

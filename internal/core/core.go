@@ -296,7 +296,7 @@ func (p *Platform) loadAsync(im *telf.Image, kind rtos.TaskKind, prio int, done 
 		return req
 	}
 	p.loader.enqueue(req)
-	p.K.WakeService(p.loaderTCB)
+	p.K.WakeAt(p.loaderTCB, p.M.Cycles())
 	return req
 }
 

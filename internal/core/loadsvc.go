@@ -158,9 +158,6 @@ func newLoaderService(p *Platform, quantum uint64) *loaderService {
 	return &loaderService{p: p, quantum: quantum}
 }
 
-// HasWork implements the kernel's wakeable probe.
-func (s *loaderService) HasWork() bool { return len(s.queue) > 0 }
-
 func (s *loaderService) enqueue(r *LoadRequest) { s.queue = append(s.queue, r) }
 
 // atomicThreshold: a quantum at or above this makes the loader
@@ -169,10 +166,11 @@ func (s *loaderService) enqueue(r *LoadRequest) { s.queue = append(s.queue, r) }
 const atomicThreshold = 1 << 30
 
 // Step implements rtos.Service: advance the front request by one
-// bounded quantum.
-func (s *loaderService) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uint64, rtos.NativeStatus) {
+// bounded quantum. The loader is ready again while requests remain and
+// sleeps once the queue is empty; a new request wakes it (loadAsync).
+func (s *loaderService) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (used, wake uint64) {
 	if len(s.queue) == 0 {
-		return 0, rtos.NativeIdle
+		return 0, 0
 	}
 	req := s.queue[0]
 	if s.quantum >= atomicThreshold {
@@ -180,23 +178,16 @@ func (s *loaderService) Step(k *rtos.Kernel, self *rtos.TCB, budget uint64) (uin
 		// what a non-interruptible measurement forces. A failure stays on
 		// the request.
 		s.runSync(req)
-		s.queue = s.queue[1:]
-		if len(s.queue) == 0 {
-			return 0, rtos.NativeIdle
-		}
-		return 0, rtos.NativeReady
+	} else {
+		used = s.advance(req, min(budget, s.quantum))
 	}
-	if budget > s.quantum {
-		budget = s.quantum
-	}
-	used := s.advance(req, budget)
 	if req.Done() {
 		s.queue = s.queue[1:]
-		if len(s.queue) == 0 {
-			return used, rtos.NativeIdle
-		}
 	}
-	return used, rtos.NativeReady
+	if len(s.queue) == 0 {
+		return used, 0
+	}
+	return used, k.M.Cycles()
 }
 
 // runSync drives a request to completion without yielding the CPU (the

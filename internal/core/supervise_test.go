@@ -289,7 +289,8 @@ main:
 // supervisor and crashes before the supervisor next runs is still
 // adopted. Every restart is bound to its new task when the reload ends,
 // so each "restart" is followed by "restarted" before the next "fault",
-// and the quarantined status names the last incarnation.
+// and the quarantined status names the last incarnation. The supervisor
+// runs exactly once per restart.
 func TestSupervisorAdoptsInstantCrash(t *testing.T) {
 	p := supervisedPlatform(t, trusted.SupervisorPolicy{MaxRestarts: 2, RestartDelay: 10_000})
 	tcb, _, err := p.LoadTaskSync(mustImage(t, instantSrc), Secure, 7)
@@ -325,6 +326,19 @@ func TestSupervisorAdoptsInstantCrash(t *testing.T) {
 	if st, _ := p.Sup.Status("instant"); st.TaskID != last.ID || st.TaskID == tcb.ID {
 		t.Errorf("quarantined status names task %d; the last incarnation is %d (first %d)", st.TaskID, last.ID, tcb.ID)
 	}
+
+	// The supervisor is dispatched once per restart it starts, and
+	// nothing else: a scheduled restart only sets its wake cycle.
+	for _, task := range p.K.Tasks() {
+		if task.Name == "supervisor" {
+			if task.Activations != 2 || task.CPUCycles != 300 {
+				t.Errorf("supervisor: %d activations, %d cycles; want 2, 300 (one supRestartInit per restart)",
+					task.Activations, task.CPUCycles)
+			}
+			return
+		}
+	}
+	t.Fatal("no supervisor task")
 }
 
 // TestSupervisorFailedReloads: on a statically configured platform

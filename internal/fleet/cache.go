@@ -43,15 +43,6 @@ func NewCache(knownGood []sha1.Digest) *Cache {
 	return c
 }
 
-// Allow adds a digest to the known-good set (a new published build).
-// Earlier cached verdicts for that digest are invalidated.
-func (c *Cache) Allow(d sha1.Digest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.good[d] = true
-	delete(c.verdict, d)
-}
-
 // Appraise returns whether the digest is a known-good build, and
 // whether the verdict came from cache.
 func (c *Cache) Appraise(d sha1.Digest) (ok, hit bool) {

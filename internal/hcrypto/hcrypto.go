@@ -164,10 +164,6 @@ func Unseal(key []byte, blob []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// SealedSize returns the size of a sealed blob for a plaintext of n
-// bytes.
-func SealedSize(n int) int { return n + sealOverhead }
-
 // constantTimeEqual compares two equal-length byte slices without
 // data-dependent early exit.
 func constantTimeEqual(a, b []byte) bool {

@@ -114,7 +114,7 @@ func TestSealUnsealRoundTripQuick(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	f := func(nonce uint64, pt []byte) bool {
 		blob := Seal(key, nonce, pt)
-		if len(blob) != SealedSize(len(pt)) {
+		if len(blob) != len(pt)+sealOverhead {
 			return false
 		}
 		out, err := Unseal(key, blob)

@@ -173,16 +173,6 @@ func (in Instruction) String() string {
 	}
 }
 
-// IsBranch reports whether the instruction can redirect control flow.
-func (in Instruction) IsBranch() bool {
-	switch in.Op {
-	case OpJMP, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU,
-		OpJR, OpCALL, OpCALLR, OpRET:
-		return true
-	}
-	return false
-}
-
 // IsCondBranch reports whether the opcode is a flag-conditional branch —
 // the only instructions whose taken/not-taken split depends on data.
 func (o Op) IsCondBranch() bool {

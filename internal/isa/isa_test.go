@@ -159,20 +159,6 @@ func TestInstructionString(t *testing.T) {
 	}
 }
 
-func TestIsBranch(t *testing.T) {
-	branches := []Op{OpJMP, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpJR, OpCALL, OpCALLR, OpRET}
-	isBranch := make(map[Op]bool)
-	for _, op := range branches {
-		isBranch[op] = true
-	}
-	for op := Op(0); op < numOps; op++ {
-		in := Instruction{Op: op}
-		if got := in.IsBranch(); got != isBranch[op] {
-			t.Errorf("%v.IsBranch() = %v, want %v", op, got, isBranch[op])
-		}
-	}
-}
-
 func TestDisassemble(t *testing.T) {
 	var p Program
 	p.Emit(Instruction{Op: OpLDI, Rd: R0, Imm: 5}).

@@ -105,7 +105,7 @@ func TestRevertAfterMidRelocError(t *testing.T) {
 	if job.Phase() != PhaseReloc {
 		t.Fatalf("phase = %v, want reloc", job.Phase())
 	}
-	applied := job.AppliedRelocs()
+	applied := job.reloc
 	if applied == 0 || applied >= len(im.Relocs) {
 		t.Fatalf("applied = %d of %d; abort not mid-phase", applied, len(im.Relocs))
 	}
@@ -148,8 +148,8 @@ func TestJobAbortMidReloc(t *testing.T) {
 	if !job.Aborted() {
 		t.Error("Aborted() = false after Abort")
 	}
-	if job.AppliedRelocs() != 0 {
-		t.Errorf("AppliedRelocs = %d after Abort", job.AppliedRelocs())
+	if job.reloc != 0 {
+		t.Errorf("applied relocs = %d after Abort", job.reloc)
 	}
 	got, err := m.ReadBytes(p.Base, extent)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestJobAbortCostMatchesRevert(t *testing.T) {
 	job := NewJob(fm, im, 0x20000)
 	driveToError(t, job)
 
-	applied := job.AppliedRelocs()
+	applied := job.reloc
 	var fixups uint64
 	for i := 0; i < applied; i++ {
 		fixups += FixupCost(im.Relocs[i].Kind)

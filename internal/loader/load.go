@@ -308,10 +308,6 @@ func (j *Job) ZeroCost() uint64 { return j.zeroCost }
 // Table 5 quantity: scan plus per-fixup costs).
 func (j *Job) RelocCost() uint64 { return j.relocCost }
 
-// AppliedRelocs returns how many relocation fixups have been applied so
-// far — what Abort will have to revert.
-func (j *Job) AppliedRelocs() int { return j.reloc }
-
 // Aborted reports whether the job was torn down by Abort.
 func (j *Job) Aborted() bool { return j.aborted }
 

@@ -182,9 +182,6 @@ func (t *Timer) NextFire() uint64 {
 	return t.nextFire
 }
 
-// TickCount returns the number of ticks fired since reset.
-func (t *Timer) TickCount() uint64 { return t.fired }
-
 // --- UART -------------------------------------------------------------------
 
 // UART register offsets.
@@ -368,9 +365,6 @@ func (n *NIC) Due(cycle uint64) (int, bool) {
 	}
 	return IRQExt0, true
 }
-
-// Received returns the number of frames delivered.
-func (n *NIC) Received() uint64 { return n.rx }
 
 // --- Key store ---------------------------------------------------------------
 

@@ -617,10 +617,10 @@ func TestNICFlood(t *testing.T) {
 		t.Fatalf("pending = (%d, %v)", line, ok)
 	}
 	m.AckIRQ(IRQExt0)
-	if nic.Received() == 0 {
+	if nic.rx == 0 {
 		t.Error("no frames counted")
 	}
-	if got := nic.Read(NICRegRxCount); got != uint32(nic.Received()) {
+	if got := nic.Read(NICRegRxCount); got != uint32(nic.rx) {
 		t.Errorf("rx count register = %d", got)
 	}
 	if nic.Read(NICRegRate) != 100 {
@@ -630,9 +630,9 @@ func TestNICFlood(t *testing.T) {
 	// future.
 	m.Charge(10_000)
 	m.AckIRQ(IRQExt0)
-	before := nic.Received()
+	before := nic.rx
 	m.Charge(50)
-	if nic.Received() != before {
+	if nic.rx != before {
 		t.Error("NIC fired before its interval after catch-up")
 	}
 }
@@ -704,7 +704,7 @@ func TestTimerRegisters(t *testing.T) {
 	}
 	m.Charge(250)
 	m.AckIRQ(IRQTimer)
-	if tm.TickCount() == 0 || tm.Read(TimerRegCount) == 0 {
+	if tm.fired == 0 || tm.Read(TimerRegCount) == 0 {
 		t.Error("tick count")
 	}
 	tm.Write(TimerRegCtrl, 0)

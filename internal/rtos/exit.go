@@ -38,8 +38,6 @@ const (
 	ExitRestoreFault
 	// ExitKilled: removed administratively (Unload).
 	ExitKilled
-	// ExitDone: a native service task reported completion.
-	ExitDone
 )
 
 // String names the cause.
@@ -61,8 +59,6 @@ func (c ExitCause) String() string {
 		return "restore-fault"
 	case ExitKilled:
 		return "killed"
-	case ExitDone:
-		return "done"
 	default:
 		return fmt.Sprintf("cause(%d)", int(c))
 	}

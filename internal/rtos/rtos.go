@@ -103,20 +103,6 @@ func (s TaskState) String() string {
 	}
 }
 
-// NativeStatus is returned by a service task's Step.
-type NativeStatus int
-
-// Native step outcomes.
-const (
-	// NativeReady: the task has more work and should be scheduled again.
-	NativeReady NativeStatus = iota
-	// NativeIdle: no work right now; block until new work arrives
-	// (Kernel.WakeService).
-	NativeIdle
-	// NativeDone: the service task terminates.
-	NativeDone
-)
-
 // Service is a trusted native task body. Step must perform at most
 // budget cycles of work, charge them on the machine itself (or return
 // them as used), and return promptly — bounded execution per step is
@@ -125,8 +111,11 @@ type Service interface {
 	// Step advances the service by at most budget cycles. used is the
 	// cycle cost the kernel charges on the service's behalf (work done
 	// directly on the machine with Charge should not be double-counted
-	// in used).
-	Step(k *Kernel, self *TCB, budget uint64) (used uint64, status NativeStatus)
+	// in used). wake is the one way a service says when it next has
+	// work: 0 for none (it sleeps until Kernel.WakeAt); a cycle at or
+	// before the cycle after charging used to be ready again; a later
+	// cycle to sleep until then, like a delayed task.
+	Step(k *Kernel, self *TCB, budget uint64) (used, wake uint64)
 }
 
 // TCB is a task control block.
@@ -150,7 +139,8 @@ type TCB struct {
 	// Service-task field.
 	Service Service
 
-	// wakeAt is the cycle at which a delayed task becomes ready.
+	// wakeAt is the cycle at which a delayed task or a sleeping service
+	// becomes ready (0: none).
 	wakeAt uint64
 
 	// R0 override delivered at next restore: the paper's "TyTAN
@@ -349,9 +339,6 @@ func (k *Kernel) Task(id TaskID) (*TCB, bool) {
 func (k *Kernel) Tasks() []*TCB {
 	return append([]*TCB(nil), k.taskOrder...)
 }
-
-// Current returns the task whose context is live, if any.
-func (k *Kernel) Current() *TCB { return k.current }
 
 // Ticks returns the number of scheduler ticks processed.
 func (k *Kernel) Ticks() uint64 { return k.ticks }

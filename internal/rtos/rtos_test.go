@@ -485,32 +485,48 @@ main:
 
 // --- service tasks -----------------------------------------------------
 
-// countingService counts steps and optionally blocks after each.
+// countingService counts steps and records the cycle of each; it is
+// ready again while work remains, and otherwise sleeps until the wake it
+// is given next (0: until WakeAt).
 type countingService struct {
 	steps int
-	work  int // pending work items
+	work  int    // pending work items
+	next  uint64 // wake to publish once the work is done
+	at    []uint64
 }
 
-func (c *countingService) HasWork() bool { return c.work > 0 }
-
-func (c *countingService) Step(k *Kernel, self *TCB, budget uint64) (uint64, NativeStatus) {
+func (c *countingService) Step(k *Kernel, self *TCB, budget uint64) (uint64, uint64) {
 	c.steps++
+	c.at = append(c.at, k.M.Cycles())
 	if c.work > 0 {
 		c.work--
 	}
-	if c.work == 0 {
-		return 500, NativeIdle
+	if c.work > 0 {
+		return 500, k.M.Cycles()
 	}
-	return 500, NativeReady
+	next := c.next
+	c.next = 0
+	return 500, next
 }
 
 func TestServiceTaskDrainsWorkAndBlocks(t *testing.T) {
 	k := newKernel(t, Config{})
-	svc := &countingService{work: 3}
+	svc := &countingService{}
 	tcb, err := k.NewServiceTask("svc", 4, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tcb.State != StateBlocked {
+		t.Fatalf("new service state = %v, want blocked", tcb.State)
+	}
+	if err := k.RunUntil(k.M.Cycles() + 100_000); err != nil {
+		t.Fatal(err)
+	}
+	if svc.steps != 0 {
+		t.Fatalf("service without work stepped %d times", svc.steps)
+	}
+	svc.work = 3
+	k.WakeAt(tcb, k.M.Cycles())
 	if err := k.RunUntil(k.M.Cycles() + 100_000); err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +538,7 @@ func TestServiceTaskDrainsWorkAndBlocks(t *testing.T) {
 	}
 	// New work wakes it.
 	svc.work = 2
-	k.WakeService(tcb)
+	k.WakeAt(tcb, k.M.Cycles())
 	if err := k.RunUntil(k.M.Cycles() + 100_000); err != nil {
 		t.Fatal(err)
 	}
@@ -531,24 +547,83 @@ func TestServiceTaskDrainsWorkAndBlocks(t *testing.T) {
 	}
 }
 
-type doneService struct{}
+// TestServiceWakeRule pins the one wake rule: the wake a Step returns,
+// WakeAt on a sleeping service, and a service interrupted after it was
+// picked at a RunUntil limit.
+func TestServiceWakeRule(t *testing.T) {
+	newSvc := func(t *testing.T) (*Kernel, *countingService, *TCB) {
+		k := newKernel(t, Config{})
+		svc := &countingService{}
+		tcb, err := k.NewServiceTask("svc", 4, svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k, svc, tcb
+	}
+	run := func(t *testing.T, k *Kernel, to uint64) {
+		t.Helper()
+		if err := k.RunUntil(to); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-func (doneService) Step(k *Kernel, self *TCB, budget uint64) (uint64, NativeStatus) {
-	return 100, NativeDone
-}
+	t.Run("future-wake", func(t *testing.T) {
+		k, svc, tcb := newSvc(t)
+		svc.work = 1
+		k.WakeAt(tcb, k.M.Cycles())
+		wake := k.M.Cycles() + 50_000
+		svc.next = wake
+		run(t, k, wake-1)
+		if svc.steps != 1 || tcb.State != StateBlocked {
+			t.Fatalf("before its wake: %d steps, state %v; want 1, blocked", svc.steps, tcb.State)
+		}
+		run(t, k, wake+10_000)
+		if svc.steps != 2 || svc.at[1] != wake+machine.CostSchedulerPick {
+			t.Errorf("steps at %v, want the second at %d (wake + pick)", svc.at, wake+machine.CostSchedulerPick)
+		}
+	})
 
-func TestServiceTaskDone(t *testing.T) {
-	k := newKernel(t, Config{})
-	tcb, err := k.NewServiceTask("once", 4, doneService{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RunUntil(k.M.Cycles() + 10_000); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := k.Task(tcb.ID); ok {
-		t.Error("done service still registered")
-	}
+	t.Run("earlier-wake-kept", func(t *testing.T) {
+		k, svc, tcb := newSvc(t)
+		now := k.M.Cycles()
+		k.WakeAt(tcb, now+30_000)
+		k.WakeAt(tcb, now+20_000)
+		k.WakeAt(tcb, now+40_000)
+		run(t, k, now+100_000)
+		if svc.steps != 1 || svc.at[0] != now+20_000+machine.CostSchedulerPick {
+			t.Errorf("steps at %v, want one at %d", svc.at, now+20_000+machine.CostSchedulerPick)
+		}
+	})
+
+	t.Run("wake-now", func(t *testing.T) {
+		k, svc, tcb := newSvc(t)
+		k.WakeAt(tcb, k.M.Cycles())
+		if tcb.State != StateReady {
+			t.Fatalf("state after WakeAt(now) = %v, want ready", tcb.State)
+		}
+		run(t, k, k.M.Cycles()+10_000)
+		if svc.steps != 1 {
+			t.Errorf("steps = %d, want 1", svc.steps)
+		}
+	})
+
+	t.Run("picked-at-limit-then-interrupted", func(t *testing.T) {
+		k, svc, tcb := newSvc(t)
+		svc.work = 1
+		k.WakeAt(tcb, k.M.Cycles())
+		run(t, k, k.M.Cycles()+1) // the pick's charge reaches the limit
+		if tcb.State != StateRunning || tcb.Activations != 1 || svc.steps != 0 {
+			t.Fatalf("after the limit: state %v, %d activations, %d steps; want running, 1, 0",
+				tcb.State, tcb.Activations, svc.steps)
+		}
+		k.StartTick()
+		k.M.RaiseIRQ(machine.IRQTimer)
+		run(t, k, k.M.Cycles()+10_000)
+		if k.Preempted() != 1 || svc.steps != 1 {
+			t.Errorf("%d pre-emptions, %d steps; want the interrupted service re-queued and stepped once",
+				k.Preempted(), svc.steps)
+		}
+	})
 }
 
 // --- configuration and guards ---------------------------------------------
@@ -567,7 +642,7 @@ func TestBadPriority(t *testing.T) {
 	if _, err := loadTask(k, im, KindNormal, NumPriorities); err != ErrBadPriority {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := k.NewServiceTask("x", -1, doneService{}); err != ErrBadPriority {
+	if _, err := k.NewServiceTask("x", -1, &countingService{}); err != ErrBadPriority {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -767,8 +842,8 @@ func TestStringersAndAccessors(t *testing.T) {
 	if len(k.Tasks()) != 1 || k.Tasks()[0] != tcb {
 		t.Error("Tasks accessor")
 	}
-	if k.Current() != nil {
-		t.Error("Current before run")
+	if k.current != nil {
+		t.Error("a task is current before the first run")
 	}
 	if err := k.RunUntil(k.M.Cycles() + 10_000); err != nil {
 		t.Fatal(err)

@@ -114,11 +114,9 @@ func (k *Kernel) serviceInterrupt() {
 	k.bankContext()
 	if cur != nil && cur.State == StateRunning {
 		cur.EntryInfo = EntryResumed
-		if cur.IsISA() || cur.serviceRunnable() {
-			k.enqueue(cur)
-		} else {
-			cur.State = StateBlocked
-		}
+		// A service picked at a RunUntil limit was readied with work
+		// it has not done yet, so it goes back on the ready list too.
+		k.enqueue(cur)
 		k.preempted++
 	}
 	k.current = nil
@@ -145,15 +143,6 @@ func (k *Kernel) serviceInterrupt() {
 		k.M.Emit(trace.SubKernel, kind, "", trace.Num("line", uint64(line)), trace.Num("latency", lat))
 	}
 	k.M.SetInterruptsEnabled(true)
-}
-
-// serviceRunnable reports whether a service task has work queued.
-func (t *TCB) serviceRunnable() bool {
-	type wakeable interface{ HasWork() bool }
-	if w, ok := t.Service.(wakeable); ok {
-		return w.HasWork()
-	}
-	return true
 }
 
 // RunUntil drives the kernel until the machine's cycle counter reaches
@@ -221,29 +210,17 @@ func (k *Kernel) dispatch(limit uint64) {
 	budget := limit - now
 
 	if !t.IsISA() {
-		used, status := t.Service.Step(k, t, budget)
+		used, wake := t.Service.Step(k, t, budget)
 		k.M.Charge(used)
 		t.CPUCycles += used
-		switch status {
-		case NativeReady:
-			if k.current == t { // may have been pre-empted/retargeted
-				k.current = nil
-				k.enqueue(t)
-			}
-		case NativeIdle:
-			if k.current == t {
-				k.current = nil
-				t.State = StateBlocked
-				// A service with timed work (the trusted supervisor's
-				// due restarts) publishes the next cycle it needs to run
-				// at; the scheduler treats it like a delayed task.
-				if w, ok := t.Service.(interface{ NextWake() uint64 }); ok {
-					t.wakeAt = w.NextWake()
-				}
-			}
-		case NativeDone:
+		if k.current == t { // may have been pre-empted/retargeted
 			k.current = nil
-			k.removeTaskWith(t, ExitReason{Cause: ExitDone})
+			if wake != 0 && wake <= k.M.Cycles() {
+				k.enqueue(t)
+			} else {
+				t.State = StateBlocked
+				t.wakeAt = wake
+			}
 		}
 		return
 	}

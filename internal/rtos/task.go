@@ -29,7 +29,8 @@ const ContextFrameBytes = contextFrameBytes
 
 // NewServiceTask registers a trusted native service as a schedulable
 // task. Service tasks are secure tasks whose code runs natively; they
-// have no ISA context.
+// have no ISA context. A service starts asleep: it first runs when
+// WakeAt gives it work.
 func (k *Kernel) NewServiceTask(name string, prio int, svc Service) (*TCB, error) {
 	if prio < 0 || prio >= NumPriorities {
 		return nil, ErrBadPriority
@@ -39,15 +40,11 @@ func (k *Kernel) NewServiceTask(name string, prio int, svc Service) (*TCB, error
 		Name:     name,
 		Kind:     KindService,
 		Priority: prio,
+		State:    StateBlocked,
 		Service:  svc,
 	}
 	k.tasks[t.ID] = t
 	k.taskOrder = append(k.taskOrder, t)
-	if t.serviceRunnable() {
-		k.enqueue(t)
-	} else {
-		t.State = StateBlocked
-	}
 	return t, nil
 }
 
@@ -307,11 +304,19 @@ func (k *Kernel) Unblock(t *TCB, info uint32) {
 	k.enqueue(t)
 }
 
-// WakeService marks a (possibly blocked) service task ready because new
-// work arrived for it.
-func (k *Kernel) WakeService(t *TCB) {
-	if t.State == StateBlocked {
+// WakeAt gives a sleeping service task work at cycle: at or before now
+// it is readied at once; later, it sleeps until the earlier of cycle and
+// the wake it already has. A ready or running service publishes its own
+// next wake from Step, so WakeAt leaves it alone.
+func (k *Kernel) WakeAt(t *TCB, cycle uint64) {
+	if t.IsISA() || t.State != StateBlocked {
+		return
+	}
+	if cycle <= k.M.Cycles() {
+		t.wakeAt = 0
 		k.enqueue(t)
+	} else if t.wakeAt == 0 || cycle < t.wakeAt {
+		t.wakeAt = cycle
 	}
 }
 

@@ -229,14 +229,3 @@ func Verify(im *telf.Image, cfg Config) *Report {
 	})
 	return rep
 }
-
-// VerifyBytes decodes an encoded image and verifies it. The error is
-// exactly telf.Decode's (which includes Validate): callers — and the
-// fuzzer — can rely on VerifyBytes rejecting iff Decode rejects.
-func VerifyBytes(b []byte, cfg Config) (*Report, error) {
-	im, err := telf.Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	return Verify(im, cfg), nil
-}

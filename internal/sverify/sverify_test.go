@@ -355,10 +355,14 @@ func TestVerifyBytesRejectsIffDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyBytes(enc, Config{}); err != nil {
+	dec, err := telf.Decode(enc)
+	if err != nil {
 		t.Fatalf("valid image rejected: %v", err)
 	}
-	if _, err := VerifyBytes(enc[:10], Config{}); err == nil {
+	if Verify(dec, Config{}) == nil {
+		t.Fatal("no report for a valid image")
+	}
+	if _, err := telf.Decode(enc[:10]); err == nil {
 		t.Fatal("truncated image accepted")
 	}
 }

@@ -30,12 +30,6 @@ type IntMux struct {
 // NewIntMux creates the multiplexer.
 func NewIntMux(m *machine.Machine) *IntMux { return &IntMux{m: m} }
 
-// Saves returns how many secure context saves have been performed.
-func (x *IntMux) Saves() uint64 { return x.saves }
-
-// Restores returns how many secure context restores have been performed.
-func (x *IntMux) Restores() uint64 { return x.restores }
-
 // Save implements rtos.InterruptPath. All memory traffic happens inside
 // the Int Mux's protection context: its boot-time grant covers task
 // stacks, while the untrusted handler that runs afterwards sees only

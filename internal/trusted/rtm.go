@@ -141,9 +141,6 @@ func (j *MeasureJob) Identity() (sha1.Digest, error) {
 	return j.id, nil
 }
 
-// Reverted returns how many fixups were reverted during hashing.
-func (j *MeasureJob) Reverted() int { return j.reverted }
-
 // Step advances the measurement by at most budget cycles and returns
 // the cycles consumed. The measured task must be prevented from
 // executing while the job runs (the loader keeps it unscheduled), which

@@ -30,7 +30,10 @@ import (
 // task's exit (the kernel's exit hook), a restart falling due (its
 // service task wakes at that cycle), and a reload ending (the loader
 // calls back in the step that makes the new task schedulable, before it
-// can run). Watching healthy tasks costs nothing.
+// can run). Watching healthy tasks costs nothing. Scheduling a restart
+// only moves the service task's wake cycle (Kernel.WakeAt), and Step
+// returns the next one, so the supervisor is dispatched once per
+// restart it starts and never without work.
 //
 // Everything is driven by the simulated cycle counter, so supervised
 // runs are exactly as deterministic as unsupervised ones.
@@ -285,7 +288,7 @@ func (s *Supervisor) retry(w *watch) {
 	}
 	w.state = WatchRestarting
 	w.restartAt = s.k.M.Cycles() + s.pol.RestartDelay<<uint(w.restarts)
-	s.k.WakeService(s.tcb)
+	s.k.WakeAt(s.tcb, w.restartAt)
 }
 
 // reloaded is a restart's done callback. On success it binds the new
@@ -304,18 +307,10 @@ func (s *Supervisor) reloaded(w *watch, t *rtos.TCB, err error) {
 	s.k.M.Charge(supReloadDone)
 }
 
-// HasWork implements the kernel's wakeable probe: a restart is due. An
-// in-flight reload is not work; the lower-priority loader service must
-// get the CPU to finish it.
-func (s *Supervisor) HasWork() bool {
-	next := s.NextWake()
-	return next != 0 && next <= s.k.M.Cycles()
-}
-
-// NextWake tells the scheduler the cycle of the earliest pending
-// restart; 0 (none) leaves the supervisor asleep until an exit or an
-// ended reload wakes it.
-func (s *Supervisor) NextWake() uint64 {
+// nextWake returns the cycle of the earliest pending restart, or 0 if
+// none is pending. An in-flight reload is not work: the lower-priority
+// loader service must get the CPU to finish it.
+func (s *Supervisor) nextWake() uint64 {
 	var next uint64
 	for _, w := range s.order {
 		if w.restartAt != 0 && (next == 0 || w.restartAt < next) {
@@ -325,9 +320,10 @@ func (s *Supervisor) NextWake() uint64 {
 	return next
 }
 
-// Step implements rtos.Service: start every due restart.
-func (s *Supervisor) Step(k *rtos.Kernel, _ *rtos.TCB, _ uint64) (uint64, rtos.NativeStatus) {
-	var used uint64
+// Step implements rtos.Service: start every due restart, then sleep
+// until the next one (a restart that a failed reload scheduled inside
+// this step included).
+func (s *Supervisor) Step(k *rtos.Kernel, _ *rtos.TCB, _ uint64) (used, wake uint64) {
 	now := k.M.Cycles()
 	for _, w := range s.order {
 		if w.restartAt == 0 || now < w.restartAt {
@@ -339,5 +335,5 @@ func (s *Supervisor) Step(k *rtos.Kernel, _ *rtos.TCB, _ uint64) (uint64, rtos.N
 		s.logEvent(w.name, "restart", fmt.Sprintf("attempt %d/%d", w.restarts, s.pol.MaxRestarts))
 		s.reload.Reload(w.im, w.kind, w.prio, func(t *rtos.TCB, err error) { s.reloaded(w, t, err) })
 	}
-	return used, rtos.NativeIdle
+	return used, s.nextWake()
 }

@@ -304,7 +304,7 @@ func TestIntMuxCounters(t *testing.T) {
 	im := mustImage(t, ".task \"cnt\"\n.entry e\n.stack 128\n.bss 28\n.text\ne:\n jmp e\n")
 	r.loadTask(t, im, rtos.KindSecure, 3)
 	runRig(t, r, 10*rtos.DefaultTickPeriod)
-	if r.c.Mux.Saves() == 0 || r.c.Mux.Restores() == 0 {
-		t.Errorf("mux counters: saves=%d restores=%d", r.c.Mux.Saves(), r.c.Mux.Restores())
+	if r.c.Mux.saves == 0 || r.c.Mux.restores == 0 {
+		t.Errorf("mux counters: saves=%d restores=%d", r.c.Mux.saves, r.c.Mux.restores)
 	}
 }

@@ -266,7 +266,7 @@ main:
 		t.Fatal(err)
 	}
 	_ = before
-	if r.c.Mux.Saves() == 0 {
+	if r.c.Mux.saves == 0 {
 		t.Fatal("no secure save happened")
 	}
 	_ = tcb
@@ -369,8 +369,8 @@ buf:
 	if got != want {
 		t.Errorf("measured identity %x != image identity %x", got, want)
 	}
-	if mj.Reverted() != len(im.Relocs) {
-		t.Errorf("reverted %d fixups, want %d", mj.Reverted(), len(im.Relocs))
+	if mj.reverted != len(im.Relocs) {
+		t.Errorf("reverted %d fixups, want %d", mj.reverted, len(im.Relocs))
 	}
 
 	// Position independence: load at a different base, same identity.
