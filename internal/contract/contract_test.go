@@ -92,10 +92,7 @@ var testOnlyExports = map[string]bool{
 	"RelocationCost":    true, // loader
 	"ReadBytes":         true, // machine.Machine
 	"Period":            true, // machine.Timer
-	"SetIRQEnabled":     true, // machine.Machine
-	"InterruptsEnabled": true, // machine.Machine
 	"IDTHandler":        true, // machine.Machine
-	"ExecContext":       true, // machine.Machine
 	"InstallTask":       true, // rtos.Kernel
 	"HasErrors":         true, // sverify.Report
 	"DefiniteErrors":    true, // sverify.Report

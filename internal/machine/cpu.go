@@ -14,19 +14,26 @@ import (
 // becomes deliverable.
 
 // fetch reads and decodes the instruction at EIP, enforcing execute
-// permission and entry-point rules. The fast path serves both the
-// permission verdict and the decoded form from caches (fastpath.go);
-// the reference path runs the full EA-MPU scan and a fresh decode.
-// Either way the decode reads straight out of RAM with the window
-// clamped at the end of memory — no per-fetch allocation.
-func (m *Machine) fetch() (isa.Instruction, *Fault) {
+// permission and entry-point rules, and returns a reference to the
+// decoded form that Step reads in place. The fast path serves both the
+// permission verdict and the decoded form from caches and returns the
+// predecode table entry (fastpath.go); the reference path runs the full
+// EA-MPU scan and a fresh decode into m.decoded. Either way the decode
+// reads straight out of RAM with the window clamped at the end of
+// memory, and nothing is allocated or copied per fetch.
+func (m *Machine) fetch() (*isa.Instruction, *Fault) {
 	if m.FastPath {
 		return m.fetchFast()
 	}
 	if err := m.MPU.CheckExec(m.lastPC, m.eip, !m.branched); err != nil {
-		return isa.Instruction{}, &Fault{PC: m.eip, Why: "instruction fetch", Wrap: err}
+		return nil, &Fault{PC: m.eip, Why: "instruction fetch", Wrap: err}
 	}
-	return m.decodeAt(m.eip)
+	in, fault := m.decodeAt(m.eip)
+	if fault != nil {
+		return nil, fault
+	}
+	m.decoded = in
+	return &m.decoded, nil
 }
 
 // stepFault charges the faulting instruction's cost and packages the
@@ -53,6 +60,12 @@ func (m *Machine) setFlags(a, b uint32) {
 
 // Step executes one instruction. It returns the trap outcome: StopBudget
 // means "retired normally, keep going".
+//
+// Step reads the instruction through the pointer fetch returns, so
+// nothing Step does may refill what it points to: a write into the
+// instruction's own bytes (a store, a call's push, an OnStep hook's
+// LoadBytes) only advances the generation, the entry keeps its decoded
+// form until the next fetch, and the instruction runs as it was fetched.
 func (m *Machine) Step() RunResult {
 	in, fault := m.fetch()
 	if fault != nil {
@@ -60,12 +73,12 @@ func (m *Machine) Step() RunResult {
 	}
 	m.insnRetired++
 	if m.OnStep != nil {
-		m.OnStep(m.eip, in)
+		m.OnStep(m.eip, *in)
 	}
 	m.execPC = m.eip
 	m.lastPC = m.eip
 	m.branched = false
-	next := m.eip + in.Width()
+	next := m.eip + in.Op.Width()
 	cost := InstructionCost(in.Op)
 
 	switch in.Op {
@@ -143,7 +156,7 @@ func (m *Machine) Step() RunResult {
 			taken = m.eflags&isa.FlagC == 0
 		}
 		if taken {
-			next = m.lastPC + in.Width() + uint32(int32(in.Imm))*4
+			next = m.lastPC + in.Op.Width() + uint32(int32(in.Imm))*4
 			m.branched = true
 			cost += branchTakenExtra
 		}
@@ -157,7 +170,7 @@ func (m *Machine) Step() RunResult {
 		}
 		m.regs[isa.SP] = sp
 		if in.Op == isa.OpCALL {
-			next = m.lastPC + in.Width() + uint32(int32(in.Imm))*4
+			next = m.lastPC + in.Op.Width() + uint32(int32(in.Imm))*4
 		} else {
 			next = m.regs[in.Rs]
 		}

@@ -14,7 +14,12 @@ import (
 //
 //   - a decoded-instruction cache: a direct-mapped predecode table keyed
 //     by physical address, filled on first fetch straight out of m.ram
-//     (no allocation, no copy) and consulted on every later fetch;
+//     (no allocation, no copy) and consulted on every later fetch. A hit
+//     hands Step a pointer to the entry and copies nothing: passed by
+//     value, the five-field isa.Instruction was spilled byte by byte and
+//     reloaded as one word at each hand-off, and the reload stalled on
+//     a store-forwarding failure. An entry is never refilled while Step
+//     reads it: writes into cached code only advance the generation;
 //
 //   - an EA-MPU decision cache: memoized CheckExec/CheckData "allow"
 //     verdicts stored as constant-verdict address spans (see
@@ -362,14 +367,16 @@ func (m *Machine) decodeAt(pc uint32) (isa.Instruction, *Fault) {
 }
 
 // fetchFast is the cached fetch: an O(1) exec-permission span test plus
-// a direct-mapped predecode lookup. Every miss goes through the exact
-// reference checks, so faults are identical to the slow path.
-func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
+// a direct-mapped predecode lookup. It returns a pointer to the table
+// entry's decoded form, which it hit or just filled. Every miss goes
+// through the exact reference checks, so faults are identical to the
+// slow path.
+func (m *Machine) fetchFast() (*isa.Instruction, *Fault) {
 	m.syncMPUGen()
 	pc := m.eip
 	if e, ok := m.execHit(pc); !ok {
 		if err := m.MPU.CheckExec(m.lastPC, pc, !m.branched); err != nil {
-			return isa.Instruction{}, &Fault{PC: pc, Why: "instruction fetch", Wrap: err}
+			return nil, &Fault{PC: pc, Why: "instruction fetch", Wrap: err}
 		}
 		lo, hi := m.MPU.ExecSpan(pc)
 		*e = execSpan{gen: m.gen, lo: lo, hi: hi}
@@ -380,12 +387,12 @@ func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
 	}
 	ic := &m.icache[(pc>>2)&m.icMask]
 	if ic.gen == m.gen && ic.pc == pc {
-		return ic.in, nil
+		return &ic.in, nil
 	}
 	m.decodeMisses++
 	in, fault := m.decodeAt(pc)
 	if fault != nil {
-		return isa.Instruction{}, fault
+		return nil, fault
 	}
 	*ic = icEntry{pc: pc, gen: m.gen, in: in}
 	if pc < m.codeLo {
@@ -394,7 +401,7 @@ func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
 	if end := pc + in.Width() - 1; end > m.codeHi {
 		m.codeHi = end
 	}
-	return in, nil
+	return &ic.in, nil
 }
 
 // wordsFast serves aligned RAM word accesses from the decision cache:

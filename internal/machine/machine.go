@@ -204,12 +204,15 @@ type Machine struct {
 	eflags   uint32
 	lastPC   uint32
 	branched bool
+	// decoded is the reference fetch's one decode slot: fetch decodes
+	// into it and hands Step a pointer, as the fast path hands out its
+	// predecode table entry.
+	decoded isa.Instruction
 
 	// Interrupt controller state.
-	pending    uint32
-	enabledIRQ uint32
-	intEnable  bool
-	raisedAt   [NumIRQs]uint64
+	pending   uint32
+	intEnable bool
+	raisedAt  [NumIRQs]uint64
 
 	// execPC is the bus-master context used for EA-MPU checks: the CPU
 	// sets it to EIP each step; native (trusted firmware) code sets it
@@ -218,7 +221,9 @@ type Machine struct {
 
 	// OnStep, when set, observes every retired instruction before it
 	// executes (pc, decoded form) — the simulator's instruction-trace
-	// hook. It must not mutate machine state.
+	// hook. It must not mutate machine state, except that it may rewrite
+	// the bytes of the instruction it observes, which still runs as
+	// fetched (TestRewriteOwnBytes).
 	OnStep func(pc uint32, in isa.Instruction)
 
 	// Obs, when set, is the platform's one event sink: the machine, the
@@ -237,15 +242,14 @@ func New(ramSize uint32) *Machine {
 		ramSize = DefaultRAMSize
 	}
 	return &Machine{
-		MPU:        &eampu.MPU{},
-		FastPath:   FastPathDefault,
-		ram:        getTable[byte](&ramPool, int(ramSize)),
-		devices:    make(map[uint32]Device),
-		enabledIRQ: ^uint32(0),
-		gen:        1, // zero-valued cache entries must never match
-		codeLo:     eampu.MaxAddr,
-		sbLo:       eampu.MaxAddr,
-		icMask:     1<<icacheBits - 1,
+		MPU:      &eampu.MPU{},
+		FastPath: FastPathDefault,
+		ram:      getTable[byte](&ramPool, int(ramSize)),
+		devices:  make(map[uint32]Device),
+		gen:      1, // zero-valued cache entries must never match
+		codeLo:   eampu.MaxAddr,
+		sbLo:     eampu.MaxAddr,
+		icMask:   1<<icacheBits - 1,
 	}
 }
 
@@ -387,34 +391,18 @@ func (m *Machine) AckIRQ(line int) {
 	}
 }
 
-// SetIRQEnabled masks or unmasks one line.
-func (m *Machine) SetIRQEnabled(line int, on bool) {
-	if line < 0 || line >= NumIRQs {
-		return
-	}
-	if on {
-		m.enabledIRQ |= 1 << uint(line)
-	} else {
-		m.enabledIRQ &^= 1 << uint(line)
-	}
-}
-
 // SetInterruptsEnabled sets the global interrupt-enable flag (the
 // CPU-level IF).
 func (m *Machine) SetInterruptsEnabled(on bool) { m.intEnable = on }
 
-// InterruptsEnabled reports the global interrupt-enable flag.
-func (m *Machine) InterruptsEnabled() bool { return m.intEnable }
-
-// PendingIRQ returns the lowest-numbered pending, unmasked interrupt
-// line, if any. It does not consider the global enable flag.
+// PendingIRQ returns the lowest-numbered pending interrupt line, if
+// any. It does not consider the global enable flag.
 func (m *Machine) PendingIRQ() (line int, ok bool) {
-	active := m.pending & m.enabledIRQ
-	if active == 0 {
+	if m.pending == 0 {
 		return 0, false
 	}
 	for i := 0; i < NumIRQs; i++ {
-		if active&(1<<uint(i)) != 0 {
+		if m.pending&(1<<uint(i)) != 0 {
 			return i, true
 		}
 	}
@@ -511,6 +499,3 @@ func (m *Machine) WithExecContext(pc uint32, fn func()) {
 	defer func() { m.execPC = old }()
 	fn()
 }
-
-// ExecContext returns the current bus-master protection context.
-func (m *Machine) ExecContext() uint32 { return m.execPC }

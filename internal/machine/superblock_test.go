@@ -244,6 +244,116 @@ func TestSuperblockDifferentialSelfModifyInBlock(t *testing.T) {
 	}
 }
 
+// TestRewriteOwnBytes pins the rule that an instruction runs as it was
+// fetched even when its own bytes change under it: Step reads the
+// decoded form through the pointer fetch returned, so nothing may
+// refill that entry before the instruction completes. An OnStep hook
+// rewrites the current LDI (LoadBytes), a store and a call's push each
+// overwrite their own word, and on both engines, driven by Run and by
+// Step, the write takes effect only at the next fetch of those bytes.
+func TestRewriteOwnBytes(t *testing.T) {
+	const base = 0x2000
+	word := func(in isa.Instruction) []byte { return isa.Encode(nil, in) }
+	ldi111 := isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111}
+	ldi222 := isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 222}
+	addi := isa.Instruction{Op: isa.OpADDI, Rd: isa.R6, Imm: 1}
+	var p isa.Program
+	p.Emit(ldi111)                                                        // word 0: the hook rewrites it
+	p.Emit(isa.Instruction{Op: isa.OpADD, Rd: isa.R2, Rs: isa.R1})        // word 1
+	p.Emit(isa.Instruction{Op: isa.OpST, Rd: isa.R3, Rs: isa.R5, Imm: 0}) // word 2: stores into r3
+	p.Emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R4, Imm: -1})          // word 3
+	p.Emit(isa.Instruction{Op: isa.OpCMPI, Rd: isa.R4, Imm: 0})           // word 4
+	p.Emit(isa.Instruction{Op: isa.OpBNE, Imm: -6})                       // word 5: to word 0
+	p.Emit(isa.Instruction{Op: isa.OpHLT})                                // word 6
+	p.Emit(isa.Instruction{Op: isa.OpCALL, Imm: 1})                       // word 7: pushes onto itself
+	p.Emit(isa.Instruction{Op: isa.OpHLT})                                // word 8
+	p.Emit(isa.Instruction{Op: isa.OpRET})                                // word 9
+
+	for _, drive := range []string{"Run", "Step"} {
+		t.Run(drive, func(t *testing.T) {
+			r := newPairRig(64 << 10)
+			armed := false
+			r.each(func(m *Machine) {
+				trace := r.rtr.hook()
+				if m == r.prod {
+					trace = r.ptr.hook()
+				}
+				m.OnStep = func(pc uint32, in isa.Instruction) {
+					trace(pc, in)
+					if pc == base && armed && in == ldi111 {
+						m.LoadBytes(base, word(ldi222))
+					}
+				}
+				m.LoadBytes(base, p.Bytes())
+				m.SetReg(isa.SP, 0x8000)
+			})
+			run := func(tag string) {
+				if drive == "Run" {
+					r.runSlices(t, []uint64{1 << 20}, 10)
+					return
+				}
+				for i := 0; ; i++ {
+					rr, rp := r.ref.Step(), r.prod.Step()
+					r.compare(t, fmt.Sprintf("%s: step %d", tag, i), rr, rp)
+					if rr.Reason != StopBudget {
+						break
+					}
+				}
+				r.compareRAM(t, tag)
+			}
+
+			// Warm-up: the store writes scratch data, and under Run the
+			// loop's blocks compile halfway through.
+			r.each(func(m *Machine) {
+				m.SetEIP(base)
+				m.SetReg(isa.R3, 0x9000)
+				m.SetReg(isa.R4, kernelIters)
+			})
+			run("warm-up")
+			if st := r.prod.Stats(); drive == "Run" && st.SBHits == 0 {
+				t.Fatalf("loop never ran compiled: %+v", st)
+			}
+
+			// Three passes: the first runs ldi 111 although the hook has
+			// already rewritten it, and its store replaces itself with
+			// addi r6, 1, which the other two run instead.
+			armed = true
+			r.each(func(m *Machine) {
+				m.SetEIP(base)
+				m.SetReg(isa.R2, 0)
+				m.SetReg(isa.R3, base+2*4)
+				m.SetReg(isa.R4, 3)
+				m.SetReg(isa.R5, binary.LittleEndian.Uint32(word(addi)))
+			})
+			run("rewrite")
+			r.each(func(m *Machine) {
+				if got := m.Reg(isa.R2); got != 111+222+222 {
+					t.Errorf("FastPath=%v: sum of r1 = %d, want %d", m.FastPath, got, 111+222+222)
+				}
+				if got := m.Reg(isa.R6); got != 2 {
+					t.Errorf("FastPath=%v: the stored addi ran %d times, want 2", m.FastPath, got)
+				}
+			})
+
+			// The call's push lands on the call itself, which must still
+			// jump to its target and return past itself.
+			r.each(func(m *Machine) {
+				m.SetEIP(base + 7*4)
+				m.SetReg(isa.SP, base+8*4)
+			})
+			run("call")
+			r.each(func(m *Machine) {
+				if m.EIP() != base+9*4 || m.Reg(isa.SP) != base+8*4 {
+					t.Errorf("FastPath=%v: call onto itself ended at eip=%#x sp=%#x", m.FastPath, m.EIP(), m.Reg(isa.SP))
+				}
+				if got, _ := m.Read32(base + 7*4); got != base+8*4 {
+					t.Errorf("FastPath=%v: pushed return address %#x, want %#x", m.FastPath, got, base+8*4)
+				}
+			})
+		})
+	}
+}
+
 // TestSuperblockDifferentialMPUReconfig compiles a block containing a
 // store pre-checked against the decision cache, then reconfigures the
 // EA-MPU so the store becomes a violation: the cached verdict must be
@@ -736,8 +846,22 @@ func icacheSizeDefault() uint64 { return 1 << icacheBits }
 // of the loop is compiled.
 func newKernelMachine(tb testing.TB) *Machine {
 	tb.Helper()
+	m := loadKernel(tb, true)
+	for i := 0; i < 2; i++ {
+		kernelPass(tb, m)
+	}
+	if st := m.Stats(); st.SBHits == 0 {
+		tb.Fatalf("kernel never ran compiled: %+v", st)
+	}
+	return m
+}
+
+// loadKernel returns a machine on the production (fast) or reference
+// engine with kernelProgram loaded at 0x2000 under an enforcing EA-MPU.
+func loadKernel(tb testing.TB, fast bool) *Machine {
+	tb.Helper()
 	m := New(64 << 10)
-	m.FastPath = true
+	m.FastPath = fast
 	p := kernelProgram()
 	if err := m.LoadBytes(0x2000, p.Bytes()); err != nil {
 		tb.Fatal(err)
@@ -751,12 +875,6 @@ func newKernelMachine(tb testing.TB) *Machine {
 		tb.Fatal(err)
 	}
 	m.MPU.Enable()
-	for i := 0; i < 2; i++ {
-		kernelPass(tb, m)
-	}
-	if st := m.Stats(); st.SBHits == 0 {
-		tb.Fatalf("kernel never ran compiled: %+v", st)
-	}
 	return m
 }
 
@@ -791,6 +909,52 @@ func TestCompiledRunAllocs(t *testing.T) {
 	m := newKernelMachine(t)
 	if n := testing.AllocsPerRun(20, func() { kernelPass(t, m) }); n != 0 {
 		t.Fatalf("warmed kernel pass allocated %.1f times, want 0", n)
+	}
+}
+
+// stepPass runs kernelProgram once to HLT through Step alone, which
+// never dispatches a superblock, and returns the instructions it
+// retired.
+func stepPass(tb testing.TB, m *Machine) uint64 {
+	m.SetReg(isa.SP, 0x8000)
+	m.SetEIP(0x2000 + 4*4)
+	before := m.InsnRetired()
+	for {
+		res := m.Step()
+		if res.Reason == StopHalt {
+			return m.InsnRetired() - before
+		}
+		if res.Reason != StopBudget {
+			tb.Fatalf("kernel step stopped with %v (fault %v)", res.Reason, res.Fault)
+		}
+	}
+}
+
+// BenchmarkStep times warmed kernelProgram passes through the
+// interpreter (fetch, the EA-MPU checks, decode and execute) on the
+// production engine and reports host ns per guest instruction.
+func BenchmarkStep(b *testing.B) {
+	m := loadKernel(b, true)
+	stepPass(b, m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insns uint64
+	for i := 0; i < b.N; i++ {
+		insns += stepPass(b, m)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insns), "ns/insn")
+}
+
+// TestStepAllocs pins a warmed kernel pass through Step at zero
+// allocations on both engines: neither fetch path copies the decoded
+// instruction to the heap.
+func TestStepAllocs(t *testing.T) {
+	for _, fast := range []bool{true, false} {
+		m := loadKernel(t, fast)
+		stepPass(t, m)
+		if n := testing.AllocsPerRun(20, func() { stepPass(t, m) }); n != 0 {
+			t.Fatalf("FastPath=%v: warmed step pass allocated %.1f times, want 0", fast, n)
+		}
 	}
 }
 
