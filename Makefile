@@ -64,7 +64,7 @@ examples:
 # timing lives in bench/.
 check: build vet lint race examples
 
-# fuzz runs each of the repo's nine fuzzers for 30 s in turn. It is a
+# fuzz runs each of the repo's ten fuzzers for 30 s in turn. It is a
 # manual target, not part of check. A crasher is written to the
 # fuzzer's testdata/fuzz/ directory, where the plain test suite replays
 # it; fix the code, then check the input in as a regression test.
@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChromeTrace$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSHA1$$' -fuzztime 30s ./internal/sha1
 	$(GO) test -run '^$$' -fuzz '^FuzzSuperblock$$' -fuzztime 30s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzJobStep$$' -fuzztime 30s ./internal/loader
 
 # bench runs the root benchmarks and every in-package benchmark under
 # internal/ (telf, sverify, trusted, fleet, ...), ten iterations each

@@ -89,7 +89,6 @@ var testOnlyExports = map[string]bool{
 	"Observability":     true, // core.Platform
 	"ContainsRange":     true, // eampu.Region
 	"LiveCount":         true, // loader.Allocator
-	"RelocationCost":    true, // loader
 	"ReadBytes":         true, // machine.Machine
 	"Period":            true, // machine.Timer
 	"IDTHandler":        true, // machine.Machine

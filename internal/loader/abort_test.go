@@ -47,14 +47,15 @@ func assembleMultiReloc(t *testing.T) *telf.Image {
 
 var errInjected = errors.New("injected memory failure")
 
-// faultyMem wraps a Memory and fails exactly one operation: the n-th
-// RawWrite32 (fixup) or the n-th LoadBytes (copy), counted from zero.
+// faultyMem wraps a Memory and fails either the n-th RawWrite32
+// (fixup), counted from one, or every LoadBytes (copy) whose span
+// covers failLoadAddr. A refused LoadBytes writes nothing, as the
+// machine's bus refuses a span that leaves RAM.
 type faultyMem struct {
 	Memory
-	failWriteAt int
-	failLoadAt  int
-	writes      int
-	loads       int
+	failWriteAt  int
+	failLoadAddr uint32 // 0: no copy fails
+	writes       int
 }
 
 func (f *faultyMem) RawWrite32(addr, v uint32) error {
@@ -66,8 +67,7 @@ func (f *faultyMem) RawWrite32(addr, v uint32) error {
 }
 
 func (f *faultyMem) LoadBytes(addr uint32, b []byte) error {
-	f.loads++
-	if f.failLoadAt > 0 && f.loads == f.failLoadAt {
+	if f.failLoadAddr != 0 && addr <= f.failLoadAddr && f.failLoadAddr-addr < uint32(len(b)) {
 		return errInjected
 	}
 	return f.Memory.LoadBytes(addr, b)
@@ -173,7 +173,7 @@ func TestJobAbortMidReloc(t *testing.T) {
 func TestJobAbortMidCopy(t *testing.T) {
 	m := machine.New(1 << 20)
 	im := assembleMultiReloc(t)
-	fm := &faultyMem{Memory: m, failLoadAt: 3}
+	fm := &faultyMem{Memory: m, failLoadAddr: 0x20000 + 8} // the third word
 	job := NewJob(fm, im, 0x20000)
 	driveToError(t, job)
 

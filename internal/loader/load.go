@@ -83,16 +83,6 @@ func FixupCost(kind telf.RelocKind) uint64 {
 	}
 }
 
-// RelocationCost returns the full Table 5 cost of relocating an image:
-// the table scan plus one fixup per entry.
-func RelocationCost(im *telf.Image) uint64 {
-	c := uint64(machine.CostRelocScan)
-	for _, r := range im.Relocs {
-		c += FixupCost(r.Kind)
-	}
-	return c
-}
-
 // ApplyRelocation patches the single relocation r of a placement in
 // memory: the stored image-relative word becomes absolute.
 func ApplyRelocation(mem Memory, p Placement, r telf.Reloc) error {
@@ -229,9 +219,14 @@ func (j *Job) Done() bool { return j.phase == PhaseDone }
 const wordCost = machine.CostFlashReadWord + machine.CostCopyLoopWord
 
 // Step advances the job by at most budget cycles of work and returns the
-// cycles consumed. Work quanta are one word (copy/zero) or one fixup
-// (reloc); Step consumes at least one quantum per call so the job always
-// makes progress even under a tiny budget.
+// cycles consumed. Cycles are charged per work quantum: one word in the
+// copy phase (a trailing partial word counts as one), up to 64 bytes in
+// the zero phase, one fixup in the reloc phase. Step consumes at least
+// one quantum per call so the job always makes progress even under a
+// tiny budget, and stops after the quantum that reaches the budget.
+// The copy phase moves all the words this Step pays for in one
+// LoadBytes: nothing observes RAM between the words of one Step, so
+// only the charge is per word.
 func (j *Job) Step(budget uint64) (used uint64, err error) {
 	if j.phase == PhaseDone {
 		return 0, ErrJobDone
@@ -244,15 +239,21 @@ func (j *Job) Step(budget uint64) (used uint64, err error) {
 				j.phase, j.pos = PhaseZero, 0
 				continue
 			}
-			end := j.pos + 4
-			if end > uint32(len(j.blob)) {
-				end = uint32(len(j.blob))
-			}
-			if err := j.mem.LoadBytes(j.p.Base+j.pos, j.blob[j.pos:end]); err != nil {
-				return used, err
+			start, end := j.pos, j.copyEnd(budget, used)
+			if err := j.mem.LoadBytes(j.p.Base+start, j.blob[start:end]); err != nil {
+				// Redo the batch word by word, so the error, the charge
+				// and the written prefix are those of the failing word.
+				for w := start; w < end; w += 4 {
+					if err := j.mem.LoadBytes(j.p.Base+w, j.blob[w:min(w+4, end)]); err != nil {
+						quantum = uint64(w-start) / 4 * wordCost
+						j.pos = w
+						j.copyCost += quantum
+						return used + quantum, err
+					}
+				}
 			}
 			j.pos = end
-			quantum = wordCost
+			quantum = uint64(end-start+3) / 4 * wordCost
 			j.copyCost += quantum
 		case PhaseZero:
 			total := j.p.Image.BSSSize
@@ -296,6 +297,21 @@ func (j *Job) Step(budget uint64) (used uint64, err error) {
 			return used, nil
 		}
 	}
+}
+
+// copyEnd returns the end of the copy batch starting at j.pos: the
+// words that the budget left after used pays for, at least one, clamped
+// to the blob end. (budget-used-1)/wordCost+1 is the ceiling without
+// overflow, even for budget = MaxUint64.
+func (j *Job) copyEnd(budget, used uint64) uint32 {
+	words := uint64(1)
+	if budget > used {
+		words = (budget-used-1)/wordCost + 1
+	}
+	if rest := uint32(len(j.blob)) - j.pos; words >= (uint64(rest)+3)/4 {
+		return uint32(len(j.blob))
+	}
+	return j.pos + uint32(words)*4
 }
 
 // CopyCost returns the cycles spent streaming the image from flash.

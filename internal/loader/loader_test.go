@@ -348,7 +348,17 @@ func TestRevertInBlock(t *testing.T) {
 	}
 }
 
+// TestRelocationCostTable pins a finished load's relocation phase to
+// Table 5: the table scan plus one fixup cost per entry.
 func TestRelocationCostTable(t *testing.T) {
+	relocCost := func(im *telf.Image) uint64 {
+		t.Helper()
+		job := NewJob(machine.New(1<<20), im, 0x20000)
+		if _, err := job.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return job.RelocCost()
+	}
 	im := &telf.Image{
 		Text: make([]byte, 32),
 		Relocs: []telf.Reloc{
@@ -359,11 +369,11 @@ func TestRelocationCostTable(t *testing.T) {
 	}
 	want := uint64(machine.CostRelocScan) + machine.CostRelocWord +
 		machine.CostRelocImm32 + machine.CostRelocImm32Addend
-	if got := RelocationCost(im); got != want {
-		t.Errorf("RelocationCost = %d, want %d", got, want)
+	if got := relocCost(im); got != want {
+		t.Errorf("RelocCost = %d, want %d", got, want)
 	}
 	empty := &telf.Image{Text: make([]byte, 4)}
-	if got := RelocationCost(empty); got != machine.CostRelocScan {
+	if got := relocCost(empty); got != machine.CostRelocScan {
 		t.Errorf("empty image cost = %d, want %d (Table 5 row n=0: 37)", got, machine.CostRelocScan)
 	}
 }

@@ -188,9 +188,7 @@ func (m *Machine) ZeroBytes(addr, n uint32) error {
 		return err
 	}
 	m.noteRAMWrite(i, int(n))
-	for j := 0; j < int(n); j++ {
-		m.ram[i+j] = 0
-	}
+	clear(m.ram[i : i+int(n)])
 	return nil
 }
 

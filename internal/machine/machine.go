@@ -222,8 +222,9 @@ type Machine struct {
 	// OnStep, when set, observes every retired instruction before it
 	// executes (pc, decoded form) — the simulator's instruction-trace
 	// hook. It must not mutate machine state, except that it may rewrite
-	// the bytes of the instruction it observes, which still runs as
-	// fetched (TestRewriteOwnBytes).
+	// code: the instruction it observes still runs as fetched, and any
+	// later instruction runs its new bytes (TestRewriteOwnBytes,
+	// TestHookRewritesLaterOp).
 	OnStep func(pc uint32, in isa.Instruction)
 
 	// Obs, when set, is the platform's one event sink: the machine, the

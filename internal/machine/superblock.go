@@ -262,7 +262,8 @@ func (m *Machine) sbSlot(pc uint32) *sbEntry {
 // bookkeeping so the hook observes the same (pc, insn, state) sequence
 // Step would give it; otherwise retire and cycle counts are applied in
 // bulk at block exit (the dispatch guards guarantee no poll or budget
-// boundary lies inside).
+// boundary lies inside). A hook that writes into compiled code ends
+// the block after the op it observed.
 //
 // Every load, store, push, pop, call and return checks its access
 // with sbCheckData before its effect. A hooked run checks ahead of the
@@ -273,7 +274,7 @@ func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 	ops := sb.ops
 	r := &m.regs
 	var cost uint64 // cycles retired ops have not yet charged
-	for i := range ops {
+	for i := 0; i < len(ops); i++ {
 		op := &ops[i]
 		rd, rs := op.in.Rd, op.in.Rs
 		n := uint64(i) + 1
@@ -287,6 +288,15 @@ func (m *Machine) execBlock(sb *superblock, gen uint32) (uint64, bool) {
 			m.insnRetired++
 			if m.OnStep != nil { // the hook may detach itself mid-run
 				m.OnStep(op.pc, op.in)
+				if m.gen != gen {
+					// The hook wrote into compiled code, so every later
+					// op may be stale: op runs as fetched and the block
+					// ends after it, as sbSplit ends it after a store.
+					// The bump left no code range armed, so op's own
+					// write, if any, cannot bump again.
+					m.sbBails++
+					ops, gen = ops[:i+1], m.gen
+				}
 			}
 			m.execPC = op.pc
 			m.lastPC = op.pc

@@ -354,6 +354,58 @@ func TestRewriteOwnBytes(t *testing.T) {
 	}
 }
 
+// TestHookRewritesLaterOp pins the other half of the rule: an OnStep
+// hook that rewrites a later instruction of the block it is running in
+// makes that instruction run its new bytes. At the loop's first op the
+// hook rewrites the next ldi r1, 111 to ldi r1, 222 after the loop has
+// compiled, and both engines must copy 222 into r2.
+func TestHookRewritesLaterOp(t *testing.T) {
+	const base = 0x2000
+	ldi111 := isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 111}
+	ldi222 := isa.Instruction{Op: isa.OpLDI, Rd: isa.R1, Imm: 222}
+	var p isa.Program
+	p.Emit(isa.Instruction{Op: isa.OpADDI, Rd: isa.R4, Imm: -1})   // word 0: the hook fires here
+	p.Emit(ldi111)                                                 // word 1: and rewrites this
+	p.Emit(isa.Instruction{Op: isa.OpMOV, Rd: isa.R2, Rs: isa.R1}) // word 2
+	p.Emit(isa.Instruction{Op: isa.OpCMPI, Rd: isa.R4, Imm: 0})    // word 3
+	p.Emit(isa.Instruction{Op: isa.OpBNE, Imm: -5})                // word 4: to word 0
+	p.Emit(isa.Instruction{Op: isa.OpHLT})                         // word 5
+
+	r := newPairRig(64 << 10)
+	armed := false
+	r.each(func(m *Machine) {
+		trace := r.rtr.hook()
+		if m == r.prod {
+			trace = r.ptr.hook()
+		}
+		m.OnStep = func(pc uint32, in isa.Instruction) {
+			trace(pc, in)
+			if pc == base && armed {
+				m.LoadBytes(base+4, isa.Encode(nil, ldi222))
+			}
+		}
+		m.LoadBytes(base, p.Bytes())
+		m.SetEIP(base)
+		m.SetReg(isa.R4, kernelIters)
+	})
+	r.runSlices(t, []uint64{1 << 20}, 10)
+	if st := r.prod.Stats(); st.SBHits == 0 {
+		t.Fatalf("loop never ran compiled: %+v", st)
+	}
+
+	armed = true
+	r.each(func(m *Machine) {
+		m.SetEIP(base)
+		m.SetReg(isa.R4, 1)
+	})
+	r.runSlices(t, []uint64{1 << 20}, 10)
+	r.each(func(m *Machine) {
+		if got := m.Reg(isa.R2); got != 222 {
+			t.Errorf("FastPath=%v: r2 = %d, want 222", m.FastPath, got)
+		}
+	})
+}
+
 // TestSuperblockDifferentialMPUReconfig compiles a block containing a
 // store pre-checked against the decision cache, then reconfigures the
 // EA-MPU so the store becomes a violation: the cached verdict must be
