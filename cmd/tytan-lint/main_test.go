@@ -8,28 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/contract"
-	"repro/internal/sverify"
 )
 
-// writeImage materializes a generated image as a .telf file.
-func writeImage(t *testing.T, dir string, class sverify.GenClass, seed uint64) string {
-	t.Helper()
-	im := sverify.GenImage(class, seed)
-	enc, err := im.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, im.Name+".telf")
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+// fixture returns the path of a checked-in image that sverify's
+// seeded generator built: testdata/gen-<class>-<seed>.telf.
+func fixture(name string) string { return filepath.Join("testdata", name+".telf") }
 
 func TestExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	clean := writeImage(t, dir, sverify.GenClean, 1)
-	broken := writeImage(t, dir, sverify.GenInvalidOpcode, 1)
+	clean := fixture("gen-clean-1")
+	broken := fixture("gen-invalid-opcode-1")
 
 	var out bytes.Buffer
 	if code, err := run(config{inputs: []string{clean}}, &out); code != 0 || err != nil {
@@ -47,7 +34,7 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("missing rejection verdict:\n%s", out.String())
 	}
 
-	if code, err := run(config{inputs: []string{filepath.Join(dir, "missing.telf")}}, &out); code != 2 || err == nil {
+	if code, err := run(config{inputs: []string{filepath.Join(t.TempDir(), "missing.telf")}}, &out); code != 2 || err == nil {
 		t.Fatalf("missing input: code=%d err=%v", code, err)
 	}
 }
@@ -79,11 +66,10 @@ func TestAssemblySourceInput(t *testing.T) {
 // TestJSONDeterministic: runs over the same inputs are byte-identical
 // (the acceptance bar for the report pipeline).
 func TestJSONDeterministic(t *testing.T) {
-	dir := t.TempDir()
 	inputs := []string{
-		writeImage(t, dir, sverify.GenClean, 2),
-		writeImage(t, dir, sverify.GenWildStore, 2),
-		writeImage(t, dir, sverify.GenBadSyscall, 2),
+		fixture("gen-clean-2"),
+		fixture("gen-wild-store-2"),
+		fixture("gen-bad-syscall-2"),
 	}
 	contract.Check(t, contract.Row{Name: "lint-json", Produce: func(t *testing.T, _ contract.Point) []byte {
 		var out bytes.Buffer
@@ -117,9 +103,8 @@ func TestExamplesCorpusClean(t *testing.T) {
 // JSON over that corpus and the generator images to be byte-identical
 // across repeats.
 func TestBoundsCheck(t *testing.T) {
-	dir := t.TempDir()
-	certified := writeImage(t, dir, sverify.GenCountedLoop, 0)
-	uncertified := writeImage(t, dir, sverify.GenIndirectCallOpaque, 0)
+	certified := fixture("gen-counted-loop-0")
+	uncertified := fixture("gen-indirect-call-opaque-0")
 
 	var out bytes.Buffer
 	if code, err := run(config{bounds: true, inputs: []string{certified}}, &out); code != 0 || err != nil {

@@ -58,8 +58,8 @@ func TestUpdateSignAndInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !telf.IsSigned(blob) {
-		t.Fatal("sign output is not a signed package")
+	if _, err := telf.DecodeSigned(blob); err != nil {
+		t.Fatalf("sign output is not a signed package: %v", err)
 	}
 	out.Reset()
 	if err := runUpdateCmd([]string{"info", pkg}, &out); err != nil {

@@ -46,7 +46,7 @@ func TestAnalyzeTaskWindows(t *testing.T) {
 		ev(100, trace.SubKernel, trace.KindTaskSwitch, "a"),
 		ev(400, trace.SubKernel, trace.KindTaskSwitch, "b"),
 		ev(900, trace.SubKernel, trace.KindTaskSwitch, "a"),
-		ev(1000, trace.SubKernel, trace.KindCustom, ""), // advances LastCycle
+		ev(1000, trace.SubKernel, trace.KindSyscall, ""), // advances LastCycle
 	})
 	tasks := spansOf(a, ClassTask)
 	if len(tasks) != 3 {
@@ -70,13 +70,13 @@ func TestAnalyzeConcatenatedStreams(t *testing.T) {
 	laneA := []trace.Event{
 		ev(100, trace.SubKernel, trace.KindTaskSwitch, "a"),
 		ev(400, trace.SubKernel, trace.KindTaskSwitch, "b"),
-		ev(1000, trace.SubKernel, trace.KindCustom, ""),
+		ev(1000, trace.SubKernel, trace.KindSyscall, ""),
 	}
 	laneB := []trace.Event{
-		ev(20, trace.SubKernel, trace.KindCustom, ""),
+		ev(20, trace.SubKernel, trace.KindSyscall, ""),
 		ev(50, trace.SubKernel, trace.KindTaskSwitch, "c"),
 		ev(300, trace.SubKernel, trace.KindTaskSwitch, "d"),
-		ev(700, trace.SubKernel, trace.KindCustom, ""),
+		ev(700, trace.SubKernel, trace.KindSyscall, ""),
 	}
 	want := append(spansOf(Analyze(laneA), ClassTask), spansOf(Analyze(laneB), ClassTask)...)
 	got := spansOf(Analyze(append(append([]trace.Event(nil), laneA...), laneB...)), ClassTask)
@@ -111,7 +111,7 @@ func TestAnalyzeLoadSpans(t *testing.T) {
 func TestAnalyzeTruncatedLoadUnclosed(t *testing.T) {
 	a := Analyze([]trace.Event{
 		ev(10, trace.SubLoader, trace.KindLoadPhase, "img", trace.Str("phase", "alloc")),
-		ev(500, trace.SubKernel, trace.KindCustom, ""),
+		ev(500, trace.SubKernel, trace.KindSyscall, ""),
 	})
 	load := spansOf(a, ClassLoad)
 	if len(load) != 1 || !load[0].Unclosed || load[0].End != 500 {
@@ -559,7 +559,7 @@ func TestWriteFolded(t *testing.T) {
 		ev(500, trace.SubKernel, trace.KindIRQ, "", trace.Num("latency", 100)),
 		ev(1000, trace.SubKernel, trace.KindTaskSwitch, "b"),
 		ev(2000, trace.SubKernel, trace.KindTaskSwitch, "a"),
-		ev(3000, trace.SubKernel, trace.KindCustom, ""),
+		ev(3000, trace.SubKernel, trace.KindSyscall, ""),
 	})
 	var buf bytes.Buffer
 	if err := WriteFolded(&buf, a); err != nil {

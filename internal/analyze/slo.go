@@ -408,13 +408,6 @@ func (m *Monitor) fire(i int, rule Rule, cycle, measured uint64) {
 	})
 }
 
-// Violations returns how many rules have fired online so far.
-func (m *Monitor) Violations() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.fired)
-}
-
 // Verdict runs the full offline evaluation over every event the
 // monitor observed — the complete check, including percentile rules
 // the online pass defers.

@@ -135,17 +135,6 @@ func (a *Analysis) CrossCheckBounds(bounds map[string]uint64) []BoundsViolation 
 	return out
 }
 
-// Unclosed returns the unclosed spans.
-func (a *Analysis) Unclosed() []Span {
-	var out []Span
-	for _, s := range a.Spans {
-		if s.Unclosed {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Durations returns the sorted durations of every *closed* span whose
 // class is one of the given classes.
 func (a *Analysis) Durations(classes ...string) []uint64 {

@@ -175,7 +175,6 @@ func AblationLoaderQuantum() (Table, error) {
 	for _, q := range []uint64{1_024, 4_096, 16_384, 1 << 40} {
 		opt := core.Options{EngineHistory: 1 << 16, LoaderQuantum: q}
 		p := mustPlatform(opt)
-		defer p.Close()
 		t0 := UseCaseTaskImage(tagT0, useCasePeriod)
 		if _, _, err := p.LoadTaskSync(t0, core.Secure, 5); err != nil {
 			return Table{}, err
@@ -203,6 +202,7 @@ func AblationLoaderQuantum() (Table, error) {
 			prev = c.Cycle
 			count++
 		}
+		p.Close()
 		var worst uint64
 		for _, g := range gaps {
 			if g > worst {
@@ -234,7 +234,6 @@ func AblationInterruptFlood() (Table, error) {
 	var quiet float64
 	for _, interval := range []uint64{0, 8_000, 2_000, 500} {
 		p := mustPlatform(core.Options{EngineHistory: 1 << 16})
-		defer p.Close()
 		t0 := UseCaseTaskImage(tagT0, useCasePeriod)
 		if _, _, err := p.LoadTaskSync(t0, core.Secure, 5); err != nil {
 			return Table{}, err
@@ -253,6 +252,7 @@ func AblationInterruptFlood() (Table, error) {
 				count++
 			}
 		}
+		p.Close()
 		rate := float64(count) / (float64(elapsed) / machine.ClockHz) / 1000
 		if interval == 0 {
 			quiet = rate
@@ -360,7 +360,6 @@ func TableInterruptLatency() (Table, error) {
 	for _, baseline := range []bool{false, true} {
 		opt := core.Options{EngineHistory: 1 << 16, Baseline: baseline}
 		p := mustPlatform(opt)
-		defer p.Close()
 		t0 := UseCaseTaskImage(tagT0, useCasePeriod)
 		kind := core.Secure
 		if baseline {
@@ -379,7 +378,11 @@ func TableInterruptLatency() (Table, error) {
 				return Table{}, err
 			}
 		}
+		if !req.Done() || req.Err() != nil {
+			return Table{}, fmt.Errorf("benchlab: latency load (baseline %v) failed: %w", baseline, req.Err())
+		}
 		max, mean, n := p.K.IRQLatency()
+		p.Close()
 		name := "TyTAN"
 		if baseline {
 			name = "baseline FreeRTOS"

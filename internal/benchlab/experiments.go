@@ -223,11 +223,11 @@ func MeasureCreationScaling() ([]ScalingPoint, error) {
 		pt.Bytes = size
 		for _, kind := range []rtos.TaskKind{rtos.KindSecure, rtos.KindNormal} {
 			p := mustPlatform(core.Options{})
-			defer p.Close()
 			req := p.LoadTaskAsync(GenImage("scale", size, nil), kind, 3)
 			if err := p.Run(60_000_000); err != nil {
 				return nil, err
 			}
+			p.Close()
 			if !req.Done() || req.Err() != nil {
 				return nil, fmt.Errorf("benchlab: scaling load %d/%v: %w", size, kind, req.Err())
 			}
@@ -510,7 +510,6 @@ func MeasureIPCScaling() ([][2]uint64, error) {
 	var points [][2]uint64
 	for _, n := range []int{2, 4, 8, 11} {
 		p := mustPlatform(core.Options{})
-		defer p.Close()
 		var tasks []*rtos.TCB
 		for i := 0; i < n; i++ {
 			tcb, _, err := p.LoadTaskSync(GenImage(fmt.Sprintf("t%d", i), 256, nil), core.Secure, 3)
@@ -528,6 +527,7 @@ func MeasureIPCScaling() ([][2]uint64, error) {
 			return nil, fmt.Errorf("benchlab: send status %d", st)
 		}
 		points = append(points, [2]uint64{uint64(n), p.M.Cycles() - before})
+		p.Close()
 	}
 	return points, nil
 }

@@ -216,15 +216,6 @@ func NewPlatform(opt Options) (*Platform, error) {
 	return p, nil
 }
 
-// StrictVerify reports whether the pre-load verification gate is armed.
-func (p *Platform) StrictVerify() bool { return p.C != nil && p.C.Gate != nil }
-
-// BoundsAdmission reports whether the resource-bound admission check is
-// armed.
-func (p *Platform) BoundsAdmission() bool {
-	return p.C != nil && p.C.Gate != nil && p.C.Gate.Bounds
-}
-
 // Close releases the platform's simulation resources (recycling the
 // machine's RAM buffer for future platforms). The platform must not be
 // used afterwards. Closing is optional; an un-closed platform is
@@ -241,9 +232,6 @@ func (p *Platform) Baseline() bool { return p.C == nil }
 func (p *Platform) Run(cycles uint64) error {
 	return p.K.RunUntil(p.M.Cycles() + cycles)
 }
-
-// RunUntil advances the simulation to an absolute cycle count.
-func (p *Platform) RunUntil(cycle uint64) error { return p.K.RunUntil(cycle) }
 
 // Cycles returns the platform's cycle counter.
 func (p *Platform) Cycles() uint64 { return p.M.Cycles() }
@@ -308,12 +296,6 @@ func (p *Platform) Unload(id rtos.TaskID) error {
 	}
 	return p.K.Unload(id)
 }
-
-// Suspend stops a task from being scheduled until Resume.
-func (p *Platform) Suspend(id rtos.TaskID) error { return p.K.Suspend(id) }
-
-// Resume reverses Suspend.
-func (p *Platform) Resume(id rtos.TaskID) error { return p.K.Resume(id) }
 
 // Identity returns the measured identity of a loaded secure task.
 func (p *Platform) Identity(id rtos.TaskID) (sha1.Digest, error) {

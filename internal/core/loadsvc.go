@@ -127,12 +127,6 @@ func (r *LoadRequest) Done() bool { return r.phase == LoadDone || r.phase == Loa
 // Err returns the failure, if any.
 func (r *LoadRequest) Err() error { return r.err }
 
-// Phase returns the current phase.
-func (r *LoadRequest) Phase() LoadPhase { return r.phase }
-
-// Task returns the loaded task after completion.
-func (r *LoadRequest) Task() *rtos.TCB { return r.tcb }
-
 // Identity returns the measured identity (secure tasks only).
 func (r *LoadRequest) Identity() sha1.Digest { return r.identity }
 

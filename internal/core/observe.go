@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/analyze"
-	"repro/internal/machine"
 	"repro/internal/trace"
 	"repro/internal/trusted"
 )
@@ -60,9 +59,6 @@ func (p *Platform) EnableObservability(extra ...trace.Sink) *Obs {
 	p.obsHandle = o
 	return o
 }
-
-// Observability returns the handle if EnableObservability has run.
-func (p *Platform) Observability() *Obs { return p.obsHandle }
 
 // Sink returns the installed sink — the one every subsystem emits
 // through. External components attached to the platform (a
@@ -194,6 +190,3 @@ func (o *Obs) WriteMetrics(w io.Writer) error {
 func (o *Obs) Profile() *analyze.Profile {
 	return analyze.Analyze(o.Buf.Events()).Profile(o.p.M.Cycles())
 }
-
-// ClockHz re-exports the simulated clock for exporter consumers.
-const ClockHz = machine.ClockHz

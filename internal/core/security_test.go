@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -178,14 +179,14 @@ func TestAttackIDTOverwrite(t *testing.T) {
 	if _, _, err := p.LoadTaskSync(mustImage(t, idtTask), Secure, 3); err != nil {
 		t.Fatal(err)
 	}
-	handlerBefore := p.M.IDTHandler(machine.IRQTimer)
+	handlerBefore, _ := p.M.RawRead32(machine.IDTBase + 4*machine.IRQTimer)
 	if err := p.Run(10 * DefaultTickPeriod); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(p.Output(), "X") {
 		t.Fatal("task survived writing the IDT")
 	}
-	if got := p.M.IDTHandler(machine.IRQTimer); got != handlerBefore {
+	if got, _ := p.M.RawRead32(machine.IDTBase + 4*machine.IRQTimer); got != handlerBefore {
 		t.Fatalf("IDT modified: %#x -> %#x", handlerBefore, got)
 	}
 }
@@ -417,7 +418,7 @@ main:
 // co-resident secure task keeps printing — on the tick path and the
 // syscall path, on both engines, with identical cycles and exit record.
 func TestAttackForgedStackPointer(t *testing.T) {
-	frame := uint32(rtos.ContextFrameBytes)
+	frame := uint32(machine.ContextFrameBytes)
 	// ram marks targets whose span is RAM, so the byte compare below
 	// is not vacuous; the UART output covers the MMIO target.
 	targets := []struct {
@@ -462,14 +463,14 @@ func TestAttackForgedStackPointer(t *testing.T) {
 					if err := p.M.RawWrite32(forger.Placement.DataBase(), sp); err != nil {
 						t.Fatal(err)
 					}
-					before, err := p.M.ReadBytes(sp-frame, frame)
+					before, err := ramBytes(p.M, sp-frame, frame)
 					if tg.ram && err != nil {
 						t.Fatalf("target span not in RAM: %v", err)
 					}
 					if err := p.Run(10 * DefaultTickPeriod); err != nil {
 						t.Fatalf("%v: run failed: %v", at, err)
 					}
-					if after, _ := p.M.ReadBytes(sp-frame, frame); !bytes.Equal(before, after) {
+					if after, _ := ramBytes(p.M, sp-frame, frame); !bytes.Equal(before, after) {
 						t.Errorf("%v: frame span [%#x,%#x) changed:\n% x\n% x", at, sp-frame, sp, before, after)
 					}
 					ex := forger.Exit
@@ -582,4 +583,18 @@ tag:
     .byte `+itoaBytes(name)+`
 `)
 	return im
+}
+
+// ramBytes copies n bytes of RAM from addr, bypassing the EA-MPU; it
+// fails for a span outside RAM.
+func ramBytes(m *machine.Machine, addr, n uint32) ([]byte, error) {
+	if addr < machine.RAMBase || addr+n > m.RAMEnd() {
+		return nil, fmt.Errorf("[%#x, %#x) is not RAM", addr, addr+n)
+	}
+	out := make([]byte, 0, n+3)
+	for a := addr; a < addr+n; a += 4 {
+		w, _ := m.RawRead32(a)
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out[:n], nil
 }

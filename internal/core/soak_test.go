@@ -25,6 +25,7 @@ func soakOnce(t *testing.T, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	p := newTyTAN(t)
+	free := p.K.Alloc.FreeBytes()
 
 	type live struct {
 		id     rtos.TaskID
@@ -86,18 +87,23 @@ func soakOnce(t *testing.T, seed int64) {
 
 		// Invariants after every step.
 		secureCount := 0
-		isaCount := 0
+		var held uint32
 		for _, l := range tasks {
 			if l.secure {
 				secureCount++
 			}
-			isaCount++
+			tcb, _ := p.K.Task(l.id)
+			n, ok := p.K.Alloc.SizeOf(tcb.Placement.Base)
+			if !ok {
+				t.Fatalf("step %d: task %d holds no allocation", step, l.id)
+			}
+			held += n
 		}
 		if got := p.C.RTM.Entries(); got != secureCount {
 			t.Fatalf("step %d: registry %d entries, %d secure tasks loaded", step, got, secureCount)
 		}
-		if got := p.K.Alloc.LiveCount(); got != isaCount {
-			t.Fatalf("step %d: allocator %d live, %d tasks loaded", step, got, isaCount)
+		if live := free - p.K.Alloc.FreeBytes(); live != held {
+			t.Fatalf("step %d: allocator %d bytes live, %d tasks hold %d", step, live, len(tasks), held)
 		}
 	}
 	if loads == 0 || unloads == 0 {
@@ -110,7 +116,7 @@ func soakOnce(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	if p.K.Alloc.LiveCount() != 0 {
+	if p.K.Alloc.FreeBytes() != free {
 		t.Error("allocator leak after drain")
 	}
 	if p.C.RTM.Entries() != 0 {

@@ -82,15 +82,6 @@ func (r Region) Contains(addr uint32) bool {
 	return addr >= r.Start && addr-r.Start < r.Size
 }
 
-// ContainsRange reports whether the whole range [addr, addr+size) lies
-// in the region.
-func (r Region) ContainsRange(addr, size uint32) bool {
-	if size == 0 {
-		return r.Contains(addr)
-	}
-	return r.Contains(addr) && addr+size-1 >= addr && r.Contains(addr+size-1)
-}
-
 // Overlaps reports whether the two regions share any address.
 func (r Region) Overlaps(o Region) bool {
 	if r.Size == 0 || o.Size == 0 {
@@ -459,16 +450,4 @@ func (m *MPU) CheckExec(fromPC, addr uint32, sequential bool) error {
 		}
 	}
 	return nil
-}
-
-// Reset returns the unit to its zero state (all slots free, disabled).
-// Only the simulator harness uses it; real hardware resets on power
-// cycle. The generation counter survives (and advances) so that caches
-// keyed on it cannot mistake the post-reset configuration for a
-// pre-reset one.
-func (m *MPU) Reset() {
-	gen, viol := m.gen, m.violations
-	*m = MPU{}
-	m.gen = gen + 1
-	m.violations = viol
 }

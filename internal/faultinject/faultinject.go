@@ -76,9 +76,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the high half of the next value.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a value in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -180,15 +177,6 @@ func (i *Injector) SetTargets(rs ...TargetRange) { i.targets = rs }
 
 // Events returns the audit trail.
 func (i *Injector) Events() []Event { return i.events }
-
-// Counts returns injections applied per class.
-func (i *Injector) Counts() map[Class]int {
-	out := make(map[Class]int, len(i.counts))
-	for k, v := range i.counts {
-		out[k] = v
-	}
-	return out
-}
 
 // Advance applies every injection scheduled at or before the machine's
 // current cycle. The RNG consumption per event is independent of

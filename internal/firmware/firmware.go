@@ -73,13 +73,6 @@ func OverheadPercent() float64 {
 	return float64(OverheadBytes()) / float64(BaselineBytes()) * 100
 }
 
-// SecureTaskEntryRoutineBytes is the per-task footprint of the entry
-// routine the TyTAN tool chain adds to every secure task ("secure tasks
-// implement an entry routine to handle interrupts, which slightly
-// increases the memory consumption of secure tasks compared to normal
-// tasks", §6).
-const SecureTaskEntryRoutineBytes = 112
-
 // String summarizes a component.
 func (c Component) String() string {
 	tag := ""

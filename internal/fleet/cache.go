@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/sha1"
@@ -63,24 +62,4 @@ func (c *Cache) Counts() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// KnownGood returns the published measurement set, sorted
-// (deterministic reports).
-func (c *Cache) KnownGood() []sha1.Digest {
-	c.mu.Lock()
-	out := make([]sha1.Digest, 0, len(c.good))
-	for d := range c.good {
-		out = append(out, d)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }

@@ -133,15 +133,6 @@ func (r *Registry) NoteFail(name string) Device {
 	return *d
 }
 
-// Quarantine condemns a device directly (operator action).
-func (r *Registry) Quarantine(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d, ok := r.byName[name]; ok {
-		d.State = DeviceQuarantined
-	}
-}
-
 // Quarantined reports whether the device is quarantined.
 func (r *Registry) Quarantined(name string) bool {
 	r.mu.Lock()
@@ -191,11 +182,4 @@ func (r *Registry) Counts() (healthy, suspect, quarantined int) {
 		}
 	}
 	return
-}
-
-// Len returns the number of registered devices.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byName)
 }

@@ -88,7 +88,7 @@ func edgeStreams() ([]NamedEvents, []trace.Event) {
 		decision(0, "dev-x", "pass", 0),
 		decision(7, "dev-a", "pass", 7),
 		// A non-decision event carrying a session attr.
-		{Cycle: 8, Sub: trace.SubFleet, Kind: trace.KindCustom, Subject: "dev-a",
+		{Cycle: 8, Sub: trace.SubFleet, Kind: trace.KindSyscall, Subject: "dev-a",
 			Attrs: []trace.Attr{trace.Num("session", 3)}},
 	}
 	return devices, plane

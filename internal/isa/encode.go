@@ -82,6 +82,3 @@ func (p *Program) Emit(in Instruction) *Program {
 
 // Bytes returns the encoded program.
 func (p *Program) Bytes() []byte { return p.buf }
-
-// Len returns the encoded length in bytes.
-func (p *Program) Len() int { return len(p.buf) }

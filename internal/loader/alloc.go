@@ -167,9 +167,6 @@ func (a *Allocator) FreeBytes() uint32 {
 	return n
 }
 
-// LiveCount returns the number of live allocations.
-func (a *Allocator) LiveCount() int { return len(a.live) }
-
 // Fragments returns the number of free-list spans (fragmentation
 // metric used by the ablation benches).
 func (a *Allocator) Fragments() int { return len(a.free) }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/sverify"
 	"repro/internal/telf"
@@ -18,14 +17,6 @@ var ErrVerifyRejected = errors.New("loader: image rejected by static verificatio
 // check; callers test it with errors.Is (and errors.As on *BoundsError
 // for the typed reason).
 var ErrBoundsRejected = errors.New("loader: image rejected by resource-bound admission")
-
-// ContextFrameBytes is the saved context frame the kernel pushes below a
-// task's live stack pointer on every pre-emption (r0..r7 + EIP +
-// EFLAGS). The admission check adds it to the static stack bound: a task
-// may be interrupted at its point of deepest stack use. The rtos package
-// owns the layout; rtos.ContextFrameBytes is pinned to this constant by
-// test (the loader cannot import rtos — rtos imports the loader).
-const ContextFrameBytes = (isa.NumRegs + 2) * 4
 
 // BoundsError is a typed resource-bound admission refusal. Reason is a
 // stable token ("stack-unbounded", "stack-over-reservation",
@@ -101,10 +92,10 @@ func (g *Gate) checkBounds(im *telf.Image, b *sverify.Bounds) error {
 			Detail: "worst-case stack depth is not statically bounded"}
 	}
 	reservation := uint64((im.StackSize + 3) &^ 3)
-	if need := uint64(b.StackBytes) + ContextFrameBytes; need > reservation {
+	if need := uint64(b.StackBytes) + machine.ContextFrameBytes; need > reservation {
 		return &BoundsError{Name: im.Name, Reason: "stack-over-reservation",
 			Detail: fmt.Sprintf("worst-case stack %d bytes + %d context frame exceeds the %d-byte reservation",
-				b.StackBytes, ContextFrameBytes, reservation)}
+				b.StackBytes, machine.ContextFrameBytes, reservation)}
 	}
 	budget, declared := g.Budgets[im.Name]
 	if !declared {

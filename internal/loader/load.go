@@ -58,9 +58,9 @@ func (p Placement) EntryAddr() uint32 { return p.Base + p.Image.Entry }
 // Size returns the total region size including alignment padding.
 func (p Placement) Size() uint32 { return p.StackTop() - p.Base }
 
-// PlacedSize returns the memory an image occupies once placed,
-// including section-alignment padding — the amount the allocator must
-// reserve (at least telf.Image.LoadSize, at most 8 bytes more).
+// PlacedSize returns the memory an image occupies once placed — text,
+// data, BSS and stack plus at most 8 bytes of section-alignment
+// padding: the amount the allocator must reserve.
 func PlacedSize(im *telf.Image) uint32 {
 	return Placement{Image: im}.Size()
 }
@@ -208,9 +208,6 @@ func NewJob(mem Memory, im *telf.Image, base uint32) *Job {
 
 // Placement returns the job's target placement.
 func (j *Job) Placement() Placement { return j.p }
-
-// Phase returns the current phase.
-func (j *Job) Phase() Phase { return j.phase }
 
 // Done reports whether the job has finished.
 func (j *Job) Done() bool { return j.phase == PhaseDone }

@@ -33,8 +33,10 @@ func TestAllocFirstFit(t *testing.T) {
 	if addr2 != 0x10000+128 {
 		t.Errorf("addr2 = %#x, want %#x", addr2, 0x10000+128)
 	}
-	if a.LiveCount() != 2 {
-		t.Errorf("LiveCount = %d", a.LiveCount())
+	for _, addr := range []uint32{addr1, addr2} {
+		if _, ok := a.SizeOf(addr); !ok {
+			t.Errorf("allocation at %#x not live", addr)
+		}
 	}
 }
 

@@ -172,8 +172,8 @@ func matchWordLoop(t *testing.T, im *telf.Image, base uint32, ramSize uint32, bu
 		if got.touchedExtent() != ref.touchedExtent() {
 			t.Fatalf("%s: touched extent %d, word loop %d", tag, got.touchedExtent(), ref.touchedExtent())
 		}
-		rr, _ := ms[0].RAMView(lo, hi-lo)
-		rg, _ := ms[1].RAMView(lo, hi-lo)
+		rr, _ := ramBytes(ms[0], lo, hi-lo)
+		rg, _ := ramBytes(ms[1], lo, hi-lo)
 		if i := firstDiff(rg, rr); i >= 0 {
 			t.Fatalf("%s: RAM at %#x = %#x, word loop %#x", tag, lo+uint32(i), rg[i], rr[i])
 		}

@@ -157,30 +157,6 @@ func (m *Machine) LoadBytes(addr uint32, b []byte) error {
 	return nil
 }
 
-// RAMView returns a view aliasing [addr, addr+n) of RAM, bypassing the
-// EA-MPU, without copying. Callers must treat the slice as read-only
-// and must not hold it across a mutation of the underlying memory; the
-// fetch path and measurement code use it to avoid per-access
-// allocation.
-func (m *Machine) RAMView(addr, n uint32) ([]byte, error) {
-	i, err := m.ramIndex(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	return m.ram[i : i+int(n) : i+int(n)], nil
-}
-
-// ReadBytes copies n bytes of RAM starting at addr, bypassing the EA-MPU.
-func (m *Machine) ReadBytes(addr, n uint32) ([]byte, error) {
-	view, err := m.RAMView(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, view)
-	return out, nil
-}
-
 // ZeroBytes clears n bytes of RAM starting at addr, bypassing the EA-MPU.
 func (m *Machine) ZeroBytes(addr, n uint32) error {
 	i, err := m.ramIndex(addr, n)

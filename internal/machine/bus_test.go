@@ -125,8 +125,8 @@ func TestWordsDifferential(t *testing.T) {
 				if c.writeOK && c.readOK && fmt.Sprint(got[0]) != fmt.Sprint(src) && c.addr < MMIOBase {
 					t.Fatalf("%s: read back %v, wrote %v", tag, got[0], src)
 				}
-				pram, _ := prod.ReadBytes(RAMBase, prod.RAMSize())
-				rram, _ := ref.ReadBytes(RAMBase, ref.RAMSize())
+				pram, _ := prod.RAMView(RAMBase, prod.RAMSize())
+				rram, _ := ref.RAMView(RAMBase, ref.RAMSize())
 				if !bytes.Equal(pram, rram) {
 					t.Fatalf("%s: RAM differs", tag)
 				}
@@ -152,7 +152,7 @@ func TestWriteWordsPrefix(t *testing.T) {
 		if want := "eampu: write violation: pc 0x5000 accessing 0x91fc"; fmt.Sprint(err) != want {
 			t.Fatalf("write error %v, want %s", err, want)
 		}
-		b, _ := m.ReadBytes(0x91F8, 16)
+		b, _ := m.RAMView(0x91F8, 16)
 		if !bytes.Equal(b, []byte{0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0}) {
 			t.Fatalf("RAM after partial write: %v", b)
 		}

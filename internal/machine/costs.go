@@ -202,7 +202,6 @@ const (
 const (
 	CostSchedulerPick  = 160 // highest-priority ready task selection
 	CostTick           = 90  // tick bookkeeping (time slice, delays)
-	CostContextSwitch  = 48  // switch kernel bookkeeping (excl. save/restore)
 	CostSyscallEntry   = 64  // SVC decode and dispatch
 	CostTaskExitClean  = 840 // removing a task from scheduler structures
 	CostSuspendResume  = 210 // suspend or resume bookkeeping

@@ -169,9 +169,6 @@ func (t *Timer) Due(cycle uint64) (int, bool) {
 	return IRQTimer, true
 }
 
-// Period returns the configured tick period in cycles.
-func (t *Timer) Period() uint64 { return t.period }
-
 // NextFire returns the cycle of the next pending tick, or 0 if the
 // timer is disabled. The kernel's idle loop uses it to sleep the
 // simulation forward to the next event.
@@ -407,11 +404,6 @@ func (k *KeyStore) Read(off uint32) uint32 {
 // Write implements Device (the key is immutable).
 func (k *KeyStore) Write(uint32, uint32) {}
 
-// Key returns the raw key. Only trusted native components call this,
-// charging the MMIO read costs themselves; the EA-MPU rule still governs
-// ISA-level access.
-func (k *KeyStore) Key() []byte { return append([]byte(nil), k.key[:]...) }
-
 // --- Engine actuator ----------------------------------------------------------
 
 // Engine register offsets.
@@ -422,10 +414,12 @@ const (
 
 // Engine is the speed actuator of the cruise-control use case: it
 // records every command with its cycle timestamp so the harness can
-// verify that the control task met its deadlines.
+// verify that the control task met its deadlines. The count register
+// counts every command received, also those past the log's limit.
 type Engine struct {
 	clock    func() uint64
 	last     uint32
+	received uint32
 	commands []EngineCommand
 	limit    int
 }
@@ -451,7 +445,7 @@ func (e *Engine) Read(off uint32) uint32 {
 	case EngineRegSpeed:
 		return e.last
 	case EngineRegCount:
-		return uint32(len(e.commands))
+		return e.received
 	default:
 		return 0
 	}
@@ -463,6 +457,7 @@ func (e *Engine) Write(off uint32, v uint32) {
 		return
 	}
 	e.last = v
+	e.received++
 	if e.limit == 0 || len(e.commands) < e.limit {
 		e.commands = append(e.commands, EngineCommand{Cycle: e.clock(), Value: v})
 	}

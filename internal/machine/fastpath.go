@@ -155,9 +155,8 @@ func (r *recycler[T]) put(t []T) {
 // Release returns the machine's RAM buffer to the pool, zeroed up to
 // the dirty watermark, and its default-size predecode table and its
 // compiled-block table to theirs, cleared. The machine must not be used
-// afterwards, and the caller must not retain slices obtained from
-// RAMView/ReadBytes-free accessors into its memory. Calling Release is
-// optional — an un-released machine is simply collected by the GC.
+// afterwards. Calling Release is optional — an un-released machine is
+// simply collected by the GC.
 func (m *Machine) Release() {
 	putTable(&icachePool, m.icache, 1<<icacheBits)
 	putTable(&sbcachePool, m.sbcache, sbSize)

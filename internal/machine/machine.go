@@ -42,6 +42,13 @@ const (
 	// IDTSize is the byte size of the IDT.
 	IDTSize = IDTEntries * 4
 
+	// ContextFrameBytes is the saved context frame the kernel pushes
+	// below a task's live stack pointer on every pre-emption: r0..r7,
+	// EIP and EFLAGS. The loader's admission check and sverify's stack
+	// bound add it to a task's static stack bound, since a task may be
+	// interrupted at its point of deepest stack use.
+	ContextFrameBytes = (isa.NumRegs + 2) * 4
+
 	// MMIOBase is the start of the memory-mapped I/O window. Each
 	// device occupies a 256-byte page.
 	MMIOBase = 0xF000_0000
@@ -417,21 +424,6 @@ func (m *Machine) InterruptDeliverable() bool {
 	return ok && m.intEnable
 }
 
-// IDTHandler reads the handler address for a vector directly from the
-// in-memory IDT (a hardware access: not EA-MPU checked — the register
-// pointing at the IDT is fixed, and the table itself is protected
-// against software writes by a locked rule).
-func (m *Machine) IDTHandler(vector int) uint32 {
-	if vector < 0 || vector >= IDTEntries {
-		return 0
-	}
-	v, err := m.RawRead32(IDTBase + uint32(vector*4))
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // SetIDTHandler writes a handler address into the IDT, bypassing the
 // EA-MPU. Only secure boot uses it; software must go through the bus and
 // is stopped by the locked rule.
@@ -459,9 +451,6 @@ func (m *Machine) SetEIP(v uint32) {
 	m.eip = v
 	m.branched = true
 }
-
-// EFLAGS returns the flags register.
-func (m *Machine) EFLAGS() uint32 { return m.eflags }
 
 // SaveContext captures the CPU register state.
 func (m *Machine) SaveContext() Context {

@@ -24,7 +24,7 @@ func loadProgram(t *testing.T, base uint32, src string) *Machine {
 		t.Fatalf("load: %v", err)
 	}
 	m.SetEIP(base + im.Entry)
-	m.SetReg(isa.SP, base+im.LoadSize())
+	m.SetReg(isa.SP, base+uint32(len(im.Text)+len(im.Data))+im.BSSSize+im.StackSize)
 	return m
 }
 
@@ -540,15 +540,18 @@ func TestEngineRecordsCommands(t *testing.T) {
 	e.Write(EngineRegSpeed, 60)
 	clock = 30
 	e.Write(EngineRegSpeed, 65) // over limit: value updates, history full
+	clock = 40
+	e.Write(EngineRegSpeed, 70)
 	cmds := e.Commands()
 	if len(cmds) != 2 || cmds[0].Cycle != 10 || cmds[1].Value != 60 {
 		t.Errorf("commands = %+v", cmds)
 	}
-	if e.Read(EngineRegSpeed) != 65 {
+	if e.Read(EngineRegSpeed) != 70 {
 		t.Errorf("last = %d", e.Read(EngineRegSpeed))
 	}
-	if e.Read(EngineRegCount) != 2 {
-		t.Errorf("count = %d", e.Read(EngineRegCount))
+	// The count register counts every command received, not the log.
+	if e.Read(EngineRegCount) != 4 {
+		t.Errorf("count = %d, want 4", e.Read(EngineRegCount))
 	}
 }
 
@@ -742,7 +745,7 @@ func TestZeroBytes(t *testing.T) {
 	if err := m.ZeroBytes(0x2001, 3); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := m.ReadBytes(0x2000, 5)
+	b, _ := m.RAMView(0x2000, 5)
 	if b[0] != 1 || b[1] != 0 || b[3] != 0 || b[4] != 5 {
 		t.Errorf("bytes = %v", b)
 	}

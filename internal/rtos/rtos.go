@@ -283,7 +283,6 @@ type Kernel struct {
 var (
 	ErrNoSuchTask  = errors.New("rtos: no such task")
 	ErrBadPriority = errors.New("rtos: priority out of range")
-	ErrNotISA      = errors.New("rtos: operation requires an ISA task")
 	ErrDeadTask    = errors.New("rtos: task is dead")
 )
 

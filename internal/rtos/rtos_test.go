@@ -2,7 +2,9 @@ package rtos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,6 +70,7 @@ func uart(t *testing.T, k *Kernel) *machine.UART {
 
 func TestCreateAndRunSingleTask(t *testing.T) {
 	k := newKernel(t, Config{})
+	free := k.Alloc.FreeBytes()
 	im := mustImage(t, `
 .task "t"
 .entry main
@@ -94,7 +97,7 @@ main:
 	if _, ok := k.Task(tcb.ID); ok {
 		t.Error("exited task still registered")
 	}
-	if k.Alloc.LiveCount() != 0 {
+	if k.Alloc.FreeBytes() != free {
 		t.Error("task memory not reclaimed")
 	}
 }
@@ -364,6 +367,7 @@ loop:
 
 func TestUnload(t *testing.T) {
 	k := newKernel(t, Config{})
+	free := k.Alloc.FreeBytes()
 	im := mustImage(t, `
 .task "u"
 .entry main
@@ -383,7 +387,7 @@ loop:
 	if err := k.Unload(tcb.ID); err != ErrNoSuchTask {
 		t.Errorf("double unload = %v", err)
 	}
-	if k.Alloc.LiveCount() != 0 {
+	if k.Alloc.FreeBytes() != free {
 		t.Error("memory not reclaimed")
 	}
 }
@@ -780,6 +784,7 @@ main:
 
 func TestManyTasksAllRun(t *testing.T) {
 	k := newKernel(t, Config{})
+	free := k.Alloc.FreeBytes()
 	const n = 12
 	for i := 0; i < n; i++ {
 		im := mustImage(t, `
@@ -811,7 +816,7 @@ main:
 		}
 		seen[out[i]] = true
 	}
-	if k.Alloc.LiveCount() != 0 {
+	if k.Alloc.FreeBytes() != free {
 		t.Error("memory leak after all tasks exited")
 	}
 }
@@ -1004,7 +1009,7 @@ func TestBankContextGateBoundary(t *testing.T) {
 			if err := k.M.RawWrite32(pl.DataBase(), sp); err != nil {
 				t.Fatal(err)
 			}
-			before, _ := k.M.ReadBytes(sp-contextFrameBytes, contextFrameBytes)
+			before, _ := ramBytes(k.M, sp-contextFrameBytes, contextFrameBytes)
 			if err := k.RunUntil(100_000); err != nil {
 				t.Fatal(err)
 			}
@@ -1018,7 +1023,7 @@ func TestBankContextGateBoundary(t *testing.T) {
 			if ex.FaultAddr != sp-contextFrameBytes {
 				t.Errorf("fault addr = %#x, want %#x", ex.FaultAddr, sp-contextFrameBytes)
 			}
-			if after, _ := k.M.ReadBytes(sp-contextFrameBytes, contextFrameBytes); !bytes.Equal(before, after) {
+			if after, _ := ramBytes(k.M, sp-contextFrameBytes, contextFrameBytes); !bytes.Equal(before, after) {
 				t.Errorf("refused frame was written:\n% x\n% x", before, after)
 			}
 		})
@@ -1047,4 +1052,18 @@ func TestBankContextSaveFaultIsTypedExit(t *testing.T) {
 	if ex := tcb.Exit; ex == nil || ex.Cause != ExitFault || ex.Detail != "context save: save fault" {
 		t.Fatalf("exit = %+v, want a context-save fault", ex)
 	}
+}
+
+// ramBytes copies n bytes of RAM from addr, bypassing the EA-MPU; it
+// fails for a span outside RAM.
+func ramBytes(m *machine.Machine, addr, n uint32) ([]byte, error) {
+	if addr < machine.RAMBase || addr+n > m.RAMEnd() {
+		return nil, fmt.Errorf("[%#x, %#x) is not RAM", addr, addr+n)
+	}
+	out := make([]byte, 0, n+3)
+	for a := addr; a < addr+n; a += 4 {
+		w, _ := m.RawRead32(a)
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out[:n], nil
 }

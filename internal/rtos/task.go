@@ -12,20 +12,12 @@ import (
 // spReg is the stack-pointer register.
 const spReg = isa.SP
 
-// contextFrameWords is the size of a saved context frame in words:
-// r0..r7 pushed by software plus EIP and EFLAGS pushed by the exception
-// engine.
-const contextFrameWords = isa.NumRegs + 2
+// contextFrameBytes is the size of a saved context frame: r0..r7
+// pushed by software plus EIP and EFLAGS pushed by the exception engine.
+const contextFrameBytes = machine.ContextFrameBytes
 
-// contextFrameBytes is the frame size in bytes.
-const contextFrameBytes = contextFrameWords * 4
-
-// ContextFrameBytes exports the frame size: the resource-bound
-// admission check (loader.Gate) adds it to a task's static stack bound,
-// since a task may be pre-empted at its point of deepest stack use.
-// loader.ContextFrameBytes mirrors it (import cycle); a pinning test
-// keeps the two equal.
-const ContextFrameBytes = contextFrameBytes
+// contextFrameWords is the frame size in words.
+const contextFrameWords = contextFrameBytes / 4
 
 // NewServiceTask registers a trusted native service as a schedulable
 // task. Service tasks are secure tasks whose code runs natively; they
@@ -72,22 +64,10 @@ func (k *Kernel) PrepareStack(p loader.Placement) (savedSP uint32, cost uint64, 
 	return savedSP, uint64(contextFrameWords) * machine.CostStackPrepWord, nil
 }
 
-// InstallTask registers an already-loaded ISA task with the scheduler:
-// stack preparation, TCB initialization and ready-list insertion (steps
-// 3 and 6 of the paper's loading sequence; the caller interleaves steps
-// 4 and 5 — EA-MPU configuration and measurement — through the trusted
-// layer). The returned TCB is ready to run.
-func (k *Kernel) InstallTask(name string, kind TaskKind, prio int, p loader.Placement) (*TCB, error) {
-	t, err := k.InstallTaskSuspended(name, kind, prio, p)
-	if err != nil {
-		return nil, err
-	}
-	k.enqueue(t)
-	return t, nil
-}
-
-// InstallTaskSuspended performs InstallTask's work but leaves the task
-// in StateSuspended — loaded but not yet executable. The TyTAN loader
+// InstallTaskSuspended registers an already-loaded ISA task with the
+// scheduler, doing stack preparation and TCB initialization (step 3 of
+// the paper's loading sequence), and leaves the task in StateSuspended:
+// loaded but not yet executable. The TyTAN loader
 // uses it so the EA-MPU configuration and the RTM measurement (steps 4
 // and 5) happen while the task provably cannot run, then calls Resume
 // (step 6, "the OS is notified to schedule t").
@@ -96,7 +76,7 @@ func (k *Kernel) InstallTaskSuspended(name string, kind TaskKind, prio int, p lo
 		return nil, ErrBadPriority
 	}
 	if kind == KindService {
-		return nil, fmt.Errorf("rtos: InstallTask is for ISA tasks; use NewServiceTask")
+		return nil, fmt.Errorf("rtos: InstallTaskSuspended is for ISA tasks; use NewServiceTask")
 	}
 	if kind == KindSecure && !k.Cfg.TyTAN {
 		return nil, fmt.Errorf("rtos: secure tasks require the TyTAN configuration")

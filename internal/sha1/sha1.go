@@ -45,9 +45,6 @@ func New() State {
 	return State{h: [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}}
 }
 
-// Blocks returns the number of full compressions performed so far.
-func (s *State) Blocks() uint64 { return s.len / BlockSize }
-
 // BufferedBytes returns how many bytes are waiting for the next full
 // block.
 func (s *State) BufferedBytes() int { return s.n }

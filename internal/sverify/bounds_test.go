@@ -22,21 +22,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestContextFrameConstantsPinned holds the three copies of the
-// pre-emption context-frame size together: the kernel owns the layout,
-// the loader's admission check and sverify's stack-bound warning each
-// mirror it (import cycles forbid sharing the constant).
-func TestContextFrameConstantsPinned(t *testing.T) {
-	if loader.ContextFrameBytes != rtos.ContextFrameBytes {
-		t.Errorf("loader.ContextFrameBytes = %d, rtos.ContextFrameBytes = %d",
-			loader.ContextFrameBytes, rtos.ContextFrameBytes)
-	}
-	if sverify.ContextFrameSlack != rtos.ContextFrameBytes {
-		t.Errorf("sverify.ContextFrameSlack = %d, rtos.ContextFrameBytes = %d",
-			sverify.ContextFrameSlack, rtos.ContextFrameBytes)
-	}
-}
-
 // boundsCorpus returns every generator class expected to run without
 // faulting, across several seeds, plus the example corpus.
 func boundsCorpus(t *testing.T) []*telf.Image {
@@ -222,7 +207,7 @@ loop:
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if !p.BoundsAdmission() || !p.StrictVerify() {
+	if p.C.Gate == nil || !p.C.Gate.Bounds {
 		t.Fatal("BoundsAdmission option did not arm the gate")
 	}
 	obs := p.EnableObservability()

@@ -1,8 +1,14 @@
 package sverify
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -359,5 +365,37 @@ func GenImage(class GenClass, seed uint64) *telf.Image {
 		BSSSize:   genBSSSize,
 		StackSize: genStackSize,
 		Relocs:    b.relocs,
+	}
+}
+
+// TestLintFixturesMatchGenerator holds cmd/tytan-lint's checked-in
+// images, testdata/gen-<class>-<seed>.telf, byte-equal to what
+// GenImage builds for that class and seed.
+func TestLintFixturesMatchGenerator(t *testing.T) {
+	paths, err := filepath.Glob("../../cmd/tytan-lint/testdata/gen-*.telf")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no lint fixtures found: %v", err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "gen-"), ".telf")
+		i := strings.LastIndexByte(name, '-')
+		seed, err := strconv.ParseUint(name[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		class := GenClass(0)
+		for class < NumGenClasses && class.String() != name[:i] {
+			class++
+		}
+		if class == NumGenClasses {
+			t.Fatalf("%s: no generator class %q", path, name[:i])
+		}
+		want, err := GenImage(class, seed).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s differs from GenImage(%v, %d) (err %v); rewrite it from the generator", path, class, seed, err)
+		}
 	}
 }

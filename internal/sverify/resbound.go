@@ -19,7 +19,7 @@ import (
 // initial SP over any execution: no instruction ever runs with
 // SP < stackTop − StackBytes. It does not include the interrupt context
 // frame the kernel pushes below the live SP; the admission gate adds
-// that slack (loader.ContextFrameBytes) before comparing against the
+// that slack (machine.ContextFrameBytes) before comparing against the
 // stack reservation.
 //
 // Cycles bounds one *burst*: the machine cycles of any maximal run
@@ -184,10 +184,10 @@ func (v *verifier) computeBounds() *Bounds {
 	// bound that provably fits refutes the interpreter's heuristic
 	// call-depth warning, so retract it.
 	if b.StackBounded {
-		if uint64(b.StackBytes)+contextFrameSlack > uint64(align4(v.im.StackSize)) {
+		if uint64(b.StackBytes)+machine.ContextFrameBytes > uint64(align4(v.im.StackSize)) {
 			v.add(v.im.Entry, Warning, "stack-bound",
 				fmt.Sprintf("static stack bound %d bytes (+%d context frame) exceeds the %d-byte stack reservation",
-					b.StackBytes, contextFrameSlack, v.im.StackSize), "")
+					b.StackBytes, machine.ContextFrameBytes, v.im.StackSize), "")
 		} else {
 			for k := range v.findings {
 				if k.code == "call-depth" {
@@ -198,17 +198,6 @@ func (v *verifier) computeBounds() *Bounds {
 	}
 	return b
 }
-
-// contextFrameSlack mirrors the kernel's interrupt context frame
-// (8 GPRs + EIP + EFLAGS, pushed below the live SP on preemption); the
-// cross-layer test pins it to rtos.ContextFrameBytes.
-const contextFrameSlack = (isa.NumRegs + 2) * 4
-
-// ContextFrameSlack exports the context-frame allowance so the
-// cross-layer pinning test can hold it equal to rtos.ContextFrameBytes
-// and loader.ContextFrameBytes (neither of which this package may
-// import).
-const ContextFrameSlack = contextFrameSlack
 
 // downgradeResolvedIndirects replaces the CFG traversal's blanket
 // "indirect-branch" warning with an informational note wherever the

@@ -152,22 +152,6 @@ func (r *Report) Errors() []Finding {
 	return out
 }
 
-// HasErrors reports whether any finding is an Error.
-func (r *Report) HasErrors() bool { return len(r.Errors()) > 0 }
-
-// DefiniteErrors returns the Error findings whose fault is guaranteed
-// on the must-execute path — the images the differential test runs to
-// an actual fault.
-func (r *Report) DefiniteErrors() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Sev == Error && f.Definite {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Counts returns the number of findings per severity (info, warning,
 // error).
 func (r *Report) Counts() (info, warn, errs int) {

@@ -91,12 +91,6 @@ type SignedImage struct {
 // Payload returns the encoded inner image.
 func (s *SignedImage) Payload() []byte { return s.payload }
 
-// IsSigned reports whether b begins like an update package (so tooling
-// can accept both raw images and signed packages without guessing).
-func IsSigned(b []byte) bool {
-	return len(b) >= 4 && binary.LittleEndian.Uint32(b) == ManifestMagic
-}
-
 // Sign encodes im and wraps it in a manifest for the given task version,
 // MACed under key. The result decodes with DecodeSigned and verifies
 // with Verify under the same key.

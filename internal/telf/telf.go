@@ -122,12 +122,6 @@ var (
 	ErrRelocOrder    = fmt.Errorf("%w: relocation offsets not strictly increasing", ErrCorrupt)
 )
 
-// LoadSize returns the number of bytes of memory the image occupies once
-// loaded: text + data + bss + stack.
-func (im *Image) LoadSize() uint32 {
-	return uint32(len(im.Text)) + uint32(len(im.Data)) + im.BSSSize + im.StackSize
-}
-
 // MeasuredSize returns the number of bytes covered by the RTM
 // measurement: code, static data and the BSS layout (the paper measures
 // "code, static data, and initial stack layout"; the stack contents are

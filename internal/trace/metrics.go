@@ -43,20 +43,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.total++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns cumulative bucket counts, sum and total.
 func (h *Histogram) snapshot() (bounds []uint64, cum []uint64, sum, total uint64) {
 	h.mu.Lock()

@@ -43,7 +43,7 @@ const (
 	SubSupervisor
 	SubAttest
 	SubRemote
-	SubInject
+	_ // retired; the gap keeps each later subsystem's Chrome-trace tid
 	SubHarness
 	SubIPC
 	SubAnalyze
@@ -55,7 +55,7 @@ const (
 
 var subsystemNames = [numSubsystems]string{
 	"machine", "kernel", "eampu", "loader", "supervisor",
-	"attest", "remote", "inject", "harness", "ipc", "analyze",
+	"attest", "remote", "", "harness", "ipc", "analyze",
 	"update", "fleet",
 }
 
@@ -70,7 +70,7 @@ func (s Subsystem) String() string {
 // ParseSubsystem is String's inverse (exporter round-trips).
 func ParseSubsystem(s string) (Subsystem, error) {
 	for i, n := range subsystemNames {
-		if n == s {
+		if n == s && n != "" {
 			return Subsystem(i), nil
 		}
 	}
@@ -93,8 +93,6 @@ const (
 	KindSupervisor               // a supervisor recovery action
 	KindAttest                   // an attestation quote round-trip
 	KindActivation               // a harness-observed task activation
-	KindInject                   // an injected fault
-	KindCustom                   // anything else
 	KindIPC                      // a secure-IPC proxy operation
 	KindDeadlineMiss             // a registered periodic task missed a deadline
 	KindSLOViolation             // an SLO rule was violated (online monitor)
@@ -131,7 +129,7 @@ const (
 var kindNames = [numKinds]string{
 	"task-install", "task-switch", "task-exit", "syscall", "irq",
 	"tick", "load-phase", "eampu-violation", "supervisor",
-	"attest", "activation", "inject", "custom", "ipc",
+	"attest", "activation", "ipc",
 	"deadline-miss", "slo-violation", "verify-denied",
 	"update-accepted", "update-denied", "update-rolled-back",
 	"fleet", "session", "task-burst",

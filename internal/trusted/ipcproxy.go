@@ -67,8 +67,7 @@ const (
 
 // Proxy errors (native API).
 var (
-	ErrNoMailbox  = errors.New("trusted: receiver has no mailbox (needs .bss >= 28)")
-	ErrBadPayload = errors.New("trusted: payload exceeds register capacity")
+	ErrNoMailbox = errors.New("trusted: receiver has no mailbox (needs .bss >= 28)")
 )
 
 // NewIPCProxy creates the proxy.

@@ -37,8 +37,9 @@ const (
 	AttestBase   = 0x0000_6C00
 	StorageBase  = 0x0000_7000
 	DriverBase   = 0x0000_7400
-	BootBase     = 0x0000_7800
 	ComponentLen = 0x400
+	// The last KiB below TrustedEnd is left to the secure-boot image;
+	// no EA-MPU rule names it.
 
 	// TrustedEnd is the first address past the trusted area.
 	TrustedEnd = 0x0000_7C00

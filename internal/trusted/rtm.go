@@ -296,6 +296,3 @@ func (r *RTM) LookupByTask(id rtos.TaskID) (*RegistryEntry, bool) {
 
 // Entries returns the number of registered tasks.
 func (r *RTM) Entries() int { return len(r.byTask) }
-
-// Measured returns how many measurements have completed.
-func (r *RTM) Measured() uint64 { return r.measured }

@@ -112,9 +112,6 @@ func (s *Storage) Load(t *rtos.TCB, slot uint32) ([]byte, error) {
 	return pt, nil
 }
 
-// Slots returns the number of occupied slots.
-func (s *Storage) Slots() int { return len(s.blobs) }
-
 // TamperSlot flips a bit in a stored blob — fault-injection hook for
 // tests and the security demo; returns false if the slot is empty.
 func (s *Storage) TamperSlot(slot uint32) bool {

@@ -1,6 +1,7 @@
 package trusted
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -55,7 +56,11 @@ func mustImage(t testing.TB, src string) *telf.Image {
 
 // loadTask performs the full TyTAN loading sequence of §4 by hand:
 // allocate, load+relocate, prepare stack, configure EA-MPU, measure,
-// schedule.
+// schedule. As the loader does, it configures and measures while the
+// task cannot run. It then readies the task through Unblock, which
+// charges nothing, where the loader's Resume charges CostSuspendResume:
+// the cycle figures this package's contract rows pin leave that charge
+// out.
 func (r *rig) loadTask(t testing.TB, im *telf.Image, kind rtos.TaskKind, prio int) *rtos.TCB {
 	t.Helper()
 	base, scanned, err := r.k.Alloc.Alloc(loader.PlacedSize(im))
@@ -69,7 +74,7 @@ func (r *rig) loadTask(t testing.TB, im *telf.Image, kind rtos.TaskKind, prio in
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcb, err := r.k.InstallTask(im.Name, kind, prio, job.Placement())
+	tcb, err := r.k.InstallTaskSuspended(im.Name, kind, prio, job.Placement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +92,8 @@ func (r *rig) loadTask(t testing.TB, im *telf.Image, kind rtos.TaskKind, prio in
 		}
 		r.c.RTM.Register(tcb, im, job.Placement(), id)
 	}
+	tcb.State = rtos.StateBlocked
+	r.k.Unblock(tcb, rtos.EntryFreshStart)
 	return tcb
 }
 
@@ -122,7 +129,7 @@ func TestIDTProtectedFromSoftware(t *testing.T) {
 		t.Errorf("IDT read: %v", err)
 	}
 	// Every vector points at the Int Mux.
-	if h := r.m.IDTHandler(machine.IRQTimer); h != IntMuxBase {
+	if h, _ := r.m.RawRead32(machine.IDTBase + 4*machine.IRQTimer); h != IntMuxBase {
 		t.Errorf("timer vector = %#x", h)
 	}
 }
@@ -302,7 +309,7 @@ func TestIntMuxSaveFaultEngines(t *testing.T) {
 		}
 		r.m.SetReg(isa.SP, machine.RAMBase+8)
 		err := r.c.Mux.Save(r.k, tcb)
-		top, _ := r.m.ReadBytes(machine.RAMBase, 8)
+		top, _ := ramBytes(r.m, machine.RAMBase, 8)
 		out := fmt.Sprintf("err=%v cycles=%d violations=%d top=%x\n",
 			err, r.m.Cycles(), r.m.MPU.Violations(), top)
 		if !strings.Contains(out, "bus error at 0xffc") {
@@ -349,7 +356,7 @@ buf:
     .word 41
     .word main
 `)
-	base, _, err := r.k.Alloc.Alloc(im.LoadSize())
+	base, _, err := r.k.Alloc.Alloc(loader.PlacedSize(im))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +381,7 @@ buf:
 	}
 
 	// Position independence: load at a different base, same identity.
-	base2, _, err := r.k.Alloc.Alloc(im.LoadSize() + 4096)
+	base2, _, err := r.k.Alloc.Alloc(loader.PlacedSize(im) + 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +411,7 @@ main:
     hlt
 .data
 `+genWords(200))
-	base, _, err := r.k.Alloc.Alloc(im.LoadSize())
+	base, _, err := r.k.Alloc.Alloc(loader.PlacedSize(im))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +487,7 @@ func TestMeasurementCostFormula(t *testing.T) {
 			Text:      make([]byte, blocks*64),
 			StackSize: 64,
 		}
-		base, _, err := r.k.Alloc.Alloc(im.LoadSize())
+		base, _, err := r.k.Alloc.Alloc(loader.PlacedSize(im))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -779,12 +786,14 @@ func TestSharedMemoryWindow(t *testing.T) {
 
 	// Unloading one endpoint tears the window down: memory returns to
 	// the pool and the peer's grant is gone.
-	liveBefore := r.k.Alloc.LiveCount()
+	taskBase := a.Placement.Base
 	if err := r.k.Unload(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.k.Alloc.LiveCount(); got != liveBefore-2 {
-		t.Errorf("live allocations after unload = %d, want %d (task + window freed)", got, liveBefore-2)
+	for _, base := range []uint32{taskBase, win.Region.Start} {
+		if _, live := r.k.Alloc.SizeOf(base); live {
+			t.Errorf("allocation at %#x live after unload (task + window must be freed)", base)
+		}
 	}
 	found := false
 	for i := 0; i < 18; i++ {
@@ -946,4 +955,18 @@ func TestDuplicateIdentityRegistryFallback(t *testing.T) {
 	if _, _, err := r.c.RTM.LookupByTruncID(ea.TruncID); err == nil {
 		t.Error("identity resolvable after all instances unloaded")
 	}
+}
+
+// ramBytes copies n bytes of RAM from addr, bypassing the EA-MPU; it
+// fails for a span outside RAM.
+func ramBytes(m *machine.Machine, addr, n uint32) ([]byte, error) {
+	if addr < machine.RAMBase || addr+n > m.RAMEnd() {
+		return nil, fmt.Errorf("[%#x, %#x) is not RAM", addr, addr+n)
+	}
+	out := make([]byte, 0, n+3)
+	for a := addr; a < addr+n; a += 4 {
+		w, _ := m.RawRead32(a)
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out[:n], nil
 }

@@ -248,7 +248,7 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 			if err := r.k.Unload(peer.ID); err != nil {
 				t.Fatal(err)
 			}
-			live := r.k.Alloc.LiveCount()
+			free := r.k.Alloc.FreeBytes()
 
 			injected := errors.New("power fail")
 			r.u.FaultHook = func(p UpdatePhase) error {
@@ -280,8 +280,8 @@ func TestUpdateRollbackAtEveryPhase(t *testing.T) {
 				t.Errorf("old unseal after rollback = %q, %v", got, err)
 			}
 			// No leaked allocations, no half-installed twin.
-			if got := r.k.Alloc.LiveCount(); got != live {
-				t.Errorf("allocator live count %d, want %d", got, live)
+			if got := r.k.Alloc.FreeBytes(); got != free {
+				t.Errorf("allocator free bytes %d, want %d", got, free)
 			}
 			if n := len(r.k.Tasks()); n != 1 {
 				t.Errorf("%d tasks after rollback, want 1", n)
